@@ -7,6 +7,15 @@ A biact over semigroups S and T is a set A with maps (s, a) -> sa and
 
 Action tables are dense: ``left_action[s][a]`` and ``right_action[a][t]``.
 Carrier ids are their own namespace, disjoint from the semigroup ids.
+
+Trust boundary: ``validate_biact`` is the entry point for raw action
+tables (file load, census candidates, hand-built actions) and checks
+ranges and all three axioms.  The derived constructors here (regular,
+ideal, relative, Rees quotient, product, pullback) check only their own
+preconditions -- ideal, subsemigroup, subact, homomorphism -- and then
+build through the unchecked ``_trusted_biact``, because their output
+satisfies the axioms by construction.  A differential test re-validates
+their output over the small census and the random corpus.
 """
 
 from __future__ import annotations
@@ -104,21 +113,36 @@ def validate_biact(s: FiniteSemigroup, t: FiniteSemigroup,
         labels = tuple(f"a{i}" for i in range(size))
     elif len(labels) != size:
         raise BadEntry("labels must match the carrier size")
-    return FiniteBiact(
-        left=s, right=t, size=size,
-        left_action=tuple(tuple(row) for row in left_action),
-        right_action=tuple(tuple(row) for row in right_action),
-        labels=tuple(labels),
-        provenance=dict(provenance or {"kind": "biact"}),
-    )
+    return _trusted_biact(s, t, left_action, right_action, labels,
+                          provenance or {"kind": "biact"})
+
+
+def _frozen(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """``table`` as a tuple of tuples, shared rather than copied if it is one."""
+    if isinstance(table, tuple) and all(isinstance(row, tuple) for row in table):
+        return table
+    return tuple(tuple(row) for row in table)
+
+
+def _trusted_biact(s: FiniteSemigroup, t: FiniteSemigroup,
+                   left_action: Sequence[Sequence[int]],
+                   right_action: Sequence[Sequence[int]],
+                   labels: Sequence[str], provenance: Mapping) -> FiniteBiact:
+    """Build a biact without checking it: only for tables that satisfy the
+    action axioms by construction (see the module docstring)."""
+    return FiniteBiact(left=s, right=t, size=len(right_action),
+                       left_action=_frozen(left_action),
+                       right_action=_frozen(right_action),
+                       labels=tuple(labels), provenance=dict(provenance))
 
 
 def regular_biact(s: FiniteSemigroup) -> FiniteBiact:
-    """The semigroup acting on itself by multiplication on both sides."""
-    left = s.table
-    right = s.table
-    return validate_biact(s, s, left, right, labels=s.labels,
-                          provenance={"kind": "regular"})
+    """The semigroup acting on itself by multiplication on both sides.
+
+    The action axioms are associativity of ``s``, which ``validate_table``
+    has already checked, so both actions share ``s.table``.
+    """
+    return _trusted_biact(s, s, s.table, s.table, s.labels, {"kind": "regular"})
 
 
 def ideal_biact(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteBiact:
@@ -134,8 +158,8 @@ def ideal_biact(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteBiact:
     left = [[idx[s.table[x][a]] for a in mem] for x in range(s.order)]
     right = [[idx[s.table[a][x]] for x in range(s.order)] for a in mem]
     labels = tuple(s.labels[a] for a in mem)
-    return validate_biact(s, s, left, right, labels=labels,
-                          provenance={"kind": "ideal", "ideal": tuple(mem)})
+    return _trusted_biact(s, s, left, right, labels,
+                          {"kind": "ideal", "ideal": tuple(mem)})
 
 
 def relative_biact(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact:
@@ -143,8 +167,8 @@ def relative_biact(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiac
     sub, carrier = subsemigroup(s, sub_members)
     left = [[s.table[carrier[i]][a] for a in range(s.order)] for i in range(sub.order)]
     right = [[s.table[a][carrier[j]] for j in range(sub.order)] for a in range(s.order)]
-    return validate_biact(sub, sub, left, right, labels=s.labels,
-                          provenance={"kind": "relative", "sub_ids": tuple(carrier)})
+    return _trusted_biact(sub, sub, left, right, s.labels,
+                          {"kind": "relative", "sub_ids": tuple(carrier)})
 
 
 def is_subact(a: FiniteBiact, members: Iterable[int]) -> Optional[tuple]:
@@ -216,9 +240,8 @@ def biact_rees_quotient(a: FiniteBiact, sub: Iterable[int]) -> FiniteBiact:
         right.append(row)
     right.append([zero] * a.right.order)
     labels = tuple(a.labels[x] for x in keep) + ("0",)
-    return validate_biact(a.left, a.right, left, right, labels=labels,
-                          provenance={"kind": "rees-quotient",
-                                      "collapsed": tuple(sorted(mem))})
+    return _trusted_biact(a.left, a.right, left, right, labels,
+                          {"kind": "rees-quotient", "collapsed": tuple(sorted(mem))})
 
 
 def relative_rees(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact:
@@ -244,8 +267,7 @@ def product_biact(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteBiact:
              for a in range(s.order) for b in range(nt)]
     labels = tuple(f"({s.labels[a]},{t.labels[b]})"
                    for a in range(s.order) for b in range(nt))
-    return validate_biact(s, t, left, right, labels=labels,
-                          provenance={"kind": "product"})
+    return _trusted_biact(s, t, left, right, labels, {"kind": "product"})
 
 
 def pullback_biact(a: FiniteBiact,
@@ -254,7 +276,9 @@ def pullback_biact(a: FiniteBiact,
     """Restrict the actions along homomorphisms into the acting semigroups.
 
     ``h_left = (S', f)`` with f : S' -> S; dually for the right side.  The
-    carrier is unchanged and the axioms are re-validated.
+    carrier is unchanged.  Both maps are checked to be homomorphisms, and
+    actions restricted along homomorphisms satisfy the axioms, so the
+    result is built without re-checking them.
     """
     s2, f = h_left
     t2, g = h_right
@@ -267,5 +291,4 @@ def pullback_biact(a: FiniteBiact,
     left = [a.left_action[f[s]] for s in range(s2.order)]
     right = [tuple(a.right_action[x][g[t]] for t in range(t2.order))
              for x in range(a.size)]
-    return validate_biact(s2, t2, left, right, labels=a.labels,
-                          provenance={"kind": "pullback"})
+    return _trusted_biact(s2, t2, left, right, a.labels, {"kind": "pullback"})

@@ -468,7 +468,7 @@ def quotient(x, rho: Congruence):
     FiniteBiact over the same acting semigroups.  The projection maps
     element ids to block ids and is a homomorphism.
     """
-    from .biact import FiniteBiact, validate_biact
+    from .biact import FiniteBiact, _trusted_biact
     n = _carrier_size(x)
     if rho.size != n:
         raise IncompatiblePartition(("size", rho.size, n))
@@ -491,9 +491,10 @@ def quotient(x, rho: Congruence):
         right = [[blocks[x.right_action[reps[a]][t]] for t in range(x.right.order)]
                  for a in range(k)]
         labels = tuple("{" + x.labels[reps[i]] + "}" for i in range(k))
-        b = validate_biact(x.left, x.right, left, right, labels=labels,
-                           provenance={"kind": "quotient"})
-        return b, blocks
+        # compatibility was checked above, so the induced actions satisfy
+        # the axioms and need no re-check
+        return _trusted_biact(x.left, x.right, left, right, labels,
+                              {"kind": "quotient"}), blocks
     raise TypeError(f"expected a semigroup or biact, got {type(x).__name__}")
 
 

@@ -199,19 +199,23 @@ def stable_char(x: Structure) -> PredicateResult:
 
 
 def l_periodic(x: Structure) -> PredicateResult:
-    """For each s and a there is n <= size+1 with s^n a L s^(n+1) a.
+    """For each s and a there is 1 <= n <= size with s^n a L s^(n+1) a.
 
-    The bound suffices by pigeonhole on the orbit of a under s.
+    The bound suffices by pigeonhole on the orbit of a under s.  The orbit
+    is stepped lazily and the scan stops at the first L-related pair.
     """
     a = _as_biact(x)
-    gs = green_structure(a)
+    same_l = green_structure(a).class_of["L"]
     for s in range(a.left.order):
+        row = a.left_action[s]
         for e in range(a.size):
-            orbit = [e]
-            for _ in range(a.size + 1):
-                orbit.append(a.left_action[s][orbit[-1]])
-            if not any(gs.same(orbit[i], orbit[i + 1], "L")
-                       for i in range(1, a.size + 1)):
+            cur = row[e]
+            for _ in range(a.size):
+                nxt = row[cur]
+                if same_l[cur] == same_l[nxt]:
+                    break
+                cur = nxt
+            else:
                 return PredicateResult(False, method="orbit scan",
                                        witness={"s": s, "a": e})
     return PredicateResult(True, method="orbit scan")
@@ -219,14 +223,17 @@ def l_periodic(x: Structure) -> PredicateResult:
 
 def r_periodic(x: Structure) -> PredicateResult:
     a = _as_biact(x)
-    gs = green_structure(a)
+    same_r = green_structure(a).class_of["R"]
+    act = a.right_action
     for t in range(a.right.order):
         for e in range(a.size):
-            orbit = [e]
-            for _ in range(a.size + 1):
-                orbit.append(a.right_action[orbit[-1]][t])
-            if not any(gs.same(orbit[i], orbit[i + 1], "R")
-                       for i in range(1, a.size + 1)):
+            cur = act[e][t]
+            for _ in range(a.size):
+                nxt = act[cur][t]
+                if same_r[cur] == same_r[nxt]:
+                    break
+                cur = nxt
+            else:
                 return PredicateResult(False, method="orbit scan",
                                        witness={"t": t, "a": e})
     return PredicateResult(True, method="orbit scan")

@@ -290,17 +290,30 @@ def check_L3_3(env: Env) -> ClaimOutcome:
 
 
 def _longest_cover_path(covers, n: int) -> int:
+    """Classes on the longest downward chain of covers, by an iterative
+    depth-first search, so long chains cannot exhaust the call stack."""
     children: dict[int, list[int]] = {}
     for upper, lower in covers:
         children.setdefault(upper, []).append(lower)
     memo: dict[int, int] = {}
-
-    def depth(c: int) -> int:
-        if c not in memo:
-            memo[c] = 1 + max((depth(d) for d in children.get(c, ())), default=0)
-        return memo[c]
-
-    return max((depth(c) for c in range(n)), default=0)
+    for root in range(n):
+        if root in memo:
+            continue
+        path = [(root, iter(children.get(root, ())))]
+        on_path = {root}
+        while path:
+            c, rest = path[-1]
+            d = next((d for d in rest if d not in memo), None)
+            if d is None:
+                path.pop()
+                on_path.discard(c)
+                memo[c] = 1 + max((memo[x] for x in children.get(c, ())), default=0)
+            elif d in on_path:
+                raise ValueError(f"the cover relation has a cycle through class {d}")
+            else:
+                path.append((d, iter(children.get(d, ()))))
+                on_path.add(d)
+    return max((memo[c] for c in range(n)), default=0)
 
 
 def check_P3_4(env: Env) -> ClaimOutcome:
@@ -621,15 +634,18 @@ def check_P4_4(env: Env) -> ClaimOutcome:
 
 
 def biact_restrict(b: FiniteBiact, members: frozenset[int]) -> FiniteBiact:
-    """A subact reindexed as a biact in its own right."""
-    from .biact import validate_biact
+    """A subact reindexed as a biact in its own right.
+
+    ``members`` must be closed under both actions (callers take it from
+    ``subacts_of``), so the restricted actions satisfy the axioms.
+    """
+    from .biact import _trusted_biact
     mem = sorted(members)
     idx = {x: i for i, x in enumerate(mem)}
     left = [[idx[b.left_action[s][x]] for x in mem] for s in range(b.left.order)]
     right = [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem]
     labels = tuple(b.labels[x] for x in mem)
-    return validate_biact(b.left, b.right, left, right, labels=labels,
-                          provenance={"kind": "subact"})
+    return _trusted_biact(b.left, b.right, left, right, labels, {"kind": "subact"})
 
 
 def check_P4_5(env: Env) -> ClaimOutcome:

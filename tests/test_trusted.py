@@ -1,0 +1,169 @@
+"""Correctness guards for the unchecked fast paths.
+
+The derived biact constructors build through ``biact._trusted_biact``
+without re-checking the action axioms; here their output is re-validated
+over the small census and the random corpus.  The lazy orbit scan of
+``l_periodic``/``r_periodic`` is compared with the eager-orbit reference
+it replaced.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from greenstone import biact as ba
+from greenstone import core, props
+from greenstone.enumeration import random_biact_corpus, semigroup_pool
+from greenstone.verify import (
+    biact_restrict,
+    ideals_of,
+    single_pair_congruences,
+    subacts_of,
+    subsemigroups_of,
+)
+
+POOL = [s for s in semigroup_pool() if s.order <= 3]
+
+
+def assert_valid(b: ba.FiniteBiact) -> None:
+    """Re-run the checks of ``validate_biact`` (shapes, ranges, the three
+    action axioms) on a trusted build: it must come back unchanged."""
+    assert all(isinstance(row, tuple) for row in b.left_action + b.right_action)
+    again = ba.validate_biact(b.left, b.right, b.left_action, b.right_action,
+                              labels=b.labels, provenance=b.provenance)
+    assert again == b
+
+
+def assert_derived_valid(b: ba.FiniteBiact) -> None:
+    """Re-validate the subact restrictions, Rees quotients and
+    single-pair congruence quotients of ``b``."""
+    for members in subacts_of(b):
+        assert_valid(biact_restrict(b, members))
+        assert_valid(ba.biact_rees_quotient(b, members))
+    assert_valid(ba.biact_rees_quotient(b, ()))
+    for rho in single_pair_congruences(b):
+        quot, _ = core.quotient(b, rho)
+        assert_valid(quot)
+
+
+def homomorphisms(src: core.FiniteSemigroup, dst: core.FiniteSemigroup):
+    for f in itertools.product(range(dst.order), repeat=src.order):
+        if core.is_homomorphism(f, src, dst) is None:
+            yield f
+
+
+class TestTrustedConstructors:
+    @pytest.mark.parametrize("idx", range(len(POOL)))
+    def test_pool_semigroup(self, idx):
+        s = POOL[idx]
+        reg = ba.regular_biact(s)
+        assert reg.left_action is s.table and reg.right_action is s.table
+        assert_valid(reg)
+        assert_derived_valid(reg)
+        for ideal in ideals_of(s):
+            ib = ba.ideal_biact(s, ideal)
+            assert_valid(ib)
+            assert_derived_valid(ib)
+            assert_valid(ba.biact_rees_quotient(reg, ideal))
+        for members in subsemigroups_of(s):
+            rel = ba.relative_biact(s, members)
+            assert_valid(rel)
+            assert_valid(ba.relative_rees(s, members))
+            sub, carrier = core.subsemigroup(s, members)
+            assert_valid(ba.pullback_biact(reg, (sub, carrier), (sub, carrier)))
+        for t in POOL:
+            assert_valid(ba.product_biact(s, t))
+        for src in (t for t in POOL if t.order <= 2):
+            for f in homomorphisms(src, s):
+                assert_valid(ba.pullback_biact(reg, (src, f), (s, range(s.order))))
+                assert_valid(ba.pullback_biact(reg, (s, range(s.order)), (src, f)))
+
+    def test_random_corpus(self):
+        for b in random_biact_corpus(200, "trusted"):
+            assert_valid(b)
+            assert_derived_valid(b)
+            for members in subsemigroups_of(b.left):
+                sub, carrier = core.subsemigroup(b.left, members)
+                assert_valid(ba.pullback_biact(
+                    b, (sub, carrier), (b.right, range(b.right.order))))
+            for members in subsemigroups_of(b.right):
+                sub, carrier = core.subsemigroup(b.right, members)
+                assert_valid(ba.pullback_biact(
+                    b, (b.left, range(b.left.order)), (sub, carrier)))
+
+
+def eager_l_periodic(x):
+    """The eager-orbit scan the lazy one replaced: build the whole orbit of
+    length size+2, then look for an L-related consecutive pair."""
+    a = props._as_biact(x)
+    gs = props.green_structure(a)
+    for s in range(a.left.order):
+        for e in range(a.size):
+            orbit = [e]
+            for _ in range(a.size + 1):
+                orbit.append(a.left_action[s][orbit[-1]])
+            if not any(gs.same(orbit[i], orbit[i + 1], "L")
+                       for i in range(1, a.size + 1)):
+                return props.PredicateResult(False, method="orbit scan",
+                                             witness={"s": s, "a": e})
+    return props.PredicateResult(True, method="orbit scan")
+
+
+def eager_r_periodic(x):
+    a = props._as_biact(x)
+    gs = props.green_structure(a)
+    for t in range(a.right.order):
+        for e in range(a.size):
+            orbit = [e]
+            for _ in range(a.size + 1):
+                orbit.append(a.right_action[orbit[-1]][t])
+            if not any(gs.same(orbit[i], orbit[i + 1], "R")
+                       for i in range(1, a.size + 1)):
+                return props.PredicateResult(False, method="orbit scan",
+                                             witness={"t": t, "a": e})
+    return props.PredicateResult(True, method="orbit scan")
+
+
+def assert_same_result(got, want):
+    assert (got.value, got.method, got.witness) == (want.value, want.method, want.witness)
+
+
+class TestLazyOrbitScan:
+    def corpus(self):
+        t3 = core.generate_from_transformations(
+            3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)])
+        assert t3.order == 27
+        return POOL + random_biact_corpus(200, "trusted") + [ba.regular_biact(t3)]
+
+    def test_agrees_with_eager_orbits(self):
+        for x in self.corpus():
+            assert_same_result(props.l_periodic(x), eager_l_periodic(x))
+            assert_same_result(props.r_periodic(x), eager_r_periodic(x))
+
+    def test_agrees_on_arbitrary_partitions(self, monkeypatch):
+        # finite biacts are always periodic, so with the true Green structure
+        # both scans succeed; under arbitrary seeded partitions standing in
+        # for L and R they also fail, and must report the same first witness
+        rng = random.Random("lazy-orbit")
+
+        class Partition:
+            def __init__(self, n):
+                blocks = rng.randrange(1, 4)
+                self.class_of = {k: [rng.randrange(blocks) for _ in range(n)]
+                                 for k in ("L", "R")}
+
+            def same(self, x, y, k):
+                return self.class_of[k][x] == self.class_of[k][y]
+
+        outcomes = set()
+        for x in self.corpus():
+            for lazy, eager in ((props.l_periodic, eager_l_periodic),
+                                (props.r_periodic, eager_r_periodic)):
+                for _ in range(3):
+                    gs = Partition(props._as_biact(x).size)
+                    monkeypatch.setattr(props, "green_structure", lambda a: gs)
+                    got = lazy(x)
+                    assert_same_result(got, eager(x))
+                    outcomes.add(got.value)
+        assert outcomes == {True, False}

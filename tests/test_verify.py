@@ -94,3 +94,22 @@ class TestSubstructureEnumeration:
         b = regular_biact(core.generate_from_transformations(2, [(1, 0), (0, 0)]))
         for members in ver.subacts_of(b):
             assert is_subact(b, members) is None
+
+
+class TestLongestCoverPath:
+    def test_small_poset(self):
+        # 0 > 1 > 3 and 0 > 2 > 3 > 4: four classes on the longest chain
+        covers = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]
+        assert ver._longest_cover_path(covers, 5) == 4
+        assert ver._longest_cover_path([], 3) == 1
+        assert ver._longest_cover_path([], 0) == 0
+
+    def test_long_chain_does_not_recurse(self):
+        n = 3000
+        covers = [(c, c + 1) for c in range(n - 1)]
+        assert ver._longest_cover_path(covers, n) == n
+        assert ver._longest_cover_path(list(reversed(covers)), n) == n
+
+    def test_cycle_is_refused(self):
+        with pytest.raises(ValueError):
+            ver._longest_cover_path([(0, 1), (1, 0)], 2)
