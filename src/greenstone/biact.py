@@ -11,16 +11,17 @@ Carrier ids are their own namespace, disjoint from the semigroup ids.
 Trust boundary: ``validate_biact`` is the entry point for raw action
 tables (file load, census candidates, hand-built actions) and checks
 ranges and all three axioms.  The derived constructors here (regular,
-ideal, relative, Rees quotient, product, pullback) check only their own
-preconditions -- ideal, subsemigroup, subact, homomorphism -- and then
-build through the unchecked ``_trusted_biact``, because their output
-satisfies the axioms by construction.  A differential test re-validates
-their output over the small census and the random corpus.
+ideal, relative, Rees quotient, subact, product, pullback) check only
+their own preconditions -- ideal, subsemigroup, subact, homomorphism --
+and then build through the unchecked ``_trusted_biact``, because their
+output satisfies the axioms by construction.  A differential test
+re-validates their output over the small census and the random corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import FiniteSemigroup, classify_subset, is_homomorphism, subsemigroup
@@ -60,8 +61,27 @@ class FiniteBiact:
 
 @dataclass(frozen=True)
 class Subact:
+    """A subset of the carrier closed under both actions.  The derived
+    biacts are built on first use and kept."""
     host: FiniteBiact
     members: frozenset[int]
+
+    @cached_property
+    def sub(self) -> FiniteBiact:
+        """The subact reindexed as a biact in its own right; the members
+        are closed under both actions, so the restriction satisfies the
+        axioms."""
+        b, mem = self.host, sorted(self.members)
+        idx = {x: i for i, x in enumerate(mem)}
+        left = [[idx[b.left_action[s][x]] for x in mem] for s in range(b.left.order)]
+        right = [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem]
+        labels = tuple(b.labels[x] for x in mem)
+        return _trusted_biact(b.left, b.right, left, right, labels, {"kind": "subact"})
+
+    @cached_property
+    def rees(self) -> FiniteBiact:
+        """The Rees quotient of the host by the subact."""
+        return biact_rees_quotient(self.host, self.members)
 
 
 def action_axiom_violation(s: FiniteSemigroup, t: FiniteSemigroup,

@@ -15,7 +15,7 @@ from . import __version__
 from .biact import FiniteBiact, product_biact
 from .core import FiniteSemigroup, rees_quotient, zero_direct_union
 from .enumeration import all_biacts, all_semigroups
-from .errors import GreenstoneError, UnknownClaim, ValidationError
+from .errors import GreenstoneError, InvalidSuiteConfig, UnknownClaim, ValidationError
 from .formats import dump, load
 from .green import class_counts, eggbox_dot, green_index, green_structure, poset_dot
 from .props import (
@@ -171,24 +171,6 @@ def cmd_enum(args) -> int:
     return EXIT_OK
 
 
-class _Cor419ChainView:
-    """The headline descending chain of the gluing instance lives in its
-    ideal, so chain dumps run against the ideal's J-order."""
-
-    def __init__(self, inst):
-        self.inst = inst
-        self.order = inst.ideal_order()
-
-    def chain(self, k):
-        return self.inst.ideal_chain() if k == "J" else None
-
-    def le(self, k, x, y):
-        return self.order.le(k, x, y)
-
-    def encode(self, x):
-        return self.inst.u.encode(x)
-
-
 def cmd_catalog(args) -> int:
     if args.action == "list":
         for name, entry in sorted(catalog().items()):
@@ -201,10 +183,12 @@ def cmd_catalog(args) -> int:
     name = args.name
     if name is None:
         raise _UsageError("catalog show needs an entry name")
+    if args.depth < 1:
+        raise _UsageError("catalog show needs --depth of at least 1")
     if name == "ex4.8":
         obj = example_4_8()["biact"]
     elif name == "cor4.19":
-        obj = _Cor419ChainView(corollary_4_19_instance())
+        obj = corollary_4_19_instance().ideal_order()
     elif name == "cor5.12":
         obj = corollary_5_12_instance().u
     else:
@@ -332,7 +316,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (_UsageError, UnknownClaim) as exc:
+    except (_UsageError, UnknownClaim, InvalidSuiteConfig) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:

@@ -94,6 +94,10 @@ class UnknownClaim(GreenstoneError):
     """No registered claim with that id."""
 
 
+class InvalidSuiteConfig(GreenstoneError):
+    """A claim-suite parameter is below the least value that checks anything."""
+
+
 class CapExceeded(GreenstoneError):
     """An enumeration request exceeds its hard cap."""
 

@@ -801,50 +801,33 @@ def construct_usa(s, a):
 # instances behind the headline counterexamples
 
 
-class BicyclicCopyBiact(SymbolicBiact):
-    """The set {a_w : w bicyclic} as a biact over the bicyclic monoid and a
-    disjoint copy of it, with s a_w = a_{sw} and a_w tbar = a_{wt}."""
-    name = "bicyclic-copy"
+class BicyclicDelegate(SymbolicBiact):
+    """A structure on bicyclic pairs whose products, deciders, chains,
+    samples and encodings are those of the bicyclic monoid ``b``.
 
-    def __init__(self, b: Bicyclic, bbar: SymbolicSemigroup):
-        self.left = b
-        self.right = bbar
+    As a semigroup it is a disjoint copy of ``b`` (same pairs, distinct
+    role).  As a biact over ``left`` and ``right``, an acting element
+    multiplies through ``project``, its image in the bicyclic monoid.
+    """
+
+    def __init__(self, b: Bicyclic, name: str, sheet: PropertySheet,
+                 left=None, right=None,
+                 project: Callable[[object], tuple[int, int]] = lambda s: s):
         self.b = b
-        self.sheet = PropertySheet({
-            "M_L": PropertyClaim(False, "chain-witness", "tracks the bicyclic L-chain"),
-            "M_R": PropertyClaim(False, "chain-witness", "tracks the bicyclic R-chain"),
-            "M_J": PropertyClaim(True, "sampled-decision", "single J-class"),
-        })
-
-    def act_left(self, s, w):
-        return self.b.mul(s, w)
-
-    def act_right(self, w, tbar):
-        return self.b.mul(w, tbar)
-
-    def le(self, k, w, v):
-        return self.b.le(k, w, v)
-
-    def chain(self, k):
-        return self.b.chain(k)
-
-    def sample(self, rng):
-        return self.b.sample(rng)
-
-    def encode(self, w):
-        return list(w)
-
-
-class BicyclicBar(SymbolicSemigroup):
-    """A disjoint copy of the bicyclic monoid (same pairs, distinct role)."""
-    name = "bicyclic-bar"
-
-    def __init__(self, b: Bicyclic):
-        self.b = b
-        self.sheet = b.sheet
+        self.name = name
+        self.sheet = sheet
+        self.left = left
+        self.right = right
+        self.project = project
 
     def mul(self, x, y):
         return self.b.mul(x, y)
+
+    def act_left(self, s, x):
+        return self.b.mul(self.project(s), x)
+
+    def act_right(self, x, t):
+        return self.b.mul(x, self.project(t))
 
     def le(self, k, x, y):
         return self.b.le(k, x, y)
@@ -864,20 +847,28 @@ class Cor419Instance:
     """U(B, Bbar; A) with A the copy biact: U, N and I/N all satisfy the
     J-minimal condition while the ideal I = B + N does not."""
     u: SymbolicExtensionSTA
-    biact: BicyclicCopyBiact
+    biact: BicyclicDelegate
     bicyclic: Bicyclic
 
     def ideal_chain(self) -> Callable[[int], tuple]:
         return lambda i: ("x", (0, i))
 
     def ideal_order(self):
-        u = self.u
+        """The ideal with its J-order, its descending chain and the
+        encoding of U: the headline chain lives in the ideal."""
+        inst = self
 
         class _IdealOrder:
             def le(self, k, x, y):
                 if k != "J":
                     raise DecisionUnavailable("the ideal analysis is about J")
-                return u.le_in_ideal(x, y)
+                return inst.u.le_in_ideal(x, y)
+
+            def chain(self, k):
+                return inst.ideal_chain() if k == "J" else None
+
+            def encode(self, x):
+                return inst.u.encode(x)
 
         return _IdealOrder()
 
@@ -931,8 +922,13 @@ class Cor419Instance:
 
 def corollary_4_19_instance() -> Cor419Instance:
     b = Bicyclic()
-    bbar = BicyclicBar(b)
-    biact = BicyclicCopyBiact(b, bbar)
+    bbar = BicyclicDelegate(b, "bicyclic-bar", b.sheet)
+    # {a_w : w bicyclic} with s a_w = a_{sw} and a_w tbar = a_{wt}
+    biact = BicyclicDelegate(b, "bicyclic-copy", PropertySheet({
+        "M_L": PropertyClaim(False, "chain-witness", "tracks the bicyclic L-chain"),
+        "M_R": PropertyClaim(False, "chain-witness", "tracks the bicyclic R-chain"),
+        "M_J": PropertyClaim(True, "sampled-decision", "single J-class"),
+    }), left=b, right=bbar)
 
     def mixed(k: str, uu: tuple, vv: tuple) -> Optional[bool]:
         ku = uu[0]
@@ -961,46 +957,6 @@ def bicyclic_section(x: tuple[int, int]) -> str:
     return w if w else "ab"
 
 
-class PullbackBicyclicBiact(SymbolicBiact):
-    """The bicyclic monoid as a biact over the free semigroup on {a, b},
-    acting through the projection; the Green data is exactly bicyclic."""
-    name = "free-pullback-bicyclic"
-
-    def __init__(self, free: FreeSemigroup):
-        if free.rank != 2:
-            raise ValueError("the projection is defined on two letters")
-        self.left = free
-        self.right = free
-        self.b = Bicyclic()
-        self.sheet = PropertySheet({
-            "M_L": PropertyClaim(False, "chain-witness", "bicyclic L-chain"),
-            "M_R": PropertyClaim(False, "chain-witness", "bicyclic R-chain"),
-            "M_J": PropertyClaim(True, "sampled-decision", "single J-class"),
-            "left_stable": PropertyClaim(False, "pair-witness", "s='a', x=(0,0)"),
-            "right_stable": PropertyClaim(False, "pair-witness", "t='b', x=(0,0)"),
-            "stable": PropertyClaim(False, "pair-witness", "either side"),
-        })
-
-    def act_left(self, w, x):
-        return self.b.mul(free_to_bicyclic(w), x)
-
-    def act_right(self, x, w):
-        return self.b.mul(x, free_to_bicyclic(w))
-
-    def le(self, k, x, y):
-        # the projection is onto, so the orbit preorders agree with bicyclic
-        return self.b.le(k, x, y)
-
-    def chain(self, k):
-        return self.b.chain(k)
-
-    def sample(self, rng):
-        return self.b.sample(rng)
-
-    def encode(self, x):
-        return list(x)
-
-
 @dataclass
 class Cor512Instance:
     """U(S, A) with S the free semigroup on {a, b} and A the pullback of
@@ -1008,7 +964,7 @@ class Cor512Instance:
     hence stable, but U is not left stable."""
     u: SymbolicExtensionSA
     free: FreeSemigroup
-    biact: PullbackBicyclicBiact
+    biact: BicyclicDelegate
 
     @property
     def witness(self) -> tuple:
@@ -1027,7 +983,16 @@ class Cor512Instance:
 
 def corollary_5_12_instance() -> Cor512Instance:
     free = FreeSemigroup(2)
-    biact = PullbackBicyclicBiact(free)
+    # the bicyclic monoid acted on through the projection, which is onto,
+    # so the orbit preorders are the bicyclic ones
+    biact = BicyclicDelegate(Bicyclic(), "free-pullback-bicyclic", PropertySheet({
+        "M_L": PropertyClaim(False, "chain-witness", "bicyclic L-chain"),
+        "M_R": PropertyClaim(False, "chain-witness", "bicyclic R-chain"),
+        "M_J": PropertyClaim(True, "sampled-decision", "single J-class"),
+        "left_stable": PropertyClaim(False, "pair-witness", "s='a', x=(0,0)"),
+        "right_stable": PropertyClaim(False, "pair-witness", "t='b', x=(0,0)"),
+        "stable": PropertyClaim(False, "pair-witness", "either side"),
+    }), left=free, right=free, project=free_to_bicyclic)
     u = SymbolicExtensionSA(free, biact)
     return Cor512Instance(u=u, free=free, biact=biact)
 
@@ -1055,6 +1020,20 @@ def verify_chain(x, chain: Callable[[int], object], k: str, depth: int) -> Chain
             return ChainCheck(False, i, f"step {i} is not strict")
         prev = cur
     return ChainCheck(True)
+
+
+def instability_witnessed(x, side: str) -> bool:
+    """Whether the instability pair that ``x`` advertises on ``side`` holds:
+    for "left", (s, a) = ``x.left_instability`` with sa J a but not sa L a;
+    for "right", (t, a) = ``x.right_instability`` with at J a but not at R a."""
+    if side == "left":
+        (g, a), k = x.left_instability, "L"
+        moved = x.mul(g, a)
+    else:
+        (g, a), k = x.right_instability, "R"
+        moved = x.mul(a, g)
+    return (x.le("J", moved, a) and x.le("J", a, moved)
+            and not (x.le(k, moved, a) and x.le(k, a, moved)))
 
 
 _PERIODIC_FOR = {"M_L": "l_periodic", "M_R": "r_periodic"}
@@ -1099,18 +1078,9 @@ def check_sheet_network(entries: dict[str, SymbolicSemigroup],
                 res = verify_chain(entry, chain, k, chain_depth)
                 if not res.ok:
                     raise InvariantViolation(f"{name}: {k}-chain fails ({res.reason})")
-        if v("left_stable") is False:
-            s, a = entry.left_instability
-            sa = entry.mul(s, a)
-            if not (entry.le("J", sa, a) and entry.le("J", a, sa)
-                    and not (entry.le("L", sa, a) and entry.le("L", a, sa))):
-                raise InvariantViolation(f"{name}: left instability witness fails")
-        if v("right_stable") is False:
-            t, a = entry.right_instability
-            at = entry.mul(a, t)
-            if not (entry.le("J", at, a) and entry.le("J", a, at)
-                    and not (entry.le("R", at, a) and entry.le("R", a, at))):
-                raise InvariantViolation(f"{name}: right instability witness fails")
+        for side in ("left", "right"):
+            if v(f"{side}_stable") is False and not instability_witnessed(entry, side):
+                raise InvariantViolation(f"{name}: {side} instability witness fails")
         if v("simple") is True:
             for _ in range(sample_pairs):
                 x, y = entry.sample(rng), entry.sample(rng)

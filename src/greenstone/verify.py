@@ -8,6 +8,17 @@ Every registered claim is a checkable property with an execution scope:
     symbolic-witness    replayed through the catalog's decision procedures
     derived-decider     a closed-form decider compared against brute force
 
+Most claims transfer a condition between a structure and its
+substructures, so they quantify over one corpus that ``Env`` owns: the
+semigroups or biacts themselves, the subsemigroups, ideals, bi-ideals and
+single-pair congruences of the semigroups (built once per ``Env``), or the
+subacts and single-pair congruences of the biacts (generated afresh on each
+pass, so the thousands of them are never held at once).  Such a claim is a
+per-instance check ``check(instance, tally)`` plus a registry row naming
+its corpus; ``_over`` owns the loop, the instance count and the outcome.
+Claims with a symbolic part, or with a corpus of their own, are functions
+of the ``Env``.
+
 Must-hold claims must produce zero violations; counterexample-expected
 claims must produce a verified witness.  Claims whose finite runs cannot
 fail for structural reasons (every finite structure satisfies the minimal
@@ -26,20 +37,22 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__ as _version
 from .biact import (
     FiniteBiact,
+    Subact,
     biact_rees_quotient,
     ideal_biact,
     product_biact,
     regular_biact,
     relative_biact,
-    relative_rees,
 )
 from .core import (
+    Congruence,
     FiniteSemigroup,
     congruence_closure,
     find_isomorphism,
@@ -55,7 +68,7 @@ from .enumeration import (
     random_biact_corpus,
     semigroup_pool,
 )
-from .errors import UnknownClaim
+from .errors import InvalidSuiteConfig, UnknownClaim
 from .green import green_index, green_structure
 from .props import (
     group_bound,
@@ -73,6 +86,7 @@ from .props import (
 from .symbolic import (
     Bicyclic,
     IntPlus,
+    SymbolicSemigroup,
     ZERO,
     bicyclic_mul,
     bicyclic_section,
@@ -82,6 +96,7 @@ from .symbolic import (
     corollary_5_12_instance,
     example_4_8,
     free_to_bicyclic,
+    instability_witnessed,
     oracle_le,
     pair_to_word,
     verify_chain,
@@ -102,17 +117,20 @@ class SuiteConfig:
     seed: int = 42
     chain_seed: int = 100       # the -k seed of the integer chain example
 
+    def __post_init__(self):
+        # below these a claim would check nothing and still pass
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if value < least:
+                raise InvalidSuiteConfig(f"suite parameter {name} must be at "
+                                         f"least {least}, got {value}")
+
     def to_json(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "exh_semigroup": self.exh_semigroup,
-            "exh_carrier": self.exh_carrier,
-            "random_biacts": self.random_biacts,
-            "depth": self.depth,
-            "samples": self.samples,
-            "seed": self.seed,
-            "chain_seed": self.chain_seed,
-        }
+        return asdict(self)
+
+
+_LEAST = {"max_order": 1, "exh_semigroup": 1, "exh_carrier": 1, "random_biacts": 0,
+          "depth": 1, "samples": 1, "chain_seed": 0}
 
 
 @dataclass
@@ -133,14 +151,62 @@ class Claim:
     checker: Callable[["Env"], ClaimOutcome]
 
 
+# ---------------------------------------------------------------------------
+# corpus instances
+
+
+@dataclass(eq=False)
+class Substructure:
+    """A semigroup with one of its subsemigroups, ideals or bi-ideals.  The
+    derived objects are built on first use and kept."""
+    host: FiniteSemigroup
+    members: frozenset[int]
+
+    @cached_property
+    def rel(self) -> FiniteBiact:
+        """The host as a biact over the subsemigroup."""
+        return relative_biact(self.host, self.members)
+
+    @cached_property
+    def sub(self) -> FiniteSemigroup:
+        """The members reindexed as a semigroup: the one acting in ``rel``,
+        so that every derived biact shares a single copy."""
+        return self.rel.left
+
+    @cached_property
+    def rel_rees(self) -> FiniteBiact:
+        """The relative Rees quotient: ``rel`` with the subsemigroup collapsed."""
+        return biact_rees_quotient(self.rel, self.members)
+
+    @cached_property
+    def ideal_biact(self) -> FiniteBiact:
+        """An ideal as a biact over the host."""
+        return ideal_biact(self.host, self.members)
+
+    @cached_property
+    def rees(self) -> FiniteSemigroup:
+        """The Rees quotient of the host by an ideal."""
+        return rees_quotient(self.host, self.members)
+
+
 class Env:
-    """Shared, lazily built corpora for the claim checkers."""
+    """Shared corpora for the claim checkers.
+
+    The semigroup-side corpora are small and built once.  The biact-side
+    substructures are generated afresh on each call, because holding the
+    thousands of subact restrictions and quotients at once would raise the
+    suite's peak memory by megabytes.
+    """
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._semigroups: Optional[list[FiniteSemigroup]] = None
         self._biacts_exhaustive: Optional[list[FiniteBiact]] = None
         self._biacts_random: Optional[list[FiniteBiact]] = None
+        self._catalog: Optional[dict[str, SymbolicSemigroup]] = None
+        self._subsemigroups: Optional[list[Substructure]] = None
+        self._roles: dict[str, list[Substructure]] = {}
+        self._congruences: Optional[list[Congruence]] = None
 
     def rng(self, key: str) -> random.Random:
         return random.Random(f"{self.config.seed}:{key}")
@@ -175,6 +241,48 @@ class Env:
     def biacts(self) -> list[FiniteBiact]:
         return self.biacts_exhaustive() + self.biacts_random()
 
+    def catalog(self) -> dict[str, SymbolicSemigroup]:
+        """The symbolic catalog, built and gated once.  Its entries carry
+        mutable property sheets, so it is kept per Env, not per process."""
+        if self._catalog is None:
+            self._catalog = catalog()
+        return self._catalog
+
+    def subsemigroups(self) -> list[Substructure]:
+        """Every subsemigroup of every semigroup, host by host."""
+        if self._subsemigroups is None:
+            self._subsemigroups = [Substructure(s, m) for s in self.semigroups()
+                                   for m in subsemigroups_of(s)]
+        return self._subsemigroups
+
+    def ideals(self) -> list[Substructure]:
+        return self._in_role("ideal")
+
+    def bi_ideals(self) -> list[Substructure]:
+        return self._in_role("bi-ideal")
+
+    def _in_role(self, role: str) -> list[Substructure]:
+        """The subsemigroups that are also of ``role``: every ideal and
+        bi-ideal is a subsemigroup, so they share its derived objects."""
+        if role not in self._roles:
+            self._roles[role] = [x for x in self.subsemigroups()
+                                 if is_role(x.host, x.members, role)]
+        return self._roles[role]
+
+    def congruences(self) -> list[Congruence]:
+        """The congruence generated by each pair of distinct elements of
+        each semigroup; ``rho.over`` is the semigroup."""
+        if self._congruences is None:
+            self._congruences = [rho for s in self.semigroups()
+                                 for rho in single_pair_congruences(s)]
+        return self._congruences
+
+    def subacts(self) -> Iterator[Subact]:
+        return (Subact(b, m) for b in self.biacts() for m in subacts_of(b))
+
+    def biact_congruences(self) -> Iterator[Congruence]:
+        return (rho for b in self.biacts() for rho in single_pair_congruences(b))
+
 
 # ---------------------------------------------------------------------------
 # substructure enumeration (within caps; empty substructures are quarantined)
@@ -189,10 +297,6 @@ def nonempty_subsets(n: int) -> Iterable[frozenset[int]]:
 
 def ideals_of(s: FiniteSemigroup) -> list[frozenset[int]]:
     return [m for m in nonempty_subsets(s.order) if is_role(s, m, "ideal")]
-
-
-def bi_ideals_of(s: FiniteSemigroup) -> list[frozenset[int]]:
-    return [m for m in nonempty_subsets(s.order) if is_role(s, m, "bi-ideal")]
 
 
 def subsemigroups_of(s: FiniteSemigroup) -> list[frozenset[int]]:
@@ -216,11 +320,7 @@ def single_pair_congruences(x) -> list:
 
 
 # ---------------------------------------------------------------------------
-# small shared helpers
-
-
-def _mks(x) -> dict[str, bool]:
-    return {k: bool(minimal_condition(x, k)) for k in KINDS}
+# the runner and small shared helpers
 
 
 def _as_json(value):
@@ -233,9 +333,17 @@ def _as_json(value):
     return value
 
 
-class _Violations:
+_SMOKE = ("finite structures satisfy every minimal condition and are stable, "
+          "so the finite run is an engine smoke test; zero conclusion "
+          "failures is the pass condition")
+
+
+class _Tally:
+    """The checks one claim has made and the violations it has found."""
+
     def __init__(self, keep: int = 5):
         self.keep = keep
+        self.instances = 0
         self.count = 0
         self.samples: list = []
 
@@ -244,16 +352,54 @@ class _Violations:
         if len(self.samples) < self.keep:
             self.samples.append(_as_json(payload))
 
-    def outcome(self, instances: int, vacuous: bool = False, notes: str = "") -> ClaimOutcome:
-        return ClaimOutcome(ok=self.count == 0, instances=instances,
-                            vacuous=vacuous, witnesses=self.samples,
+    def over(self, corpus: Iterable, check) -> "_Tally":
+        """Run ``check(instance, self)`` on every instance of ``corpus``.  A
+        check returns the number of checks it made, or None for one."""
+        for x in corpus:
+            made = check(x, self)
+            self.instances += 1 if made is None else made
+        return self
+
+    def outcome(self, smoke: bool = False, notes: str = "") -> ClaimOutcome:
+        """A smoke outcome is vacuous and leads its notes with ``_SMOKE``."""
+        if smoke:
+            notes = "; ".join(filter(None, (_SMOKE, notes)))
+        return ClaimOutcome(ok=self.count == 0, instances=self.instances,
+                            vacuous=smoke, witnesses=self.samples,
                             notes=notes if self.count == 0
                             else f"{self.count} violations; {notes}".strip("; "))
 
 
-_SMOKE = ("finite structures satisfy every minimal condition and are stable, "
-          "so the finite run is an engine smoke test; zero conclusion "
-          "failures is the pass condition")
+def _over(corpus: str, check, smoke: bool = False,
+          notes: str = "") -> Callable[[Env], ClaimOutcome]:
+    """The checker of a claim that is ``check`` on every instance of the
+    Env corpus named ``corpus``.  The corpus method is looked up on each
+    run, so a wrapper installed on ``Env`` later (a tracer) is called."""
+    def checker(env: Env) -> ClaimOutcome:
+        return _Tally().over(getattr(env, corpus)(), check).outcome(smoke, notes)
+    return checker
+
+
+def _ab_words() -> list[str]:
+    """The nonempty words over {a, b} of at most six letters, shortest first."""
+    return ["".join(w) for n in range(1, 7) for w in itertools.product("ab", repeat=n)]
+
+
+def _null_part(u, a, rng: random.Random, v: _Tally, failure: str) -> None:
+    """Products of sampled elements of the null part of the gluing ``u``
+    over the biact ``a`` are zero."""
+    for _ in range(50):
+        v.instances += 1
+        if u.mul(("x", a.sample(rng)), ("x", a.sample(rng))) != ZERO:
+            v.add({"failure": failure})
+
+
+def _j_trivial(free, pairs: Iterable, v: _Tally, failure: str) -> None:
+    """Distinct words of a free semigroup are never J-related."""
+    for a, b in pairs:
+        v.instances += 1
+        if free.le("J", a, b) and free.le("J", b, a) and a != b:
+            v.add({"failure": failure, "pair": (a, b)})
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +410,30 @@ def check_L3_3(env: Env) -> ClaimOutcome:
     # finite side: the minimal condition holds via acyclic condensations and
     # the longest strict class chain stays within the class count, so every
     # descending chain stabilises
-    v = _Violations()
-    instances = 0
-    for b in env.biacts_exhaustive():
-        gs = green_structure(b)
-        for k in KINDS:
-            instances += 1
-            if not minimal_condition(b, k):
-                v.add({"object": "biact", "k": k})
-            # longest strict chain in the class poset is bounded by #classes
-            depth = _longest_cover_path(gs.covers(k), gs.num_classes(k))
-            if depth >= gs.num_classes(k) + 1:
-                v.add({"chain too long": depth})
+    v = _Tally().over(env.biacts_exhaustive(), _l3_3)
     # symbolic side: every entry that denies a minimal condition exhibits a
     # strictly descending chain of the advertised depth
-    for name, entry in sorted(catalog().items()):
+    for name, entry in sorted(env.catalog().items()):
         for mk, k in (("M_L", "L"), ("M_R", "R"), ("M_J", "J")):
             claim = entry.sheet.get(mk)
             if claim and not claim.value:
-                instances += 1
+                v.instances += 1
                 res = verify_chain(entry, entry.chain(k), k, env.config.depth)
                 if not res.ok:
                     v.add({"entry": name, "k": k, "reason": res.reason})
-    return v.outcome(instances)
+    return v.outcome()
+
+
+def _l3_3(b: FiniteBiact, v: _Tally) -> int:
+    gs = green_structure(b)
+    for k in KINDS:
+        if not minimal_condition(b, k):
+            v.add({"object": "biact", "k": k})
+        # longest strict chain in the class poset is bounded by #classes
+        depth = _longest_cover_path(gs.covers(k), gs.num_classes(k))
+        if depth >= gs.num_classes(k) + 1:
+            v.add({"chain too long": depth})
+    return len(KINDS)
 
 
 def _longest_cover_path(covers, n: int) -> int:
@@ -317,181 +464,155 @@ def _longest_cover_path(covers, n: int) -> int:
 
 
 def check_P3_4(env: Env) -> ClaimOutcome:
-    # finite: the acting semigroup satisfies M_L, hence so must the biact
-    v = _Violations()
-    instances = 0
-    for b in env.biacts_exhaustive():
-        instances += 1
-        if bool(minimal_condition(b.left, "L")) and not minimal_condition(b, "L"):
-            v.add({"biact": b.size})
+    v = _Tally().over(env.biacts_exhaustive(), _p3_4)
     # symbolic consistency: bicyclic fails M_L and so does a biact over it
     # (itself, acting regularly): the same chain descends
     b = Bicyclic()
     res = verify_chain(b, b.chain("L"), "L", env.config.depth)
-    instances += 1
+    v.instances += 1
     if not res.ok:
         v.add({"entry": "bicyclic", "reason": res.reason})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+    return v.outcome(smoke=True)
 
 
-def check_P3_5(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        instances += 1
-        forms = left_stable_forms(b)
-        if len(set(forms)) != 1:
-            v.add({"forms": list(forms)})
-    return v.outcome(instances)
+def _p3_4(b: FiniteBiact, v: _Tally) -> None:
+    # finite: the acting semigroup satisfies M_L, hence so must the biact
+    if bool(minimal_condition(b.left, "L")) and not minimal_condition(b, "L"):
+        v.add({"biact": b.size})
 
 
-def check_P3_6(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        instances += 1
-        if bool(stable_char(b)) != bool(stable(b)):
-            v.add({"stable": bool(stable(b)), "char": bool(stable_char(b))})
-    return v.outcome(instances)
+def _p3_5(b: FiniteBiact, v: _Tally) -> None:
+    forms = left_stable_forms(b)
+    if len(set(forms)) != 1:
+        v.add({"forms": list(forms)})
+
+
+def _p3_6(b: FiniteBiact, v: _Tally) -> None:
+    if bool(stable_char(b)) != bool(stable(b)):
+        v.add({"stable": bool(stable(b)), "char": bool(stable_char(b))})
 
 
 def check_L3_7(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        instances += 1
-        m_l = bool(minimal_condition(b, "L"))
-        per = bool(l_periodic(b))
-        st = bool(left_stable(b))
-        if m_l and not per:
-            v.add({"failure": "M_L without l-periodicity"})
-        if per and not st:
-            v.add({"failure": "l-periodicity without left stability"})
-    # the catalog gate enforces the same implications on the sheets; rerun it
-    catalog()
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+    v = _Tally().over(env.biacts(), _l3_7)
+    # the catalog gate enforces the same implications on the sheets
+    env.catalog()
+    return v.outcome(smoke=True)
 
 
-def check_C3_8(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        instances += 1
-        if not stable(b):
-            v.add({"failure": "unstable finite biact", "witness": stable(b).witness})
-        mks = _mks(b)
-        if not all(mks.values()):
-            v.add({"failure": "finite biact missing a minimal condition", **mks})
-    return v.outcome(instances)
+def _l3_7(b: FiniteBiact, v: _Tally) -> None:
+    m_l = bool(minimal_condition(b, "L"))
+    per = bool(l_periodic(b))
+    st = bool(left_stable(b))
+    if m_l and not per:
+        v.add({"failure": "M_L without l-periodicity"})
+    if per and not st:
+        v.add({"failure": "l-periodicity without left stability"})
+
+
+def _c3_8(b: FiniteBiact, v: _Tally) -> None:
+    if not stable(b):
+        v.add({"failure": "unstable finite biact", "witness": stable(b).witness})
+    mks = {k: bool(minimal_condition(b, k)) for k in KINDS}
+    if not all(mks.values()):
+        v.add({"failure": "finite biact missing a minimal condition", **mks})
 
 
 def check_C3_9(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts_exhaustive():
-        instances += 1
-        if bool(l_periodic(regular_biact(b.left))) and not left_stable(b):
-            v.add({"failure": "l-periodic acting semigroup, unstable biact"})
+    v = _Tally().over(env.biacts_exhaustive(), _c3_9)
     # symbolic: the max semilattice is l-periodic and its regular biact is
     # left stable on sampled action pairs
-    entry = catalog()["nat-max"]
+    entry = env.catalog()["nat-max"]
     rng = env.rng("C3.9")
     for _ in range(env.config.samples):
-        instances += 1
+        v.instances += 1
         s, a = entry.sample(rng), entry.sample(rng)
         sa = entry.mul(s, a)
         if entry.le("J", sa, a) and entry.le("J", a, sa):
             if not (entry.le("L", sa, a) and entry.le("L", a, sa)):
                 v.add({"s": s, "a": a})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+    return v.outcome(smoke=True)
+
+
+def _c3_9(b: FiniteBiact, v: _Tally) -> None:
+    if bool(l_periodic(regular_biact(b.left))) and not left_stable(b):
+        v.add({"failure": "l-periodic acting semigroup, unstable biact"})
 
 
 def check_L3_10(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        instances += 1
-        if bool(minimal_condition(b, "J")):
-            if bool(minimal_condition(b, "L")) != bool(left_stable(b)):
-                v.add({"failure": "M_J present but M_L and left stability differ"})
+    v = _Tally().over(env.biacts(), _l3_10)
     # symbolic consistency on the bicyclic sheet: M_J holds and M_L agrees
     # with left stability (both false)
-    sheet = catalog()["bicyclic"].sheet
-    instances += 1
+    sheet = env.catalog()["bicyclic"].sheet
+    v.instances += 1
     if sheet.value("M_J") and sheet.value("M_L") != sheet.value("left_stable"):
         v.add({"entry": "bicyclic"})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+    return v.outcome(smoke=True)
+
+
+def _l3_10(b: FiniteBiact, v: _Tally) -> None:
+    if bool(minimal_condition(b, "J")):
+        if bool(minimal_condition(b, "L")) != bool(left_stable(b)):
+            v.add({"failure": "M_J present but M_L and left stability differ"})
 
 
 def check_P3_11(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        instances += 1
-        both = bool(minimal_condition(b, "L")) and bool(minimal_condition(b, "R"))
-        via_periodic = (bool(minimal_condition(b, "J"))
-                        and bool(l_periodic(b)) and bool(r_periodic(b)))
-        via_stable = bool(stable(b)) and bool(minimal_condition(b, "J"))
-        if not (both == via_periodic == via_stable):
-            v.add({"both": both, "periodic": via_periodic, "stable": via_stable})
+    v = _Tally().over(env.biacts(), _p3_11)
     # symbolic: the three renderings agree on every sheet
-    for name, entry in sorted(catalog().items()):
-        instances += 1
+    for name, entry in sorted(env.catalog().items()):
+        v.instances += 1
         s = entry.sheet
         both = s.value("M_L") and s.value("M_R")
         via_periodic = s.value("M_J") and s.value("l_periodic") and s.value("r_periodic")
         via_stable = s.value("stable") and s.value("M_J")
         if not (both == via_periodic == via_stable):
             v.add({"entry": name})
-    return v.outcome(instances)
+    return v.outcome()
 
 
-def check_C3_12(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts_exhaustive():
-        instances += 1
-        if bool(minimal_condition(b.left, "L")) and bool(minimal_condition(b.right, "R")):
-            if not (minimal_condition(b, "L") and minimal_condition(b, "R")):
-                v.add({"failure": "hypotheses hold, conclusion fails"})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _p3_11(b: FiniteBiact, v: _Tally) -> None:
+    both = bool(minimal_condition(b, "L")) and bool(minimal_condition(b, "R"))
+    via_periodic = (bool(minimal_condition(b, "J"))
+                    and bool(l_periodic(b)) and bool(r_periodic(b)))
+    via_stable = bool(stable(b)) and bool(minimal_condition(b, "J"))
+    if not (both == via_periodic == via_stable):
+        v.add({"both": both, "periodic": via_periodic, "stable": via_stable})
 
 
-def check_C3_13(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        instances += 1
-        both = bool(minimal_condition(s, "L")) and bool(minimal_condition(s, "R"))
-        gb = bool(group_bound(s))
-        via_gb = gb and bool(minimal_condition(s, "J"))
-        via_stable = bool(stable(s)) and bool(minimal_condition(s, "J"))
-        if not (both == via_gb == via_stable):
-            v.add({"order": s.order})
-        # group-bound coincides with two-sided periodicity of the regular biact
-        reg = regular_biact(s)
-        if gb != (bool(l_periodic(reg)) and bool(r_periodic(reg))):
-            v.add({"order": s.order, "failure": "group-bound vs periodicity"})
-    return v.outcome(instances)
+def _c3_12(b: FiniteBiact, v: _Tally) -> None:
+    if bool(minimal_condition(b.left, "L")) and bool(minimal_condition(b.right, "R")):
+        if not (minimal_condition(b, "L") and minimal_condition(b, "R")):
+            v.add({"failure": "hypotheses hold, conclusion fails"})
+
+
+def _c3_13(s: FiniteSemigroup, v: _Tally) -> None:
+    both = bool(minimal_condition(s, "L")) and bool(minimal_condition(s, "R"))
+    gb = bool(group_bound(s))
+    via_gb = gb and bool(minimal_condition(s, "J"))
+    via_stable = bool(stable(s)) and bool(minimal_condition(s, "J"))
+    if not (both == via_gb == via_stable):
+        v.add({"order": s.order})
+    # group-bound coincides with two-sided periodicity of the regular biact
+    reg = regular_biact(s)
+    if gb != (bool(l_periodic(reg)) and bool(r_periodic(reg))):
+        v.add({"order": s.order, "failure": "group-bound vs periodicity"})
 
 
 def check_R3_14_2(env: Env) -> ClaimOutcome:
     """The bicyclic witness suite: bisimple yet no one-sided minimal
     condition, with deciders certified against the rewriting oracle."""
-    v = _Violations()
+    v = _Tally()
     b = Bicyclic()
     cfg = env.config
-    instances = 0
 
     for k in ("L", "R"):
-        instances += 1
+        v.instances += 1
         res = verify_chain(b, b.chain(k), k, cfg.depth)
         if not res.ok:
             v.add({"chain": k, "reason": res.reason})
 
     rng = env.rng("R3.14(2)")
     for _ in range(cfg.samples):
-        instances += 1
+        v.instances += 1
         x, y = b.sample(rng), b.sample(rng)
         if not (b.le("J", x, y) and b.le("J", y, x)):
             v.add({"pair": (x, y), "failure": "not mutually J-related"})
@@ -505,183 +626,107 @@ def check_R3_14_2(env: Env) -> ClaimOutcome:
                 and b.le("R", mid, y) and b.le("R", y, mid)):
             v.add({"pair": (x, y), "failure": "no L-R middle element"})
 
-    for side, (g, a) in (("left", b.left_instability), ("right", b.right_instability)):
-        instances += 1
-        moved = b.mul(g, a) if side == "left" else b.mul(a, g)
-        k = "L" if side == "left" else "R"
-        if not (b.le("J", moved, a) and b.le("J", a, moved)
-                and not (b.le(k, moved, a) and b.le(k, a, moved))):
+    for side in ("left", "right"):
+        v.instances += 1
+        if not instability_witnessed(b, side):
             v.add({"failure": f"{side} instability witness"})
 
     # decider vs rewriting oracle on all words of length <= 6
-    words = [""]
-    for length in range(1, 7):
-        words.extend("".join(w) for w in itertools.product("ab", repeat=length))
+    words = [""] + _ab_words()
     for u in words:
         for w in words:
-            instances += 1
+            v.instances += 1
             if word_to_pair(u + w) != bicyclic_mul(word_to_pair(u), word_to_pair(w)):
                 v.add({"mul mismatch": (u, w)})
     forms = sorted({word_to_pair(w) for w in words})
     for x in forms:
         for y in forms:
             for k in KINDS:
-                instances += 1
+                v.instances += 1
                 if b.le(k, x, y) != oracle_le(k, pair_to_word(x), pair_to_word(y)):
                     v.add({"le mismatch": (k, x, y)})
-    return v.outcome(instances)
+    return v.outcome()
 
 
 def check_R3_14_3(env: Env) -> ClaimOutcome:
     """Product biacts: (a,b) <=_J (c,d) iff a <=_L c and b <=_R d, and the
     J-class count is the product of the L- and R-class counts."""
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        for t in env.semigroups():
-            prod = product_biact(s, t)
-            pgs = green_structure(prod)
-            sgs = green_structure(s)
-            tgs = green_structure(t)
-            nt = t.order
-            for a in range(s.order):
-                for bb in range(nt):
-                    for c in range(s.order):
-                        for d in range(nt):
-                            instances += 1
-                            got = pgs.le(a * nt + bb, c * nt + d, "J")
-                            want = sgs.le(a, c, "L") and tgs.le(bb, d, "R")
-                            if got != want:
-                                v.add({"pair": ((a, bb), (c, d))})
-            if pgs.num_classes("J") != sgs.num_classes("L") * tgs.num_classes("R"):
-                v.add({"counts": (pgs.num_classes("J"),
-                                  sgs.num_classes("L"), tgs.num_classes("R"))})
-    return v.outcome(instances)
+    pairs = itertools.product(env.semigroups(), repeat=2)
+    return _Tally().over(pairs, _r3_14_3).outcome()
+
+
+def _r3_14_3(pair: tuple[FiniteSemigroup, FiniteSemigroup], v: _Tally) -> int:
+    s, t = pair
+    prod = product_biact(s, t)
+    pgs = green_structure(prod)
+    sgs = green_structure(s)
+    tgs = green_structure(t)
+    nt = t.order
+    for a in range(s.order):
+        for bb in range(nt):
+            for c in range(s.order):
+                for d in range(nt):
+                    got = pgs.le(a * nt + bb, c * nt + d, "J")
+                    want = sgs.le(a, c, "L") and tgs.le(bb, d, "R")
+                    if got != want:
+                        v.add({"pair": ((a, bb), (c, d))})
+    if pgs.num_classes("J") != sgs.num_classes("L") * tgs.num_classes("R"):
+        v.add({"counts": (pgs.num_classes("J"),
+                          sgs.num_classes("L"), tgs.num_classes("R"))})
+    return (s.order * nt) ** 2
 
 
 # ---------------------------------------------------------------------------
 # section 4 claims
 
 
-def check_P4_1(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        for rho in single_pair_congruences(b):
-            if rho.num_blocks == b.size:
-                continue
-            quot, _ = quotient(b, rho)
-            for k in KINDS:
-                instances += 1
-                if bool(minimal_condition(b, k)) and not minimal_condition(quot, k):
-                    v.add({"k": k})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _p4_1(rho: Congruence, v: _Tally) -> int:
+    """Minimal conditions pass to the quotient by a congruence: P4.1 for
+    biact hosts, C4.3 for semigroup hosts."""
+    quot, _ = quotient(rho.over, rho)
+    for k in KINDS:
+        if bool(minimal_condition(rho.over, k)) and not minimal_condition(quot, k):
+            v.add({"k": k})
+    return len(KINDS)
 
 
-def check_L4_2(env: Env) -> ClaimOutcome:
+def _l4_2(rho: Congruence, v: _Tally) -> int:
     """Semigroup quotients and regular-biact quotients carry the same
     preorders, hence the same minimal conditions."""
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for rho in single_pair_congruences(s):
-            sq, _ = quotient(s, rho)
-            bq, _ = quotient(regular_biact(s), rho)
-            gs_s = green_structure(sq)
-            gs_b = green_structure(bq)
-            for k in KINDS:
-                for a in range(sq.order):
-                    for bb in range(sq.order):
-                        instances += 1
-                        if gs_s.le(a, bb, k) != gs_b.le(a, bb, k):
-                            v.add({"k": k, "pair": (a, bb)})
-                if bool(minimal_condition(sq, k)) != bool(minimal_condition(bq, k)):
-                    v.add({"k": k, "failure": "minimal conditions differ"})
-    return v.outcome(instances)
+    sq, _ = quotient(rho.over, rho)
+    bq, _ = quotient(regular_biact(rho.over), rho)
+    gs_s = green_structure(sq)
+    gs_b = green_structure(bq)
+    for k in KINDS:
+        for a in range(sq.order):
+            for bb in range(sq.order):
+                if gs_s.le(a, bb, k) != gs_b.le(a, bb, k):
+                    v.add({"k": k, "pair": (a, bb)})
+        if bool(minimal_condition(sq, k)) != bool(minimal_condition(bq, k)):
+            v.add({"k": k, "failure": "minimal conditions differ"})
+    return len(KINDS) * sq.order ** 2
 
 
-def check_C4_3(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for rho in single_pair_congruences(s):
-            quot, _ = quotient(s, rho)
-            for k in KINDS:
-                instances += 1
-                if bool(minimal_condition(s, k)) and not minimal_condition(quot, k):
-                    v.add({"k": k})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _p4_4(x: Subact, v: _Tally) -> int:
+    for k in KINDS:
+        whole = bool(minimal_condition(x.host, k))
+        parts = bool(minimal_condition(x.sub, k)) and bool(minimal_condition(x.rees, k))
+        if whole != parts:
+            v.add({"k": k, "subact": x.members})
+    return len(KINDS)
 
 
-def check_P4_4(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        for members in subacts_of(b):
-            sub = biact_restrict(b, members)
-            quot = biact_rees_quotient(b, members)
-            for k in KINDS:
-                instances += 1
-                whole = bool(minimal_condition(b, k))
-                parts = bool(minimal_condition(sub, k)) and bool(minimal_condition(quot, k))
-                if whole != parts:
-                    v.add({"k": k, "subact": members})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
-
-
-def biact_restrict(b: FiniteBiact, members: frozenset[int]) -> FiniteBiact:
-    """A subact reindexed as a biact in its own right.
-
-    ``members`` must be closed under both actions (callers take it from
-    ``subacts_of``), so the restricted actions satisfy the axioms.
-    """
-    from .biact import _trusted_biact
-    mem = sorted(members)
-    idx = {x: i for i, x in enumerate(mem)}
-    left = [[idx[b.left_action[s][x]] for x in mem] for s in range(b.left.order)]
-    right = [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem]
-    labels = tuple(b.labels[x] for x in mem)
-    return _trusted_biact(b.left, b.right, left, right, labels, {"kind": "subact"})
-
-
-def check_P4_5(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in subsemigroups_of(s):
-            rel = relative_biact(s, members)
-            quot = relative_rees(s, members)
-            sub, _ = subsemigroup(s, members)
-            for k in KINDS:
-                instances += 1
-                whole = bool(minimal_condition(rel, k))
-                parts = bool(minimal_condition(sub, k)) and bool(minimal_condition(quot, k))
-                if whole != parts:
-                    v.add({"k": k, "sub": members})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _p4_5(x: Substructure, v: _Tally) -> int:
+    for k in KINDS:
+        whole = bool(minimal_condition(x.rel, k))
+        parts = bool(minimal_condition(x.sub, k)) and bool(minimal_condition(x.rel_rees, k))
+        if whole != parts:
+            v.add({"k": k, "sub": x.members})
+    return len(KINDS)
 
 
 def check_T4_6(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in subsemigroups_of(s):
-            instances += 1
-            rel = relative_biact(s, members)
-            sub, _ = subsemigroup(s, members)
-            vals = {bool(minimal_condition(s, "L")),
-                    bool(minimal_condition(sub, "L")),
-                    bool(minimal_condition(rel, "L"))}
-            if len(vals) != 1:
-                v.add({"sub": members})
+    v = _Tally().over(env.subsemigroups(), _t4_6)
     # boundary: for the integers over the naturals the hypothesis fails
     # (infinitely many relative L-classes in the quotient) and so does the
     # equivalence; pairwise L-inequivalent quotient elements certify this
@@ -689,53 +734,43 @@ def check_T4_6(env: Env) -> ClaimOutcome:
     d = min(env.config.depth, 50)
     for i in range(d):
         for j in range(i + 1, d):
-            instances += 1
+            v.instances += 1
             if quot.le("L", -i, -j) and quot.le("L", -j, -i):
                 v.add({"pair": (-i, -j), "failure": "quotient L-classes collapse"})
-    notes = (_SMOKE + "; the integer example certifies that the finiteness "
-             "hypothesis cannot be dropped")
-    return v.outcome(instances, vacuous=True, notes=notes)
+    return v.outcome(smoke=True, notes="the integer example certifies that the "
+                                       "finiteness hypothesis cannot be dropped")
 
 
-def check_C4_7(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in subsemigroups_of(s):
-            instances += 1
-            gi = green_index(s, members)
-            sub, _ = subsemigroup(s, members)
-            rel = relative_biact(s, members)
-            vals = {bool(minimal_condition(s, "L")),
-                    bool(minimal_condition(sub, "L")),
-                    bool(minimal_condition(rel, "L"))}
-            if len(vals) != 1:
-                v.add({"sub": members})
-            # the H-class census of the quotient is exactly the index
-            quot = relative_rees(s, members)
-            if green_structure(quot).num_classes("H") != gi.index:
-                v.add({"sub": members, "failure": "index vs quotient census"})
-    return v.outcome(instances, vacuous=True,
-                     notes=_SMOKE + "; the index censuses carry the content")
+def _t4_6(x: Substructure, v: _Tally) -> None:
+    vals = {bool(minimal_condition(x.host, "L")),
+            bool(minimal_condition(x.sub, "L")),
+            bool(minimal_condition(x.rel, "L"))}
+    if len(vals) != 1:
+        v.add({"sub": x.members})
+
+
+def _c4_7(x: Substructure, v: _Tally) -> None:
+    gi = green_index(x.host, x.members)
+    _t4_6(x, v)
+    # the H-class census of the quotient is exactly the index
+    if green_structure(x.rel_rees).num_classes("H") != gi.index:
+        v.add({"sub": x.members, "failure": "index vs quotient census"})
 
 
 def check_Ex4_8(env: Env) -> ClaimOutcome:
-    v = _Violations()
+    v = _Tally()
     pair = example_4_8()
     biact, quot = pair["biact"], pair["quotient"]
     cfg = env.config
-    instances = 0
 
     chain = biact.chain("J")
     for k in KINDS:
-        instances += 1
+        v.instances += 1
         res = verify_chain(biact, chain, k, cfg.depth)
         if not res.ok:
             v.add({"k": k, "reason": res.reason})
     for k in range(0, cfg.chain_seed + 1):
-        instances += 1
+        v.instances += 1
         steps = quot.longest_strict_descent(-k)
         if steps != k + 1:
             v.add({"seed": -k, "steps": steps})
@@ -743,132 +778,75 @@ def check_Ex4_8(env: Env) -> ClaimOutcome:
     z = IntPlus()
     rng = env.rng("Ex4.8")
     for _ in range(cfg.samples):
-        instances += 1
+        v.instances += 1
         x, y = z.sample(rng), z.sample(rng)
         if not (z.le("J", x, y) and z.le("J", y, x)):
             v.add({"pair": (x, y)})
-    instances += 1
+    v.instances += 1
     if not (z.le("J", 5, -7) and z.le("J", -7, 5)):
         v.add({"pair": (5, -7)})
-    return v.outcome(instances)
+    return v.outcome()
 
 
-def check_L4_10(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in subsemigroups_of(s):
-            sub, _ = subsemigroup(s, members)
-            for k in KINDS:
-                instances += 1
-                if bool(k_preserving(s, members, k)):
-                    if bool(minimal_condition(s, k)) and not minimal_condition(sub, k):
-                        v.add({"sub": members, "k": k})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _l4_10(x: Substructure, v: _Tally) -> int:
+    for k in KINDS:
+        if bool(k_preserving(x.host, x.members, k)):
+            if bool(minimal_condition(x.host, k)) and not minimal_condition(x.sub, k):
+                v.add({"sub": x.members, "k": k})
+    return len(KINDS)
 
 
-def check_C4_11(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        n = s.order
-        for members in subsemigroups_of(s):
-            complement = frozenset(range(n)) - members
-            sub, _ = subsemigroup(s, members)
-            instances += 1
-            # regular subsemigroups are L- and R-preserving
-            if bool(regular_subsemigroup(s, members)):
-                if not (k_preserving(s, members, "L") and k_preserving(s, members, "R")):
-                    v.add({"sub": members, "failure": "regular but not LR-preserving"})
-                if bool(minimal_condition(s, "L")) and not minimal_condition(sub, "L"):
-                    v.add({"sub": members, "failure": "regular M_L transfer"})
-            # a right-ideal complement makes the subsemigroup L-preserving
-            if complement and is_role(s, complement, "right-ideal"):
-                if not k_preserving(s, members, "L"):
-                    v.add({"sub": members, "failure": "right-ideal complement not L-preserving"})
-                if bool(minimal_condition(s, "L")) and not minimal_condition(sub, "L"):
-                    v.add({"sub": members, "failure": "complement M_L transfer"})
-            if complement and is_role(s, complement, "left-ideal"):
-                if not k_preserving(s, members, "R"):
-                    v.add({"sub": members, "failure": "left-ideal complement not R-preserving"})
-            if complement and is_role(s, complement, "ideal"):
-                if not k_preserving(s, members, "J"):
-                    v.add({"sub": members, "failure": "ideal complement not J-preserving"})
-                if bool(minimal_condition(s, "J")) and not minimal_condition(sub, "J"):
-                    v.add({"sub": members, "failure": "complement M_J transfer"})
-    return v.outcome(instances,
-                     notes="the preservation facts are contentful; the "
-                           "minimal-condition transfers are smoke tests")
+def _c4_11(x: Substructure, v: _Tally) -> None:
+    s, members, sub = x.host, x.members, x.sub
+    complement = frozenset(range(s.order)) - members
+    # regular subsemigroups are L- and R-preserving
+    if bool(regular_subsemigroup(s, members)):
+        if not (k_preserving(s, members, "L") and k_preserving(s, members, "R")):
+            v.add({"sub": members, "failure": "regular but not LR-preserving"})
+        if bool(minimal_condition(s, "L")) and not minimal_condition(sub, "L"):
+            v.add({"sub": members, "failure": "regular M_L transfer"})
+    # a right-ideal complement makes the subsemigroup L-preserving
+    if complement and is_role(s, complement, "right-ideal"):
+        if not k_preserving(s, members, "L"):
+            v.add({"sub": members, "failure": "right-ideal complement not L-preserving"})
+        if bool(minimal_condition(s, "L")) and not minimal_condition(sub, "L"):
+            v.add({"sub": members, "failure": "complement M_L transfer"})
+    if complement and is_role(s, complement, "left-ideal"):
+        if not k_preserving(s, members, "R"):
+            v.add({"sub": members, "failure": "left-ideal complement not R-preserving"})
+    if complement and is_role(s, complement, "ideal"):
+        if not k_preserving(s, members, "J"):
+            v.add({"sub": members, "failure": "ideal complement not J-preserving"})
+        if bool(minimal_condition(s, "J")) and not minimal_condition(sub, "J"):
+            v.add({"sub": members, "failure": "complement M_J transfer"})
 
 
-def check_T4_13(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in bi_ideals_of(s):
-            instances += 1
-            sub, _ = subsemigroup(s, members)
-            if bool(minimal_condition(s, "L")) and not minimal_condition(sub, "L"):
-                v.add({"bi-ideal": members})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _t4_13(x: Substructure, v: _Tally) -> None:
+    if bool(minimal_condition(x.host, "L")) and not minimal_condition(x.sub, "L"):
+        v.add({"bi-ideal": x.members})
 
 
-def check_C4_14(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in bi_ideals_of(s):
-            instances += 1
-            sub, _ = subsemigroup(s, members)
-            if bool(stable(s)) and bool(minimal_condition(s, "J")):
-                if not minimal_condition(sub, "J"):
-                    v.add({"bi-ideal": members})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _c4_14(x: Substructure, v: _Tally) -> None:
+    if bool(stable(x.host)) and bool(minimal_condition(x.host, "J")):
+        if not minimal_condition(x.sub, "J"):
+            v.add({"bi-ideal": x.members})
 
 
-def check_P4_15(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in ideals_of(s):
-            ib = ideal_biact(s, members)
-            quot = rees_quotient(s, members)
-            for k in KINDS:
-                instances += 1
-                whole = bool(minimal_condition(s, k))
-                parts = bool(minimal_condition(ib, k)) and bool(minimal_condition(quot, k))
-                if whole != parts:
-                    v.add({"ideal": members, "k": k})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _p4_15(x: Substructure, v: _Tally) -> int:
+    for k in KINDS:
+        whole = bool(minimal_condition(x.host, k))
+        parts = (bool(minimal_condition(x.ideal_biact, k))
+                 and bool(minimal_condition(x.rees, k)))
+        if whole != parts:
+            v.add({"ideal": x.members, "k": k})
+    return len(KINDS)
 
 
-def check_T4_16(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in ideals_of(s):
-            instances += 1
-            sub, _ = subsemigroup(s, members)  # ideals are subsemigroups
-            quot = rees_quotient(s, members)
-            whole = bool(minimal_condition(s, "L"))
-            parts = bool(minimal_condition(sub, "L")) and bool(minimal_condition(quot, "L"))
-            if whole != parts:
-                v.add({"ideal": members})
-    notes = (_SMOKE + "; the reverse direction genuinely fails for the "
-             "two-sided condition, which is claim C4.19")
-    return v.outcome(instances, vacuous=True, notes=notes)
+def _t4_16(x: Substructure, v: _Tally) -> None:
+    whole = bool(minimal_condition(x.host, "L"))
+    parts = bool(minimal_condition(x.sub, "L")) and bool(minimal_condition(x.rees, "L"))
+    if whole != parts:
+        v.add({"ideal": x.members})
 
 
 def check_Con4_17(env: Env) -> ClaimOutcome:
@@ -876,14 +854,13 @@ def check_Con4_17(env: Env) -> ClaimOutcome:
     derived deciders against brute force."""
     from .symbolic import build_usta
     from .core import classify_subset
-    v = _Violations()
-    instances = 0
+    v = _Tally()
     pool = [s for n in (1, 2) for s in all_semigroups(n)]
     for s in pool:
         for t in pool:
             for m in (1, 2):
                 for a in all_biacts(s, t, m):
-                    instances += 1
+                    v.instances += 1
                     u, parts = build_usta(s, t, a)   # validates associativity
                     ideal = set(parts.ideal_ids)
                     null = set(parts.null_ids)
@@ -933,24 +910,23 @@ def check_Con4_17(env: Env) -> ClaimOutcome:
                                and bool(minimal_condition(a, "L")))
                     if i_whole != i_parts:
                         v.add({"failure": "I equivalence"})
-    return v.outcome(instances)
+    return v.outcome()
 
 
 def check_C4_19(env: Env) -> ClaimOutcome:
     """The ideal I of U(B, Bbar; A) has no J-minimal condition although U,
     N and I/N all do."""
-    v = _Violations()
+    v = _Tally()
     inst = corollary_4_19_instance()
     cfg = env.config
-    instances = 0
 
     chain = inst.ideal_chain()
-    instances += 1
+    v.instances += 1
     res = verify_chain(inst.ideal_order(), chain, "J", cfg.depth)
     if not res.ok:
         v.add({"failure": "ideal chain", "reason": res.reason})
     for i in range(cfg.depth):
-        instances += 1
+        v.instances += 1
         s = inst.chain_step_witness(i)
         if inst.u.mul(s, chain(i)) != chain(i + 1):
             v.add({"failure": "chain step replay", "i": i})
@@ -958,7 +934,7 @@ def check_C4_19(env: Env) -> ClaimOutcome:
     rng = env.rng("C4.19")
     b = inst.bicyclic
     for _ in range(cfg.samples):
-        instances += 1
+        v.instances += 1
         w, vv = b.sample(rng), b.sample(rng)
         xu, xv = ("x", w), ("x", vv)
         if not (inst.u.le("J", xu, xv) and inst.u.le("J", xv, xu)):
@@ -968,27 +944,29 @@ def check_C4_19(env: Env) -> ClaimOutcome:
         if inst.u.mul(inst.u.mul(u1, xu), u2) != xv:
             v.add({"failure": "J witness replay", "pair": (w, vv)})
 
-    instances += 1
+    v.instances += 1
     poset = inst.u_j_poset(env.rng("C4.19:poset"), samples=50)
     if len(poset["parts"]) != 4:
         v.add({"failure": "J poset parts"})
 
-    for _ in range(50):
-        instances += 1
-        xa, xb = ("x", b.sample(rng)), ("x", b.sample(rng))
-        if inst.u.mul(xa, xb) != ZERO:
-            v.add({"failure": "null part product"})
+    _null_part(inst.u, b, rng, v, "null part product")
 
     # I/N is the bicyclic monoid with a zero: exactly two J-classes
     over = inst.i_over_n()
     for _ in range(50):
-        instances += 1
+        v.instances += 1
         x, y = b.sample(rng), b.sample(rng)
         if not (over.le("J", x, y) and over.le("J", y, x)):
             v.add({"failure": "I/N nonzero part not one class"})
         if over.le("J", x, "zero") or not over.le("J", "zero", x):
             v.add({"failure": "I/N zero class misplaced"})
-    return v.outcome(instances)
+    return v.outcome()
+
+
+# ---------------------------------------------------------------------------
+# section 5 claims
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -998,31 +976,20 @@ def check_C4_19(env: Env) -> ClaimOutcome:
 def check_S5_0(env: Env) -> ClaimOutcome:
     """Stability does not pass to quotients: the free semigroup on two
     letters is stable and maps onto the bicyclic monoid, which is not."""
-    v = _Violations()
+    v = _Tally()
     cfg = env.config
-    free = catalog()["free2"]
+    free = env.catalog()["free2"]
     b = Bicyclic()
-    instances = 0
 
     # free words of length <= 6: mutual factorship forces equality
-    words = []
-    for length in range(1, 7):
-        words.extend("".join(w) for w in itertools.product("ab", repeat=length))
-    for u in words:
-        for w in words:
-            instances += 1
-            if free.le("J", u, w) and free.le("J", w, u) and u != w:
-                v.add({"failure": "free J-triviality", "pair": (u, w)})
+    _j_trivial(free, itertools.product(_ab_words(), repeat=2), v, "free J-triviality")
     rng = env.rng("S5.0")
-    for _ in range(cfg.samples):
-        instances += 1
-        u, w = free.sample(rng), free.sample(rng)
-        if free.le("J", u, w) and free.le("J", w, u) and u != w:
-            v.add({"failure": "free J-triviality (sampled)", "pair": (u, w)})
+    sampled = ((free.sample(rng), free.sample(rng)) for _ in range(cfg.samples))
+    _j_trivial(free, sampled, v, "free J-triviality (sampled)")
 
     # the projection is a homomorphism and is onto
     for _ in range(cfg.samples):
-        instances += 1
+        v.instances += 1
         u, w = free.sample(rng), free.sample(rng)
         if free_to_bicyclic(u + w) != bicyclic_mul(free_to_bicyclic(u), free_to_bicyclic(w)):
             v.add({"failure": "projection morphism", "pair": (u, w)})
@@ -1031,188 +998,100 @@ def check_S5_0(env: Env) -> ClaimOutcome:
             v.add({"failure": "projection section", "x": x})
 
     # the image is not left stable
-    instances += 1
-    s, a = b.left_instability
-    sa = b.mul(s, a)
-    if not (b.le("J", sa, a) and b.le("J", a, sa)
-            and not (b.le("L", sa, a) and b.le("L", a, sa))):
+    v.instances += 1
+    if not instability_witnessed(b, "left"):
         v.add({"failure": "bicyclic instability witness"})
-    return v.outcome(instances)
+    return v.outcome()
 
 
-def check_P5_1(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for b in env.biacts():
-        gs = green_structure(b)
-        for members in subacts_of(b):
-            sub = biact_restrict(b, members)
-            quot = biact_rees_quotient(b, members)
-            instances += 1
-            whole = bool(stable(b))
-            parts = bool(stable(sub)) and bool(stable(quot))
-            if whole != parts:
-                v.add({"subact": members})
-            lwhole = bool(left_stable(b))
-            lparts = bool(left_stable(sub)) and bool(left_stable(quot))
-            if lwhole != lparts:
-                v.add({"subact": members, "failure": "left form"})
-            # contentful side fact: J-classes never straddle a subact
-            for cls in gs.classes["J"]:
-                flags = {x in members for x in cls}
-                if len(flags) != 1:
-                    v.add({"subact": members, "failure": "J-class straddles subact"})
-    return v.outcome(instances, vacuous=True,
-                     notes=_SMOKE + "; the straddle check is contentful")
+def _p5_1(x: Subact, v: _Tally) -> None:
+    b, members = x.host, x.members
+    whole = bool(stable(b))
+    parts = bool(stable(x.sub)) and bool(stable(x.rees))
+    if whole != parts:
+        v.add({"subact": members})
+    lwhole = bool(left_stable(b))
+    lparts = bool(left_stable(x.sub)) and bool(left_stable(x.rees))
+    if lwhole != lparts:
+        v.add({"subact": members, "failure": "left form"})
+    # contentful side fact: J-classes never straddle a subact
+    for cls in green_structure(b).classes["J"]:
+        flags = {y in members for y in cls}
+        if len(flags) != 1:
+            v.add({"subact": members, "failure": "J-class straddles subact"})
 
 
-def check_P5_2(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in subsemigroups_of(s):
-            instances += 1
-            rel = relative_biact(s, members)
-            quot = relative_rees(s, members)
-            sub, _ = subsemigroup(s, members)
-            if bool(stable(rel)) != (bool(stable(sub)) and bool(stable(quot))):
-                v.add({"sub": members})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _p5_2(x: Substructure, v: _Tally) -> None:
+    if bool(stable(x.rel)) != (bool(stable(x.sub)) and bool(stable(x.rel_rees))):
+        v.add({"sub": x.members})
 
 
-def check_P5_3(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in subsemigroups_of(s):
-            instances += 1
-            sub, _ = subsemigroup(s, members)
-            rel = relative_biact(s, members)
-            if bool(left_stable(s)) and not left_stable(sub):
-                v.add({"sub": members, "failure": "host to subsemigroup"})
-            if bool(left_stable(sub)) != bool(left_stable(rel)):
-                v.add({"sub": members, "failure": "subsemigroup vs relative"})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _p5_3(x: Substructure, v: _Tally) -> None:
+    if bool(left_stable(x.host)) and not left_stable(x.sub):
+        v.add({"sub": x.members, "failure": "host to subsemigroup"})
+    if bool(left_stable(x.sub)) != bool(left_stable(x.rel)):
+        v.add({"sub": x.members, "failure": "subsemigroup vs relative"})
 
 
-def check_T5_4(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in subsemigroups_of(s):
-            instances += 1
-            green_index(s, members)  # the hypothesis: a finite index exists
-            sub, _ = subsemigroup(s, members)
-            rel = relative_biact(s, members)
-            vals = {bool(stable(s)), bool(stable(sub)), bool(stable(rel))}
-            if len(vals) != 1:
-                v.add({"sub": members})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _t5_4(x: Substructure, v: _Tally) -> None:
+    green_index(x.host, x.members)  # the hypothesis: a finite index exists
+    vals = {bool(stable(x.host)), bool(stable(x.sub)), bool(stable(x.rel))}
+    if len(vals) != 1:
+        v.add({"sub": x.members})
 
 
-def check_L5_5(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in subsemigroups_of(s):
-            instances += 1
-            sub, _ = subsemigroup(s, members)
-            if bool(k_preserving(s, members, "L")):
-                if bool(left_stable(s)) and not left_stable(sub):
-                    v.add({"sub": members, "failure": "left transfer"})
-                if bool(k_preserving(s, members, "R")) and bool(stable(s)):
-                    if not stable(sub):
-                        v.add({"sub": members, "failure": "two-sided transfer"})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _l5_5(x: Substructure, v: _Tally) -> None:
+    s, members = x.host, x.members
+    if bool(k_preserving(s, members, "L")):
+        if bool(left_stable(s)) and not left_stable(x.sub):
+            v.add({"sub": members, "failure": "left transfer"})
+        if bool(k_preserving(s, members, "R")) and bool(stable(s)):
+            if not stable(x.sub):
+                v.add({"sub": members, "failure": "two-sided transfer"})
 
 
-def check_C5_6(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        n = s.order
-        for members in subsemigroups_of(s):
-            sub, _ = subsemigroup(s, members)
-            complement = frozenset(range(n)) - members
-            ret = retract(s, members)
-            instances += 1
-            if ret.value is True:
-                # retracts are L- and R-preserving: contentful
-                if not (k_preserving(s, members, "L") and k_preserving(s, members, "R")):
-                    v.add({"sub": members, "failure": "retract not LR-preserving"})
-            hypo = (bool(regular_subsemigroup(s, members))
-                    or ret.value is True
-                    or (bool(complement) and is_role(s, complement, "ideal")))
-            if hypo and bool(stable(s)) and not stable(sub):
-                v.add({"sub": members, "failure": "stability transfer"})
-    return v.outcome(instances,
-                     notes="the retract/regular preservation facts are "
-                           "contentful; the stability transfer is smoke")
+def _c5_6(x: Substructure, v: _Tally) -> None:
+    s, members = x.host, x.members
+    complement = frozenset(range(s.order)) - members
+    ret = retract(s, members)
+    if ret.value is True:
+        # retracts are L- and R-preserving: contentful
+        if not (k_preserving(s, members, "L") and k_preserving(s, members, "R")):
+            v.add({"sub": members, "failure": "retract not LR-preserving"})
+    hypo = (bool(regular_subsemigroup(s, members))
+            or ret.value is True
+            or (bool(complement) and is_role(s, complement, "ideal")))
+    if hypo and bool(stable(s)) and not stable(x.sub):
+        v.add({"sub": members, "failure": "stability transfer"})
 
 
-def check_T5_7(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in bi_ideals_of(s):
-            instances += 1
-            sub, _ = subsemigroup(s, members)
-            if bool(left_stable(s)) and not left_stable(sub):
-                v.add({"bi-ideal": members})
-            if bool(stable(s)) and not stable(sub):
-                v.add({"bi-ideal": members, "failure": "two-sided"})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _t5_7(x: Substructure, v: _Tally) -> None:
+    if bool(left_stable(x.host)) and not left_stable(x.sub):
+        v.add({"bi-ideal": x.members})
+    if bool(stable(x.host)) and not stable(x.sub):
+        v.add({"bi-ideal": x.members, "failure": "two-sided"})
 
 
-def check_L5_8(env: Env) -> ClaimOutcome:
+def _l5_8(x: Substructure, v: _Tally) -> int:
     """Rees quotients of semigroups and of their regular biacts agree, as
     preorders and hence as stability verdicts."""
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in ideals_of(s):
-            sq = rees_quotient(s, members)
-            bq = biact_rees_quotient(regular_biact(s), members)
-            gss, gsb = green_structure(sq), green_structure(bq)
-            # both collapse to the same carrier: survivors in order, then 0
-            for k in KINDS:
-                for a in range(sq.order):
-                    for bb in range(sq.order):
-                        instances += 1
-                        if gss.le(a, bb, k) != gsb.le(a, bb, k):
-                            v.add({"k": k, "pair": (a, bb)})
-            if bool(stable(sq)) != bool(stable(bq)):
-                v.add({"ideal": members, "failure": "stability verdicts differ"})
-    return v.outcome(instances)
+    sq = x.rees
+    bq = biact_rees_quotient(regular_biact(x.host), x.members)
+    gss, gsb = green_structure(sq), green_structure(bq)
+    # both collapse to the same carrier: survivors in order, then 0
+    for k in KINDS:
+        for a in range(sq.order):
+            for bb in range(sq.order):
+                if gss.le(a, bb, k) != gsb.le(a, bb, k):
+                    v.add({"k": k, "pair": (a, bb)})
+    if bool(stable(sq)) != bool(stable(bq)):
+        v.add({"ideal": x.members, "failure": "stability verdicts differ"})
+    return len(KINDS) * sq.order ** 2
 
 
-def check_P5_9(env: Env) -> ClaimOutcome:
-    v = _Violations()
-    instances = 0
-    for s in env.semigroups():
-        if s.order > 4:
-            continue
-        for members in ideals_of(s):
-            instances += 1
-            ib = ideal_biact(s, members)
-            quot = rees_quotient(s, members)
-            if bool(stable(s)) != (bool(stable(ib)) and bool(stable(quot))):
-                v.add({"ideal": members})
-    return v.outcome(instances, vacuous=True, notes=_SMOKE)
+def _p5_9(x: Substructure, v: _Tally) -> None:
+    if bool(stable(x.host)) != (bool(stable(x.ideal_biact)) and bool(stable(x.rees))):
+        v.add({"ideal": x.members})
 
 
 def check_Con5_10(env: Env) -> ClaimOutcome:
@@ -1220,13 +1099,12 @@ def check_Con5_10(env: Env) -> ClaimOutcome:
     deciders for all three relations, and the stability equivalence."""
     from .symbolic import build_usa
     from .core import classify_subset
-    v = _Violations()
-    instances = 0
+    v = _Tally()
     pool = [s for n in (1, 2) for s in all_semigroups(n)]
     for s in pool:
         for m in (1, 2):
             for a in all_biacts(s, s, m):
-                instances += 1
+                v.instances += 1
                 u, parts = build_usa(s, a)
                 null = set(parts.null_ids)
                 classify_subset(u, null, "ideal")
@@ -1251,22 +1129,21 @@ def check_Con5_10(env: Env) -> ClaimOutcome:
              "comparison against the acting semigroup instead is not even "
              "well-typed once the carrier differs from it, and the biact "
              "reading matches brute force on every instance")
-    return v.outcome(instances, notes=notes)
+    return v.outcome(notes=notes)
 
 
 def check_C5_12(env: Env) -> ClaimOutcome:
     """U(free2, pullback-bicyclic) is not stable although the null ideal
     and the quotient by it both are."""
-    v = _Violations()
+    v = _Tally()
     inst = corollary_5_12_instance()
     cfg = env.config
     u = inst.u
     free = inst.free
-    instances = 0
 
     s, x = inst.witness
     sx = u.mul(s, x)
-    instances += 1
+    v.instances += 1
     if sx != ("x", (0, 1)):
         v.add({"failure": "witness product"})
     if not (u.le("J", sx, x) and u.le("J", x, sx)):
@@ -1275,140 +1152,134 @@ def check_C5_12(env: Env) -> ClaimOutcome:
         v.add({"failure": "witness unexpectedly L-related"})
     # replay the J-relatedness through explicit word multiplications
     for src, dst in ((sx[1], x[1]), (x[1], sx[1])):
-        instances += 1
+        v.instances += 1
         w1, w2 = inst.mutual_j_witness_words(src, dst)
         if u.mul(u.mul(("s", w1), ("x", src)), ("s", w2)) != ("x", dst):
             v.add({"failure": "witness word replay", "pair": (src, dst)})
 
     # free words of length <= 6 are exactly J-trivial; larger samples too
-    words = []
-    for length in range(1, 7):
-        words.extend("".join(w) for w in itertools.product("ab", repeat=length))
-    for a in words:
-        for bb in words:
-            instances += 1
-            if free.le("J", a, bb) and free.le("J", bb, a) and a != bb:
-                v.add({"failure": "free J-triviality", "pair": (a, bb)})
+    _j_trivial(free, itertools.product(_ab_words(), repeat=2), v, "free J-triviality")
     rng = env.rng("C5.12")
-    for _ in range(500):
-        instances += 1
-        a, bb = free.sample(rng), free.sample(rng)
-        if free.le("J", a, bb) and free.le("J", bb, a) and a != bb:
-            v.add({"failure": "free J-triviality (sampled)", "pair": (a, bb)})
+    sampled = ((free.sample(rng), free.sample(rng)) for _ in range(500))
+    _j_trivial(free, sampled, v, "free J-triviality (sampled)")
 
     # the ideal is null, hence trivially stable
-    b = inst.biact
-    for _ in range(50):
-        instances += 1
-        xa, xb = ("x", b.sample(rng)), ("x", b.sample(rng))
-        if u.mul(xa, xb) != ZERO:
-            v.add({"failure": "ideal not null"})
+    _null_part(u, inst.biact, rng, v, "ideal not null")
 
     # the quotient by the ideal is the free semigroup with a zero: stable
     over = inst.quotient_by_ideal()
     for _ in range(cfg.samples):
-        instances += 1
+        v.instances += 1
         a, bb = free.sample(rng), free.sample(rng)
         sa = over.mul(a, bb)
         if over.le("J", sa, bb) and over.le("J", bb, sa):
             if not (over.le("L", sa, bb) and over.le("L", bb, sa)):
                 v.add({"failure": "quotient stability", "pair": (a, bb)})
-    return v.outcome(instances)
+    return v.outcome()
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-def _registry() -> dict[str, Claim]:
-    claims = [
-        Claim("L3.3", "minimal conditions match stabilising descending chains",
-              "finite-exhaustive", "must-hold", check_L3_3),
-        Claim("P3.4", "a left minimal acting semigroup forces left minimal biacts",
-              "finite-exhaustive", "must-hold", check_P3_4),
-        Claim("P3.5", "the eight left-stability forms agree",
-              "finite-sampled", "must-hold", check_P3_5),
-        Claim("P3.6", "stability is D=J plus the two trace conditions",
-              "finite-sampled", "must-hold", check_P3_6),
-        Claim("L3.7", "left minimality implies l-periodicity implies left stability",
-              "finite-sampled", "must-hold", check_L3_7),
-        Claim("C3.8", "every finite biact is stable with all minimal conditions",
-              "finite-sampled", "must-hold", check_C3_8),
-        Claim("C3.9", "an l-periodic acting semigroup forces left stable biacts",
-              "finite-exhaustive", "must-hold", check_C3_9),
-        Claim("L3.10", "under M_J, left minimality equals left stability",
-              "finite-sampled", "must-hold", check_L3_10),
-        Claim("P3.11", "M_L+M_R equals M_J+periodicity equals stability+M_J",
-              "finite-sampled", "must-hold", check_P3_11),
-        Claim("C3.12", "one-sided minimal acting semigroups force both conditions",
-              "finite-exhaustive", "must-hold", check_C3_12),
-        Claim("C3.13", "the semigroup equivalences including group-boundedness",
-              "finite-exhaustive", "must-hold", check_C3_13),
-        Claim("R3.14(2)", "the bicyclic monoid is bisimple with no one-sided minimality",
-              "symbolic-witness", "counterexample-expected", check_R3_14_2),
-        Claim("R3.14(3)", "product biacts order componentwise by L and R",
-              "finite-exhaustive", "must-hold", check_R3_14_3),
-        Claim("P4.1", "minimal conditions pass to biact quotients",
-              "finite-exhaustive", "must-hold", check_P4_1),
-        Claim("L4.2", "semigroup quotients agree with regular-biact quotients",
-              "finite-exhaustive", "must-hold", check_L4_2),
-        Claim("C4.3", "minimal conditions pass to semigroup quotients",
-              "finite-exhaustive", "must-hold", check_C4_3),
-        Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
-              "finite-exhaustive", "must-hold", check_P4_4),
-        Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
-              "finite-exhaustive", "must-hold", check_P4_5),
-        Claim("T4.6", "with finitely many relative L-classes, M_L is three-way equivalent",
-              "finite-exhaustive", "must-hold", check_T4_6),
-        Claim("C4.7", "finite index subsemigroups share the left minimal condition",
-              "finite-exhaustive", "must-hold", check_C4_7),
-        Claim("Ex4.8", "the integers over the naturals descend without bound",
-              "symbolic-witness", "counterexample-expected", check_Ex4_8),
-        Claim("L4.10", "K-preserving subsemigroups inherit the minimal condition",
-              "finite-exhaustive", "must-hold", check_L4_10),
-        Claim("C4.11", "regular and ideal-complement subsemigroups inherit minimality",
-              "finite-exhaustive", "must-hold", check_C4_11),
-        Claim("T4.13", "bi-ideals inherit the left minimal condition",
-              "finite-exhaustive", "must-hold", check_T4_13),
-        Claim("C4.14", "bi-ideals of stable M_J semigroups inherit M_J",
-              "finite-exhaustive", "must-hold", check_C4_14),
-        Claim("P4.15", "a semigroup is minimal iff its ideal biact and Rees quotient are",
-              "finite-exhaustive", "must-hold", check_P4_15),
-        Claim("T4.16", "left minimality passes between a semigroup, an ideal and the quotient",
-              "finite-exhaustive", "must-hold", check_T4_16),
-        Claim("Con4.17/P4.18", "the two-semigroup gluing and its derived deciders",
-              "derived-decider", "must-hold", check_Con4_17),
-        Claim("C4.19", "an ideal without M_J inside a gluing whose other parts have it",
-              "symbolic-witness", "counterexample-expected", check_C4_19),
-        Claim("S5.0", "stability does not pass to quotients: free onto bicyclic",
-              "symbolic-witness", "counterexample-expected", check_S5_0),
-        Claim("P5.1", "a biact is stable iff a subact and its quotient are",
-              "finite-exhaustive", "must-hold", check_P5_1),
-        Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
-              "finite-exhaustive", "must-hold", check_P5_2),
-        Claim("P5.3", "with finitely many relative L-classes, stability transfers down",
-              "finite-exhaustive", "must-hold", check_P5_3),
-        Claim("T5.4", "finite index subsemigroups share stability",
-              "finite-exhaustive", "must-hold", check_T5_4),
-        Claim("L5.5", "preserving subsemigroups of stable semigroups are stable",
-              "finite-exhaustive", "must-hold", check_L5_5),
-        Claim("C5.6", "retracts, regular subsemigroups and ideal complements inherit stability",
-              "finite-exhaustive", "must-hold", check_C5_6),
-        Claim("T5.7", "bi-ideals inherit stability",
-              "finite-exhaustive", "must-hold", check_T5_7),
-        Claim("L5.8", "semigroup and biact Rees quotients share stability",
-              "finite-exhaustive", "must-hold", check_L5_8),
-        Claim("P5.9", "a semigroup is stable iff its ideal biact and Rees quotient are",
-              "finite-exhaustive", "must-hold", check_P5_9),
-        Claim("Con5.10/P5.11", "the one-semigroup gluing and its derived deciders",
-              "derived-decider", "must-hold", check_Con5_10),
-        Claim("C5.12", "an unstable semigroup whose ideal and quotient are stable",
-              "symbolic-witness", "counterexample-expected", check_C5_12),
-    ]
-    return {c.id: c for c in claims}
-
-
-REGISTRY = _registry()
+REGISTRY: dict[str, Claim] = {c.id: c for c in [
+    Claim("L3.3", "minimal conditions match stabilising descending chains",
+          "finite-exhaustive", "must-hold", check_L3_3),
+    Claim("P3.4", "a left minimal acting semigroup forces left minimal biacts",
+          "finite-exhaustive", "must-hold", check_P3_4),
+    Claim("P3.5", "the eight left-stability forms agree",
+          "finite-sampled", "must-hold", _over("biacts", _p3_5)),
+    Claim("P3.6", "stability is D=J plus the two trace conditions",
+          "finite-sampled", "must-hold", _over("biacts", _p3_6)),
+    Claim("L3.7", "left minimality implies l-periodicity implies left stability",
+          "finite-sampled", "must-hold", check_L3_7),
+    Claim("C3.8", "every finite biact is stable with all minimal conditions",
+          "finite-sampled", "must-hold", _over("biacts", _c3_8)),
+    Claim("C3.9", "an l-periodic acting semigroup forces left stable biacts",
+          "finite-exhaustive", "must-hold", check_C3_9),
+    Claim("L3.10", "under M_J, left minimality equals left stability",
+          "finite-sampled", "must-hold", check_L3_10),
+    Claim("P3.11", "M_L+M_R equals M_J+periodicity equals stability+M_J",
+          "finite-sampled", "must-hold", check_P3_11),
+    Claim("C3.12", "one-sided minimal acting semigroups force both conditions",
+          "finite-exhaustive", "must-hold",
+          _over("biacts_exhaustive", _c3_12, smoke=True)),
+    Claim("C3.13", "the semigroup equivalences including group-boundedness",
+          "finite-exhaustive", "must-hold", _over("semigroups", _c3_13)),
+    Claim("R3.14(2)", "the bicyclic monoid is bisimple with no one-sided minimality",
+          "symbolic-witness", "counterexample-expected", check_R3_14_2),
+    Claim("R3.14(3)", "product biacts order componentwise by L and R",
+          "finite-exhaustive", "must-hold", check_R3_14_3),
+    Claim("P4.1", "minimal conditions pass to biact quotients",
+          "finite-exhaustive", "must-hold",
+          _over("biact_congruences", _p4_1, smoke=True)),
+    Claim("L4.2", "semigroup quotients agree with regular-biact quotients",
+          "finite-exhaustive", "must-hold", _over("congruences", _l4_2)),
+    Claim("C4.3", "minimal conditions pass to semigroup quotients",
+          "finite-exhaustive", "must-hold", _over("congruences", _p4_1, smoke=True)),
+    Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
+          "finite-exhaustive", "must-hold", _over("subacts", _p4_4, smoke=True)),
+    Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
+          "finite-exhaustive", "must-hold", _over("subsemigroups", _p4_5, smoke=True)),
+    Claim("T4.6", "with finitely many relative L-classes, M_L is three-way equivalent",
+          "finite-exhaustive", "must-hold", check_T4_6),
+    Claim("C4.7", "finite index subsemigroups share the left minimal condition",
+          "finite-exhaustive", "must-hold",
+          _over("subsemigroups", _c4_7, smoke=True,
+                notes="the index censuses carry the content")),
+    Claim("Ex4.8", "the integers over the naturals descend without bound",
+          "symbolic-witness", "counterexample-expected", check_Ex4_8),
+    Claim("L4.10", "K-preserving subsemigroups inherit the minimal condition",
+          "finite-exhaustive", "must-hold", _over("subsemigroups", _l4_10, smoke=True)),
+    Claim("C4.11", "regular and ideal-complement subsemigroups inherit minimality",
+          "finite-exhaustive", "must-hold",
+          _over("subsemigroups", _c4_11,
+                notes="the preservation facts are contentful; the "
+                      "minimal-condition transfers are smoke tests")),
+    Claim("T4.13", "bi-ideals inherit the left minimal condition",
+          "finite-exhaustive", "must-hold", _over("bi_ideals", _t4_13, smoke=True)),
+    Claim("C4.14", "bi-ideals of stable M_J semigroups inherit M_J",
+          "finite-exhaustive", "must-hold", _over("bi_ideals", _c4_14, smoke=True)),
+    Claim("P4.15", "a semigroup is minimal iff its ideal biact and Rees quotient are",
+          "finite-exhaustive", "must-hold", _over("ideals", _p4_15, smoke=True)),
+    Claim("T4.16", "left minimality passes between a semigroup, an ideal and the quotient",
+          "finite-exhaustive", "must-hold",
+          _over("ideals", _t4_16, smoke=True,
+                notes="the reverse direction genuinely fails for the "
+                      "two-sided condition, which is claim C4.19")),
+    Claim("Con4.17/P4.18", "the two-semigroup gluing and its derived deciders",
+          "derived-decider", "must-hold", check_Con4_17),
+    Claim("C4.19", "an ideal without M_J inside a gluing whose other parts have it",
+          "symbolic-witness", "counterexample-expected", check_C4_19),
+    Claim("S5.0", "stability does not pass to quotients: free onto bicyclic",
+          "symbolic-witness", "counterexample-expected", check_S5_0),
+    Claim("P5.1", "a biact is stable iff a subact and its quotient are",
+          "finite-exhaustive", "must-hold",
+          _over("subacts", _p5_1, smoke=True, notes="the straddle check is contentful")),
+    Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
+          "finite-exhaustive", "must-hold", _over("subsemigroups", _p5_2, smoke=True)),
+    Claim("P5.3", "with finitely many relative L-classes, stability transfers down",
+          "finite-exhaustive", "must-hold", _over("subsemigroups", _p5_3, smoke=True)),
+    Claim("T5.4", "finite index subsemigroups share stability",
+          "finite-exhaustive", "must-hold", _over("subsemigroups", _t5_4, smoke=True)),
+    Claim("L5.5", "preserving subsemigroups of stable semigroups are stable",
+          "finite-exhaustive", "must-hold", _over("subsemigroups", _l5_5, smoke=True)),
+    Claim("C5.6", "retracts, regular subsemigroups and ideal complements inherit stability",
+          "finite-exhaustive", "must-hold",
+          _over("subsemigroups", _c5_6,
+                notes="the retract/regular preservation facts are "
+                      "contentful; the stability transfer is smoke")),
+    Claim("T5.7", "bi-ideals inherit stability",
+          "finite-exhaustive", "must-hold", _over("bi_ideals", _t5_7, smoke=True)),
+    Claim("L5.8", "semigroup and biact Rees quotients share stability",
+          "finite-exhaustive", "must-hold", _over("ideals", _l5_8)),
+    Claim("P5.9", "a semigroup is stable iff its ideal biact and Rees quotient are",
+          "finite-exhaustive", "must-hold", _over("ideals", _p5_9, smoke=True)),
+    Claim("Con5.10/P5.11", "the one-semigroup gluing and its derived deciders",
+          "derived-decider", "must-hold", check_Con5_10),
+    Claim("C5.12", "an unstable semigroup whose ideal and quotient are stable",
+          "symbolic-witness", "counterexample-expected", check_C5_12),
+]}
 
 
 @dataclass
@@ -1512,16 +1383,13 @@ def probe_open_problem(config: Optional[SuiteConfig] = None) -> dict:
     config = config or SuiteConfig()
     report: dict = {"finite": {}, "symbolic": [], "conclusion": ""}
 
-    env = Env(config)
     checked = 0
-    for s in env.semigroups():
-        if s.order > 3:
+    for x in Env(config).subsemigroups():
+        if x.host.order > 3:
             continue
-        for members in subsemigroups_of(s):
-            checked += 1
-            sub, _ = subsemigroup(s, members)
-            if bool(minimal_condition(s, "J")) and not minimal_condition(sub, "J"):
-                report["finite"]["counterexample"] = True
+        checked += 1
+        if bool(minimal_condition(x.host, "J")) and not minimal_condition(x.sub, "J"):
+            report["finite"]["counterexample"] = True
     report["finite"]["instances"] = checked
     report["finite"]["vacuous"] = True
     report["finite"]["note"] = ("finite semigroups always satisfy the two-sided "

@@ -58,6 +58,19 @@ class TestUsage:
     def test_unknown_claim_id(self, capsys):
         assert run(capsys, "verify", "--suite", "nope")[0] == 4
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "L3.3,Ex4.8,C4.19", "--depth", "-3", "--samples", "-2"),
+        ("verify", "--suite", "C4.19", "--samples", "0"),
+        ("verify", "--suite", "P3.5", "--max-order", "0"),
+        ("verify", "--suite", "P3.5", "--random-biacts", "-1"),
+        ("catalog", "show", "bicyclic", "--chain", "L", "--depth", "0"),
+    ])
+    def test_out_of_range_parameters(self, capsys, argv):
+        # each would otherwise check nothing and report a pass
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert "PASS" not in out and "usage error" in err
+
     def test_construct_missing_parts(self, capsys, t2_file, tmp_path):
         code, _, err = run(capsys, "construct", "usta", "--s", str(t2_file),
                            "--out", str(tmp_path / "u.json"))

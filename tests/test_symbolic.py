@@ -190,8 +190,9 @@ class TestFiniteExtensions:
         u2, _ = sym.construct_usa(triv, regular_biact(triv))
         assert u2.order == 3
         b = sym.Bicyclic()
-        bbar = sym.BicyclicBar(b)
-        glued = sym.construct_usta(b, bbar, sym.BicyclicCopyBiact(b, bbar))
+        bbar = sym.BicyclicDelegate(b, "bicyclic-bar", b.sheet)
+        copy = sym.BicyclicDelegate(b, "bicyclic-copy", sym.PropertySheet(), left=b, right=bbar)
+        glued = sym.construct_usta(b, bbar, copy)
         assert isinstance(glued, sym.SymbolicExtensionSTA)
         assert glued.mul(("s", (0, 1)), ("x", (0, 0))) == ("x", (0, 1))
 

@@ -16,7 +16,6 @@ from greenstone import biact as ba
 from greenstone import core, props
 from greenstone.enumeration import random_biact_corpus, semigroup_pool
 from greenstone.verify import (
-    biact_restrict,
     ideals_of,
     single_pair_congruences,
     subacts_of,
@@ -39,7 +38,7 @@ def assert_derived_valid(b: ba.FiniteBiact) -> None:
     """Re-validate the subact restrictions, Rees quotients and
     single-pair congruence quotients of ``b``."""
     for members in subacts_of(b):
-        assert_valid(biact_restrict(b, members))
+        assert_valid(ba.Subact(b, members).sub)
         assert_valid(ba.biact_rees_quotient(b, members))
     assert_valid(ba.biact_rees_quotient(b, ()))
     for rho in single_pair_congruences(b):

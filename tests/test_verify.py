@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from greenstone import verify as ver
-from greenstone.errors import UnknownClaim
+from greenstone.core import is_role
+from greenstone.errors import InvalidSuiteConfig, UnknownClaim
 
 # every numbered statement must stay in the registry; removing one is a
 # build failure, not a silent narrowing of the suite
@@ -18,6 +20,56 @@ REQUIRED_CLAIMS = [
 ]
 
 SMALL = ver.SuiteConfig(random_biacts=25, samples=40, depth=30, chain_seed=20)
+
+# the whole suite in about two seconds
+TINY = ver.SuiteConfig(max_order=2, exh_semigroup=1, exh_carrier=2, random_biacts=30,
+                       depth=20, samples=20, chain_seed=10)
+
+# sha256 of each claim's JSON entry (sorted keys) at TINY, recorded before
+# the claims became per-instance checks over the Env corpora
+GOLDEN = {
+    "C3.12": "2bb20e68d1237ae74d169eec06cad7423193109f82b521e398123f643050ce29",
+    "C3.13": "ff984fd53050b3c3dced0fd7d6322670701f05c34eda69aa4ccc14e2b9e73eb9",
+    "C3.8": "379aef19c3cbab67881cfd6697c98198394bb3cb6ad9aaed8b6859e356ff30a5",
+    "C3.9": "7f130f9356c635a9a6a9fa8651dd6163f09a9b8b6a647207a4582823906cb0ca",
+    "C4.11": "c0106aa8da5fd4e0256fcf6c8d120266beb75b62f19989a74b99d68de6417134",
+    "C4.14": "c30c20c29658d7a21ad14c618c0f58a3479c188986034cd047038d90515cf6fc",
+    "C4.19": "d8b73e2fc086de364831644685d108c7a6efe201edc6ee59a75b5433c174f49c",
+    "C4.3": "0855d4bd6ad3c362265952a7550dbb360719e54eca38a15696ea50504d8bf092",
+    "C4.7": "7010ed6555348146370bfea4eda890612e0dc603545cde7c6edc5c0c60a9c22e",
+    "C5.12": "d954d3bbd3a6ea036182c7124a9bb3a54fc1a59f815a564e5cd17a5020c5a426",
+    "C5.6": "bb263f69dc39ddcd87803e40a12e29c23b40de6b3ac465ed53d708175d16e860",
+    "Con4.17/P4.18": "a3ab882c5e2e26509ebc7a9645fa2659bd536d7bff4a77adfbefb74b0d7cd728",
+    "Con5.10/P5.11": "dc6cfeed288259de3a4bd100f219febd03e4e91bb4adf6e3c55915b15e65db2a",
+    "Ex4.8": "85909f1cb4976743ff832c117b08e4df047c37f59eea1fca0ad940304060bd29",
+    "L3.10": "0780b38a93cc4c6019306e26900bee0a8ebfd07657745316868e6d8136ac7726",
+    "L3.3": "b6968624e870403b37dcdb90f6120d4c8c372d27efdcf02055fd5d4458995f1f",
+    "L3.7": "816709869008f2c742e7ebc517358167c3877dfa5a24779c675de1e68d9a7229",
+    "L4.10": "4ee3b8c555271d47da29d367ea58827f9a6da225d7b99f70bfe3ef8fec04299f",
+    "L4.2": "4fe503152c39efde5f05b7c422a5707a5cd9aa372eed390f98646b41ebc8e908",
+    "L5.5": "e51e617711e718fa89c57da39822d92ddf3e1a4c38e646b240efb4de6800dc9f",
+    "L5.8": "1b7bc2dd13aafc64f874717ffeb1af8040471ce572dd1807ba334c759963f20e",
+    "P3.11": "a11612fa10f00bee912a9917a7c030c0e160cf7e253a59ed937145230cc443fb",
+    "P3.4": "ef7bb7977ffb07273ccb6a3d193e0fcfd51957688650e3e36b041847a9df7677",
+    "P3.5": "4d03bc8988a5d121d5accbc34c10eb59f0ab860d7b37ec2cff63193913355461",
+    "P3.6": "7713b025cc6a141fa327bcd650c01a6b9bb01a8ccb9136db55d01c2410b39380",
+    "P4.1": "46cd0ed9452de71360a246b190491905e6139d0bbf30486ca976c4ffaba494aa",
+    "P4.15": "73e3b6e7ec52caa7b4a9460f047c059414cf08dba56f130acc6c5fa430489063",
+    "P4.4": "1670a0061403adb9f18d66cdf8339d016a258f9e383db25c3f0927b2a47fd56f",
+    "P4.5": "bbd6fad08bcf2f913440f8316d40dd8caa1e033640e95f0875606a0b0c824953",
+    "P5.1": "6ad6a46f2b998a2d909d3594c0be74373af2adb0d9cca664ddd154eaa65d7df0",
+    "P5.2": "2c413df7d2b88129d2e15d3df932e2b7e5966f97c16c6d9cc92f0e16e841d163",
+    "P5.3": "6290a8b28a4f2cb751c4aa8f6a007850021a355f6a078ac7fdfa495a0aa121a2",
+    "P5.9": "e5a005206a571446b0f7ac4113d1afd540cb026d9a954d3b86b19780afdb37ef",
+    "R3.14(2)": "788836057dbe2c86ab643422775dbbaa428450666b01be383e9419b548d31e6e",
+    "R3.14(3)": "338f0ba29c88d067da9d9b21bd221c0b4000b42fa77e1ac73a42efee85121e76",
+    "S5.0": "1526b0d81c30e58f19043867cea3e39a577d018ba3746f32cf613d736d3621d5",
+    "T4.13": "7cd89864f1859a925ff22c07b81b454319278ce022b87a6a2ef792704a695175",
+    "T4.16": "7e75e15b1c379e582afb7ca7d4cd8c04153ab753548f45534dcc7d72d93f2d7d",
+    "T4.6": "63dfda56b707fb8668d2b6e2f24929c0f585539e51db4c82e64c5877dfc686dc",
+    "T5.4": "4b662217a342320e9151af746eb2627c63f1530193efd7084238b2b66a33a67f",
+    "T5.7": "0368a63a6c13382c448371f564f6f52353373781c4375bbb28c80455a68f79ed",
+}
 
 
 class TestRegistry:
@@ -113,3 +165,70 @@ class TestLongestCoverPath:
     def test_cycle_is_refused(self):
         with pytest.raises(ValueError):
             ver._longest_cover_path([(0, 1), (1, 0)], 2)
+
+
+class TestGolden:
+    def test_every_claim_entry_is_unchanged(self):
+        report = ver.run_suite("all", TINY)
+        digests = {r.claim.id: hashlib.sha256(json.dumps(r.to_json(), sort_keys=True)
+                                              .encode()).hexdigest()
+                   for r in report.results}
+        assert sorted(digests) == sorted(GOLDEN)
+        assert [cid for cid in sorted(GOLDEN) if digests[cid] != GOLDEN[cid]] == []
+
+    def test_probe_is_unchanged(self):
+        text = json.dumps(ver.probe_open_problem(), indent=2, sort_keys=True)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "2d9b014eedd926db2ac1e5bd3fef6d7c4c2444a61af00006e17d0c305e146b2e")
+
+
+class TestCorpora:
+    """At the default config the Env corpora are the old enumeration loops,
+    instance for instance and in the same order."""
+
+    def test_semigroup_corpora(self):
+        env = ver.Env(ver.SuiteConfig())
+        def bi_ideals_of(s):
+            return [m for m in ver.nonempty_subsets(s.order) if is_role(s, m, "bi-ideal")]
+
+        for corpus, members_of in ((env.subsemigroups(), ver.subsemigroups_of),
+                                   (env.ideals(), ver.ideals_of),
+                                   (env.bi_ideals(), bi_ideals_of)):
+            assert ([(x.host, x.members) for x in corpus]
+                    == [(s, m) for s in env.semigroups() for m in members_of(s)])
+        sizes = [len(c) for c in (env.semigroups(), env.subsemigroups(),
+                                  env.ideals(), env.bi_ideals())]
+        assert sizes == [33, 169, 69, 123]
+        assert ([(rho.over, rho.blocks) for rho in env.congruences()]
+                == [(s, rho.blocks) for s in env.semigroups()
+                    for rho in ver.single_pair_congruences(s)])
+
+    def test_semigroup_corpora_are_built_once(self):
+        env = ver.Env(ver.SuiteConfig())
+        x = env.ideals()[-1]
+        assert env.ideals() is env.ideals()
+        assert x.sub is x.sub and x.rees is x.rees and x.ideal_biact is x.ideal_biact
+        assert all(any(x is y for y in env.subsemigroups()) for x in env.bi_ideals())
+        assert env.catalog() is env.catalog()
+
+    def test_biact_corpora(self):
+        env = ver.Env(ver.SuiteConfig())
+        subacts = [(x.host, x.members) for x in env.subacts()]
+        assert subacts == [(b, m) for b in env.biacts() for m in ver.subacts_of(b)]
+        assert len(subacts) == 7331
+        assert ([(rho.over, rho.blocks) for rho in env.biact_congruences()]
+                == [(b, rho.blocks) for b in env.biacts()
+                    for rho in ver.single_pair_congruences(b)])
+
+
+class TestSuiteConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("max_order", 0), ("exh_semigroup", 0), ("exh_carrier", 0), ("random_biacts", -1),
+        ("depth", 0), ("samples", 0), ("chain_seed", -1)])
+    def test_out_of_range_parameter_is_named(self, name, value):
+        with pytest.raises(InvalidSuiteConfig, match=name):
+            ver.SuiteConfig(**{name: value})
+
+    def test_least_values_are_accepted(self):
+        ver.SuiteConfig(max_order=1, exh_semigroup=1, exh_carrier=1, random_biacts=0,
+                        depth=1, samples=1, chain_seed=0)
