@@ -16,6 +16,9 @@ their own preconditions -- ideal, subsemigroup, subact, homomorphism --
 and then build through the unchecked ``_trusted_biact``, because their
 output satisfies the axioms by construction.  A differential test
 re-validates their output over the small census and the random corpus.
+The semigroup side mirrors this with ``core.validate_table`` and
+``core._trusted_table``.  A semigroup is already its own regular biact
+(see ``core``); ``regular_biact`` builds it as a ``FiniteBiact``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import FiniteSemigroup, classify_subset, is_homomorphism, subsemigroup
+from .core import FiniteSemigroup, _frozen, classify_subset, is_homomorphism, subsemigroup
 from .errors import (
     ActionAxiomViolation,
     BadEntry,
@@ -135,13 +138,6 @@ def validate_biact(s: FiniteSemigroup, t: FiniteSemigroup,
         raise BadEntry("labels must match the carrier size")
     return _trusted_biact(s, t, left_action, right_action, labels,
                           provenance or {"kind": "biact"})
-
-
-def _frozen(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """``table`` as a tuple of tuples, shared rather than copied if it is one."""
-    if isinstance(table, tuple) and all(isinstance(row, tuple) for row in table):
-        return table
-    return tuple(tuple(row) for row in table)
 
 
 def _trusted_biact(s: FiniteSemigroup, t: FiniteSemigroup,

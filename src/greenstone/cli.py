@@ -185,6 +185,9 @@ def cmd_catalog(args) -> int:
         raise _UsageError("catalog show needs an entry name")
     if args.depth < 1:
         raise _UsageError("catalog show needs --depth of at least 1")
+    if args.chain and args.depth < 2:
+        raise _UsageError("catalog show --chain needs --depth of at least 2 "
+                          "(two elements to compare)")
     if name == "ex4.8":
         obj = example_4_8()["biact"]
     elif name == "cor4.19":
@@ -197,7 +200,7 @@ def cmd_catalog(args) -> int:
         chain = obj.chain(args.chain) if hasattr(obj, "chain") else None
         if chain is None:
             raise ValidationError(f"{name} advertises no {args.chain}-chain")
-        steps = max(args.depth - 1, 1)
+        steps = args.depth - 1
         res = verify_chain(obj, chain, args.chain, steps)
         elements = [obj.encode(chain(i)) for i in range(args.depth)]
         print(json.dumps(elements))

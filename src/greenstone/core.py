@@ -9,6 +9,15 @@ Conventions, fixed once for the whole toolkit:
   Green computation downstream, so it is part of the file-format contract.
 - Adjoining an identity or a zero always adds a fresh element, even when
   the semigroup already has one.
+- A semigroup S is also the (S, S)-biact of S acting on itself: ``size``,
+  ``left``/``right`` and ``left_action``/``right_action`` read its table,
+  so Green's relations, minimal conditions and stability need no conversion.
+
+Trust boundary: ``validate_table`` checks raw tables (file load, census
+candidates, the public API).  The derived constructors here check only
+their own preconditions (closure, ideal, congruence, degree) and build
+through the unchecked ``_trusted_table``: their output is associative by
+construction.  A differential test re-validates it over the small census.
 """
 
 from __future__ import annotations
@@ -45,6 +54,11 @@ class FiniteSemigroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
+
+    # the read-only biact view: S acting on itself on both sides
+    size = property(lambda self: self.order)
+    left = right = property(lambda self: self)
+    left_action = right_action = property(lambda self: self.table)
 
     def elements(self) -> range:
         return range(self.order)
@@ -175,8 +189,22 @@ def validate_table(order: int, table: Sequence[Sequence[int]],
         labels = _default_labels(order)
     elif len(labels) != order:
         raise BadEntry("labels must match the order")
-    return FiniteSemigroup(order=order, table=tbl, labels=tuple(labels),
-                           provenance=dict(provenance or {"kind": "table"}))
+    return _trusted_table(order, tbl, labels, provenance or {"kind": "table"})
+
+
+def _frozen(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """``table`` as a tuple of tuples, shared rather than copied if it is one."""
+    if isinstance(table, tuple) and all(isinstance(row, tuple) for row in table):
+        return table
+    return tuple(tuple(row) for row in table)
+
+
+def _trusted_table(order: int, table: Sequence[Sequence[int]],
+                   labels: Sequence[str], provenance: Mapping) -> FiniteSemigroup:
+    """Build a semigroup without checking it: only for tables that are
+    associative by construction (see the module docstring)."""
+    return FiniteSemigroup(order=order, table=_frozen(table), labels=tuple(labels),
+                           provenance=dict(provenance))
 
 
 def compose(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
@@ -231,6 +259,8 @@ def generate_from_transformations(degree: int, generators: Sequence[Sequence[int
     if labels is None:
         labels = tuple("t" + "".join(map(str, m)) if degree <= 10 else f"t{i}"
                        for i, m in enumerate(maps))
+    elif len(labels) != order:
+        raise BadEntry("labels must match the order")
     provenance = {
         "kind": "transformations",
         "degree": degree,
@@ -238,7 +268,7 @@ def generate_from_transformations(degree: int, generators: Sequence[Sequence[int
         "generator_ids": sorted({index[t] for t in gens}),
         "maps": tuple(maps),
     }
-    return validate_table(order, table, labels=labels, provenance=provenance)
+    return _trusted_table(order, table, labels, provenance)
 
 
 @dataclass(frozen=True)
@@ -267,7 +297,7 @@ def adjoin(s: FiniteSemigroup, kind: str) -> FiniteSemigroup:
     prov = {"kind": "adjoined",
             "monoidization": Monoidization(kind, new, n),
             "base": s.provenance.get("kind", "table")}
-    return validate_table(n + 1, table, labels=labels, provenance=prov)
+    return _trusted_table(n + 1, table, labels, prov)
 
 
 @dataclass(frozen=True)
@@ -405,19 +435,10 @@ def _translations(x) -> list:
     raise TypeError(f"expected a semigroup or biact, got {type(x).__name__}")
 
 
-def _carrier_size(x) -> int:
-    from .biact import FiniteBiact
-    if isinstance(x, FiniteSemigroup):
-        return x.order
-    if isinstance(x, FiniteBiact):
-        return x.size
-    raise TypeError(f"expected a semigroup or biact, got {type(x).__name__}")
-
-
 def congruence_closure(x, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence containing ``pairs``: union-find saturation
     under all one-sided translations until fixpoint."""
-    n = _carrier_size(x)
+    n = x.size
     fns = _translations(x)
     dsu = _DSU(n)
     work: list[tuple[int, int]] = []
@@ -435,7 +456,7 @@ def congruence_closure(x, pairs: Iterable[tuple[int, int]]) -> Congruence:
 
 def congruence_from_blocks(x, block_of: Sequence[int]) -> Congruence:
     """Wrap an explicit partition, verifying compatibility."""
-    n = _carrier_size(x)
+    n = x.size
     if len(block_of) != n:
         raise IncompatiblePartition(("size", len(block_of), n))
     blocks = _normalize_blocks(block_of)
@@ -447,7 +468,6 @@ def congruence_from_blocks(x, block_of: Sequence[int]) -> Congruence:
 
 def congruence_violation(x, blocks: Sequence[int]) -> Optional[tuple]:
     """A witness that ``blocks`` is not compatible with translations, or None."""
-    n = _carrier_size(x)
     classes: dict[int, list[int]] = {}
     for e, b in enumerate(blocks):
         classes.setdefault(b, []).append(e)
@@ -468,8 +488,8 @@ def quotient(x, rho: Congruence):
     FiniteBiact over the same acting semigroups.  The projection maps
     element ids to block ids and is a homomorphism.
     """
-    from .biact import FiniteBiact, _trusted_biact
-    n = _carrier_size(x)
+    from .biact import _trusted_biact
+    n = x.size
     if rho.size != n:
         raise IncompatiblePartition(("size", rho.size, n))
     witness = congruence_violation(x, rho.blocks)
@@ -480,22 +500,20 @@ def quotient(x, rho: Congruence):
     reps = [0] * k
     for e in range(n - 1, -1, -1):
         reps[blocks[e]] = e
+    # compatibility was checked above, so the induced product or actions
+    # satisfy the axioms and need no re-check
     if isinstance(x, FiniteSemigroup):
         table = [[blocks[x.table[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
         labels = tuple("{" + x.labels[reps[i]] + "}" for i in range(k))
         prov = {"kind": "quotient", "base": x.provenance.get("kind", "table")}
-        return validate_table(k, table, labels=labels, provenance=prov), blocks
-    if isinstance(x, FiniteBiact):
-        left = [[blocks[x.left_action[s][reps[a]]] for a in range(k)]
-                for s in range(x.left.order)]
-        right = [[blocks[x.right_action[reps[a]][t]] for t in range(x.right.order)]
-                 for a in range(k)]
-        labels = tuple("{" + x.labels[reps[i]] + "}" for i in range(k))
-        # compatibility was checked above, so the induced actions satisfy
-        # the axioms and need no re-check
-        return _trusted_biact(x.left, x.right, left, right, labels,
-                              {"kind": "quotient"}), blocks
-    raise TypeError(f"expected a semigroup or biact, got {type(x).__name__}")
+        return _trusted_table(k, table, labels, prov), blocks
+    left = [[blocks[x.left_action[s][reps[a]]] for a in range(k)]
+            for s in range(x.left.order)]
+    right = [[blocks[x.right_action[reps[a]][t]] for t in range(x.right.order)]
+             for a in range(k)]
+    labels = tuple("{" + x.labels[reps[i]] + "}" for i in range(k))
+    return _trusted_biact(x.left, x.right, left, right, labels,
+                          {"kind": "quotient"}), blocks
 
 
 def rees_quotient(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
@@ -521,7 +539,7 @@ def rees_quotient(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
             table[idx[a]][idx[b]] = idx[p] if p in idx else zero
     labels = tuple(s.labels[a] for a in keep) + ("0",)
     prov = {"kind": "rees-quotient", "collapsed": sorted(mem)}
-    return validate_table(n, table, labels=labels, provenance=prov)
+    return _trusted_table(n, table, labels, prov)
 
 
 def zero_direct_union(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:
@@ -538,8 +556,7 @@ def zero_direct_union(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup
         for b in range(nt):
             table[ns + a][ns + b] = ns + t.table[a][b]
     labels = tuple(f"s:{x}" for x in s.labels) + tuple(f"t:{x}" for x in t.labels) + ("0",)
-    return validate_table(n, table, labels=labels,
-                          provenance={"kind": "zero-direct-union"})
+    return _trusted_table(n, table, labels, {"kind": "zero-direct-union"})
 
 
 def subsemigroup(s: FiniteSemigroup, members: Iterable[int]) -> tuple[FiniteSemigroup, tuple[int, ...]]:
@@ -560,13 +577,12 @@ def subsemigroup(s: FiniteSemigroup, members: Iterable[int]) -> tuple[FiniteSemi
     table = [[idx[s.table[a][b]] for b in mem] for a in mem]
     labels = tuple(s.labels[a] for a in mem)
     prov = {"kind": "subsemigroup", "parent_ids": tuple(mem)}
-    return validate_table(k, table, labels=labels, provenance=prov), tuple(mem)
+    return _trusted_table(k, table, labels, prov), tuple(mem)
 
 
 def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
     table = [[s.table[b][a] for b in range(s.order)] for a in range(s.order)]
-    return validate_table(s.order, table, labels=s.labels,
-                          provenance={"kind": "opposite"})
+    return _trusted_table(s.order, table, s.labels, {"kind": "opposite"})
 
 
 def is_homomorphism(f: Sequence[int], src: FiniteSemigroup, dst: FiniteSemigroup) -> Optional[tuple[int, int]]:

@@ -1,6 +1,7 @@
 """Green's preorders, equivalences and egg-box structure.
 
-For a biact A over (S, T):
+For a biact A over (S, T) -- a semigroup S is the biact of S acting on
+itself by multiplication, and is read as such without conversion:
 
     a <=_L b  iff  a in S^1 b      (reachability in the left step digraph)
     a <=_R b  iff  a in b T^1
@@ -263,29 +264,21 @@ def _members(size: int, class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in out)
 
 
-def _biact_edges(a: FiniteBiact) -> tuple[list[list[int]], list[list[int]]]:
-    left = [sorted({a.left_action[s][x] for s in range(a.left.order)})
-            for x in range(a.size)]
-    right = [sorted({a.right_action[x][t] for t in range(a.right.order)})
-             for x in range(a.size)]
-    return left, right
-
-
-def _semigroup_edges(s: FiniteSemigroup,
-                     generators: Optional[Sequence[int]] = None) -> tuple[list[list[int]], list[list[int]]]:
-    gens = range(s.order) if generators is None else generators
-    left = [sorted({s.table[g][x] for g in gens}) for x in range(s.order)]
-    right = [sorted({s.table[x][g] for g in gens}) for x in range(s.order)]
+def _edges(x: Union[FiniteSemigroup, FiniteBiact],
+           generators: Optional[Sequence[int]] = None) -> tuple[list[list[int]], list[list[int]]]:
+    """The one-step left and right digraphs, over every acting element or
+    only over ``generators``.  A semigroup is read as its own biact."""
+    la, ra = x.left_action, x.right_action
+    lgens = range(x.left.order) if generators is None else generators
+    rgens = range(x.right.order) if generators is None else generators
+    left = [sorted({la[s][e] for s in lgens}) for e in range(x.size)]
+    right = [sorted({ra[e][t] for t in rgens}) for e in range(x.size)]
     return left, right
 
 
 @functools.lru_cache(maxsize=4096)
 def _green_structure_cached(x: Union[FiniteSemigroup, FiniteBiact]) -> GreenStructure:
-    if isinstance(x, FiniteSemigroup):
-        left, right = _semigroup_edges(x)
-        return _build(x.order, left, right)
-    left, right = _biact_edges(x)
-    return _build(x.size, left, right)
+    return _build(x.size, *_edges(x))
 
 
 def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
@@ -297,13 +290,12 @@ def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
     must coincide and the cheaper mode is never picked silently.
     """
     if use_generators:
-        if not isinstance(x, FiniteSemigroup):
+        if not hasattr(x, "generator_ids"):
             raise TypeError("generator mode applies to semigroups")
         gens = x.generator_ids()
         if gens is None:
             raise ValueError("semigroup carries no generator record")
-        left, right = _semigroup_edges(x, gens)
-        return _build(x.order, left, right)
+        return _build(x.size, *_edges(x, gens))
     return _green_structure_cached(x)
 
 

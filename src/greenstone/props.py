@@ -1,9 +1,9 @@
 """Predicates on finite semigroups and biacts.
 
 Every predicate returns a PredicateResult carrying a replayable witness on
-failure; a semigroup argument is always analysed through the biact of the
-semigroup acting on itself, so "stable" for a semigroup means exactly that
-its regular biact is stable.
+failure.  A semigroup S is analysed as itself acting on itself, with no
+conversion (it carries the biact view, see ``core``), so "stable" for a
+semigroup means exactly that S as an (S, S)-biact is stable.
 
 The stability, minimal-condition and periodicity predicates are trivially
 true on finite inputs (finite posets satisfy the minimal condition, finite
@@ -20,9 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Union
 
-from .biact import FiniteBiact, regular_biact
+from .biact import FiniteBiact
 from .core import FiniteSemigroup, subsemigroup
-from .errors import NotASubsemigroup
 from .green import GreenStructure, green_structure
 
 Structure = Union[FiniteSemigroup, FiniteBiact]
@@ -47,10 +46,6 @@ class PredicateResult:
         return {"value": self.value, "method": self.method, "witness": self.witness}
 
 
-def _as_biact(x: Structure) -> FiniteBiact:
-    return regular_biact(x) if isinstance(x, FiniteSemigroup) else x
-
-
 def minimal_condition(x: Structure, k: str) -> PredicateResult:
     """Minimal condition on the poset of K-classes.
 
@@ -60,8 +55,7 @@ def minimal_condition(x: Structure, k: str) -> PredicateResult:
     """
     if k not in ("L", "R", "J"):
         raise ValueError(f"minimal conditions exist for L, R, J; got {k!r}")
-    a = _as_biact(x)
-    gs = green_structure(a)
+    gs = green_structure(x)
     n = gs.num_classes(k)
     indeg = [0] * n
     out: list[list[int]] = [[] for _ in range(n)]
@@ -84,11 +78,11 @@ def minimal_condition(x: Structure, k: str) -> PredicateResult:
 
 def left_stable(x: Structure) -> PredicateResult:
     """sa J a implies sa L a, for all s in S and carrier elements a."""
-    a = _as_biact(x)
-    gs = green_structure(a)
-    for s in range(a.left.order):
-        for e in range(a.size):
-            sa = a.left_action[s][e]
+    gs = green_structure(x)
+    act = x.left_action
+    for s in range(x.left.order):
+        for e in range(x.size):
+            sa = act[s][e]
             if gs.same(sa, e, "J") and not gs.same(sa, e, "L"):
                 return PredicateResult(False, method="definition",
                                        witness={"s": s, "a": e, "sa": sa})
@@ -96,11 +90,11 @@ def left_stable(x: Structure) -> PredicateResult:
 
 
 def right_stable(x: Structure) -> PredicateResult:
-    a = _as_biact(x)
-    gs = green_structure(a)
-    for e in range(a.size):
-        for t in range(a.right.order):
-            at = a.right_action[e][t]
+    gs = green_structure(x)
+    act = x.right_action
+    for e in range(x.size):
+        for t in range(x.right.order):
+            at = act[e][t]
             if gs.same(at, e, "J") and not gs.same(at, e, "R"):
                 return PredicateResult(False, method="definition",
                                        witness={"a": e, "t": t, "at": at})
@@ -140,10 +134,9 @@ def left_stable_forms(x: Structure) -> tuple[bool, bool, bool, bool, bool, bool,
        condition (finite rendering: its strict order is acyclic);
     8. within each J-class, the restricted poset has a minimal element.
     """
-    a = _as_biact(x)
-    gs = green_structure(a)
-    n = a.size
-    f1 = bool(left_stable(a))
+    gs = green_structure(x)
+    n = x.size
+    f1 = bool(left_stable(x))
 
     le_l, same_j, same_l, ge_j = _relation_pairs(gs, n)
     cap_j = le_l & same_j
@@ -179,9 +172,8 @@ def left_stable_forms(x: Structure) -> tuple[bool, bool, bool, bool, bool, bool,
 
 def stable_char(x: Structure) -> PredicateResult:
     """D = J together with (<=_L meet R) = H = (L meet <=_R), as relations."""
-    a = _as_biact(x)
-    gs = green_structure(a)
-    n = a.size
+    gs = green_structure(x)
+    n = x.size
     if tuple(gs.class_of["D"]) != tuple(gs.class_of["J"]):
         return PredicateResult(False, method="D=J and trace conditions",
                                witness={"reason": "D != J"})
@@ -204,13 +196,13 @@ def l_periodic(x: Structure) -> PredicateResult:
     The bound suffices by pigeonhole on the orbit of a under s.  The orbit
     is stepped lazily and the scan stops at the first L-related pair.
     """
-    a = _as_biact(x)
-    same_l = green_structure(a).class_of["L"]
-    for s in range(a.left.order):
-        row = a.left_action[s]
-        for e in range(a.size):
+    same_l = green_structure(x).class_of["L"]
+    n = x.size
+    for s in range(x.left.order):
+        row = x.left_action[s]
+        for e in range(n):
             cur = row[e]
-            for _ in range(a.size):
+            for _ in range(n):
                 nxt = row[cur]
                 if same_l[cur] == same_l[nxt]:
                     break
@@ -222,13 +214,13 @@ def l_periodic(x: Structure) -> PredicateResult:
 
 
 def r_periodic(x: Structure) -> PredicateResult:
-    a = _as_biact(x)
-    same_r = green_structure(a).class_of["R"]
-    act = a.right_action
-    for t in range(a.right.order):
-        for e in range(a.size):
+    same_r = green_structure(x).class_of["R"]
+    act = x.right_action
+    n = x.size
+    for t in range(x.right.order):
+        for e in range(n):
             cur = act[e][t]
-            for _ in range(a.size):
+            for _ in range(n):
                 nxt = act[cur][t]
                 if same_r[cur] == same_r[nxt]:
                     break
@@ -280,10 +272,7 @@ def k_preserving(s: FiniteSemigroup, sub_members: Iterable[int], k: str) -> Pred
 def regular_subsemigroup(s: FiniteSemigroup, sub_members: Iterable[int]) -> PredicateResult:
     """a in aTa for every a in T."""
     members = sorted(set(sub_members))
-    try:
-        subsemigroup(s, members)
-    except NotASubsemigroup:
-        raise
+    subsemigroup(s, members)  # validates
     for a in members:
         if not any(s.table[s.table[a][t]][a] == a for t in members):
             return PredicateResult(False, method="definition", witness={"a": a})
@@ -319,8 +308,7 @@ def retract(s: FiniteSemigroup, sub_members: Iterable[int],
 
 def replay_stability_witness(x: Structure, witness: dict) -> bool:
     """Re-verify a stability violation through the public le oracle."""
-    a = _as_biact(x)
-    gs = green_structure(a)
+    gs = green_structure(x)
     if witness.get("side", "left") == "left" or "s" in witness:
         moved, base = witness["sa"], witness["a"]
         klass = "L"

@@ -4,6 +4,7 @@ with its measured time and asserting the stated budget.
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines live.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -154,6 +155,10 @@ def test_criterion_10_quantified_transfer_claims():
         assert "P4.1" in vacuous and "P4.4" in vacuous  # labels present
 
 
+# sha256 of ``verify --suite all --seed 42`` at the default config
+DEFAULT_REPORT_SHA256 = "cd8c09e929a84429513d8e85b6116bff6429de5ef5afd5f0053085c61fd287a1"
+
+
 def test_criterion_11_determinism(tmp_path):
     with _Budget("criterion 11: byte-identical reports across runs", 120):
         import subprocess
@@ -171,3 +176,5 @@ def test_criterion_11_determinism(tmp_path):
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         json.loads(reports[0])  # well-formed
+        # the default-config report, pinned: a refactor must not move a byte
+        assert hashlib.sha256(reports[0]).hexdigest() == DEFAULT_REPORT_SHA256

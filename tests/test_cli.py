@@ -64,6 +64,9 @@ class TestUsage:
         ("verify", "--suite", "P3.5", "--max-order", "0"),
         ("verify", "--suite", "P3.5", "--random-biacts", "-1"),
         ("catalog", "show", "bicyclic", "--chain", "L", "--depth", "0"),
+        ("catalog", "show", "bicyclic", "--chain", "L", "--depth", "1"),
+        ("verify", "--suite", "P3.5", "--max-order", "5"),
+        ("verify", "--suite", "C3.13", "--max-order", "5"),
     ])
     def test_out_of_range_parameters(self, capsys, argv):
         # each would otherwise check nothing and report a pass

@@ -1,10 +1,13 @@
 """Correctness guards for the unchecked fast paths.
 
 The derived biact constructors build through ``biact._trusted_biact``
-without re-checking the action axioms; here their output is re-validated
-over the small census and the random corpus.  The lazy orbit scan of
-``l_periodic``/``r_periodic`` is compared with the eager-orbit reference
-it replaced.
+without re-checking the action axioms, and the derived semigroup
+constructors build through ``core._trusted_table`` without re-checking
+associativity; here their output is re-validated over the small census
+and the random corpus.  The lazy orbit scan of ``l_periodic``/
+``r_periodic`` is compared with the eager-orbit reference it replaced, and
+every predicate on a semigroup read as its own biact is compared with the
+same predicate on its regular biact, the conversion it replaced.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import random
 import pytest
 
 from greenstone import biact as ba
-from greenstone import core, props
+from greenstone import core, green, props
 from greenstone.enumeration import random_biact_corpus, semigroup_pool
 from greenstone.verify import (
     ideals_of,
@@ -25,6 +28,18 @@ from greenstone.verify import (
 POOL = [s for s in semigroup_pool() if s.order <= 3]
 
 
+def t3() -> core.FiniteSemigroup:
+    s = core.generate_from_transformations(3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)])
+    assert s.order == 27
+    return s
+
+
+def as_regular_biact(x):
+    """The reference path: a semigroup converted to its regular biact, as
+    the predicates did before a semigroup carried the biact view."""
+    return ba.regular_biact(x) if isinstance(x, core.FiniteSemigroup) else x
+
+
 def assert_valid(b: ba.FiniteBiact) -> None:
     """Re-run the checks of ``validate_biact`` (shapes, ranges, the three
     action axioms) on a trusted build: it must come back unchanged."""
@@ -32,6 +47,23 @@ def assert_valid(b: ba.FiniteBiact) -> None:
     again = ba.validate_biact(b.left, b.right, b.left_action, b.right_action,
                               labels=b.labels, provenance=b.provenance)
     assert again == b
+
+
+def assert_table_valid(s: core.FiniteSemigroup) -> None:
+    """Re-run ``validate_table`` with the full triple scan on a trusted
+    build: it must come back unchanged."""
+    assert all(isinstance(row, tuple) for row in s.table)
+    again = core.validate_table(s.order, s.table, labels=s.labels,
+                                provenance=s.provenance, method="triples")
+    assert again == s and again.provenance == s.provenance
+
+
+def assert_unary_valid(s: core.FiniteSemigroup) -> None:
+    """Re-validate the one-argument constructors applied to ``s``."""
+    assert_table_valid(core.opposite(s))
+    assert_table_valid(core.adjoin(s, "identity"))
+    assert_table_valid(core.adjoin(s, "zero"))
+    assert_table_valid(core.rees_quotient(s, ()))
 
 
 def assert_derived_valid(b: ba.FiniteBiact) -> None:
@@ -92,10 +124,98 @@ class TestTrustedConstructors:
                     b, (b.left, range(b.left.order)), (sub, carrier)))
 
 
+class TestTrustedSemigroups:
+    @pytest.mark.parametrize("idx", range(len(POOL)))
+    def test_pool_semigroup(self, idx):
+        s = POOL[idx]
+        assert_unary_valid(s)
+        for members in subsemigroups_of(s):
+            sub, carrier = core.subsemigroup(s, members)
+            assert carrier == tuple(sorted(members))
+            assert_table_valid(sub)
+            assert_unary_valid(sub)
+        for ideal in ideals_of(s):
+            rq = core.rees_quotient(s, ideal)
+            assert_table_valid(rq)
+            assert_unary_valid(rq)
+        for rho in single_pair_congruences(s):
+            quot, blocks = core.quotient(s, rho)
+            assert blocks == rho.blocks
+            assert_table_valid(quot)
+            assert_unary_valid(quot)
+        for t in POOL:
+            assert_table_valid(core.zero_direct_union(s, t))
+
+    def test_transformation_closures(self):
+        assert_table_valid(t3())
+        rng = random.Random("trusted-closure")
+        for _ in range(40):
+            degree = rng.randrange(1, 5)
+            gens = [tuple(rng.randrange(degree) for _ in range(degree))
+                    for _ in range(rng.randrange(1, 4))]
+            assert_table_valid(core.generate_from_transformations(degree, gens))
+
+    def test_closure_labels_must_match_the_order(self):
+        with pytest.raises(core.BadEntry, match="labels"):
+            core.generate_from_transformations(2, [(1, 0)], labels=["only-one"])
+
+
+# every predicate that takes a semigroup or a biact
+STRUCTURE_PREDICATES = [
+    *(lambda x, k=k: props.minimal_condition(x, k) for k in ("L", "R", "J")),
+    props.left_stable, props.right_stable, props.stable, props.stable_char,
+    props.l_periodic, props.r_periodic,
+]
+
+
+class Partition:
+    """A seeded arbitrary partition per relation, standing in for the
+    Green structure where a predicate reads only ``class_of``/``same``."""
+
+    def __init__(self, rng, n, relations):
+        blocks = rng.randrange(1, 4)
+        self.class_of = {k: [rng.randrange(blocks) for _ in range(n)]
+                         for k in relations}
+
+    def same(self, x, y, k):
+        return self.class_of[k][x] == self.class_of[k][y]
+
+
+class TestSemigroupAsBiact:
+    @pytest.mark.parametrize("idx", range(len(POOL) + 1))
+    def test_agrees_with_regular_biact(self, idx):
+        s = POOL[idx] if idx < len(POOL) else t3()
+        reg = ba.regular_biact(s)
+        assert (s.size, s.left, s.right) == (s.order, s, s)
+        assert s.left_action is s.table and s.right_action is s.table
+        for pred in STRUCTURE_PREDICATES:
+            assert_same_result(pred(s), pred(reg))
+        assert props.left_stable_forms(s) == props.left_stable_forms(reg)
+        assert (green.green_structure(s).to_json()
+                == green.green_structure(reg).to_json())
+
+    def test_witnesses_agree_on_arbitrary_partitions(self, monkeypatch):
+        # on finite inputs the predicates hold, so the witnesses are compared
+        # under seeded partitions standing in for L, R and J
+        rng = random.Random("semigroup-as-biact")
+        outcomes = set()
+        for s in POOL + [t3()]:
+            reg = ba.regular_biact(s)
+            for _ in range(3):
+                gs = Partition(rng, s.size, ("L", "R", "J"))
+                monkeypatch.setattr(props, "green_structure", lambda a: gs)
+                for pred in (props.left_stable, props.right_stable, props.stable,
+                             props.l_periodic, props.r_periodic):
+                    got = pred(s)
+                    assert_same_result(got, pred(reg))
+                    outcomes.add(got.value)
+        assert outcomes == {True, False}
+
+
 def eager_l_periodic(x):
     """The eager-orbit scan the lazy one replaced: build the whole orbit of
     length size+2, then look for an L-related consecutive pair."""
-    a = props._as_biact(x)
+    a = as_regular_biact(x)
     gs = props.green_structure(a)
     for s in range(a.left.order):
         for e in range(a.size):
@@ -110,7 +230,7 @@ def eager_l_periodic(x):
 
 
 def eager_r_periodic(x):
-    a = props._as_biact(x)
+    a = as_regular_biact(x)
     gs = props.green_structure(a)
     for t in range(a.right.order):
         for e in range(a.size):
@@ -130,10 +250,7 @@ def assert_same_result(got, want):
 
 class TestLazyOrbitScan:
     def corpus(self):
-        t3 = core.generate_from_transformations(
-            3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)])
-        assert t3.order == 27
-        return POOL + random_biact_corpus(200, "trusted") + [ba.regular_biact(t3)]
+        return POOL + random_biact_corpus(200, "trusted") + [ba.regular_biact(t3())]
 
     def test_agrees_with_eager_orbits(self):
         for x in self.corpus():
@@ -145,22 +262,12 @@ class TestLazyOrbitScan:
         # both scans succeed; under arbitrary seeded partitions standing in
         # for L and R they also fail, and must report the same first witness
         rng = random.Random("lazy-orbit")
-
-        class Partition:
-            def __init__(self, n):
-                blocks = rng.randrange(1, 4)
-                self.class_of = {k: [rng.randrange(blocks) for _ in range(n)]
-                                 for k in ("L", "R")}
-
-            def same(self, x, y, k):
-                return self.class_of[k][x] == self.class_of[k][y]
-
         outcomes = set()
         for x in self.corpus():
             for lazy, eager in ((props.l_periodic, eager_l_periodic),
                                 (props.r_periodic, eager_r_periodic)):
                 for _ in range(3):
-                    gs = Partition(props._as_biact(x).size)
+                    gs = Partition(rng, x.size, ("L", "R"))
                     monkeypatch.setattr(props, "green_structure", lambda a: gs)
                     got = lazy(x)
                     assert_same_result(got, eager(x))

@@ -5,6 +5,7 @@ import pytest
 
 from greenstone import verify as ver
 from greenstone.core import is_role
+from greenstone.enumeration import SEMIGROUP_ORDER_CAP
 from greenstone.errors import InvalidSuiteConfig, UnknownClaim
 
 # every numbered statement must stay in the registry; removing one is a
@@ -228,6 +229,13 @@ class TestSuiteConfig:
     def test_out_of_range_parameter_is_named(self, name, value):
         with pytest.raises(InvalidSuiteConfig, match=name):
             ver.SuiteConfig(**{name: value})
+
+    def test_max_order_above_census_cap_is_named(self):
+        with pytest.raises(InvalidSuiteConfig, match="max_order"):
+            ver.SuiteConfig(max_order=SEMIGROUP_ORDER_CAP + 1)
+
+    def test_census_cap_is_accepted(self):
+        assert ver.SuiteConfig(max_order=SEMIGROUP_ORDER_CAP).max_order == SEMIGROUP_ORDER_CAP
 
     def test_least_values_are_accepted(self):
         ver.SuiteConfig(max_order=1, exh_semigroup=1, exh_carrier=1, random_biacts=0,
