@@ -16,6 +16,14 @@ nonempty; an empty cell is a hard engine error).
 
 Class ids are dense and numbered by least member, so all outputs are
 reproducible bit-exactly.
+
+The structure depends on nothing but the one-step digraphs, so it is
+cached in two value-keyed layers.  The front layer keys on the object
+(hashing its tables) and only freezes its digraphs; the back layer keys
+on the ``(left, right)`` digraph pair and is the one caller of the
+builder.  Objects with equal digraphs -- relabelled copies, a semigroup
+and its regular biact, equal subacts or quotients of different hosts --
+share one structure, and generator mode lands in the same back layer.
 """
 
 from __future__ import annotations
@@ -150,8 +158,17 @@ class GreenStructure:
 
     def le(self, a: int, b: int, k: str) -> bool:
         """Decide a <=_K b for K in {L, R, J}."""
-        d = self.data[k]
+        try:
+            d = self.data[k]
+        except KeyError:
+            raise _not_a_preorder(k) from None
         return bool(d.reach[d.class_of[b]] >> d.class_of[a] & 1)
+
+    def _preorder(self, k: str) -> _PreorderData:
+        try:
+            return self.data[k]
+        except KeyError:
+            raise _not_a_preorder(k) from None
 
     def same(self, a: int, b: int, k: str) -> bool:
         return self.class_of[k][a] == self.class_of[k][b]
@@ -160,17 +177,20 @@ class GreenStructure:
         return len(self.classes[k])
 
     def class_members(self, k: str, cls: int) -> tuple[int, ...]:
-        try:
-            return self.classes[k][cls]
-        except IndexError:
-            raise UnknownClass(f"{k}-class {cls} does not exist") from None
+        if not 0 <= cls < self.num_classes(k):
+            raise UnknownClass(f"{k}-class {cls} does not exist")
+        return self.classes[k][cls]
 
     def covers(self, k: str) -> tuple[tuple[int, int], ...]:
-        return self.data[k].covers
+        return self._preorder(k).covers
 
     def class_le(self, c: int, d: int, k: str) -> bool:
         """Decide C <= D in the K-class poset."""
-        return bool(self.data[k].reach[d] >> c & 1)
+        reach = self._preorder(k).reach
+        for cls in (c, d):
+            if not 0 <= cls < len(reach):
+                raise UnknownClass(f"{k}-class {cls} does not exist")
+        return bool(reach[d] >> c & 1)
 
     def eggbox(self, d_class: int) -> list[list[tuple[int, ...]]]:
         """The D-class as a grid of H-classes: rows are R-classes, columns
@@ -206,6 +226,10 @@ class GreenStructure:
                 entry["covers"] = [list(e) for e in self.data[k].covers]
             out[k] = entry
         return out
+
+
+def _not_a_preorder(k: str) -> ValueError:
+    return ValueError(f"Green preorders are L, R, J; got {k!r}")
 
 
 def _build(size: int, left_succ: list[list[int]], right_succ: list[list[int]]) -> GreenStructure:
@@ -264,21 +288,32 @@ def _members(size: int, class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in out)
 
 
+Digraph = tuple[tuple[int, ...], ...]    # element -> sorted one-step successors
+
+
 def _edges(x: Union[FiniteSemigroup, FiniteBiact],
-           generators: Optional[Sequence[int]] = None) -> tuple[list[list[int]], list[list[int]]]:
-    """The one-step left and right digraphs, over every acting element or
-    only over ``generators``.  A semigroup is read as its own biact."""
+           generators: Optional[Sequence[int]] = None) -> tuple[Digraph, Digraph]:
+    """The frozen one-step left and right digraphs, over every acting
+    element or only over ``generators``.  A semigroup is read as its own
+    biact."""
     la, ra = x.left_action, x.right_action
     lgens = range(x.left.order) if generators is None else generators
     rgens = range(x.right.order) if generators is None else generators
-    left = [sorted({la[s][e] for s in lgens}) for e in range(x.size)]
-    right = [sorted({ra[e][t] for t in rgens}) for e in range(x.size)]
+    left = tuple(tuple(sorted({la[s][e] for s in lgens})) for e in range(x.size))
+    right = tuple(tuple(sorted({ra[e][t] for t in rgens})) for e in range(x.size))
     return left, right
 
 
 @functools.lru_cache(maxsize=4096)
 def _green_structure_cached(x: Union[FiniteSemigroup, FiniteBiact]) -> GreenStructure:
-    return _build(x.size, *_edges(x))
+    """Front layer, keyed on the object: freeze its digraphs."""
+    return _green_of_digraphs(*_edges(x))
+
+
+@functools.lru_cache(maxsize=4096)
+def _green_of_digraphs(left: Digraph, right: Digraph) -> GreenStructure:
+    """Back layer, keyed on the digraphs: the one caller of ``_build``."""
+    return _build(len(left), left, right)
 
 
 def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
@@ -295,7 +330,7 @@ def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
         gens = x.generator_ids()
         if gens is None:
             raise ValueError("semigroup carries no generator record")
-        return _build(x.size, *_edges(x, gens))
+        return _green_of_digraphs(*_edges(x, gens))
     return _green_structure_cached(x)
 
 
@@ -399,11 +434,12 @@ def green_index(s: FiniteSemigroup, sub_members: Iterable[int]) -> GreenIndexRes
 def poset_dot(x, k: str) -> str:
     """Deterministic DOT rendering of a class poset (covers only)."""
     gs = green_structure(x)
+    covers = gs.covers(k)
     lines = [f"digraph {k}_classes {{", "  rankdir=BT;"]
     for c in range(gs.num_classes(k)):
         members = ",".join(str(m) for m in gs.classes[k][c])
         lines.append(f'  {k}{c} [label="{k}{c} {{{members}}}"];')
-    for upper, lower in gs.covers(k):
+    for upper, lower in covers:
         lines.append(f"  {k}{lower} -> {k}{upper};")
     lines.append("}")
     return "\n".join(lines)

@@ -1,7 +1,8 @@
 import pytest
 
+from greenstone import biact as ba
 from greenstone import core, green
-from greenstone.enumeration import all_semigroups, random_biact_corpus
+from greenstone.enumeration import all_semigroups, random_biact_corpus, semigroup_pool
 from greenstone.errors import UnknownClass
 
 LEFT_ZERO2 = [[0, 0], [1, 1]]
@@ -10,6 +11,10 @@ Z2 = [[0, 1], [1, 0]]
 
 def t2():
     return core.generate_from_transformations(2, [(1, 0), (0, 0)])
+
+
+def t3():
+    return core.generate_from_transformations(3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)])
 
 
 def t2_ids():
@@ -79,6 +84,43 @@ class TestEggbox:
             gs.eggbox(5)
 
 
+class TestUnknownIds:
+    @pytest.mark.parametrize("k", green.RELATIONS)
+    def test_class_members_out_of_range(self, k):
+        gs = green.green_structure(t2())
+        n = gs.num_classes(k)
+        assert gs.class_members(k, n - 1) == gs.classes[k][n - 1]
+        for bad in (-1, n):
+            with pytest.raises(UnknownClass):
+                gs.class_members(k, bad)
+
+    @pytest.mark.parametrize("k", green.PREORDERS)
+    def test_class_le_out_of_range(self, k):
+        gs = green.green_structure(t2())
+        n = gs.num_classes(k)
+        assert gs.class_le(n - 1, n - 1, k)
+        for bad in (-1, n):
+            with pytest.raises(UnknownClass):
+                gs.class_le(bad, 0, k)
+            with pytest.raises(UnknownClass):
+                gs.class_le(0, bad, k)
+
+
+class TestUnknownRelation:
+    """A letter outside L/R/J names the preorders, not a bare KeyError."""
+
+    @pytest.mark.parametrize("k", ["H", "D", "X"])
+    def test_every_entry_point(self, k):
+        s = t2()
+        gs = green.green_structure(s)
+        calls = [lambda: gs.le(0, 1, k), lambda: gs.covers(k),
+                 lambda: gs.class_le(0, 0, k), lambda: green.le(s, 0, 1, k),
+                 lambda: green.poset_dot(s, k)]
+        for call in calls:
+            with pytest.raises(ValueError, match="L, R, J"):
+                call()
+
+
 class TestSoundness:
     def test_census_is_sound(self):
         for n in (1, 2, 3):
@@ -99,6 +141,63 @@ class TestSoundness:
     def test_generator_mode_requires_a_record(self):
         with pytest.raises(ValueError):
             green.green_structure(core.validate_table(2, Z2), use_generators=True)
+
+
+def cache_corpus():
+    """The order-<=3 pool with its ideal biacts and Rees quotients, a
+    seeded random biact corpus, and T3."""
+    from greenstone.verify import ideals_of
+
+    out = []
+    for s in semigroup_pool():
+        if s.order > 3:
+            continue
+        out.append(s)
+        for members in ideals_of(s):
+            out.append(ba.ideal_biact(s, members))
+            out.append(core.rees_quotient(s, members))
+    out.extend(random_biact_corpus(200, "green-cache"))
+    out.append(t3())
+    return out
+
+
+class TestGreenCache:
+    def test_cached_structure_matches_a_fresh_build(self):
+        # the cache may hand back a structure first built for another
+        # object with the same digraphs; it must equal an uncached build
+        for x in cache_corpus():
+            fresh = green._build(x.size, *green._edges(x))
+            assert green.green_structure(x).to_json() == fresh.to_json()
+
+    def test_generator_mode_matches_a_fresh_build(self):
+        s = t3()
+        fresh = green._build(s.size, *green._edges(s, s.generator_ids()))
+        got = green.green_structure(s, use_generators=True)
+        assert got.to_json() == fresh.to_json()
+        assert got is green.green_structure(s, use_generators=True)
+
+    def test_equal_digraphs_share_one_structure(self):
+        # labels unique to this test keep the objects out of the front layer
+        def labels(tag, n):
+            return [f"share-{tag}{i}" for i in range(n)]
+
+        t2s = t2()
+        one = core.validate_table(t2s.order, t2s.table, labels=labels("a", 4))
+        other = core.validate_table(t2s.order, t2s.table, labels=labels("b", 4))
+        group = core.validate_table(2, Z2)
+        trivial = core.validate_table(1, [[0]])
+        idle = [list(range(3))]
+        # the identity action of two different semigroups on three points
+        on_z2 = ba.validate_biact(group, trivial, idle * 2, [[e] for e in range(3)],
+                                  labels=labels("c", 3))
+        on_one = ba.validate_biact(trivial, group, idle, [[e, e] for e in range(3)],
+                                   labels=labels("d", 3))
+        for same in ([one, other, ba.regular_biact(one)], [on_z2, on_one]):
+            green._green_of_digraphs.cache_clear()
+            first = green.green_structure(same[0])
+            for x in same[1:]:
+                assert green.green_structure(x) is first
+            assert green._green_of_digraphs.cache_info().misses == 1
 
 
 class TestReachabilityEngine:
