@@ -56,8 +56,6 @@ from .props import (
 from .symbolic import (
     catalog,
     catalog_entry,
-    construct_usa,
-    construct_usta,
     corollary_4_19_instance,
     corollary_5_12_instance,
     example_4_8,
@@ -71,7 +69,6 @@ __all__ = [
     "GreenIndexResult", "GreenStructure", "PredicateResult",
     "adjoin", "biact_rees_quotient", "catalog", "catalog_entry",
     "class_counts", "classify_subset", "congruence_closure",
-    "construct_usa", "construct_usta",
     "corollary_4_19_instance", "corollary_5_12_instance", "eggbox",
     "example_4_8", "generate_from_transformations", "green_index",
     "green_structure", "group_bound", "ideal_biact", "k_preserving",

@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import FiniteSemigroup, _frozen, classify_subset, is_homomorphism, subsemigroup
+from .core import (
+    FiniteSemigroup,
+    _frozen,
+    _grid,
+    _labels,
+    classify_subset,
+    is_homomorphism,
+    subsemigroup,
+)
 from .errors import (
     ActionAxiomViolation,
     BadEntry,
@@ -53,9 +61,6 @@ class FiniteBiact:
 
     def act_right(self, a: int, t: int) -> int:
         return self.right_action[a][t]
-
-    def carrier(self) -> range:
-        return range(self.size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FiniteBiact(size={self.size}, left={self.left.order}, "
@@ -114,30 +119,21 @@ def validate_biact(s: FiniteSemigroup, t: FiniteSemigroup,
                    right_action: Sequence[Sequence[int]],
                    labels: Optional[Sequence[str]] = None,
                    provenance: Optional[Mapping] = None) -> FiniteBiact:
+    if not isinstance(right_action, (list, tuple)):
+        raise BadEntry("right_action must be a list with one row per carrier element")
     size = len(right_action)
     if size <= 0:
         raise BadEntry("biact carrier must be nonempty")
-    if len(left_action) != s.order or any(len(row) != size for row in left_action):
-        raise BadEntry(f"left action must be {s.order}x{size}")
-    if any(len(row) != t.order for row in right_action):
-        raise BadEntry(f"right action must be {size}x{t.order}")
-    for row in left_action:
-        for a in row:
-            if not (0 <= a < size):
-                raise BadEntry(f"left action entry {a} outside carrier")
-    for row in right_action:
-        for a in row:
-            if not (0 <= a < size):
-                raise BadEntry(f"right action entry {a} outside carrier")
-    bad = action_axiom_violation(s, t, left_action, right_action)
+    left = _grid(left_action, s.order, size, size, "left_action")
+    right = _grid(right_action, size, t.order, size, "right_action")
+    bad = action_axiom_violation(s, t, left, right)
     if bad is not None:
         raise ActionAxiomViolation(*bad)
     if labels is None:
         labels = tuple(f"a{i}" for i in range(size))
-    elif len(labels) != size:
-        raise BadEntry("labels must match the carrier size")
-    return _trusted_biact(s, t, left_action, right_action, labels,
-                          provenance or {"kind": "biact"})
+    else:
+        labels = _labels(labels, size, "carrier element")
+    return _trusted_biact(s, t, left, right, labels, provenance or {"kind": "biact"})
 
 
 def _trusted_biact(s: FiniteSemigroup, t: FiniteSemigroup,

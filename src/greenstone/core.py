@@ -60,12 +60,6 @@ class FiniteSemigroup:
     left = right = property(lambda self: self)
     left_action = right_action = property(lambda self: self.table)
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def idempotents(self) -> list[int]:
-        return [e for e in range(self.order) if self.table[e][e] == e]
-
     def identity(self) -> Optional[int]:
         for e in range(self.order):
             if all(self.table[e][x] == x == self.table[x][e] for x in range(self.order)):
@@ -78,9 +72,6 @@ class FiniteSemigroup:
     def generator_ids(self) -> Optional[tuple[int, ...]]:
         gens = self.provenance.get("generator_ids")
         return tuple(gens) if gens is not None else None
-
-    def label(self, a: int) -> str:
-        return self.labels[a]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = self.provenance.get("kind", "table")
@@ -162,17 +153,9 @@ def validate_table(order: int, table: Sequence[Sequence[int]],
     ``method`` is one of ``auto`` (triple scan up to order 64, Light's
     test above), ``triples`` or ``light``.
     """
-    if order <= 0:
-        raise BadEntry(f"order must be positive, got {order}")
-    if len(table) != order or any(len(row) != order for row in table):
-        raise BadEntry(f"table must be {order}x{order}")
-    rows = []
-    for row in table:
-        for x in row:
-            if not isinstance(x, int) or not (0 <= x < order):
-                raise BadEntry(f"table entry {x!r} outside [0, {order})")
-        rows.append(tuple(row))
-    tbl = tuple(rows)
+    if not _is_int(order) or order <= 0:
+        raise BadEntry(f"order must be a positive integer, got {order!r}")
+    tbl = _grid(table, order, order, order, "table")
 
     if method == "auto":
         method = "triples" if order <= TRIPLE_SCAN_LIMIT else "light"
@@ -185,11 +168,36 @@ def validate_table(order: int, table: Sequence[Sequence[int]],
     if bad is not None:
         raise NonAssociative(*bad)
 
-    if labels is None:
-        labels = _default_labels(order)
-    elif len(labels) != order:
-        raise BadEntry("labels must match the order")
+    labels = _default_labels(order) if labels is None else _labels(labels, order, "element")
     return _trusted_table(order, tbl, labels, provenance or {"kind": "table"})
+
+
+def _is_int(x) -> bool:
+    """An integer, and not a bool: JSON ``true`` must not pass as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _grid(rows, n_rows: int, n_cols: int, bound: int,
+          what: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` frozen, if it is an ``n_rows`` x ``n_cols`` grid of integers
+    in ``[0, bound)``; otherwise ``BadEntry`` naming the field ``what``."""
+    if (not isinstance(rows, (list, tuple)) or len(rows) != n_rows
+            or any(not isinstance(row, (list, tuple)) or len(row) != n_cols
+                   for row in rows)):
+        raise BadEntry(f"{what} must be {n_rows}x{n_cols}")
+    for row in rows:
+        for x in row:
+            if not _is_int(x) or not 0 <= x < bound:
+                raise BadEntry(f"{what} entry {x!r} is not an integer in [0, {bound})")
+    return _frozen(rows)
+
+
+def _labels(labels, n: int, what: str) -> tuple[str, ...]:
+    """``labels`` as a tuple, if it holds ``n`` strings; otherwise ``BadEntry``."""
+    if (not isinstance(labels, (list, tuple)) or len(labels) != n
+            or not all(isinstance(x, str) for x in labels)):
+        raise BadEntry(f"labels must be a list of {n} strings, one per {what}")
+    return tuple(labels)
 
 
 def _frozen(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -221,16 +229,20 @@ def generate_from_transformations(degree: int, generators: Sequence[Sequence[int
     makes the resulting table reproducible.  Exceeding ``cap`` is an error,
     never a truncation.
     """
+    if not _is_int(degree) or degree < 0:
+        raise DegreeMismatch(f"degree must be a non-negative integer, got {degree!r}")
+    if not isinstance(generators, (list, tuple)):
+        raise DegreeMismatch(f"generators must be a list of maps, got {generators!r}")
     if not generators:
         raise EmptyGeneratorSet()
     gens: list[tuple[int, ...]] = []
     for g in generators:
-        t = tuple(g)
-        if len(t) != degree:
-            raise DegreeMismatch(f"generator {t} does not have degree {degree}")
-        if any(not (0 <= x < degree) for x in t):
-            raise DegreeMismatch(f"generator {t} has images outside range")
-        gens.append(t)
+        if not isinstance(g, (list, tuple)) or len(g) != degree:
+            raise DegreeMismatch(f"generator {g!r} does not have degree {degree}")
+        if any(not _is_int(x) or not 0 <= x < degree for x in g):
+            raise DegreeMismatch(f"generator {g!r} has an image that is not an "
+                                 f"integer in [0, {degree})")
+        gens.append(tuple(g))
 
     index: dict[tuple[int, ...], int] = {}
     maps: list[tuple[int, ...]] = []
@@ -259,8 +271,8 @@ def generate_from_transformations(degree: int, generators: Sequence[Sequence[int
     if labels is None:
         labels = tuple("t" + "".join(map(str, m)) if degree <= 10 else f"t{i}"
                        for i, m in enumerate(maps))
-    elif len(labels) != order:
-        raise BadEntry("labels must match the order")
+    else:
+        labels = _labels(labels, order, "element")
     provenance = {
         "kind": "transformations",
         "degree": degree,
@@ -373,12 +385,6 @@ class Congruence:
     @property
     def num_blocks(self) -> int:
         return max(self.blocks) + 1 if self.blocks else 0
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for x, b in enumerate(self.blocks):
-            out[b].append(x)
-        return out
 
 
 def _normalize_blocks(block_of: Sequence[int]) -> tuple[int, ...]:

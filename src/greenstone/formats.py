@@ -36,6 +36,8 @@ def semigroup_to_dict(s: FiniteSemigroup) -> dict:
 
 
 def semigroup_from_dict(data: dict) -> FiniteSemigroup:
+    if not isinstance(data, dict):
+        raise ParseError(f"a semigroup must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "table":
         for key in ("order", "table"):

@@ -17,6 +17,12 @@ nonempty; an empty cell is a hard engine error).
 Class ids are dense and numbered by least member, so all outputs are
 reproducible bit-exactly.
 
+Each class poset is traversed once, when it is built: Kahn's pass over
+its covers records how many classes it leaves unconsumed (0 exactly when
+the condensation is acyclic, which decides the minimal conditions M_L,
+M_R and M_J on finite input; ``props.minimal_condition`` reads it) and
+the height, the number of classes on the longest cover chain.
+
 The structure depends on nothing but the one-step digraphs, so it is
 cached in two value-keyed layers.  The front layer keys on the object
 (hashing its tables) and only freezes its digraphs; the back layer keys
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .biact import FiniteBiact, relative_biact, relative_rees
 from .core import FiniteSemigroup, _DSU
@@ -93,6 +99,8 @@ class _PreorderData:
     classes: tuple[tuple[int, ...], ...]
     reach: tuple[int, ...]                    # class -> bitmask of classes <= it
     covers: tuple[tuple[int, int], ...]       # (upper, lower) covering pairs
+    unconsumed: int                           # classes Kahn's pass left: 0 iff acyclic
+    height: int                               # classes on the longest cover chain
 
 
 def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
@@ -125,28 +133,54 @@ def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
             mask |= reach[d]
         reach[c] = mask
 
+    # the covers of c: the classes strictly below c and strictly below no
+    # other class strictly below c, listed in (upper, lower) order
+    strict = [reach[c] & ~(1 << c) for c in range(k)]
     covers: list[tuple[int, int]] = []
     for c in range(k):
-        strict = reach[c] & ~(1 << c)
-        rest = strict
-        while rest:
-            dbit = rest & -rest
-            rest ^= dbit
-            d = dbit.bit_length() - 1
-            others = strict & ~dbit
-            is_cover = True
-            probe = others
-            while probe:
-                ebit = probe & -probe
-                probe ^= ebit
-                e = ebit.bit_length() - 1
-                if reach[e] & dbit and e != d:
-                    is_cover = False
-                    break
-            if is_cover:
-                covers.append((c, d))
-    covers.sort()
-    return _PreorderData(tuple(class_of), classes, tuple(reach), tuple(covers))
+        below = 0
+        for e in _bits(strict[c]):
+            below |= strict[e]
+        covers.extend((c, d) for d in _bits(strict[c] & ~below))
+    unconsumed, height = _kahn(k, covers)
+    return _PreorderData(tuple(class_of), classes, tuple(reach), tuple(covers),
+                         unconsumed, height)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _kahn(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Kahn's pass over the (upper, lower) cover relation on ``n`` classes.
+
+    Returns the number of classes it leaves unconsumed, 0 exactly when the
+    relation is acyclic, and the number of classes on the longest chain of
+    covers among the consumed ones, by relaxing depths as classes leave
+    the queue.  Iterative, so long chains cannot exhaust the call stack.
+    """
+    indeg = [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    for upper, lower in covers:
+        out[upper].append(lower)
+        indeg[lower] += 1
+    depth = [1] * n
+    queue = [c for c in range(n) if indeg[c] == 0]
+    seen = height = 0
+    while queue:
+        c = queue.pop()
+        seen += 1
+        height = max(height, depth[c])
+        for d in out[c]:
+            depth[d] = max(depth[d], depth[c] + 1)
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                queue.append(d)
+    return n - seen, height
 
 
 @dataclass(frozen=True)
@@ -397,10 +431,6 @@ class GreenIndexResult:
     classes_outside: tuple[tuple[int, ...], ...]
     quotient_l_classes: int
     quotient_r_classes: int
-
-    @property
-    def finite(self) -> bool:
-        return True
 
 
 def green_index(s: FiniteSemigroup, sub_members: Iterable[int]) -> GreenIndexResult:

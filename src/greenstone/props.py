@@ -10,8 +10,10 @@ true on finite inputs (finite posets satisfy the minimal condition, finite
 biacts are stable), but they are still computed constructively, never
 returned as constants: a false answer from any of them on a finite
 structure is an engine bug, and the verification suite leans on that.
-The relative predicates (K-preservation, regularity, retracts) genuinely
-vary.
+The minimal-condition verdict is computed where the class posets are
+built: ``green`` runs Kahn's pass once per Green structure, and every
+object sharing that structure reads its count.  The relative predicates
+(K-preservation, regularity, retracts) genuinely vary.
 """
 
 from __future__ import annotations
@@ -50,30 +52,15 @@ def minimal_condition(x: Structure, k: str) -> PredicateResult:
     """Minimal condition on the poset of K-classes.
 
     On finite structures this reduces to the class condensation being
-    acyclic, which is established constructively (Kahn's algorithm over
-    the covering edges must consume every class).
+    acyclic, which is established constructively: Kahn's pass over the
+    covering edges, run once when the Green structure is built (see
+    ``green``), must consume every class.
     """
     if k not in ("L", "R", "J"):
         raise ValueError(f"minimal conditions exist for L, R, J; got {k!r}")
-    gs = green_structure(x)
-    n = gs.num_classes(k)
-    indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for upper, lower in gs.covers(k):
-        out[upper].append(lower)
-        indeg[lower] += 1
-    queue = [c for c in range(n) if indeg[c] == 0]
-    seen = 0
-    while queue:
-        c = queue.pop()
-        seen += 1
-        for d in out[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    ok = seen == n
-    return PredicateResult(ok, method=f"acyclic {k}-class condensation",
-                           witness=None if ok else {"classes_unconsumed": n - seen})
+    left = green_structure(x).data[k].unconsumed
+    return PredicateResult(left == 0, method=f"acyclic {k}-class condensation",
+                           witness={"classes_unconsumed": left} if left else None)
 
 
 def left_stable(x: Structure) -> PredicateResult:

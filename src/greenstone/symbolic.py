@@ -781,22 +781,6 @@ class SymbolicExtensionSA(SymbolicSemigroup):
         return [kind, self.s.encode(x) if kind == "s" else self.a.encode(x)]
 
 
-def construct_usta(s, t, a, mixed_le=None):
-    """The two-semigroup gluing, dispatching on the parts: finite inputs
-    are materialised (with the element ranges), symbolic inputs wrapped."""
-    if isinstance(s, FiniteSemigroup) and isinstance(t, FiniteSemigroup) \
-            and isinstance(a, FiniteBiact):
-        return build_usta(s, t, a)
-    return SymbolicExtensionSTA(s, t, a, mixed_le=mixed_le)
-
-
-def construct_usa(s, a):
-    """The one-semigroup gluing, dispatching on the parts."""
-    if isinstance(s, FiniteSemigroup) and isinstance(a, FiniteBiact):
-        return build_usa(s, a)
-    return SymbolicExtensionSA(s, a)
-
-
 # ---------------------------------------------------------------------------
 # instances behind the headline counterexamples
 

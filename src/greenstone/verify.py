@@ -13,10 +13,11 @@ substructures, so they quantify over one corpus that ``Env`` owns: the
 semigroups or biacts themselves, the subsemigroups, ideals, bi-ideals and
 single-pair congruences of the semigroups (built once per ``Env``), or the
 subacts and single-pair congruences of the biacts (generated afresh on each
-pass, so the thousands of them are never held at once).  Such a claim is a
+pass, so the thousands of them are never held at once), or the fixed pool
+of small biacts whose parts the finite gluing claims glue.  Such a claim is a
 per-instance check ``check(instance, tally)`` plus a registry row naming
 its corpus; ``_over`` owns the loop, the instance count and the outcome.
-Claims with a symbolic part, or with a corpus of their own, are functions
+Claims with a symbolic part, or over pairs of semigroups, are functions
 of the ``Env``.
 
 Must-hold claims must produce zero violations; counterexample-expected
@@ -54,6 +55,7 @@ from .biact import (
 from .core import (
     Congruence,
     FiniteSemigroup,
+    classify_subset,
     congruence_closure,
     find_isomorphism,
     is_role,
@@ -70,7 +72,7 @@ from .enumeration import (
     semigroup_pool,
 )
 from .errors import InvalidSuiteConfig, UnknownClaim
-from .green import green_index, green_structure
+from .green import GreenStructure, green_index, green_structure
 from .props import (
     group_bound,
     k_preserving,
@@ -92,6 +94,8 @@ from .symbolic import (
     bicyclic_mul,
     bicyclic_section,
     bicyclic_two_sided_witness,
+    build_usa,
+    build_usta,
     catalog,
     corollary_4_19_instance,
     corollary_5_12_instance,
@@ -212,6 +216,7 @@ class Env:
         self._subsemigroups: Optional[list[Substructure]] = None
         self._roles: dict[str, list[Substructure]] = {}
         self._congruences: Optional[list[Congruence]] = None
+        self._gluings: Optional[list[FiniteBiact]] = None
 
     def rng(self, key: str) -> random.Random:
         return random.Random(f"{self.config.seed}:{key}")
@@ -281,6 +286,17 @@ class Env:
             self._congruences = [rho for s in self.semigroups()
                                  for rho in single_pair_congruences(s)]
         return self._congruences
+
+    def gluings(self) -> list[FiniteBiact]:
+        """The biacts of the semigroups of order 1 and 2 on one and two
+        points, the parts of the finite gluings U(S,T;A) and U(S,A).  Fixed,
+        not read from the census caps, so the gluing claims check the same
+        instances at every config."""
+        if self._gluings is None:
+            pool = [s for n in (1, 2) for s in all_semigroups(n)]
+            self._gluings = [a for s, t in itertools.product(pool, pool)
+                             for m in (1, 2) for a in all_biacts(s, t, m)]
+        return self._gluings
 
     def subacts(self) -> Iterator[Subact]:
         return (Subact(b, m) for b in self.biacts() for m in subacts_of(b))
@@ -434,37 +450,10 @@ def _l3_3(b: FiniteBiact, v: _Tally) -> int:
         if not minimal_condition(b, k):
             v.add({"object": "biact", "k": k})
         # longest strict chain in the class poset is bounded by #classes
-        depth = _longest_cover_path(gs.covers(k), gs.num_classes(k))
+        depth = gs.data[k].height
         if depth >= gs.num_classes(k) + 1:
             v.add({"chain too long": depth})
     return len(KINDS)
-
-
-def _longest_cover_path(covers, n: int) -> int:
-    """Classes on the longest downward chain of covers, by an iterative
-    depth-first search, so long chains cannot exhaust the call stack."""
-    children: dict[int, list[int]] = {}
-    for upper, lower in covers:
-        children.setdefault(upper, []).append(lower)
-    memo: dict[int, int] = {}
-    for root in range(n):
-        if root in memo:
-            continue
-        path = [(root, iter(children.get(root, ())))]
-        on_path = {root}
-        while path:
-            c, rest = path[-1]
-            d = next((d for d in rest if d not in memo), None)
-            if d is None:
-                path.pop()
-                on_path.discard(c)
-                memo[c] = 1 + max((memo[x] for x in children.get(c, ())), default=0)
-            elif d in on_path:
-                raise ValueError(f"the cover relation has a cycle through class {d}")
-            else:
-                path.append((d, iter(children.get(d, ()))))
-                on_path.add(d)
-    return max((memo[c] for c in range(n)), default=0)
 
 
 def check_P3_4(env: Env) -> ClaimOutcome:
@@ -852,68 +841,63 @@ def _t4_16(x: Substructure, v: _Tally) -> None:
         v.add({"ideal": x.members})
 
 
-def check_Con4_17(env: Env) -> ClaimOutcome:
-    """Finite gluings U(S,T;A): associativity, the ideal structure, and the
-    derived deciders against brute force."""
-    from .symbolic import build_usta
-    from .core import classify_subset
-    v = _Tally()
-    pool = [s for n in (1, 2) for s in all_semigroups(n)]
-    for s in pool:
-        for t in pool:
-            for m in (1, 2):
-                for a in all_biacts(s, t, m):
-                    v.instances += 1
-                    u, parts = build_usta(s, t, a)   # validates associativity
-                    ideal = set(parts.ideal_ids)
-                    null = set(parts.null_ids)
-                    classify_subset(u, ideal, "ideal")
-                    classify_subset(u, null, "ideal")
-                    zero = parts.zero_id
-                    if any(u.table[x][y] != zero for x in null for y in null):
-                        v.add({"failure": "null part has a nonzero product"})
-                    gs_u = green_structure(u)
-                    gs_a = green_structure(a)
-                    isub, icarrier = subsemigroup(u, ideal)
-                    gs_i = green_structure(isub)
-                    ipos = {x: i for i, x in enumerate(icarrier)}
-                    # the null part is an ideal of the ideal itself
-                    classify_subset(isub, {ipos[x] for x in null}, "ideal")
-                    for x in range(a.size):
-                        for y in range(a.size):
-                            ux, uy = parts.x_ids[x], parts.x_ids[y]
-                            for k in KINDS:
-                                if gs_u.le(ux, uy, k) != gs_a.le(x, y, k):
-                                    v.add({"failure": f"{k} decider in U",
-                                           "pair": (x, y)})
-                            got = gs_i.le(ipos[ux], ipos[uy], "J")
-                            if got != gs_a.le(x, y, "L"):
-                                v.add({"failure": "J decider in I", "pair": (x, y)})
-                    # the class census adds the parts plus the zero
-                    expected = (green_structure(s).num_classes("J")
-                                + green_structure(t).num_classes("J")
-                                + gs_a.num_classes("J") + 1)
-                    if gs_u.num_classes("J") != expected:
-                        v.add({"failure": "J census", "got": gs_u.num_classes("J"),
-                               "want": expected})
-                    # U/N is the zero-direct union of S and T
-                    zdu = zero_direct_union(s, t)
-                    un = rees_quotient(u, null)
-                    if find_isomorphism(un, zdu) is None:
-                        v.add({"failure": "U/N is not the zero-direct union"})
-                    # the extension equivalences for the two-sided condition
-                    whole = bool(minimal_condition(u, "J"))
-                    parts_ok = (bool(minimal_condition(s, "J"))
-                                and bool(minimal_condition(t, "J"))
-                                and bool(minimal_condition(a, "J")))
-                    if whole != parts_ok:
-                        v.add({"failure": "U equivalence"})
-                    i_whole = bool(minimal_condition(isub, "J"))
-                    i_parts = (bool(minimal_condition(s, "J"))
-                               and bool(minimal_condition(a, "L")))
-                    if i_whole != i_parts:
-                        v.add({"failure": "I equivalence"})
-    return v.outcome()
+def _con4_17(a: FiniteBiact, v: _Tally) -> None:
+    """The gluing U(S,T;A) of a biact A over (S, T): associativity, the
+    ideal structure, and the derived deciders against brute force."""
+    s, t = a.left, a.right
+    u, parts = build_usta(s, t, a)   # validates associativity
+    ideal = set(parts.ideal_ids)
+    null = set(parts.null_ids)
+    classify_subset(u, ideal, "ideal")
+    _null_ideal(u, parts, v, "null part has a nonzero product")
+    gs_u, gs_a = green_structure(u), green_structure(a)
+    isub, icarrier = subsemigroup(u, ideal)
+    ipos = {x: i for i, x in enumerate(icarrier)}
+    # the null part is an ideal of the ideal itself
+    classify_subset(isub, {ipos[x] for x in null}, "ideal")
+    _x_deciders(gs_u, parts.x_ids, gs_a, v, " in U")
+    _x_deciders(green_structure(isub), [ipos[x] for x in parts.x_ids], gs_a, v, " in I",
+                kinds=(("J", "L"),))
+    # the class census adds the parts plus the zero
+    expected = (green_structure(s).num_classes("J") + green_structure(t).num_classes("J")
+                + gs_a.num_classes("J") + 1)
+    if gs_u.num_classes("J") != expected:
+        v.add({"failure": "J census", "got": gs_u.num_classes("J"), "want": expected})
+    # U/N is the zero-direct union of S and T
+    if find_isomorphism(rees_quotient(u, null), zero_direct_union(s, t)) is None:
+        v.add({"failure": "U/N is not the zero-direct union"})
+    # the extension equivalences for the two-sided condition
+    whole = bool(minimal_condition(u, "J"))
+    parts_ok = (bool(minimal_condition(s, "J")) and bool(minimal_condition(t, "J"))
+                and bool(minimal_condition(a, "J")))
+    if whole != parts_ok:
+        v.add({"failure": "U equivalence"})
+    i_whole = bool(minimal_condition(isub, "J"))
+    i_parts = bool(minimal_condition(s, "J")) and bool(minimal_condition(a, "L"))
+    if i_whole != i_parts:
+        v.add({"failure": "I equivalence"})
+
+
+def _null_ideal(u: FiniteSemigroup, parts, v: _Tally, failure: str) -> None:
+    """The null part of a finite gluing is an ideal with zero products."""
+    null = set(parts.null_ids)
+    classify_subset(u, null, "ideal")
+    if any(u.table[x][y] != parts.zero_id for x in null for y in null):
+        v.add({"failure": failure})
+
+
+def _x_deciders(gs: GreenStructure, ids, gs_a: GreenStructure, v: _Tally, where: str,
+                kinds=tuple((k, k) for k in KINDS)) -> None:
+    """For each pair ``(kg, ka)`` of ``kinds``, the ``kg`` preorder of a
+    gluing on its x-part (carrier element x sits at ``ids[x]``) is the
+    ``ka`` preorder of the biact whose Green structure is ``gs_a``."""
+    for kg, ka in kinds:
+        for x, y in itertools.product(range(gs_a.size), repeat=2):
+            if gs.le(ids[x], ids[y], kg) != gs_a.le(x, y, ka):
+                v.add({"failure": f"{kg} decider{where}", "pair": (x, y)})
+
+
+check_Con4_17 = _over("gluings", _con4_17)
 
 
 def check_C4_19(env: Env) -> ClaimOutcome:
@@ -964,12 +948,6 @@ def check_C4_19(env: Env) -> ClaimOutcome:
         if over.le("J", x, "zero") or not over.le("J", "zero", x):
             v.add({"failure": "I/N zero class misplaced"})
     return v.outcome()
-
-
-# ---------------------------------------------------------------------------
-# section 5 claims
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -1097,42 +1075,27 @@ def _p5_9(x: Substructure, v: _Tally) -> None:
         v.add({"ideal": x.members})
 
 
-def check_Con5_10(env: Env) -> ClaimOutcome:
-    """Finite gluings U(S, A): associativity, the null ideal, the derived
-    deciders for all three relations, and the stability equivalence."""
-    from .symbolic import build_usa
-    from .core import classify_subset
-    v = _Tally()
-    pool = [s for n in (1, 2) for s in all_semigroups(n)]
-    for s in pool:
-        for m in (1, 2):
-            for a in all_biacts(s, s, m):
-                v.instances += 1
-                u, parts = build_usa(s, a)
-                null = set(parts.null_ids)
-                classify_subset(u, null, "ideal")
-                zero = parts.zero_id
-                if any(u.table[x][y] != zero for x in null for y in null):
-                    v.add({"failure": "null ideal has a nonzero product"})
-                gs_u = green_structure(u)
-                gs_a = green_structure(a)
-                for k in KINDS:
-                    for x in range(a.size):
-                        for y in range(a.size):
-                            got = gs_u.le(parts.x_ids[x], parts.x_ids[y], k)
-                            want = gs_a.le(x, y, k)
-                            if got != want:
-                                v.add({"failure": f"{k} decider", "pair": (x, y)})
-                whole = bool(stable(u))
-                parts_ok = bool(stable(a)) and bool(stable(s))
-                if whole != parts_ok:
-                    v.add({"failure": "stability equivalence"})
-    notes = ("the deciders compare the wrapped carrier elements inside U "
-             "against the biact's own preorders for every relation; the "
-             "comparison against the acting semigroup instead is not even "
-             "well-typed once the carrier differs from it, and the biact "
-             "reading matches brute force on every instance")
-    return v.outcome(notes=notes)
+def _con5_10(a: FiniteBiact, v: _Tally) -> int:
+    """The gluing U(S, A) of a biact A over (S, S): associativity, the null
+    ideal, the derived deciders for all three relations, and the stability
+    equivalence.  A biact over two different semigroups makes no check."""
+    if a.left is not a.right:
+        return 0
+    u, parts = build_usa(a.left, a)
+    _null_ideal(u, parts, v, "null ideal has a nonzero product")
+    _x_deciders(green_structure(u), parts.x_ids, green_structure(a), v, "")
+    if bool(stable(u)) != (bool(stable(a)) and bool(stable(a.left))):
+        v.add({"failure": "stability equivalence"})
+    return 1
+
+
+check_Con5_10 = _over(
+    "gluings", _con5_10,
+    notes="the deciders compare the wrapped carrier elements inside U "
+          "against the biact's own preorders for every relation; the "
+          "comparison against the acting semigroup instead is not even "
+          "well-typed once the carrier differs from it, and the biact "
+          "reading matches brute force on every instance")
 
 
 def check_C5_12(env: Env) -> ClaimOutcome:

@@ -24,6 +24,43 @@ def triv_files(tmp_path):
     return s_path, b_path
 
 
+TRIV = {"kind": "table", "order": 1, "table": [[0]]}
+
+
+def _biact(**fields):
+    return {"kind": "biact", "left": TRIV, "right": TRIV, "size": 1,
+            "left_action": [[0]], "right_action": [[0]], **fields}
+
+
+def _maps(**fields):
+    return {"kind": "transformations", "degree": 2, "generators": [[1, 0]], **fields}
+
+
+# files with a field of the wrong JSON type; each must be refused by name
+HOSTILE = {
+    "order-string": {**TRIV, "order": "1"},
+    "order-true": {**TRIV, "order": True},
+    "table-number": {**TRIV, "table": 7},
+    "table-row-number": {**TRIV, "table": [7]},
+    "table-entry-false": {**TRIV, "table": [[False]]},
+    "labels-number": {**TRIV, "labels": 7},
+    "labels-object": {**TRIV, "labels": [{}]},
+    "biact-left-float": _biact(left_action=[[0.0]]),
+    "biact-left-string": _biact(left_action=[["0"]]),
+    "biact-left-row-number": _biact(left_action=[0]),
+    "biact-right-number": _biact(right_action=7),
+    "biact-right-false": _biact(right_action=[[False]]),
+    "biact-labels-number": _biact(labels=5),
+    "biact-left-semigroup-number": _biact(left=7),
+    "maps-image-string": _maps(generators=[["1", "0"]]),
+    "maps-image-float": _maps(generators=[[1.0, 0]]),
+    "maps-image-true": _maps(generators=[[True, 0]]),
+    "maps-generator-number": _maps(generators=[7]),
+    "maps-generators-number": _maps(generators=7),
+    "maps-degree-true": _maps(degree=True, generators=[[0]]),
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -46,6 +83,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 2
         assert "byte offset" in err
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_file_is_a_validation_error(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(HOSTILE[name]))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "validation error" in err
 
 
 class TestUsage:

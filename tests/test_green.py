@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from greenstone import biact as ba
@@ -234,6 +236,14 @@ class TestReachabilityEngine:
                       if not any((c, e) in strict and (e, d) in strict
                                  for e in range(k))}
             assert set(data.covers) == covers
+            # the class poset is acyclic, and its height is the largest set
+            # of classes that the strict order ranks totally
+            assert data.unconsumed == 0
+            chains = [m for m in itertools.product((0, 1), repeat=k)
+                      if all((c, d) in strict or (d, c) in strict
+                             for c, d in itertools.combinations(
+                                 [c for c in range(k) if m[c]], 2))]
+            assert data.height == max(sum(m) for m in chains)
 
 
 class TestGreenIndex:

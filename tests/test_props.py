@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from greenstone import core, props
-from greenstone.biact import regular_biact
-from greenstone.enumeration import all_semigroups, random_biact_corpus
+from greenstone import core, green, props
+from greenstone.biact import ideal_biact, regular_biact
+from greenstone.enumeration import all_semigroups, random_biact_corpus, semigroup_pool
 from greenstone.errors import NotASubsemigroup
 
 Z2 = [[0, 1], [1, 0]]
@@ -56,6 +56,64 @@ class TestMinimalCondition:
                     res = props.minimal_condition(s, k)
                     assert res.value is True
                     assert "acyclic" in res.method
+
+    def test_stored_verdict_matches_a_per_call_kahn_pass(self):
+        for x in _oracle_corpus():
+            gs = green.green_structure(x)
+            for k in ("L", "R", "J"):
+                assert props.minimal_condition(x, k).to_json() == _kahn_verdict(gs, k)
+
+    def test_cyclic_covers_fail_with_the_count(self, monkeypatch):
+        # a cover relation no condensation can produce: 0 > 1 > 2 > 1
+        covers = ((0, 1), (1, 2), (2, 1))
+        classes = ((0,), (1,), (2,))
+        data = green._PreorderData((0, 1, 2), classes, (7, 6, 6), covers,
+                                   *green._kahn(3, covers))
+        gs = green.GreenStructure(3, {"L": data}, {"L": data.class_of}, {"L": classes})
+        monkeypatch.setattr(props, "green_structure", lambda x: gs)
+        res = props.minimal_condition(None, "L")
+        assert res.to_json() == _kahn_verdict(gs, "L")
+        assert res.value is False and res.witness == {"classes_unconsumed": 2}
+
+
+def _kahn_verdict(gs, k):
+    """The minimal-condition verdict from a Kahn pass of its own over the
+    covers, run on every call: an oracle for the count the Green build
+    stores."""
+    n = gs.num_classes(k)
+    indeg = [0] * n
+    out = [[] for _ in range(n)]
+    for upper, lower in gs.covers(k):
+        out[upper].append(lower)
+        indeg[lower] += 1
+    queue = [c for c in range(n) if indeg[c] == 0]
+    seen = 0
+    while queue:
+        c = queue.pop()
+        seen += 1
+        for d in out[c]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                queue.append(d)
+    ok = seen == n
+    return {"value": ok, "method": f"acyclic {k}-class condensation",
+            "witness": None if ok else {"classes_unconsumed": n - seen}}
+
+
+def _oracle_corpus():
+    """The order-<=3 pool with its ideal biacts and Rees quotients, a
+    seeded random biact corpus, T3 and its regular biact."""
+    from greenstone.verify import ideals_of
+
+    out = []
+    for s in semigroup_pool():
+        if s.order <= 3:
+            out.append(s)
+            for members in ideals_of(s):
+                out += [ideal_biact(s, members), core.rees_quotient(s, members)]
+    out.extend(random_biact_corpus(200, "props-kahn"))
+    t3 = core.generate_from_transformations(3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)])
+    return out + [t3, regular_biact(t3)]
 
 
 class TestPeriodicity:

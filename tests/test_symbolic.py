@@ -182,18 +182,17 @@ class TestFiniteExtensions:
         with pytest.raises(ActionMismatch):
             sym.build_usta(z2, triv, regular_biact(triv))
 
-    def test_construct_dispatchers(self):
+    def test_extension_builders(self):
         triv = core.validate_table(1, [[0]])
         from greenstone.biact import regular_biact
-        u, _ = sym.construct_usta(triv, triv, regular_biact(triv))
+        u, _ = sym.build_usta(triv, triv, regular_biact(triv))
         assert u.order == 4
-        u2, _ = sym.construct_usa(triv, regular_biact(triv))
+        u2, _ = sym.build_usa(triv, regular_biact(triv))
         assert u2.order == 3
         b = sym.Bicyclic()
         bbar = sym.BicyclicDelegate(b, "bicyclic-bar", b.sheet)
         copy = sym.BicyclicDelegate(b, "bicyclic-copy", sym.PropertySheet(), left=b, right=bbar)
-        glued = sym.construct_usta(b, bbar, copy)
-        assert isinstance(glued, sym.SymbolicExtensionSTA)
+        glued = sym.SymbolicExtensionSTA(b, bbar, copy)
         assert glued.mul(("s", (0, 1)), ("x", (0, 0))) == ("x", (0, 1))
 
     def test_derived_deciders_match_brute_force(self):

@@ -7,6 +7,7 @@ from greenstone import verify as ver
 from greenstone.core import is_role
 from greenstone.enumeration import SEMIGROUP_ORDER_CAP
 from greenstone.errors import InvalidSuiteConfig, UnknownClaim
+from greenstone.green import _kahn
 
 # every numbered statement must stay in the registry; removing one is a
 # build failure, not a silent narrowing of the suite
@@ -150,22 +151,28 @@ class TestSubstructureEnumeration:
 
 
 class TestLongestCoverPath:
+    """The height L3.3 reads: Kahn's pass in ``green`` over a cover relation
+    returns the classes it leaves unconsumed and the longest chain."""
+
     def test_small_poset(self):
         # 0 > 1 > 3 and 0 > 2 > 3 > 4: four classes on the longest chain
         covers = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]
-        assert ver._longest_cover_path(covers, 5) == 4
-        assert ver._longest_cover_path([], 3) == 1
-        assert ver._longest_cover_path([], 0) == 0
+        assert _kahn(5, covers) == (0, 4)
+        # 1 > 2 > 3 > 4 and 0 > 4: the short chain reaches 4 last
+        assert _kahn(5, [(0, 4), (1, 2), (2, 3), (3, 4)]) == (0, 4)
+        assert _kahn(3, []) == (0, 1)
+        assert _kahn(0, []) == (0, 0)
 
     def test_long_chain_does_not_recurse(self):
         n = 3000
         covers = [(c, c + 1) for c in range(n - 1)]
-        assert ver._longest_cover_path(covers, n) == n
-        assert ver._longest_cover_path(list(reversed(covers)), n) == n
+        assert _kahn(n, covers) == (0, n)
+        assert _kahn(n, list(reversed(covers))) == (0, n)
 
-    def test_cycle_is_refused(self):
-        with pytest.raises(ValueError):
-            ver._longest_cover_path([(0, 1), (1, 0)], 2)
+    def test_cycle_is_left_unconsumed(self):
+        assert _kahn(2, [(0, 1), (1, 0)])[0] == 2
+        # only the cycle and what hangs below it stay unconsumed
+        assert _kahn(4, [(0, 1), (1, 2), (2, 1), (2, 3)])[0] == 3
 
 
 class TestGolden:
