@@ -6,6 +6,13 @@ over all relabelings.  Anti-isomorphism is deliberately NOT quotiented
 out, because the downstream conditions are chirally sensitive (a left
 minimal condition is not a right one).
 
+Both censuses are orderly searches: a candidate is kept only if no
+relabeling makes it lex-smaller, so each class is yielded once, at its
+lex-least table, and nothing is canonicalised after the fact.  The
+semigroup search cuts a partial table as soon as a relabeling is smaller
+on its determined prefix (lex-leader pruning, as in A. Distler,
+*Classification and Enumeration of Finite Semigroups*, St Andrews 2010).
+
 Random sampling uses ``random.Random`` (Mersenne Twister); the generator
 identity and the seed derivation below are part of the reproducibility
 contract.
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .biact import FiniteBiact, product_biact, regular_biact, relative_biact, \
     biact_rees_quotient, subact_closure, validate_biact
@@ -56,39 +63,93 @@ def _inverse_order(perm: Sequence[int], order: int) -> list[int]:
     return inv
 
 
-def _associative_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Backtracking over table cells with incremental associativity pruning."""
-    cells = [(a, b) for a in range(n) for b in range(n)]
-    table = [[-1] * n for _ in range(n)]
+def _relabelings(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Every non-identity relabeling of n elements as (perm, inverse)."""
+    return [(perm, _inverse_order(perm, n))
+            for perm in itertools.permutations(range(n))
+            if perm != tuple(range(n))]
 
-    def consistent() -> bool:
-        for x in range(n):
-            for y in range(n):
-                xy = table[x][y]
-                if xy < 0:
-                    continue
-                for z in range(n):
-                    yz = table[y][z]
-                    if yz < 0:
-                        continue
-                    left = table[xy][z]
-                    right = table[x][yz]
-                    if left >= 0 and right >= 0 and left != right:
-                        return False
+
+def _orderly_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every associative n x n table equal to its ``canonical_table``, in
+    ascending order, with no order cap.
+
+    Backtracking fills the cells in row-major order with ascending values.
+    After a cell is set, only the triples that read it are checked, in its
+    four roles: xy, yz, the outer (xy)z and the outer x(yz); a triple is
+    fully checked when the last of its four cells is filled.  A partial
+    table is cut when some relabeling p is already smaller on the
+    determined row-major prefix; the comparison for p stops at the first
+    cell that is unfilled, or whose image under p is not yet determined,
+    and resumes there deeper in the search.  At a leaf "no relabeling is
+    smaller" is exactly "equal to the canonical table", so each class is
+    yielded once, at its lex-least table.
+    """
+    size = n * n
+    table = [-1] * size          # row-major; -1 is unfilled
+    by_value = [[] for _ in range(n)]   # filled cells (x, y), by value
+    # cell k of the table relabeled by perm is perm[table[source[k]]]
+    relabelings = [(perm, [inv[k // n] * n + inv[k % n] for k in range(size)])
+                   for perm, inv in _relabelings(n)]
+
+    def associative(a: int, b: int, v: int) -> bool:
+        ra, rb, rv = a * n, b * n, v * n
+        for z in range(n):                # (ab)z = a(bz)
+            yz = table[rb + z]
+            if yz >= 0:
+                left, right = table[rv + z], table[ra + yz]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        for x in range(n):                # (xa)b = x(ab)
+            xy = table[x * n + a]
+            if xy >= 0:
+                left, right = table[xy * n + b], table[x * n + v]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        for x, y in by_value[a]:          # (xy)b with xy = a, against x(yb)
+            yz = table[y * n + b]
+            if yz >= 0:
+                right = table[x * n + yz]
+                if right >= 0 and right != v:
+                    return False
+        for y, z in by_value[b]:          # a(yz) with yz = b, against (ay)z
+            xy = table[ra + y]
+            if xy >= 0:
+                left = table[xy * n + z]
+                if left >= 0 and left != v:
+                    return False
         return True
 
-    def fill(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == len(cells):
-            yield tuple(tuple(row) for row in table)
-            return
-        a, b = cells[i]
+    def fill(k: int, live: list) -> Iterator[tuple[tuple[int, ...], ...]]:
+        # live: (perm, source, j) for each relabeling not yet known to be
+        # larger, equal to the table on the cells before j
+        a, b = divmod(k, n)
         for v in range(n):
-            table[a][b] = v
-            if consistent():
-                yield from fill(i + 1)
-        table[a][b] = -1
+            table[k] = v
+            cell = by_value[v]
+            cell.append((a, b))
+            if associative(a, b, v):
+                still = []
+                for perm, source, j in live:
+                    while j <= k:
+                        image = table[source[j]]
+                        if image < 0 or perm[image] != table[j]:
+                            break
+                        j += 1
+                    if j <= k and image >= 0:
+                        if perm[image] < table[j]:
+                            break         # perm is smaller: cut
+                        continue          # perm is larger for good
+                    still.append((perm, source, j))
+                else:
+                    if k + 1 == size:
+                        yield tuple(tuple(table[r * n:(r + 1) * n]) for r in range(n))
+                    else:
+                        yield from fill(k + 1, still)
+            cell.pop()
+        table[k] = -1
 
-    yield from fill(0)
+    yield from fill(0, [(perm, source, 0) for perm, source in relabelings])
 
 
 def all_semigroups(n: int) -> list[FiniteSemigroup]:
@@ -97,12 +158,9 @@ def all_semigroups(n: int) -> list[FiniteSemigroup]:
         raise CapExceeded(f"exhaustive enumeration capped at order {SEMIGROUP_ORDER_CAP}")
     if n < 1:
         raise CapExceeded("order must be at least 1")
-    seen: set[tuple] = set()
-    for table in _associative_tables(n):
-        seen.add(canonical_table(n, table))
     return [validate_table(n, [list(row) for row in tbl],
                            provenance={"kind": "table", "census": f"order {n}"})
-            for tbl in sorted(seen)]
+            for tbl in _orderly_tables(n)]
 
 
 def brute_force_semigroup_count(n: int) -> int:
@@ -162,20 +220,21 @@ def _valid_right_actions(t: FiniteSemigroup, m: int) -> list[tuple[tuple[int, ..
     return out
 
 
-def _biact_canonical(m: int, left, right) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(m)):
-        inv = _inverse_order(perm, m)
-        lt = tuple(tuple(perm[row[a]] for a in inv) for row in left)
-        rt = tuple(tuple(perm[right[a][t]] for t in range(len(right[0]))) for a in inv)
-        key = (lt, rt)
-        if best is None or key < best:
-            best = key
-    return best
+def _compare_rows(new_rows: Iterable[tuple[int, ...]], rows: Sequence) -> int:
+    """-1, 0 or 1 as new_rows, produced lazily, compare with rows; stops at
+    the first row that differs."""
+    for new, old in zip(new_rows, rows):
+        if new != old:
+            return -1 if new < old else 1
+    return 0
 
 
 def all_biacts(s: FiniteSemigroup, t: FiniteSemigroup, m: int) -> list[FiniteBiact]:
-    """All (S,T)-biacts on an m-element carrier, up to carrier relabeling."""
+    """All (S,T)-biacts on an m-element carrier, up to carrier relabeling.
+
+    A compatible (left, right) pair is kept only if no carrier relabeling
+    makes it lex-smaller, so each class appears once, as its least pair.
+    """
     if s.order > BIACT_EXHAUSTIVE_SEMIGROUP_CAP or t.order > BIACT_EXHAUSTIVE_SEMIGROUP_CAP:
         raise CapExceeded(
             f"exhaustive biacts capped at semigroup order {BIACT_EXHAUSTIVE_SEMIGROUP_CAP}")
@@ -184,19 +243,25 @@ def all_biacts(s: FiniteSemigroup, t: FiniteSemigroup, m: int) -> list[FiniteBia
             f"exhaustive biacts capped at carrier size {BIACT_EXHAUSTIVE_CARRIER_CAP}")
     lefts = _valid_left_actions(s, m)
     rights = _valid_right_actions(t, m)
-    seen: set[tuple] = set()
+    relabelings = _relabelings(m)
     out = []
     for left in lefts:
+        # the pair compares as its left action first; a relabeling that
+        # fixes the left action is decided by the right one
+        verdicts = [(perm, inv, _compare_rows(
+                        (tuple(perm[row[a]] for a in inv) for row in left), left))
+                    for perm, inv in relabelings]
+        if any(c < 0 for _, _, c in verdicts):
+            continue
+        fixing = [(perm, inv) for perm, inv, c in verdicts if c == 0]
         for right in rights:
             compatible = all(
                 right[left[s1][a]][t1] == left[s1][right[a][t1]]
                 for s1 in range(s.order) for a in range(m) for t1 in range(t.order))
-            if not compatible:
+            if not compatible or any(
+                    _compare_rows((tuple(perm[x] for x in right[a]) for a in inv), right) < 0
+                    for perm, inv in fixing):
                 continue
-            key = _biact_canonical(m, left, right)
-            if key in seen:
-                continue
-            seen.add(key)
             out.append(validate_biact(s, t, left, right,
                                       provenance={"kind": "biact", "census": True}))
     return out

@@ -22,7 +22,7 @@ from typing import Union
 
 from .biact import FiniteBiact, validate_biact
 from .core import FiniteSemigroup, generate_from_transformations, validate_table
-from .errors import ParseError
+from .errors import BadEntry, ParseError
 
 
 def semigroup_to_dict(s: FiniteSemigroup) -> dict:
@@ -66,6 +66,11 @@ def biact_from_dict(data: dict) -> FiniteBiact:
     for key in ("left", "right", "size", "left_action", "right_action"):
         if key not in data:
             raise ParseError(f"biact file is missing {key!r}")
+    size, rows = data["size"], data["right_action"]
+    if type(size) is not int:
+        raise BadEntry(f"biact 'size' must be an integer, got {size!r}")
+    if isinstance(rows, list) and len(rows) != size:
+        raise BadEntry(f"biact 'size' is {size} but 'right_action' has {len(rows)} rows")
     left = semigroup_from_dict(data["left"])
     right = semigroup_from_dict(data["right"])
     return validate_biact(left, right, data["left_action"], data["right_action"],

@@ -52,6 +52,10 @@ HOSTILE = {
     "biact-right-false": _biact(right_action=[[False]]),
     "biact-labels-number": _biact(labels=5),
     "biact-left-semigroup-number": _biact(left=7),
+    "biact-size-string": _biact(size="three"),
+    "biact-size-true": _biact(size=True),
+    "biact-size-float": _biact(size=1.0),
+    "biact-size-mismatch": _biact(size=2),
     "maps-image-string": _maps(generators=[["1", "0"]]),
     "maps-image-float": _maps(generators=[[1.0, 0]]),
     "maps-image-true": _maps(generators=[[True, 0]]),

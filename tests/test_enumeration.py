@@ -1,10 +1,88 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from greenstone import core, enumeration as en
 from greenstone.errors import CapExceeded
+
+
+# Test-local oracles: the census as it was before the orderly search, a
+# labelled backtracking search with a full triple scan at every node,
+# deduplicated by canonical_table, and the biact census deduplicated by
+# the least relabeled (left, right) pair.
+
+
+def _labelled_tables(n, cells=None):
+    """Every associative n x n table, filling the cells in the given order."""
+    cells = cells or [(a, b) for a in range(n) for b in range(n)]
+    table = [[-1] * n for _ in range(n)]
+
+    def consistent():
+        for x in range(n):
+            for y in range(n):
+                xy = table[x][y]
+                if xy < 0:
+                    continue
+                for z in range(n):
+                    yz = table[y][z]
+                    if yz < 0:
+                        continue
+                    left, right = table[xy][z], table[x][yz]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+        return True
+
+    def fill(i):
+        if i == len(cells):
+            yield tuple(tuple(row) for row in table)
+            return
+        a, b = cells[i]
+        for v in range(n):
+            table[a][b] = v
+            if consistent():
+                yield from fill(i + 1)
+        table[a][b] = -1
+
+    yield from fill(0)
+
+
+def _biact_canonical(m, left, right):
+    best = None
+    for perm in itertools.permutations(range(m)):
+        inv = [perm.index(i) for i in range(m)]
+        lt = tuple(tuple(perm[row[a]] for a in inv) for row in left)
+        rt = tuple(tuple(perm[right[a][t]] for t in range(len(right[0]))) for a in inv)
+        if best is None or (lt, rt) < best:
+            best = (lt, rt)
+    return best
+
+
+def _dedup_biacts(s, t, m):
+    seen, out = set(), []
+    for left in en._valid_left_actions(s, m):
+        for right in en._valid_right_actions(t, m):
+            if not all(right[left[s1][a]][t1] == left[s1][right[a][t1]]
+                       for s1 in range(s.order) for a in range(m)
+                       for t1 in range(t.order)):
+                continue
+            key = _biact_canonical(m, left, right)
+            if key not in seen:
+                seen.add(key)
+                out.append((left, right))
+    return out
+
+
+def _automorphism_count(n, table):
+    """|Aut S|, asserting on the way that no relabeling is smaller."""
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        inv = [perm.index(i) for i in range(n)]
+        relabeled = tuple(tuple(perm[table[a][b]] for b in inv) for a in inv)
+        assert relabeled >= table
+        count += relabeled == table
+    return count
 
 
 class TestSemigroupCensus:
@@ -20,44 +98,35 @@ class TestSemigroupCensus:
     def test_order_four_count(self):
         assert len(en.all_semigroups(4)) == 188
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_census_matches_the_labelled_search(self, n):
+        expected = sorted({en.canonical_table(n, t) for t in _labelled_tables(n)})
+        assert [s.table for s in en.all_semigroups(n)] == expected
+
+    @pytest.mark.parametrize("n, labelled", [(1, 1), (2, 8), (3, 113), (4, 3492)])
+    def test_orbit_stabiliser_recovers_the_labelled_count(self, n, labelled):
+        # OEIS A023814: each class stands for n!/|Aut S| labelled tables
+        total = sum(math.factorial(n) // _automorphism_count(n, s.table)
+                    for s in en.all_semigroups(n))
+        assert total == labelled
+
+    @pytest.mark.slow
+    def test_order_five_census(self):
+        # past the public cap: 1915 classes (OEIS A027851), each associative
+        # and lex-least in its class, standing for 183732 labelled tables
+        tables = list(en._orderly_tables(5))
+        assert len(tables) == 1915
+        assert tables == sorted(tables)
+        assert all(core.scan_triples(5, t) is None for t in tables)
+        assert sum(120 // _automorphism_count(5, t) for t in tables) == 183_732
+
     @pytest.mark.slow
     def test_order_four_labeled_count_is_order_insensitive(self):
         # a second search over the cells in reversed order must find the
         # same 3492 labeled tables; a pruning bug would skew one of them
-        normal = sum(1 for _ in en._associative_tables(4))
-
+        normal = sum(1 for _ in _labelled_tables(4))
         cells = [(a, b) for a in range(4) for b in range(4)][::-1]
-        table = [[-1] * 4 for _ in range(4)]
-        found = 0
-
-        def consistent():
-            for x in range(4):
-                for y in range(4):
-                    xy = table[x][y]
-                    if xy < 0:
-                        continue
-                    for z in range(4):
-                        yz = table[y][z]
-                        if yz < 0:
-                            continue
-                        left, right = table[xy][z], table[x][yz]
-                        if left >= 0 and right >= 0 and left != right:
-                            return False
-            return True
-
-        def fill(i):
-            nonlocal found
-            if i == len(cells):
-                found += 1
-                return
-            a, b = cells[i]
-            for v in range(4):
-                table[a][b] = v
-                if consistent():
-                    fill(i + 1)
-            table[a][b] = -1
-
-        fill(0)
+        found = sum(1 for _ in _labelled_tables(4, cells))
         assert normal == found == 3492
 
     def test_cap(self):
@@ -157,6 +226,13 @@ class TestBiactCensus:
         total = sum(len(en.all_biacts(s, t, m))
                     for s, t in it.product(pool, pool) for m in (1, 2, 3))
         assert total == 1065
+
+    def test_census_matches_the_canonical_key_dedup(self):
+        pool = [s for n in (1, 2) for s in en.all_semigroups(n)]
+        for s, t in itertools.product(pool, pool):
+            for m in (1, 2, 3):
+                got = [(b.left_action, b.right_action) for b in en.all_biacts(s, t, m)]
+                assert got == _dedup_biacts(s, t, m)
 
 
 class TestSamplers:
