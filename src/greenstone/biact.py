@@ -9,13 +9,16 @@ Action tables are dense: ``left_action[s][a]`` and ``right_action[a][t]``.
 Carrier ids are their own namespace, disjoint from the semigroup ids.
 
 Trust boundary: ``validate_biact`` is the entry point for raw action
-tables (file load, census candidates, hand-built actions) and checks
-ranges and all three axioms.  The derived constructors here (regular,
-ideal, relative, Rees quotient, subact, product, pullback) check only
-their own preconditions -- ideal, subsemigroup, subact, homomorphism --
-and then build through the unchecked ``_trusted_biact``, because their
-output satisfies the axioms by construction.  A differential test
-re-validates their output over the small census and the random corpus.
+tables (file load, the random samplers' one-sided recipes, hand-built
+actions) and checks ranges and all three axioms.  The derived
+constructors here (regular, ideal, relative, Rees quotient, subact,
+product, pullback) check only their own preconditions -- ideal,
+subsemigroup, subact, homomorphism -- and then build through the
+unchecked ``_trusted_biact``, because their output satisfies the axioms
+by construction.  So does the exhaustive census
+(``enumeration.all_biacts``), whose candidates pass its own left, right
+and compatibility scans first.  A differential test re-validates their
+output over the small census and the random corpus.
 The semigroup side mirrors this with ``core.validate_table`` and
 ``core._trusted_table``.  A semigroup is already its own regular biact
 (see ``core``); ``regular_biact`` builds it as a ``FiniteBiact``.

@@ -20,12 +20,13 @@ contract.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .biact import FiniteBiact, product_biact, regular_biact, relative_biact, \
-    biact_rees_quotient, subact_closure, validate_biact
+from .biact import FiniteBiact, _trusted_biact, product_biact, regular_biact, \
+    relative_biact, biact_rees_quotient, subact_closure, validate_biact
 from .core import (
     FiniteSemigroup,
     congruence_closure,
@@ -180,7 +181,10 @@ def brute_force_semigroup_count(n: int) -> int:
 # exhaustive biacts
 
 
-def _valid_left_actions(s: FiniteSemigroup, m: int) -> list[tuple[tuple[int, ...], ...]]:
+@functools.lru_cache(maxsize=64)
+def _valid_left_actions(s: FiniteSemigroup, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every left action of ``s`` on m points, memoised per (semigroup, m):
+    ``all_biacts`` asks for the same ones for every right semigroup."""
     out = []
     for flat in itertools.product(range(m), repeat=s.order * m):
         act = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(s.order))
@@ -197,10 +201,12 @@ def _valid_left_actions(s: FiniteSemigroup, m: int) -> list[tuple[tuple[int, ...
                 break
         if ok:
             out.append(act)
-    return out
+    return tuple(out)
 
 
-def _valid_right_actions(t: FiniteSemigroup, m: int) -> list[tuple[tuple[int, ...], ...]]:
+@functools.lru_cache(maxsize=64)
+def _valid_right_actions(t: FiniteSemigroup, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every right action of ``t`` on m points, memoised as the left ones."""
     out = []
     for flat in itertools.product(range(m), repeat=m * t.order):
         act = tuple(tuple(flat[a * t.order:(a + 1) * t.order]) for a in range(m))
@@ -217,7 +223,7 @@ def _valid_right_actions(t: FiniteSemigroup, m: int) -> list[tuple[tuple[int, ..
                 break
         if ok:
             out.append(act)
-    return out
+    return tuple(out)
 
 
 def _compare_rows(new_rows: Iterable[tuple[int, ...]], rows: Sequence) -> int:
@@ -234,6 +240,8 @@ def all_biacts(s: FiniteSemigroup, t: FiniteSemigroup, m: int) -> list[FiniteBia
 
     A compatible (left, right) pair is kept only if no carrier relabeling
     makes it lex-smaller, so each class appears once, as its least pair.
+    Both actions passed their axiom scans and the pair its compatibility
+    check, so the biact is built without re-validation.
     """
     if s.order > BIACT_EXHAUSTIVE_SEMIGROUP_CAP or t.order > BIACT_EXHAUSTIVE_SEMIGROUP_CAP:
         raise CapExceeded(
@@ -244,6 +252,7 @@ def all_biacts(s: FiniteSemigroup, t: FiniteSemigroup, m: int) -> list[FiniteBia
     lefts = _valid_left_actions(s, m)
     rights = _valid_right_actions(t, m)
     relabelings = _relabelings(m)
+    labels = tuple(f"a{i}" for i in range(m))
     out = []
     for left in lefts:
         # the pair compares as its left action first; a relabeling that
@@ -262,8 +271,8 @@ def all_biacts(s: FiniteSemigroup, t: FiniteSemigroup, m: int) -> list[FiniteBia
                     _compare_rows((tuple(perm[x] for x in right[a]) for a in inv), right) < 0
                     for perm, inv in fixing):
                 continue
-            out.append(validate_biact(s, t, left, right,
-                                      provenance={"kind": "biact", "census": True}))
+            out.append(_trusted_biact(s, t, left, right, labels,
+                                      {"kind": "biact", "census": True}))
     return out
 
 

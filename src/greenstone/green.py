@@ -23,13 +23,24 @@ the condensation is acyclic, which decides the minimal conditions M_L,
 M_R and M_J on finite input; ``props.minimal_condition`` reads it) and
 the height, the number of classes on the longest cover chain.
 
-The structure depends on nothing but the one-step digraphs, so it is
-cached in two value-keyed layers.  The front layer keys on the object
-(hashing its tables) and only freezes its digraphs; the back layer keys
-on the ``(left, right)`` digraph pair and is the one caller of the
-builder.  Objects with equal digraphs -- relabelled copies, a semigroup
-and its regular biact, equal subacts or quotients of different hosts --
-share one structure, and generator mode lands in the same back layer.
+The stability verdicts are decided there too, on the one-step digraphs:
+a side is unstable exactly when some one-step edge e -> f has e J f but
+not e L f (dually R).  A chain of steps from e that stays in the J-class
+of e stays in its L-class step by step, so the edges suffice, over all
+acting elements or over generators alike.  ``props.left_stable`` and
+``props.right_stable`` read the verdicts and scan the actions only to
+name a witness.
+
+The structure depends on nothing but the one-step digraphs.  Each object
+keeps its own in an instance slot, written on first lookup the way
+``functools.cached_property`` writes (outside the dataclass fields, so
+equality, hashing and repr are untouched); a later lookup is an attribute
+read and hashes nothing.  Freezing the digraphs is the only per-object
+cost.  The one cache, keyed on the ``(left, right)`` digraph pair, is the
+one caller of the builder: objects with equal digraphs -- relabelled
+copies, a semigroup and its regular biact, equal subacts or quotients of
+different hosts -- share one structure, and generator mode, which keeps
+no slot, lands in the same cache.
 """
 
 from __future__ import annotations
@@ -189,6 +200,8 @@ class GreenStructure:
     data: dict            # K in {L,R,J} -> _PreorderData
     class_of: dict        # K in {L,R,J,H,D} -> tuple elem -> class id
     classes: dict         # K in {L,R,J,H,D} -> tuple of sorted member tuples
+    left_stable: bool     # no one-step left edge leaves an L-class inside its J-class
+    right_stable: bool    # dually, for right edges and R-classes
 
     def le(self, a: int, b: int, k: str) -> bool:
         """Decide a <=_K b for K in {L, R, J}."""
@@ -299,10 +312,19 @@ def _build(size: int, left_succ: list[list[int]], right_succ: list[list[int]]) -
     classes = {k: _members(size, class_of[k]) for k in RELATIONS}
     gs = GreenStructure(size=size,
                         data={"L": ldat, "R": rdat, "J": jdat},
-                        class_of=class_of, classes=classes)
+                        class_of=class_of, classes=classes,
+                        left_stable=_stable(left_succ, jdat.class_of, ldat.class_of),
+                        right_stable=_stable(right_succ, jdat.class_of, rdat.class_of))
     for dcls in range(gs.num_classes("D")):
         gs.eggbox(dcls)  # raises InvariantViolation on an empty cell
     return gs
+
+
+def _stable(succ: Sequence[Sequence[int]], j_of: Sequence[int],
+            k_of: Sequence[int]) -> bool:
+    """No edge e -> f of the one-step digraph has e J f but not e K f."""
+    return not any(j_of[f] == j_of[e] and k_of[f] != k_of[e]
+                   for e, fs in enumerate(succ) for f in fs)
 
 
 def _renumber_by_min(size: int, raw: Sequence[int]) -> tuple[int, ...]:
@@ -329,25 +351,25 @@ def _edges(x: Union[FiniteSemigroup, FiniteBiact],
            generators: Optional[Sequence[int]] = None) -> tuple[Digraph, Digraph]:
     """The frozen one-step left and right digraphs, over every acting
     element or only over ``generators``.  A semigroup is read as its own
-    biact."""
+    biact.  Over every element, the left successors of e are column e of
+    the left action and the right successors are row e of the right one."""
     la, ra = x.left_action, x.right_action
-    lgens = range(x.left.order) if generators is None else generators
-    rgens = range(x.right.order) if generators is None else generators
-    left = tuple(tuple(sorted({la[s][e] for s in lgens})) for e in range(x.size))
-    right = tuple(tuple(sorted({ra[e][t] for t in rgens})) for e in range(x.size))
+    if generators is None:
+        left = tuple(tuple(sorted(set(col))) for col in zip(*la))
+        right = tuple(tuple(sorted(set(row))) for row in ra)
+    else:
+        left = tuple(tuple(sorted({la[s][e] for s in generators})) for e in range(x.size))
+        right = tuple(tuple(sorted({ra[e][t] for t in generators})) for e in range(x.size))
     return left, right
 
 
 @functools.lru_cache(maxsize=4096)
-def _green_structure_cached(x: Union[FiniteSemigroup, FiniteBiact]) -> GreenStructure:
-    """Front layer, keyed on the object: freeze its digraphs."""
-    return _green_of_digraphs(*_edges(x))
-
-
-@functools.lru_cache(maxsize=4096)
-def _green_of_digraphs(left: Digraph, right: Digraph) -> GreenStructure:
-    """Back layer, keyed on the digraphs: the one caller of ``_build``."""
+def _green_structure_cached(left: Digraph, right: Digraph) -> GreenStructure:
+    """Keyed on the digraphs: the one caller of ``_build``."""
     return _build(len(left), left, right)
+
+
+_SLOT = "_green_structure"    # the instance-dict key of an object's structure
 
 
 def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
@@ -364,8 +386,11 @@ def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
         gens = x.generator_ids()
         if gens is None:
             raise ValueError("semigroup carries no generator record")
-        return _green_of_digraphs(*_edges(x, gens))
-    return _green_structure_cached(x)
+        return _green_structure_cached(*_edges(x, gens))
+    gs = x.__dict__.get(_SLOT)
+    if gs is None:
+        gs = x.__dict__[_SLOT] = _green_structure_cached(*_edges(x))
+    return gs
 
 
 def le(x, a: int, b: int, k: str) -> bool:

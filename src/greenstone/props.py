@@ -10,10 +10,13 @@ true on finite inputs (finite posets satisfy the minimal condition, finite
 biacts are stable), but they are still computed constructively, never
 returned as constants: a false answer from any of them on a finite
 structure is an engine bug, and the verification suite leans on that.
-The minimal-condition verdict is computed where the class posets are
-built: ``green`` runs Kahn's pass once per Green structure, and every
-object sharing that structure reads its count.  The relative predicates
-(K-preservation, regularity, retracts) genuinely vary.
+The minimal-condition and stability verdicts are computed where the
+class posets are built: ``green`` runs Kahn's pass and the stability test
+on the one-step digraphs once per Green structure, and every object
+sharing that structure reads them.  ``left_stable``/``right_stable`` scan
+the actions only on a failed verdict, to name the first witness, and a
+failed verdict with no witness raises ``InvariantViolation``.  The
+relative predicates (K-preservation, regularity, retracts) genuinely vary.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Any, Iterable, Optional, Union
 
 from .biact import FiniteBiact
 from .core import FiniteSemigroup, subsemigroup
+from .errors import InvariantViolation
 from .green import GreenStructure, green_structure
 
 Structure = Union[FiniteSemigroup, FiniteBiact]
@@ -64,8 +68,14 @@ def minimal_condition(x: Structure, k: str) -> PredicateResult:
 
 
 def left_stable(x: Structure) -> PredicateResult:
-    """sa J a implies sa L a, for all s in S and carrier elements a."""
+    """sa J a implies sa L a, for all s in S and carrier elements a.
+
+    The verdict is the one the Green build decided on the left digraph;
+    the action is scanned only when it fails, to name the first witness.
+    """
     gs = green_structure(x)
+    if gs.left_stable:
+        return PredicateResult(True, method="definition")
     act = x.left_action
     for s in range(x.left.order):
         for e in range(x.size):
@@ -73,11 +83,13 @@ def left_stable(x: Structure) -> PredicateResult:
             if gs.same(sa, e, "J") and not gs.same(sa, e, "L"):
                 return PredicateResult(False, method="definition",
                                        witness={"s": s, "a": e, "sa": sa})
-    return PredicateResult(True, method="definition")
+    raise _no_witness("left")
 
 
 def right_stable(x: Structure) -> PredicateResult:
     gs = green_structure(x)
+    if gs.right_stable:
+        return PredicateResult(True, method="definition")
     act = x.right_action
     for e in range(x.size):
         for t in range(x.right.order):
@@ -85,7 +97,12 @@ def right_stable(x: Structure) -> PredicateResult:
             if gs.same(at, e, "J") and not gs.same(at, e, "R"):
                 return PredicateResult(False, method="definition",
                                        witness={"a": e, "t": t, "at": at})
-    return PredicateResult(True, method="definition")
+    raise _no_witness("right")
+
+
+def _no_witness(side: str) -> InvariantViolation:
+    return InvariantViolation(f"the Green structure says the {side} action is "
+                              "unstable, but no action step witnesses it")
 
 
 def stable(x: Structure) -> PredicateResult:
@@ -294,14 +311,20 @@ def retract(s: FiniteSemigroup, sub_members: Iterable[int],
 
 
 def replay_stability_witness(x: Structure, witness: dict) -> bool:
-    """Re-verify a stability violation through the public le oracle."""
-    gs = green_structure(x)
-    if witness.get("side", "left") == "left" or "s" in witness:
-        moved, base = witness["sa"], witness["a"]
-        klass = "L"
+    """Re-verify a stability violation through the public le oracle.
+
+    The witness names its side by its keys: ``sa`` for a left witness
+    (from ``left_stable``), ``at`` for a right one (from ``right_stable``);
+    the ``side`` key that ``stable`` adds is not needed.
+    """
+    if "sa" in witness:
+        moved, klass = witness["sa"], "L"
+    elif "at" in witness:
+        moved, klass = witness["at"], "R"
     else:
-        moved, base = witness["at"], witness["a"]
-        klass = "R"
+        raise ValueError(f"not a stability witness (no 'sa' or 'at'): {witness!r}")
+    base = witness["a"]
+    gs = green_structure(x)
     j_related = gs.le(moved, base, "J") and gs.le(base, moved, "J")
     k_related = gs.le(moved, base, klass) and gs.le(base, moved, klass)
     return j_related and not k_related

@@ -198,13 +198,11 @@ class Bicyclic(SymbolicSemigroup):
 # rewriting rule ab -> (empty).  Normal forms are exactly b^m a^n.
 
 def reduce_word(w: str) -> str:
-    out: list[str] = []
-    for ch in w:
-        if ch == "b" and out and out[-1] == "a":
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    """The normal form of ``w``: delete every ``ab`` until none is left.
+    The rule has no self-overlap, so the order of deletions is immaterial."""
+    while "ab" in w:
+        w = w.replace("ab", "")
+    return w
 
 
 def word_to_pair(w: str) -> tuple[int, int]:

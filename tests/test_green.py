@@ -179,7 +179,8 @@ class TestGreenCache:
         assert got is green.green_structure(s, use_generators=True)
 
     def test_equal_digraphs_share_one_structure(self):
-        # labels unique to this test keep the objects out of the front layer
+        # fresh objects hold no structure yet, so each lookup reaches the
+        # cache; labels unique to this test keep them apart from the others
         def labels(tag, n):
             return [f"share-{tag}{i}" for i in range(n)]
 
@@ -195,11 +196,91 @@ class TestGreenCache:
         on_one = ba.validate_biact(trivial, group, idle, [[e, e] for e in range(3)],
                                    labels=labels("d", 3))
         for same in ([one, other, ba.regular_biact(one)], [on_z2, on_one]):
-            green._green_of_digraphs.cache_clear()
+            green._green_structure_cached.cache_clear()
             first = green.green_structure(same[0])
             for x in same[1:]:
                 assert green.green_structure(x) is first
-            assert green._green_of_digraphs.cache_info().misses == 1
+            assert green._green_structure_cached.cache_info().misses == 1
+
+
+class TestObjectSlot:
+    def test_second_lookup_is_an_attribute_read(self):
+        s = core.validate_table(t2().order, t2().table,
+                                labels=[f"slot-{i}" for i in range(4)])
+        first = green.green_structure(s)
+        before = green._green_structure_cached.cache_info()
+        assert green.green_structure(s) is first
+        assert green.le(s, 0, 0, "L")
+        after = green._green_structure_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_equal_objects_get_equal_structures(self):
+        one = core.validate_table(2, LEFT_ZERO2, provenance={"kind": "one"})
+        other = core.validate_table(2, LEFT_ZERO2, provenance={"kind": "other"})
+        assert one == other and one.provenance != other.provenance
+        green._green_structure_cached.cache_clear()   # rebuild for each
+        gs_one = green.green_structure(one)
+        green._green_structure_cached.cache_clear()
+        gs_other = green.green_structure(other)
+        assert gs_one is not gs_other
+        assert gs_one == gs_other
+
+    def test_lookup_changes_no_identity(self):
+        for x in (t2(), ba.regular_biact(t2()), random_biact_corpus(1, "slot")[0]):
+            twin = type(x)(**{f: getattr(x, f) for f in x.__dataclass_fields__})
+            before = (hash(x), repr(x), x == twin, hash(twin) == hash(x))
+            green.green_structure(x)
+            assert (hash(x), repr(x), x == twin, hash(twin) == hash(x)) == before
+            assert x == twin and hash(x) == hash(twin)
+
+    def test_generator_mode_keeps_no_slot(self):
+        # the generator digraphs of T3 differ from its all-element ones
+        s = t3()
+        gen = green.green_structure(s, use_generators=True)
+        assert green._SLOT not in vars(s)
+        full = green.green_structure(s)
+        assert full is not gen and vars(s)[green._SLOT] is full
+
+
+class TestStabilityVerdict:
+    def test_generator_mode_agrees_on_t3(self):
+        s = t3()
+        full = green.green_structure(s)
+        gen = green.green_structure(s, use_generators=True)
+        assert (gen.left_stable, gen.right_stable) == (full.left_stable, full.right_stable)
+
+    def test_one_step_verdict_matches_reachability(self):
+        # on arbitrary digraph pairs the test on single edges must equal
+        # stability over whole reachability: f <=_K e and f J e imply f K e
+        import random
+        from greenstone.green import _preorder_data, _stable
+
+        def le(d, a, b):
+            return bool(d.reach[d.class_of[b]] >> d.class_of[a] & 1)
+
+        rng = random.Random("stability-verdict")
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            left, right = ([sorted(rng.sample(range(n), rng.randrange(0, min(n, 2) + 1)))
+                            for _ in range(n)] for _ in range(2))
+            j = _preorder_data(n, [sorted(set(a) | set(b)) for a, b in zip(left, right)])
+            for succ in (left, right):
+                k = _preorder_data(n, succ)
+                want = all(k.class_of[f] == k.class_of[e]
+                           for e in range(n) for f in range(n)
+                           if le(k, f, e) and j.class_of[f] == j.class_of[e])
+                got = _stable(succ, j.class_of, k.class_of)
+                assert got == want
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_a_cross_edge_is_unstable(self):
+        # 0 -> 1 on the left and 1 -> 0 on the right: one J-class, but two
+        # L-classes and two R-classes
+        gs = green._build(2, ((1,), ()), ((), (0,)))
+        assert gs.num_classes("J") == 1
+        assert (gs.left_stable, gs.right_stable) == (False, False)
 
 
 class TestReachabilityEngine:

@@ -1,11 +1,18 @@
+import dataclasses
+import itertools
 import json
 
 import pytest
 
 from greenstone import core, green, props
-from greenstone.biact import ideal_biact, regular_biact
-from greenstone.enumeration import all_semigroups, random_biact_corpus, semigroup_pool
-from greenstone.errors import NotASubsemigroup
+from greenstone.biact import Subact, ideal_biact, regular_biact
+from greenstone.enumeration import (
+    all_biacts,
+    all_semigroups,
+    random_biact_corpus,
+    semigroup_pool,
+)
+from greenstone.errors import InvariantViolation, NotASubsemigroup
 
 Z2 = [[0, 1], [1, 0]]
 # all products hit 0 except 3*2 = 1: makes {0,1,2} a non-L-preserving subsemigroup
@@ -47,6 +54,79 @@ class TestStability:
         b = regular_biact(t2())
         assert not props.replay_stability_witness(b, {"s": 0, "a": 0, "sa": 0})
 
+    def test_witness_replay_reads_the_side_from_the_keys(self):
+        # in T2 the two constants are J- and R-related but not L-related;
+        # in its opposite they are L-related but not R-related
+        ids = t2_ids()
+        c0, c1 = ids[(0, 0)], ids[(1, 1)]
+        left = {"s": c1, "a": c0, "sa": c1}
+        right = {"a": c0, "t": c1, "at": c1}
+        for x, want_left, want_right in ((t2(), True, False),
+                                         (core.opposite(t2()), False, True)):
+            for side, witness, want in (("left", left, want_left),
+                                        ("right", right, want_right)):
+                assert props.replay_stability_witness(x, witness) is want
+                assert props.replay_stability_witness(
+                    x, {"side": side, **witness}) is want
+
+    def test_witness_replay_refuses_a_malformed_witness(self):
+        for witness in ({"a": 0}, {"side": "left", "s": 0, "a": 0}):
+            with pytest.raises(ValueError, match="not a stability witness"):
+                props.replay_stability_witness(t2(), witness)
+
+    def test_stored_verdicts_match_the_action_scans(self):
+        for x in _oracle_corpus() + _census_derived():
+            assert props.left_stable(x).to_json() == _scan_left_stable(x).to_json()
+            assert props.right_stable(x).to_json() == _scan_right_stable(x).to_json()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_false_verdict_needs_a_witness(self, monkeypatch, side):
+        # a structure claiming instability where no action step shows it
+        s = t2()
+        bad = dataclasses.replace(green.green_structure(s), **{f"{side}_stable": False})
+        monkeypatch.setattr(props, "green_structure", lambda x: bad)
+        with pytest.raises(InvariantViolation, match=side):
+            getattr(props, f"{side}_stable")(s)
+
+
+def _scan_left_stable(x):
+    """The left stability scan over every action step, run on every call:
+    an oracle for the verdict the Green build stores."""
+    gs = green.green_structure(x)
+    for s in range(x.left.order):
+        for e in range(x.size):
+            sa = x.left_action[s][e]
+            if gs.same(sa, e, "J") and not gs.same(sa, e, "L"):
+                return props.PredicateResult(False, method="definition",
+                                             witness={"s": s, "a": e, "sa": sa})
+    return props.PredicateResult(True, method="definition")
+
+
+def _scan_right_stable(x):
+    gs = green.green_structure(x)
+    for e in range(x.size):
+        for t in range(x.right.order):
+            at = x.right_action[e][t]
+            if gs.same(at, e, "J") and not gs.same(at, e, "R"):
+                return props.PredicateResult(False, method="definition",
+                                             witness={"a": e, "t": t, "at": at})
+    return props.PredicateResult(True, method="definition")
+
+
+def _census_derived():
+    """Every subact and Rees quotient of the exhaustive biact census."""
+    from greenstone.verify import subacts_of
+
+    pool = [s for n in (1, 2) for s in all_semigroups(n)]
+    out = []
+    for s, t in itertools.product(pool, pool):
+        for m in (1, 2, 3):
+            for b in all_biacts(s, t, m):
+                for members in subacts_of(b):
+                    sub = Subact(b, members)
+                    out += [sub.sub, sub.rees]
+    return out
+
 
 class TestMinimalCondition:
     def test_always_true_on_finite(self):
@@ -69,7 +149,8 @@ class TestMinimalCondition:
         classes = ((0,), (1,), (2,))
         data = green._PreorderData((0, 1, 2), classes, (7, 6, 6), covers,
                                    *green._kahn(3, covers))
-        gs = green.GreenStructure(3, {"L": data}, {"L": data.class_of}, {"L": classes})
+        gs = green.GreenStructure(3, {"L": data}, {"L": data.class_of}, {"L": classes},
+                                  left_stable=True, right_stable=True)
         monkeypatch.setattr(props, "green_structure", lambda x: gs)
         res = props.minimal_condition(None, "L")
         assert res.to_json() == _kahn_verdict(gs, "L")

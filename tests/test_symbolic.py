@@ -50,6 +50,23 @@ class TestBicyclic:
         assert sym.reduce_word("abab") == ""
         assert sym.reduce_word("baab") == "ba"
 
+    def test_reduce_word_matches_the_stack_reduction(self):
+        # every word of at most 12 letters against one-pass cancellation on
+        # a stack, the leftmost-innermost order of the same rewriting
+        def stack_reduce(w):
+            out = []
+            for ch in w:
+                if ch == "b" and out and out[-1] == "a":
+                    out.pop()
+                else:
+                    out.append(ch)
+            return "".join(out)
+
+        for n in range(13):
+            for letters in itertools.product("ab", repeat=n):
+                w = "".join(letters)
+                assert sym.reduce_word(w) == stack_reduce(w), w
+
     def test_chains_descend(self):
         b = sym.Bicyclic()
         for k in ("L", "R"):

@@ -1,10 +1,10 @@
 """Correctness guards for the unchecked fast paths.
 
-The derived biact constructors build through ``biact._trusted_biact``
-without re-checking the action axioms, and the derived semigroup
-constructors build through ``core._trusted_table`` without re-checking
-associativity; here their output is re-validated over the small census
-and the random corpus.  The lazy orbit scan of ``l_periodic``/
+The derived biact constructors and the biact census build through
+``biact._trusted_biact`` without re-checking the action axioms, and the
+derived semigroup constructors build through ``core._trusted_table``
+without re-checking associativity; here their output is re-validated over
+the small census and the random corpus.  The lazy orbit scan of ``l_periodic``/
 ``r_periodic`` is compared with the eager-orbit reference it replaced, and
 every predicate on a semigroup read as its own biact is compared with the
 same predicate on its regular biact, the conversion it replaced.
@@ -17,7 +17,12 @@ import pytest
 
 from greenstone import biact as ba
 from greenstone import core, green, props
-from greenstone.enumeration import random_biact_corpus, semigroup_pool
+from greenstone.enumeration import (
+    all_biacts,
+    all_semigroups,
+    random_biact_corpus,
+    semigroup_pool,
+)
 from greenstone.verify import (
     ideals_of,
     single_pair_congruences,
@@ -124,6 +129,22 @@ class TestTrustedConstructors:
                     b, (b.left, range(b.left.order)), (sub, carrier)))
 
 
+class TestTrustedCensus:
+    def test_biact_census(self):
+        # every census biact is built unchecked from actions that passed
+        # the census's own axiom and compatibility scans
+        pool = [s for n in (1, 2) for s in all_semigroups(n)]
+        count = 0
+        for s, t in itertools.product(pool, pool):
+            for m in (1, 2, 3):
+                for b in all_biacts(s, t, m):
+                    assert_valid(b)
+                    assert b.labels == tuple(f"a{i}" for i in range(m))
+                    assert b.provenance == {"kind": "biact", "census": True}
+                    count += 1
+        assert count == 1065
+
+
 class TestTrustedSemigroups:
     @pytest.mark.parametrize("idx", range(len(POOL)))
     def test_pool_semigroup(self, idx):
@@ -170,15 +191,32 @@ STRUCTURE_PREDICATES = [
 
 class Partition:
     """A seeded arbitrary partition per relation, standing in for the
-    Green structure where a predicate reads only ``class_of``/``same``."""
+    Green structure of ``x`` where a predicate reads only ``class_of``/
+    ``same`` and the stability verdicts.  The verdicts are decided by the
+    definition, over every action step of ``x``, under these partitions."""
 
-    def __init__(self, rng, n, relations):
+    def __init__(self, rng, x, relations):
         blocks = rng.randrange(1, 4)
-        self.class_of = {k: [rng.randrange(blocks) for _ in range(n)]
+        self.x = x
+        self.class_of = {k: [rng.randrange(blocks) for _ in range(x.size)]
                          for k in relations}
 
     def same(self, x, y, k):
         return self.class_of[k][x] == self.class_of[k][y]
+
+    @property
+    def left_stable(self):
+        x = self.x
+        return not any(self.same(x.left_action[s][e], e, "J")
+                       and not self.same(x.left_action[s][e], e, "L")
+                       for s in range(x.left.order) for e in range(x.size))
+
+    @property
+    def right_stable(self):
+        x = self.x
+        return not any(self.same(x.right_action[e][t], e, "J")
+                       and not self.same(x.right_action[e][t], e, "R")
+                       for e in range(x.size) for t in range(x.right.order))
 
 
 class TestSemigroupAsBiact:
@@ -202,7 +240,7 @@ class TestSemigroupAsBiact:
         for s in POOL + [t3()]:
             reg = ba.regular_biact(s)
             for _ in range(3):
-                gs = Partition(rng, s.size, ("L", "R", "J"))
+                gs = Partition(rng, s, ("L", "R", "J"))
                 monkeypatch.setattr(props, "green_structure", lambda a: gs)
                 for pred in (props.left_stable, props.right_stable, props.stable,
                              props.l_periodic, props.r_periodic):
@@ -267,7 +305,7 @@ class TestLazyOrbitScan:
             for lazy, eager in ((props.l_periodic, eager_l_periodic),
                                 (props.r_periodic, eager_r_periodic)):
                 for _ in range(3):
-                    gs = Partition(rng, x.size, ("L", "R"))
+                    gs = Partition(rng, x, ("L", "R"))
                     monkeypatch.setattr(props, "green_structure", lambda a: gs)
                     got = lazy(x)
                     assert_same_result(got, eager(x))
