@@ -53,14 +53,6 @@ from .props import (
     stable,
     stable_char,
 )
-from .symbolic import (
-    catalog,
-    catalog_entry,
-    corollary_4_19_instance,
-    corollary_5_12_instance,
-    example_4_8,
-    verify_chain,
-)
 
 __version__ = "0.1.0"
 
@@ -79,3 +71,15 @@ __all__ = [
     "stable_char", "subact_closure", "subsemigroup", "validate_biact",
     "validate_table", "verify_chain", "zero_direct_union",
 ]
+
+# the symbolic catalog loads on first use of one of its names (PEP 562), so
+# importing the package or its engine modules does not import it
+_SYMBOLIC = frozenset({"catalog", "catalog_entry", "corollary_4_19_instance",
+                       "corollary_5_12_instance", "example_4_8", "verify_chain"})
+
+
+def __getattr__(name: str):
+    if name in _SYMBOLIC:
+        from . import symbolic
+        return getattr(symbolic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

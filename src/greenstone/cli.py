@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 validation failure, 3 claim failure, 4 usage
 error.  All outputs are deterministic given the inputs and seeds.
+
+The claim suite, the census and the symbolic catalog are imported by the
+commands that use them, so ``analyze`` and the other file commands load
+only the engine.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from pathlib import Path
 from . import __version__
 from .biact import FiniteBiact, product_biact
 from .core import FiniteSemigroup, rees_quotient, zero_direct_union
-from .enumeration import all_biacts, all_semigroups
 from .errors import GreenstoneError, InvalidSuiteConfig, UnknownClaim, ValidationError
 from .formats import dump, load
-from .green import class_counts, eggbox_dot, green_index, green_structure, poset_dot
+from .green import _bits, class_counts, eggbox_dot, green_index, green_structure, poset_dot
 from .props import (
     group_bound,
     l_periodic,
@@ -28,17 +31,6 @@ from .props import (
     right_stable,
     stable,
 )
-from .symbolic import (
-    build_usa,
-    build_usta,
-    catalog,
-    catalog_entry,
-    corollary_4_19_instance,
-    corollary_5_12_instance,
-    example_4_8,
-    verify_chain,
-)
-from .verify import SuiteConfig, probe_open_problem, run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -81,10 +73,11 @@ def cmd_analyze(args) -> int:
     print(f"l-periodic: {bool(l_periodic(obj))}  r-periodic: {bool(r_periodic(obj))}")
     if isinstance(obj, FiniteSemigroup):
         print(f"group-bound: {bool(group_bound(obj))}")
+        # the principal ideal of x is the down-set of its J-class
         gs = green_structure(obj)
-        principal = sorted({tuple(sorted({y for y in range(obj.order)
-                                          if gs.le(y, x, 'J')}))
-                            for x in range(obj.order)})
+        members = gs.classes["J"]
+        principal = sorted(tuple(sorted(y for c in _bits(reach) for y in members[c]))
+                           for reach in gs.data["J"].reach)
         rendered = ["{" + ",".join(map(str, ideal)) + "}" for ideal in principal]
         print(f"principal ideals: {' '.join(rendered)}")
     return EXIT_OK
@@ -128,6 +121,8 @@ def _require(args, what: str, *names: str) -> None:
 
 
 def cmd_construct(args) -> int:
+    from .symbolic import build_usa, build_usta
+
     what = args.what
     if what == "usta":
         _require(args, what, "s", "t", "biact")
@@ -153,18 +148,31 @@ def cmd_construct(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    from .enumeration import (
+        BIACT_EXHAUSTIVE_CARRIER_CAP,
+        SEMIGROUP_ORDER_CAP,
+        all_biacts,
+        all_semigroups,
+    )
+
+    # everything is checked and enumerated before --out is created, so a
+    # refused run leaves nothing behind
     if args.biacts:
         if args.left is None or args.right is None:
             raise _UsageError("biact enumeration needs --left and --right files")
-        left = load(args.left)
-        right = load(args.right)
-        items = all_biacts(left, right, args.carrier)
+        if not 1 <= args.carrier <= BIACT_EXHAUSTIVE_CARRIER_CAP:
+            raise _UsageError(f"enum --carrier must be in 1..{BIACT_EXHAUSTIVE_CARRIER_CAP}, "
+                              f"got {args.carrier}")
+        items = all_biacts(load(args.left), load(args.right), args.carrier)
         prefix = f"biact{args.carrier}"
     else:
+        if not 1 <= args.order <= SEMIGROUP_ORDER_CAP:
+            raise _UsageError(f"enum --order must be in 1..{SEMIGROUP_ORDER_CAP}, "
+                              f"got {args.order}")
         items = all_semigroups(args.order)
         prefix = f"sg{args.order}"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for i, item in enumerate(items):
         dump(item, out / f"{prefix}_{i:04d}.json")
     print(f"wrote {len(items)} instances to {out}")
@@ -172,6 +180,15 @@ def cmd_enum(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .symbolic import (
+        catalog,
+        catalog_entry,
+        corollary_4_19_instance,
+        corollary_5_12_instance,
+        example_4_8,
+        verify_chain,
+    )
+
     if args.action == "list":
         for name, entry in sorted(catalog().items()):
             sheet = entry.sheet
@@ -215,6 +232,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SuiteConfig, run_suite
+
     config = SuiteConfig(max_order=args.max_order, depth=args.depth,
                          samples=args.samples, seed=args.seed,
                          random_biacts=args.random_biacts)
@@ -229,6 +248,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .verify import SuiteConfig, probe_open_problem
+
     config = SuiteConfig(seed=args.seed)
     report = probe_open_problem(config)
     text = json.dumps(report, indent=2, sort_keys=True)

@@ -38,7 +38,8 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-DEFAULT_CLOSURE_CAP = 100_000
+# 4096 elements: a table of at most 16.8M entries
+DEFAULT_CLOSURE_CAP = 4096
 
 # Above this order the constructor switches from the full triple scan to
 # the generator-based test; both remain callable for cross-checks.
@@ -227,7 +228,14 @@ def generate_from_transformations(degree: int, generators: Sequence[Sequence[int
 
     Elements are interned in BFS discovery order (generators first), which
     makes the resulting table reproducible.  Exceeding ``cap`` is an error,
-    never a truncation.
+    never a truncation; the default cap bounds the table at 4096**2 entries.
+
+    The table is read off the right Cayley graph, after Froidure and Pin
+    (1997): the BFS composes each element with each generator once and
+    keeps ``right[i][j] = i * g_j``, and each non-generator b remembers the
+    step ``b = p * g_j`` that found it, with ``p < b``.  Row a then fills
+    in increasing column order, ``a * b = (a * p) * g_j``, with one list
+    lookup per entry and no composition.
     """
     if not _is_int(degree) or degree < 0:
         raise DegreeMismatch(f"degree must be a non-negative integer, got {degree!r}")
@@ -250,24 +258,32 @@ def generate_from_transformations(degree: int, generators: Sequence[Sequence[int
         if t not in index:
             index[t] = len(maps)
             maps.append(t)
-    frontier = list(range(len(maps)))
-    gen_maps = [maps[i] for i in sorted({index[t] for t in gens})]
-    while frontier:
-        fresh = []
-        for i in frontier:
-            for g in gen_maps:
-                prod = compose(maps[i], g)
-                if prod not in index:
-                    if len(maps) >= cap:
-                        raise SizeLimitExceeded(cap)
-                    index[prod] = len(maps)
-                    maps.append(prod)
-                    fresh.append(index[prod])
-        frontier = fresh
+    gen_maps = list(maps)           # the distinct generators are ids 0..k-1
+    right: list[list[int]] = []     # right[i][j] = i * g_j
+    steps: list[tuple[int, int]] = []    # (p, j) with b = p * g_j, for b = k, k+1, ...
+    i = 0
+    while i < len(maps):            # elements are expanded in id order
+        edges = []
+        for j, g in enumerate(gen_maps):
+            prod = compose(maps[i], g)
+            b = index.get(prod)
+            if b is None:
+                if len(maps) >= cap:
+                    raise SizeLimitExceeded(cap)
+                b = index[prod] = len(maps)
+                maps.append(prod)
+                steps.append((i, j))
+            edges.append(b)
+        right.append(edges)
+        i += 1
 
     order = len(maps)
-    table = tuple(tuple(index[compose(maps[a], maps[b])] for b in range(order))
-                  for a in range(order))
+    table = []
+    for a in range(order):
+        row = list(right[a])        # a * g_j, for the generators
+        for p, j in steps:
+            row.append(right[row[p]][j])
+        table.append(tuple(row))
     if labels is None:
         labels = tuple("t" + "".join(map(str, m)) if degree <= 10 else f"t{i}"
                        for i, m in enumerate(maps))
@@ -280,7 +296,7 @@ def generate_from_transformations(degree: int, generators: Sequence[Sequence[int
         "generator_ids": sorted({index[t] for t in gens}),
         "maps": tuple(maps),
     }
-    return _trusted_table(order, table, labels, provenance)
+    return _trusted_table(order, tuple(table), labels, provenance)
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,8 @@ def all_biacts(s: FiniteSemigroup, t: FiniteSemigroup, m: int) -> list[FiniteBia
     if m > BIACT_EXHAUSTIVE_CARRIER_CAP:
         raise CapExceeded(
             f"exhaustive biacts capped at carrier size {BIACT_EXHAUSTIVE_CARRIER_CAP}")
+    if m < 1:
+        raise CapExceeded("carrier size must be at least 1")
     lefts = _valid_left_actions(s, m)
     rights = _valid_right_actions(t, m)
     relabelings = _relabelings(m)

@@ -17,6 +17,11 @@ sharing that structure reads them.  ``left_stable``/``right_stable`` scan
 the actions only on a failed verdict, to name the first witness, and a
 failed verdict with no witness raises ``InvariantViolation``.  The
 relative predicates (K-preservation, regularity, retracts) genuinely vary.
+
+``left_stable_forms`` evaluates its relation forms (2-5) on one bitmask per
+element, built from the class member masks and the class ``reach`` masks
+of the Green structure, so each form costs O(n) big-integer operations
+rather than O(n^2) pair tests.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Any, Iterable, Optional, Union
 from .biact import FiniteBiact
 from .core import FiniteSemigroup, subsemigroup
 from .errors import InvariantViolation
-from .green import GreenStructure, green_structure
+from .green import GreenStructure, _bits, green_structure
 
 Structure = Union[FiniteSemigroup, FiniteBiact]
 
@@ -117,12 +122,31 @@ def stable(x: Structure) -> PredicateResult:
     return PredicateResult(True, method="definition")
 
 
-def _relation_pairs(gs: GreenStructure, n: int):
-    le_l = {(a, b) for a in range(n) for b in range(n) if gs.le(a, b, "L")}
-    same_j = {(a, b) for a in range(n) for b in range(n) if gs.same(a, b, "J")}
-    same_l = {(a, b) for a in range(n) for b in range(n) if gs.same(a, b, "L")}
-    ge_j = {(a, b) for a in range(n) for b in range(n) if gs.le(b, a, "J")}
+def _relation_masks(gs: GreenStructure, n: int):
+    """The relations <=_L, J, L and >=_J as one bitmask per element b: the
+    set of elements a with (a, b) in the relation, read off the class
+    member masks and the class ``reach`` masks."""
+    l_of, j_of = gs.class_of["L"], gs.class_of["J"]
+    l_members = [sum(1 << x for x in c) for c in gs.classes["L"]]
+    j_members = [sum(1 << x for x in c) for c in gs.classes["J"]]
+    down_l = [_mask_union(l_members, r) for r in gs.data["L"].reach]
+    up_j = [0] * len(j_members)      # class d -> members of the classes >=_J d
+    for c, r in enumerate(gs.data["J"].reach):
+        for d in _bits(r):
+            up_j[d] |= j_members[c]
+    le_l = [down_l[l_of[b]] for b in range(n)]
+    same_j = [j_members[j_of[b]] for b in range(n)]
+    same_l = [l_members[l_of[b]] for b in range(n)]
+    ge_j = [up_j[j_of[b]] for b in range(n)]
     return le_l, same_j, same_l, ge_j
+
+
+def _mask_union(masks, classes: int) -> int:
+    """The union of ``masks[c]`` over the classes c set in ``classes``."""
+    out = 0
+    for c in _bits(classes):
+        out |= masks[c]
+    return out
 
 
 def left_stable_forms(x: Structure) -> tuple[bool, bool, bool, bool, bool, bool, bool, bool]:
@@ -142,13 +166,14 @@ def left_stable_forms(x: Structure) -> tuple[bool, bool, bool, bool, bool, bool,
     n = x.size
     f1 = bool(left_stable(x))
 
-    le_l, same_j, same_l, ge_j = _relation_pairs(gs, n)
-    cap_j = le_l & same_j
-    cap_gej = le_l & ge_j
+    # each relation is a list of per-element masks (see _relation_masks)
+    le_l, same_j, same_l, ge_j = _relation_masks(gs, n)
+    cap_j = [u & v for u, v in zip(le_l, same_j)]
+    cap_gej = [u & v for u, v in zip(le_l, ge_j)]
     f2 = cap_j == same_l
-    f3 = cap_j <= same_l
+    f3 = all(u & ~v == 0 for u, v in zip(cap_j, same_l))
     f4 = cap_gej == same_l
-    f5 = cap_gej <= same_l
+    f5 = all(u & ~v == 0 for u, v in zip(cap_gej, same_l))
 
     # L-classes grouped by the J-class containing them
     by_j: dict[int, list[int]] = {}

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +70,26 @@ HOSTILE = {
 }
 
 
+def _transformations(*gens):
+    return lambda: core.generate_from_transformations(len(gens[0]), gens)
+
+
+# input -> sha256 of the whole stdout of ``analyze``, recorded with the
+# per-pair table fill, relation forms and principal ideals that the
+# Cayley-graph fill and the masks replaced
+ANALYZE_PINS = {
+    "T3": (_transformations([1, 2, 0], [1, 0, 2], [0, 0, 2]),
+           "7869468f25ef67a48cf3fd2b713aa4ceeede0ba2614c90d1335366da782d18ae"),
+    "T4": (_transformations([1, 2, 3, 0], [1, 0, 2, 3], [0, 0, 2, 3]),
+           "34b97b33103d86247f63ac5a674ead6a6798a278077f6a69e5d4c2423fb4df14"),
+    "T2-regular-biact": (lambda: regular_biact(_transformations([1, 0], [0, 0])()),
+                         "aed8ad79ce3ff6934c33195fe802c2a5057812598a1314d780860e25cef1e73c"),
+}
+
+OUT = "{out}"           # replaced by a directory under tmp_path
+TRIV_FILE = "{triv}"    # replaced by the trivial semigroup's file
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -96,6 +121,25 @@ class TestAnalyze:
         assert code == 2
         assert "validation error" in err
 
+    @pytest.mark.parametrize("name", sorted(ANALYZE_PINS))
+    def test_full_output_is_pinned(self, capsys, tmp_path, name):
+        build, digest = ANALYZE_PINS[name]
+        path = tmp_path / f"{name}.json"
+        formats.dump(build(), path)
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_closure_over_the_cap_is_refused(self, capsys, tmp_path):
+        # T6 has 46,656 elements, more than the default closure cap
+        assert core.DEFAULT_CLOSURE_CAP == 4096
+        path = tmp_path / "t6.json"
+        path.write_text(json.dumps({"kind": "transformations", "degree": 6, "generators": [
+            [1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5], [0, 0, 2, 3, 4, 5]]}))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "size cap of 4096 elements" in err
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):
@@ -116,12 +160,26 @@ class TestUsage:
         ("catalog", "show", "bicyclic", "--chain", "L", "--depth", "1"),
         ("verify", "--suite", "P3.5", "--max-order", "5"),
         ("verify", "--suite", "C3.13", "--max-order", "5"),
+        ("enum", "--order", "0", "--out", OUT),
+        ("enum", "--order", "-2", "--out", OUT),
+        ("enum", "--order", "5", "--out", OUT),
+        ("enum", "--order", "9", "--out", OUT),
+        ("enum", "--biacts", "--left", TRIV_FILE, "--right", TRIV_FILE,
+         "--carrier", "0", "--out", OUT),
+        ("enum", "--biacts", "--left", TRIV_FILE, "--right", TRIV_FILE,
+         "--carrier", "-3", "--out", OUT),
+        ("enum", "--biacts", "--left", TRIV_FILE, "--right", TRIV_FILE,
+         "--carrier", "4", "--out", OUT),
     ])
-    def test_out_of_range_parameters(self, capsys, argv):
-        # each would otherwise check nothing and report a pass
-        code, out, err = run(capsys, *argv)
+    def test_out_of_range_parameters(self, capsys, tmp_path, triv_files, argv):
+        # each would otherwise check nothing and report a pass, or write
+        # files that cannot be read back
+        out_dir = tmp_path / "out"
+        fill = {OUT: str(out_dir), TRIV_FILE: str(triv_files[0])}
+        code, out, err = run(capsys, *(fill.get(a, a) for a in argv))
         assert code == 4
         assert "PASS" not in out and "usage error" in err
+        assert not out_dir.exists()
 
     def test_construct_missing_parts(self, capsys, t2_file, tmp_path):
         code, _, err = run(capsys, "construct", "usta", "--s", str(t2_file),
@@ -211,3 +269,22 @@ class TestCommands:
                            "--random-biacts", "5")
         assert code == 3
         assert "FAIL P3.6" in out
+
+
+def test_cli_imports_only_the_engine():
+    # analyze and the other file commands never use the claim suite, the
+    # census or the symbolic catalog; the package's lazy names still work
+    script = (
+        "import sys, greenstone.cli\n"
+        "lazy = ('greenstone.verify', 'greenstone.symbolic', 'greenstone.enumeration')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "import greenstone\n"
+        "print(greenstone.catalog is greenstone.symbolic.catalog)\n"
+        "ns = {}\n"
+        "exec('from greenstone import *', ns)\n"
+        "print(all(name in ns for name in greenstone.__all__))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.split() == ["[]", "True", "True"]

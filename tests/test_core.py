@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,97 @@ class TestTransformations:
     def test_cap(self):
         with pytest.raises(SizeLimitExceeded):
             core.generate_from_transformations(2, [(1, 0), (0, 0)], cap=3)
+
+    def test_default_cap_refuses_t6(self):
+        # 46,656 elements; the default cap stops the BFS at 4096 (checked
+        # first: under a far larger cap this closure would fill a table of
+        # 2.18 billion entries)
+        assert core.DEFAULT_CLOSURE_CAP == 4096
+        with pytest.raises(SizeLimitExceeded) as exc:
+            core.generate_from_transformations(6, T6)
+        assert exc.value.cap == 4096
+
+
+T3 = [(1, 2, 0), (1, 0, 2), (0, 0, 2)]
+T4 = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)]
+T5 = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4)]
+T6 = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5), (0, 0, 2, 3, 4, 5)]
+
+
+def _bfs_maps(gens):
+    """The elements in BFS discovery order, generators first, by composing."""
+    maps = list(dict.fromkeys(tuple(g) for g in gens))
+    index = {m: i for i, m in enumerate(maps)}
+    frontier = list(range(len(maps)))
+    gen_maps = list(maps)
+    while frontier:
+        fresh = []
+        for i in frontier:
+            for g in gen_maps:
+                prod = core.compose(maps[i], g)
+                if prod not in index:
+                    index[prod] = len(maps)
+                    maps.append(prod)
+                    fresh.append(index[prod])
+        frontier = fresh
+    return maps, index
+
+
+def _oracle_row(maps, index, a):
+    return tuple(index[core.compose(maps[a], m)] for m in maps)
+
+
+def _oracle_closure(degree, gens):
+    """Table, labels and provenance with every product composed and looked up."""
+    maps, index = _bfs_maps(gens)
+    table = tuple(_oracle_row(maps, index, a) for a in range(len(maps)))
+    labels = tuple("t" + "".join(map(str, m)) for m in maps)
+    provenance = {"kind": "transformations", "degree": degree,
+                  "generators": [list(g) for g in gens],
+                  "generator_ids": sorted({index[tuple(g)] for g in gens}),
+                  "maps": tuple(maps)}
+    return table, labels, provenance
+
+
+def _seeded_generator_sets(count, seed):
+    """Degree 1-5, 1-4 generators, with repeats and with products of others."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        degree = rng.randint(1, 5)
+        k = rng.randint(1, 4 if degree < 5 else 2)   # keeps degree 5 small
+        gens = [tuple(rng.randrange(degree) for _ in range(degree)) for _ in range(k)]
+        if rng.random() < 0.3:
+            gens.append(gens[0])
+        if rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens) + 1), core.compose(gens[0], gens[-1]))
+        out.append((degree, gens))
+    return out
+
+
+class TestCayleyFill:
+    """The table read off the right Cayley graph against composing every pair."""
+
+    @pytest.mark.parametrize("gens", [T3, T4], ids=["T3", "T4"])
+    def test_full_transformation_monoids(self, gens):
+        s = core.generate_from_transformations(len(gens[0]), gens)
+        assert (s.table, s.labels, s.provenance) == _oracle_closure(len(gens[0]), gens)
+
+    def test_seeded_generator_sets(self):
+        cases = _seeded_generator_sets(300, "cayley-fill")
+        assert any(len(set(g)) < len(g) for _, g in cases)
+        for degree, gens in cases:
+            s = core.generate_from_transformations(degree, gens)
+            assert (s.table, s.labels, s.provenance) == _oracle_closure(degree, gens), gens
+
+    @pytest.mark.slow
+    def test_t5_rows(self):
+        s = core.generate_from_transformations(5, T5)
+        assert s.order == 3125
+        maps, index = _bfs_maps(T5)
+        assert s.provenance["maps"] == tuple(maps)
+        for a in random.Random(5).sample(range(s.order), 64):
+            assert s.table[a] == _oracle_row(maps, index, a)
 
 
 class TestAdjoin:

@@ -218,6 +218,13 @@ class TestBiactCensus:
         with pytest.raises(CapExceeded):
             en.all_biacts(triv, triv, 4)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_empty_carrier_is_refused(self, m):
+        # an empty carrier is no biact: the file format requires size >= 1
+        triv = en.all_semigroups(1)[0]
+        with pytest.raises(CapExceeded, match="at least 1"):
+            en.all_biacts(triv, triv, m)
+
     def test_full_census_size_is_stable(self):
         # regression pin (self-derived): the whole exhaustive corpus used by
         # the verification suite

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -195,6 +196,50 @@ def _oracle_corpus():
     out.extend(random_biact_corpus(200, "props-kahn"))
     t3 = core.generate_from_transformations(3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)])
     return out + [t3, regular_biact(t3)]
+
+
+def _set_forms(gs, n):
+    """Forms 2-5 of left_stable_forms with each relation as a set of pairs:
+    an oracle for the per-element masks."""
+    le_l = {(a, b) for a in range(n) for b in range(n) if gs.le(a, b, "L")}
+    same_j = {(a, b) for a in range(n) for b in range(n) if gs.same(a, b, "J")}
+    same_l = {(a, b) for a in range(n) for b in range(n) if gs.same(a, b, "L")}
+    ge_j = {(a, b) for a in range(n) for b in range(n) if gs.le(b, a, "J")}
+    cap_j, cap_gej = le_l & same_j, le_l & ge_j
+    return (cap_j == same_l, cap_j <= same_l, cap_gej == same_l, cap_gej <= same_l)
+
+
+class TestRelationForms:
+    def test_masks_match_the_pair_sets(self):
+        for x in _oracle_corpus():
+            gs = green.green_structure(x)
+            assert props.left_stable_forms(x)[1:5] == _set_forms(gs, x.size)
+
+    def test_masks_match_the_pair_sets_on_random_digraphs(self, monkeypatch):
+        # arbitrary digraph pairs reach unstable structures, which no finite
+        # biact has; pairs that fail the egg-box check are skipped
+        import random
+
+        rng = random.Random("relation-forms")
+        seen = [set() for _ in range(4)]
+        checked = 0
+        while checked < 300:
+            n = rng.randrange(1, 7)
+            left, right = ([sorted(rng.sample(range(n), rng.randrange(0, min(n, 2) + 1)))
+                            for _ in range(n)] for _ in range(2))
+            try:
+                gs = green._build(n, left, right)
+            except InvariantViolation:
+                continue
+            monkeypatch.setattr(props, "green_structure", lambda x, gs=gs: gs)
+            monkeypatch.setattr(props, "left_stable",
+                                lambda x: props.PredicateResult(True, "not under test"))
+            got = props.left_stable_forms(SimpleNamespace(size=n))[1:5]
+            assert got == _set_forms(gs, n), (left, right)
+            for outcomes, value in zip(seen, got):
+                outcomes.add(value)
+            checked += 1
+        assert seen == [{True, False}] * 4
 
 
 class TestPeriodicity:
