@@ -16,9 +16,10 @@ product, pullback) check only their own preconditions -- ideal,
 subsemigroup, subact, homomorphism -- and then build through the
 unchecked ``_trusted_biact``, because their output satisfies the axioms
 by construction.  So does the exhaustive census
-(``enumeration.all_biacts``), whose candidates pass its own left, right
-and compatibility scans first.  A differential test re-validates their
-output over the small census and the random corpus.
+(``enumeration.all_biacts``), whose candidates pass the left-axiom scan
+``_left_axiom_violation`` (on S, and on the opposite of T for the right
+actions) and a compatibility check first.  A differential test
+re-validates their output over the small census and the random corpus.
 The semigroup side mirrors this with ``core.validate_table`` and
 ``core._trusted_table``.  A semigroup is already its own regular biact
 (see ``core``); ``regular_biact`` builds it as a ``FiniteBiact``.
@@ -35,6 +36,7 @@ from .core import (
     _frozen,
     _grid,
     _labels,
+    _translations,
     classify_subset,
     is_homomorphism,
     subsemigroup,
@@ -99,11 +101,9 @@ def action_axiom_violation(s: FiniteSemigroup, t: FiniteSemigroup,
                            left: Sequence[Sequence[int]],
                            right: Sequence[Sequence[int]]) -> Optional[tuple[str, tuple]]:
     """First violated axiom as (name, witness triple), or None."""
-    for s1 in range(s.order):
-        for s2 in range(s.order):
-            for a in range(len(right)):
-                if left[s1][left[s2][a]] != left[s.table[s1][s2]][a]:
-                    return ("left", (s1, s2, a))
+    bad = _left_axiom_violation(s, left, len(right))
+    if bad is not None:
+        return ("left", bad)
     for a in range(len(right)):
         for t1 in range(t.order):
             for t2 in range(t.order):
@@ -114,6 +114,18 @@ def action_axiom_violation(s: FiniteSemigroup, t: FiniteSemigroup,
             for t1 in range(t.order):
                 if right[left[s1][a]][t1] != left[s1][right[a][t1]]:
                     return ("mixed", (s1, a, t1))
+    return None
+
+
+def _left_axiom_violation(s: FiniteSemigroup, left: Sequence[Sequence[int]],
+                          m: int) -> Optional[tuple[int, int, int]]:
+    """The first (s1, s2, a) with s1(s2 a) != (s1 s2)a, for a left action
+    of ``s`` on m points, or None."""
+    for s1 in range(s.order):
+        for s2 in range(s.order):
+            for a in range(m):
+                if left[s1][left[s2][a]] != left[s.table[s1][s2]][a]:
+                    return (s1, s2, a)
     return None
 
 
@@ -205,18 +217,14 @@ def is_subact(a: FiniteBiact, members: Iterable[int]) -> Optional[tuple]:
 
 def subact_closure(a: FiniteBiact, seed: Iterable[int]) -> Subact:
     """Smallest subact containing ``seed`` (possibly empty)."""
+    maps = _translations(a)
     members = set(seed)
     frontier = list(members)
     while frontier:
         fresh = []
         for x in frontier:
-            for s in range(a.left.order):
-                y = a.left_action[s][x]
-                if y not in members:
-                    members.add(y)
-                    fresh.append(y)
-            for t in range(a.right.order):
-                y = a.right_action[x][t]
+            for f in maps:
+                y = f[x]
                 if y not in members:
                     members.add(y)
                     fresh.append(y)

@@ -141,7 +141,7 @@ def cmd_construct(args) -> int:
         built = product_biact(load(args.s), load(args.t))
     dump(built, args.out)
     reloaded = load(args.out)
-    if isinstance(built, FiniteSemigroup) and reloaded.table != built.table:
+    if reloaded != built:
         raise ValidationError("round-trip mismatch")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     except GreenstoneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

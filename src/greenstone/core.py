@@ -12,6 +12,9 @@ Conventions, fixed once for the whole toolkit:
 - A semigroup S is also the (S, S)-biact of S acting on itself: ``size``,
   ``left``/``right`` and ``left_action``/``right_action`` read its table,
   so Green's relations, minimal conditions and stability need no conversion.
+  Its translations (``_translations``) are the rows of the left action and
+  the columns of the right one, read the same way for a semigroup and a
+  biact.
 
 Trust boundary: ``validate_table`` checks raw tables (file load, census
 candidates, the public API).  The derived constructors here check only
@@ -438,23 +441,10 @@ class _DSU:
 
 
 def _translations(x) -> list:
-    """One-sided translation maps of a semigroup or biact."""
-    from .biact import FiniteBiact  # local import to avoid a cycle
-    if isinstance(x, FiniteSemigroup):
-        t = x.table
-        fns = []
-        for s in range(x.order):
-            fns.append(lambda a, s=s: t[s][a])
-            fns.append(lambda a, s=s: t[a][s])
-        return fns
-    if isinstance(x, FiniteBiact):
-        fns = []
-        for s in range(x.left.order):
-            fns.append(lambda a, s=s: x.left_action[s][a])
-        for t_ in range(x.right.order):
-            fns.append(lambda a, t_=t_: x.right_action[a][t_])
-        return fns
-    raise TypeError(f"expected a semigroup or biact, got {type(x).__name__}")
+    """The one-sided translation maps, ``f[a]`` being f applied to a: the
+    rows of the left action (a -> sa), then the columns of the right
+    action (a -> at).  A semigroup is read as its own biact."""
+    return list(x.left_action) + list(zip(*x.right_action))
 
 
 def congruence_closure(x, pairs: Iterable[tuple[int, int]]) -> Congruence:
@@ -470,7 +460,7 @@ def congruence_closure(x, pairs: Iterable[tuple[int, int]]) -> Congruence:
     while work:
         a, b = work.pop()
         for f in fns:
-            fa, fb = f(a), f(b)
+            fa, fb = f[a], f[b]
             if dsu.union(fa, fb):
                 work.append((fa, fb))
     return Congruence(blocks=dsu.blocks(), size=n, over=x)
@@ -498,8 +488,8 @@ def congruence_violation(x, blocks: Sequence[int]) -> Optional[tuple]:
         rep = members[0]
         for other in members[1:]:
             for f in fns:
-                if blocks[f(rep)] != blocks[f(other)]:
-                    return (rep, other, f(rep), f(other))
+                if blocks[f[rep]] != blocks[f[other]]:
+                    return (rep, other, f[rep], f[other])
     return None
 
 

@@ -4,7 +4,9 @@ Exhaustive streams are canonical: one representative per isomorphism
 class, with the canonical form being the lexicographically least table
 over all relabelings.  Anti-isomorphism is deliberately NOT quotiented
 out, because the downstream conditions are chirally sensitive (a left
-minimal condition is not a right one).
+minimal condition is not a right one).  The right actions of T are
+enumerated as the left actions of its opposite, read by columns, so one
+axiom filter (``biact._left_axiom_violation``) serves both sides.
 
 Both censuses are orderly searches: a candidate is kept only if no
 relabeling makes it lex-smaller, so each class is yielded once, at its
@@ -25,8 +27,8 @@ import itertools
 import random
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .biact import FiniteBiact, _trusted_biact, product_biact, regular_biact, \
-    relative_biact, biact_rees_quotient, subact_closure, validate_biact
+from .biact import FiniteBiact, _left_axiom_violation, _trusted_biact, product_biact, \
+    regular_biact, relative_biact, biact_rees_quotient, subact_closure, validate_biact
 from .core import (
     FiniteSemigroup,
     congruence_closure,
@@ -183,47 +185,23 @@ def brute_force_semigroup_count(n: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _valid_left_actions(s: FiniteSemigroup, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every left action of ``s`` on m points, memoised per (semigroup, m):
-    ``all_biacts`` asks for the same ones for every right semigroup."""
+    """Every left action of ``s`` on m points, in ascending order, memoised
+    per (semigroup, m): ``all_biacts`` asks for the same ones for every
+    right semigroup."""
     out = []
     for flat in itertools.product(range(m), repeat=s.order * m):
         act = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(s.order))
-        ok = True
-        for s1 in range(s.order):
-            for s2 in range(s.order):
-                for a in range(m):
-                    if act[s1][act[s2][a]] != act[s.table[s1][s2]][a]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        if _left_axiom_violation(s, act, m) is None:
             out.append(act)
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=64)
 def _valid_right_actions(t: FiniteSemigroup, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every right action of ``t`` on m points, memoised as the left ones."""
-    out = []
-    for flat in itertools.product(range(m), repeat=m * t.order):
-        act = tuple(tuple(flat[a * t.order:(a + 1) * t.order]) for a in range(m))
-        ok = True
-        for a in range(m):
-            for t1 in range(t.order):
-                for t2 in range(t.order):
-                    if act[act[a][t1]][t2] != act[a][t.table[t1][t2]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(act)
-    return tuple(out)
+    """Every right action of ``t`` on m points, in ascending order,
+    memoised as the left ones.  A right action of T is a left action of
+    its opposite read by columns: ``act[a][t]`` is ``op_act[t][a]``."""
+    return tuple(sorted(tuple(zip(*act)) for act in _valid_left_actions(opposite(t), m)))
 
 
 def _compare_rows(new_rows: Iterable[tuple[int, ...]], rows: Sequence) -> int:

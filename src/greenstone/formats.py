@@ -79,7 +79,11 @@ def biact_from_dict(data: dict) -> FiniteBiact:
 
 def load(path: Union[str, Path]) -> Union[FiniteSemigroup, FiniteBiact]:
     """Parse a semigroup or biact file, dispatching on its "kind"."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {exc.encoding} text: {exc.reason}",
+                         offset=exc.start) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

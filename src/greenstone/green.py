@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .biact import FiniteBiact, relative_biact, relative_rees
-from .core import FiniteSemigroup, _DSU
+from .core import FiniteSemigroup, _DSU, _normalize_blocks
 from .errors import InvariantViolation, UnknownClass
 
 PREORDERS = ("L", "R", "J")
@@ -116,14 +116,13 @@ class _PreorderData:
 
 def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
     comps = _sccs(n, succ)
-    # renumber components by least member for reproducible output
-    order = sorted(range(len(comps)), key=lambda i: min(comps[i]))
-    rank_of_comp = {old: new for new, old in enumerate(order)}
-    class_of = [0] * n
-    for old, comp in enumerate(comps):
+    comp_of = [0] * n
+    for i, comp in enumerate(comps):
         for x in comp:
-            class_of[x] = rank_of_comp[old]
-    classes = tuple(tuple(sorted(comps[old])) for old in order)
+            comp_of[x] = i
+    # classes are numbered by least member, for reproducible output
+    class_of = _normalize_blocks(comp_of)
+    classes = _members(n, class_of)
 
     k = len(comps)
     succ_cls: list[set[int]] = [set() for _ in range(k)]
@@ -137,8 +136,8 @@ def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
     # Tarjan emits successors before predecessors; replay that order on the
     # renumbered ids to accumulate reachability masks.
     reach = [0] * k
-    emit_order = [rank_of_comp[i] for i in range(len(comps))]
-    for c in emit_order:
+    for comp in comps:
+        c = class_of[comp[0]]
         mask = 1 << c
         for d in succ_cls[c]:
             mask |= reach[d]
@@ -154,7 +153,7 @@ def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
             below |= strict[e]
         covers.extend((c, d) for d in _bits(strict[c] & ~below))
     unconsumed, height = _kahn(k, covers)
-    return _PreorderData(tuple(class_of), classes, tuple(reach), tuple(covers),
+    return _PreorderData(class_of, classes, tuple(reach), tuple(covers),
                          unconsumed, height)
 
 
@@ -286,13 +285,7 @@ def _build(size: int, left_succ: list[list[int]], right_succ: list[list[int]]) -
     jdat = _preorder_data(size, both)
 
     # H = L meet R
-    pair_ids: dict[tuple[int, int], int] = {}
-    h_raw = []
-    for a in range(size):
-        key = (ldat.class_of[a], rdat.class_of[a])
-        pair_ids.setdefault(key, len(pair_ids))
-        h_raw.append(pair_ids[key])
-    h_class_of = _renumber_by_min(size, h_raw)
+    h_class_of = _normalize_blocks(list(zip(ldat.class_of, rdat.class_of)))
 
     # D = join of L and R; the egg-box check below certifies that the join
     # coincides with both compositions L o R and R o L.
@@ -303,13 +296,14 @@ def _build(size: int, left_succ: list[list[int]], right_succ: list[list[int]]) -
     for cls in rdat.classes:
         for x in cls[1:]:
             dsu.union(cls[0], x)
-    d_class_of = _renumber_by_min(size, [dsu.find(x) for x in range(size)])
+    d_class_of = dsu.blocks()
 
     class_of = {
         "L": ldat.class_of, "R": rdat.class_of, "J": jdat.class_of,
         "H": h_class_of, "D": d_class_of,
     }
-    classes = {k: _members(size, class_of[k]) for k in RELATIONS}
+    classes = {"L": ldat.classes, "R": rdat.classes, "J": jdat.classes,
+               "H": _members(size, h_class_of), "D": _members(size, d_class_of)}
     gs = GreenStructure(size=size,
                         data={"L": ldat, "R": rdat, "J": jdat},
                         class_of=class_of, classes=classes,
@@ -325,15 +319,6 @@ def _stable(succ: Sequence[Sequence[int]], j_of: Sequence[int],
     """No edge e -> f of the one-step digraph has e J f but not e K f."""
     return not any(j_of[f] == j_of[e] and k_of[f] != k_of[e]
                    for e, fs in enumerate(succ) for f in fs)
-
-
-def _renumber_by_min(size: int, raw: Sequence[int]) -> tuple[int, ...]:
-    first: dict[int, int] = {}
-    for x in range(size):
-        first.setdefault(raw[x], x)
-    order = sorted(first, key=lambda c: first[c])
-    rank = {c: i for i, c in enumerate(order)}
-    return tuple(rank[raw[x]] for x in range(size))
 
 
 def _members(size: int, class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:

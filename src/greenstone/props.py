@@ -18,6 +18,10 @@ the actions only on a failed verdict, to name the first witness, and a
 failed verdict with no witness raises ``InvariantViolation``.  The
 relative predicates (K-preservation, regularity, retracts) genuinely vary.
 
+The periodicity predicates are one orbit scan, ``_periodic``, over the
+maps of a side: the left maps a -> sa are the rows of ``left_action``,
+the right maps a -> at are the columns of ``right_action``.
+
 ``left_stable_forms`` evaluates its relation forms (2-5) on one bitmask per
 element, built from the class member masks and the class ``reach`` masks
 of the Green structure, so each form costs O(n) big-integer operations
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from .biact import FiniteBiact
 from .core import FiniteSemigroup, subsemigroup
@@ -220,43 +224,31 @@ def stable_char(x: Structure) -> PredicateResult:
 
 
 def l_periodic(x: Structure) -> PredicateResult:
-    """For each s and a there is 1 <= n <= size with s^n a L s^(n+1) a.
+    """For each s and a there is 1 <= n <= size with s^n a L s^(n+1) a."""
+    return _periodic(x.left_action, green_structure(x).class_of["L"], "s")
 
-    The bound suffices by pigeonhole on the orbit of a under s.  The orbit
-    is stepped lazily and the scan stops at the first L-related pair.
-    """
-    same_l = green_structure(x).class_of["L"]
-    n = x.size
-    for s in range(x.left.order):
-        row = x.left_action[s]
+
+def r_periodic(x: Structure) -> PredicateResult:
+    """For each t and a there is 1 <= n <= size with a t^n R a t^(n+1)."""
+    return _periodic(tuple(zip(*x.right_action)), green_structure(x).class_of["R"], "t")
+
+
+def _periodic(maps, class_of: Sequence[int], letter: str) -> PredicateResult:
+    """The orbit scan over one side's maps, ``maps[g][a]`` being g acting on
+    a.  The bound suffices by pigeonhole on the orbit of a under g; the
+    orbit is stepped lazily and stops at the first related pair."""
+    n = len(class_of)
+    for g, row in enumerate(maps):
         for e in range(n):
             cur = row[e]
             for _ in range(n):
                 nxt = row[cur]
-                if same_l[cur] == same_l[nxt]:
+                if class_of[cur] == class_of[nxt]:
                     break
                 cur = nxt
             else:
                 return PredicateResult(False, method="orbit scan",
-                                       witness={"s": s, "a": e})
-    return PredicateResult(True, method="orbit scan")
-
-
-def r_periodic(x: Structure) -> PredicateResult:
-    same_r = green_structure(x).class_of["R"]
-    act = x.right_action
-    n = x.size
-    for t in range(x.right.order):
-        for e in range(n):
-            cur = act[e][t]
-            for _ in range(n):
-                nxt = act[cur][t]
-                if same_r[cur] == same_r[nxt]:
-                    break
-                cur = nxt
-            else:
-                return PredicateResult(False, method="orbit scan",
-                                       witness={"t": t, "a": e})
+                                       witness={letter: g, "a": e})
     return PredicateResult(True, method="orbit scan")
 
 

@@ -179,6 +179,37 @@ class TestProductAndClosure:
         assert ba.subact_closure(b, range(4)).members == frozenset(range(4))
 
 
+def _two_loop_closure(a, seed):
+    """Test-local oracle: the subact closure as it was, stepping the left
+    action and then the right action of each new member."""
+    members = set(seed)
+    frontier = list(members)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for s in range(a.left.order):
+                y = a.left_action[s][x]
+                if y not in members:
+                    members.add(y)
+                    fresh.append(y)
+            for t in range(a.right.order):
+                y = a.right_action[x][t]
+                if y not in members:
+                    members.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return frozenset(members)
+
+
+def test_subact_closure_agrees_with_the_two_loop_closure():
+    from greenstone.enumeration import random_biact_corpus
+    for b in random_biact_corpus(200, "subact-closure"):
+        seeds = [()] + [(x,) for x in range(b.size)] + list(
+            itertools.combinations(range(b.size), 2))
+        for seed in seeds:
+            assert ba.subact_closure(b, seed).members == _two_loop_closure(b, seed)
+
+
 class TestPullback:
     def test_identity_homs_change_nothing(self):
         z2 = core.validate_table(2, Z2)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from greenstone import cli, core, formats
-from greenstone.biact import regular_biact
+from greenstone.biact import product_biact, regular_biact
 
 
 @pytest.fixture()
@@ -235,6 +236,25 @@ class TestCommands:
         rebuilt = formats.load(out_path)
         assert rebuilt.order == 4
 
+    def test_construct_product_roundtrip(self, capsys, t2_file, triv_files, tmp_path):
+        out_path = tmp_path / "product.json"
+        code, out, _ = run(capsys, "construct", "product", "--s", str(t2_file),
+                           "--t", str(triv_files[0]), "--out", str(out_path))
+        assert code == 0 and "wrote" in out
+        built = product_biact(formats.load(t2_file), formats.load(triv_files[0]))
+        assert formats.load(out_path) == built
+
+    def test_construct_checks_a_biact_roundtrip(self, capsys, monkeypatch, t2_file,
+                                                triv_files, tmp_path):
+        # a biact whose file reloads as a different biact is refused
+        def dump_relabelled(obj, path):
+            formats.dump(dataclasses.replace(obj, labels=tuple(reversed(obj.labels))), path)
+
+        monkeypatch.setattr(cli, "dump", dump_relabelled)
+        code, _, err = run(capsys, "construct", "product", "--s", str(t2_file),
+                           "--t", str(triv_files[0]), "--out", str(tmp_path / "p.json"))
+        assert code == 2 and "round-trip mismatch" in err
+
     def test_enum_writes_files(self, capsys, tmp_path):
         out_dir = tmp_path / "census"
         code, out, _ = run(capsys, "enum", "--order", "2", "--out", str(out_dir))
@@ -269,6 +289,51 @@ class TestCommands:
                            "--random-biacts", "5")
         assert code == 3
         assert "FAIL P3.6" in out
+
+
+class TestBadPaths:
+    """Unreadable inputs and unwritable outputs are validation errors
+    (exit 2) that name the path, never a traceback, and leave nothing
+    behind."""
+
+    def _refused(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("validation error:") and "Traceback" not in err
+        return err
+
+    def test_enum_out_is_an_existing_file(self, capsys, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        err = self._refused(capsys, "enum", "--order", "2", "--out", str(out))
+        assert "taken" in err
+        assert out.read_text() == "kept\n"
+
+    def test_verify_report_is_a_directory(self, capsys, tmp_path):
+        report = tmp_path / "reports"
+        report.mkdir()
+        err = self._refused(capsys, "verify", "--suite", "P3.4", "--report", str(report))
+        assert "reports" in err
+        assert list(report.iterdir()) == []
+
+    def test_construct_out_is_a_directory(self, capsys, triv_files, tmp_path):
+        out = tmp_path / "built"
+        out.mkdir()
+        s_path = str(triv_files[0])
+        err = self._refused(capsys, "construct", "zdu", "--s", s_path, "--t", s_path,
+                            "--out", str(out))
+        assert "built" in err
+        assert list(out.iterdir()) == []
+
+    def test_analyze_a_directory(self, capsys, tmp_path):
+        err = self._refused(capsys, "analyze", str(tmp_path))
+        assert str(tmp_path) in err
+
+    def test_analyze_a_binary_file(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(bytes(range(128, 256)))
+        err = self._refused(capsys, "analyze", str(path))
+        assert "binary.json" in err and "byte offset 0" in err
 
 
 def test_cli_imports_only_the_engine():

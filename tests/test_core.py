@@ -321,6 +321,119 @@ class TestCongruence:
                     assert got == least, (s.table, a, b)
 
 
+# Test-local oracle: the translations as they were before they became the
+# action rows and columns, one lambda per map, a semigroup's left and right
+# translations interleaved, with the closure and the violation scan that
+# called them.
+
+
+def _lambda_translations(x):
+    from greenstone.biact import FiniteBiact
+    if isinstance(x, core.FiniteSemigroup):
+        t = x.table
+        fns = []
+        for s in range(x.order):
+            fns.append(lambda a, s=s: t[s][a])
+            fns.append(lambda a, s=s: t[a][s])
+        return fns
+    assert isinstance(x, FiniteBiact)
+    fns = []
+    for s in range(x.left.order):
+        fns.append(lambda a, s=s: x.left_action[s][a])
+    for t_ in range(x.right.order):
+        fns.append(lambda a, t_=t_: x.right_action[a][t_])
+    return fns
+
+
+def _lambda_closure(x, pairs):
+    fns = _lambda_translations(x)
+    dsu = core._DSU(x.size)
+    work = [(a, b) for a, b in pairs if dsu.union(a, b)]
+    while work:
+        a, b = work.pop()
+        for f in fns:
+            fa, fb = f(a), f(b)
+            if dsu.union(fa, fb):
+                work.append((fa, fb))
+    return dsu.blocks()
+
+
+def _lambda_violation(x, blocks):
+    classes = {}
+    for e, b in enumerate(blocks):
+        classes.setdefault(b, []).append(e)
+    fns = _lambda_translations(x)
+    for members in classes.values():
+        rep = members[0]
+        for other in members[1:]:
+            for f in fns:
+                if blocks[f(rep)] != blocks[f(other)]:
+                    return (rep, other, f(rep), f(other))
+    return None
+
+
+def _partitions(n):
+    """Every partition of n points as a block id per point, numbered by
+    least member."""
+    def grow(prefix, used):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for b in range(used + 1):
+            yield from grow(prefix + [b], max(used, b + 1))
+    yield from grow([], 0)
+
+
+def _census_semigroups():
+    from greenstone.enumeration import all_semigroups
+    return [s for n in (1, 2, 3) for s in all_semigroups(n)]
+
+
+def _biact_corpus():
+    from greenstone.enumeration import all_biacts, all_semigroups, random_biact_corpus
+    small = [s for n in (1, 2) for s in all_semigroups(n)]
+    census = [b for s in small for t in small for m in (1, 2, 3)
+              for b in all_biacts(s, t, m)]
+    return census + random_biact_corpus(200, "translations")
+
+
+class TestTranslations:
+    def test_maps_are_action_rows_then_columns(self):
+        s = core.validate_table(3, [[0, 0, 0], [0, 1, 0], [2, 2, 2]])
+        maps = core._translations(s)
+        assert maps[:3] == list(s.table)
+        assert maps[3:] == [tuple(s.table[a][t] for a in range(3)) for t in range(3)]
+
+    def test_closure_agrees_with_the_lambda_oracle(self):
+        for x in _census_semigroups() + _biact_corpus():
+            assert core.congruence_closure(x, []).blocks == _lambda_closure(x, [])
+            for a, b in itertools.combinations(range(x.size), 2):
+                got = core.congruence_closure(x, [(a, b)]).blocks
+                assert got == _lambda_closure(x, [(a, b)]), (x, a, b)
+
+    def test_biact_violation_agrees_with_the_lambda_oracle(self):
+        # a biact's maps were already rows before columns: same witness
+        for x in _biact_corpus():
+            for blocks in _partitions(x.size):
+                assert core.congruence_violation(x, blocks) == \
+                    _lambda_violation(x, blocks), (x, blocks)
+
+    def test_semigroup_names_the_witness_of_its_regular_biact(self):
+        from greenstone.biact import regular_biact
+        for s in _census_semigroups():
+            reg = regular_biact(s)
+            for blocks in _partitions(s.order):
+                got = core.congruence_violation(s, blocks)
+                assert got == core.congruence_violation(reg, blocks), (s.table, blocks)
+                assert (got is None) == (_lambda_violation(s, blocks) is None)
+
+    def test_semigroup_witness_reads_rows_before_columns(self):
+        # the interleaved lambdas named the right translation by 0 first
+        s = core.validate_table(3, [[0, 0, 0], [0, 1, 0], [2, 2, 2]])
+        assert _lambda_violation(s, (0, 1, 1)) == (1, 2, 0, 2)
+        assert core.congruence_violation(s, (0, 1, 1)) == (1, 2, 1, 0)
+
+
 class TestQuotient:
     def test_identity_congruence_gives_isomorphic_copy(self):
         s = core.validate_table(4, Z4)

@@ -74,6 +74,30 @@ def _dedup_biacts(s, t, m):
     return out
 
 
+def _filtered_left_actions(s, m):
+    """Every left action of s on m points, each candidate table filtered
+    by its own axiom loop, in ascending order."""
+    out = []
+    for flat in itertools.product(range(m), repeat=s.order * m):
+        act = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(s.order))
+        if all(act[s1][act[s2][a]] == act[s.table[s1][s2]][a]
+               for s1 in range(s.order) for s2 in range(s.order) for a in range(m)):
+            out.append(act)
+    return tuple(out)
+
+
+def _filtered_right_actions(t, m):
+    """Dually, every right action of t on m points, filtered directly
+    rather than through the opposite semigroup."""
+    out = []
+    for flat in itertools.product(range(m), repeat=m * t.order):
+        act = tuple(tuple(flat[a * t.order:(a + 1) * t.order]) for a in range(m))
+        if all(act[act[a][t1]][t2] == act[a][t.table[t1][t2]]
+               for a in range(m) for t1 in range(t.order) for t2 in range(t.order)):
+            out.append(act)
+    return tuple(out)
+
+
 def _automorphism_count(n, table):
     """|Aut S|, asserting on the way that no relabeling is smaller."""
     count = 0
@@ -233,6 +257,15 @@ class TestBiactCensus:
         total = sum(len(en.all_biacts(s, t, m))
                     for s, t in it.product(pool, pool) for m in (1, 2, 3))
         assert total == 1065
+
+    def test_action_lists_match_the_direct_filters(self):
+        # the right actions come from the opposite's left actions, read by
+        # columns; value and order must be those of the direct filter
+        pool = [s for n in (1, 2) for s in en.all_semigroups(n)]
+        for s in pool:
+            for m in (1, 2, 3):
+                assert en._valid_left_actions(s, m) == _filtered_left_actions(s, m)
+                assert en._valid_right_actions(s, m) == _filtered_right_actions(s, m)
 
     def test_census_matches_the_canonical_key_dedup(self):
         pool = [s for n in (1, 2) for s in en.all_semigroups(n)]

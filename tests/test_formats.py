@@ -67,3 +67,10 @@ class TestErrors:
         path.write_text("[1, 2]")
         with pytest.raises(ParseError):
             formats.load(path)
+
+    def test_undecodable_bytes_name_the_path(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"kind": \xff\xfe}')
+        with pytest.raises(ParseError, match="binary.json") as exc:
+            formats.load(path)
+        assert exc.value.offset == 9
