@@ -22,7 +22,9 @@ actions) and a compatibility check first.  A differential test
 re-validates their output over the small census and the random corpus.
 The semigroup side mirrors this with ``core.validate_table`` and
 ``core._trusted_table``.  A semigroup is already its own regular biact
-(see ``core``); ``regular_biact`` builds it as a ``FiniteBiact``.
+(see ``core``); ``regular_biact`` builds it as a ``FiniteBiact``, and
+``ideal_biact`` is the restriction of S, read as its own biact, to the
+ideal (``Subact(s, ideal).sub``).
 """
 
 from __future__ import annotations
@@ -173,20 +175,16 @@ def regular_biact(s: FiniteSemigroup) -> FiniteBiact:
 
 
 def ideal_biact(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteBiact:
-    """An ideal of S as an S-biact under multiplication."""
-    mem = sorted(set(ideal))
+    """An ideal of S as an S-biact under multiplication: S is its own
+    biact, and the ideal is a subact of it."""
+    mem = frozenset(ideal)
     if not mem:
         raise NotAnIdeal("an ideal biact needs a nonempty ideal")
     try:
-        classify_subset(s, mem, "ideal")
+        classify_subset(s, sorted(mem), "ideal")
     except RoleViolation as exc:
         raise NotAnIdeal(f"not an ideal: witness {exc.witness}") from exc
-    idx = {a: i for i, a in enumerate(mem)}
-    left = [[idx[s.table[x][a]] for a in mem] for x in range(s.order)]
-    right = [[idx[s.table[a][x]] for x in range(s.order)] for a in mem]
-    labels = tuple(s.labels[a] for a in mem)
-    return _trusted_biact(s, s, left, right, labels,
-                          {"kind": "ideal", "ideal": tuple(mem)})
+    return Subact(s, mem).sub
 
 
 def relative_biact(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact:
@@ -194,8 +192,7 @@ def relative_biact(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiac
     sub, carrier = subsemigroup(s, sub_members)
     left = [[s.table[carrier[i]][a] for a in range(s.order)] for i in range(sub.order)]
     right = [[s.table[a][carrier[j]] for j in range(sub.order)] for a in range(s.order)]
-    return _trusted_biact(sub, sub, left, right, s.labels,
-                          {"kind": "relative", "sub_ids": tuple(carrier)})
+    return _trusted_biact(sub, sub, left, right, s.labels, {"kind": "relative"})
 
 
 def is_subact(a: FiniteBiact, members: Iterable[int]) -> Optional[tuple]:
@@ -269,8 +266,8 @@ def biact_rees_quotient(a: FiniteBiact, sub: Iterable[int]) -> FiniteBiact:
 
 def relative_rees(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact:
     """Rees quotient of the relative biact of S over T by the copy of T."""
-    rel = relative_biact(s, sub_members)
-    return biact_rees_quotient(rel, set(rel.provenance["sub_ids"]))
+    members = frozenset(sub_members)
+    return biact_rees_quotient(relative_biact(s, members), members)
 
 
 def product_biact(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteBiact:

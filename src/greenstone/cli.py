@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .biact import FiniteBiact, product_biact
@@ -231,6 +232,14 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _check_report_path(path: Optional[str]) -> None:
+    """Refuse a ``--report`` path that cannot be written before any work is
+    done.  The path is opened for appending, which leaves an existing
+    report as it was if the run is refused or fails later."""
+    if path:
+        open(path, "a").close()
+
+
 def cmd_verify(args) -> int:
     from .verify import SuiteConfig, run_suite
 
@@ -238,6 +247,7 @@ def cmd_verify(args) -> int:
                          samples=args.samples, seed=args.seed,
                          random_biacts=args.random_biacts)
     selection = "all" if args.suite == "all" else args.suite.split(",")
+    _check_report_path(args.report)
     report = run_suite(selection, config)
     for line in report.summary_lines():
         print(line)
@@ -251,6 +261,7 @@ def cmd_probe(args) -> int:
     from .verify import SuiteConfig, probe_open_problem
 
     config = SuiteConfig(seed=args.seed)
+    _check_report_path(args.report)
     report = probe_open_problem(config)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.report:

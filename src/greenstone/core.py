@@ -302,14 +302,6 @@ def generate_from_transformations(degree: int, generators: Sequence[Sequence[int
     return _trusted_table(order, tuple(table), labels, provenance)
 
 
-@dataclass(frozen=True)
-class Monoidization:
-    """Record of a fresh identity/zero adjunction."""
-    adjoined: str          # "identity" | "zero"
-    special_id: int
-    base_order: int
-
-
 def adjoin(s: FiniteSemigroup, kind: str) -> FiniteSemigroup:
     """Adjoin a fresh identity or zero as a new last element."""
     if kind not in ("identity", "zero"):
@@ -325,9 +317,7 @@ def adjoin(s: FiniteSemigroup, kind: str) -> FiniteSemigroup:
             table[x][new] = new
             table[new][x] = new
     labels = s.labels + (("1" if kind == "identity" else "0"),)
-    prov = {"kind": "adjoined",
-            "monoidization": Monoidization(kind, new, n),
-            "base": s.provenance.get("kind", "table")}
+    prov = {"kind": "adjoined", "base": s.provenance.get("kind", "table")}
     return _trusted_table(n + 1, table, labels, prov)
 
 

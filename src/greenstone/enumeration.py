@@ -31,6 +31,8 @@ from .biact import FiniteBiact, _left_axiom_violation, _trusted_biact, product_b
     regular_biact, relative_biact, biact_rees_quotient, subact_closure, validate_biact
 from .core import (
     FiniteSemigroup,
+    _default_labels,
+    _trusted_table,
     congruence_closure,
     generate_from_transformations,
     opposite,
@@ -161,8 +163,9 @@ def all_semigroups(n: int) -> list[FiniteSemigroup]:
         raise CapExceeded(f"exhaustive enumeration capped at order {SEMIGROUP_ORDER_CAP}")
     if n < 1:
         raise CapExceeded("order must be at least 1")
-    return [validate_table(n, [list(row) for row in tbl],
-                           provenance={"kind": "table", "census": f"order {n}"})
+    # the orderly search has checked every triple of every table it yields
+    return [_trusted_table(n, tbl, _default_labels(n),
+                           {"kind": "table", "census": f"order {n}"})
             for tbl in _orderly_tables(n)]
 
 
@@ -327,24 +330,10 @@ def random_biact(seed, max_semigroup: int = 4, max_carrier: int = 6) -> FiniteBi
             if s.order * t.order <= max_carrier:
                 break
         biact = product_biact(s, t)
-    elif recipe == 3:
-        # identity left action, a right transformation action on the carrier
-        m = rng.randrange(2, max_carrier + 1)
-        while True:
-            try:
-                t = random_transformation_semigroup(m, 1, rng.random(),
-                                                    cap=max_semigroup)
-            except SizeLimitExceeded:
-                continue
-            break
-        maps = t.provenance["maps"]
-        left_sem = pick_semigroup(max_semigroup)
-        left = [list(range(m)) for _ in range(left_sem.order)]
-        right = [[maps[j][a] for j in range(t.order)] for a in range(m)]
-        biact = validate_biact(left_sem, t, left, right,
-                               provenance={"kind": "biact", "recipe": "right-transformation"})
     else:
-        # dual: a left action by the opposite of a transformation semigroup
+        # a transformation semigroup acting on the carrier, the other side
+        # acting as the identity: on the right (recipe 3), or on the left
+        # through its opposite (recipe 4)
         m = rng.randrange(2, max_carrier + 1)
         while True:
             try:
@@ -354,12 +343,14 @@ def random_biact(seed, max_semigroup: int = 4, max_carrier: int = 6) -> FiniteBi
                 continue
             break
         maps = t.provenance["maps"]
-        s = opposite(t)
-        right_sem = pick_semigroup(max_semigroup)
-        left = [[maps[i][a] for a in range(m)] for i in range(s.order)]
-        right = [[a] * right_sem.order for a in range(m)]
-        biact = validate_biact(s, right_sem, left, right,
-                               provenance={"kind": "biact", "recipe": "left-transformation"})
+        idle = pick_semigroup(max_semigroup)
+        fixed = [tuple(range(m))] * idle.order    # the identity action's rows
+        if recipe == 3:    # the maps act on the right: they are the columns
+            biact = validate_biact(idle, t, fixed, list(zip(*maps)),
+                                   provenance={"kind": "biact", "recipe": "right-transformation"})
+        else:              # their opposite acts on the left: they are the rows
+            biact = validate_biact(opposite(t), idle, maps, list(zip(*fixed)),
+                                   provenance={"kind": "biact", "recipe": "left-transformation"})
 
     # optionally quotient, keeping validity by construction
     twist = rng.randrange(3)

@@ -49,7 +49,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .biact import FiniteBiact, relative_biact, relative_rees
+from .biact import FiniteBiact, biact_rees_quotient, relative_biact
 from .core import FiniteSemigroup, _DSU, _normalize_blocks
 from .errors import InvariantViolation, UnknownClass
 
@@ -458,8 +458,7 @@ def green_index(s: FiniteSemigroup, sub_members: Iterable[int]) -> GreenIndexRes
         if len(flags) != 1:
             raise InvariantViolation(f"relative H-class {cls} straddles the subsemigroup")
         (inside if flags.pop() else outside).append(cls)
-    quot = relative_rees(s, members)
-    qs = green_structure(quot)
+    qs = green_structure(biact_rees_quotient(rel, members))
     return GreenIndexResult(
         index=len(outside) + 1,
         outside_h_classes=len(outside),

@@ -21,6 +21,14 @@ Encodings:
   ab = 1; the product is (m,n)(k,l) = (m+t-n, l+t-k) with t = max(n,k)
 - free semigroup elements are nonempty words (Python strings)
 - additive naturals are {1, 2, ...}: no identity and no idempotent
+
+The extension constructions U(S,T;A) (Construction 4.17) and U(S,A)
+(Construction 5.10) are one gluing, finite and symbolic: semigroup parts
+glued to a biact A through a null ideal, given by the tagged parts, the
+part acting on the left of A and the part acting on its right.
+``build_usta`` and ``build_usa`` fill their tables through ``_glue``;
+``SymbolicExtensionSTA`` and ``SymbolicExtensionSA`` are ``_Gluing`` over
+the same data.
 """
 
 from __future__ import annotations
@@ -574,6 +582,39 @@ class ExtensionParts:
         return tuple(sorted(set(self.x_ids) | {self.zero_id}))
 
 
+def _glue(parts: dict[str, FiniteSemigroup], left_tag: str, right_tag: str,
+          a: FiniteBiact, kind: str) -> tuple[FiniteSemigroup, ExtensionParts]:
+    """Glue the semigroup ``parts`` (laid out in order, labels prefixed by
+    their tags) and the biact A into one semigroup on parts + {x_a} + {0}.
+
+    The part tagged ``left_tag`` acts on the left of the x-part, the part
+    tagged ``right_tag`` on its right; each part keeps its own products, and
+    every other product is 0.
+    """
+    for side, tag, acting in (("left", left_tag, a.left), ("right", right_tag, a.right)):
+        if acting.table != parts[tag].table:
+            raise ActionMismatch(f"the biact's {side} semigroup is not {tag.upper()}")
+    ids, x0 = {}, 0
+    for tag, sem in parts.items():
+        ids[tag] = tuple(range(x0, x0 + sem.order))
+        x0 += sem.order
+    zero = x0 + a.size
+    table = [[zero] * (zero + 1) for _ in range(zero + 1)]
+    for tag, sem in parts.items():
+        base = ids[tag][0]
+        for i, row in enumerate(sem.table):
+            table[base + i][base:base + sem.order] = [base + y for y in row]
+    for i, row in zip(ids[left_tag], a.left_action):
+        table[i][x0:zero] = [x0 + y for y in row]
+    for x, row in enumerate(a.right_action):
+        for j, y in zip(ids[right_tag], row):
+            table[x0 + x][j] = x0 + y
+    labels = (tuple(f"{tag}:{x}" for tag, sem in parts.items() for x in sem.labels)
+              + tuple(f"x:{x}" for x in a.labels) + ("0",))
+    sem = validate_table(zero + 1, table, labels=labels, provenance={"kind": kind})
+    return sem, ExtensionParts(ids["s"], ids.get("t", ()), tuple(range(x0, zero)), zero)
+
+
 def build_usta(s: FiniteSemigroup, t: FiniteSemigroup,
                a: FiniteBiact) -> tuple[FiniteSemigroup, ExtensionParts]:
     """Glue disjoint semigroups S and T with an (S,T)-biact A into one
@@ -582,34 +623,7 @@ def build_usta(s: FiniteSemigroup, t: FiniteSemigroup,
         s x_a = x_{sa},  x_a t = x_{at},
         st = ts = x_a s = t x_a = x_a x_b = 0,  0 absorbing.
     """
-    if a.left.order != s.order or a.left.table != s.table:
-        raise ActionMismatch("the biact's left semigroup is not S")
-    if a.right.order != t.order or a.right.table != t.table:
-        raise ActionMismatch("the biact's right semigroup is not T")
-    ns, nt, na = s.order, t.order, a.size
-    s_ids = tuple(range(ns))
-    t_ids = tuple(range(ns, ns + nt))
-    x_ids = tuple(range(ns + nt, ns + nt + na))
-    zero = ns + nt + na
-    n = zero + 1
-    table = [[zero] * n for _ in range(n)]
-    for i in range(ns):
-        for j in range(ns):
-            table[i][j] = s.table[i][j]
-    for i in range(nt):
-        for j in range(nt):
-            table[t_ids[i]][t_ids[j]] = t_ids[t.table[i][j]]
-    for i in range(ns):
-        for x in range(na):
-            table[i][x_ids[x]] = x_ids[a.left_action[i][x]]
-    for x in range(na):
-        for j in range(nt):
-            table[x_ids[x]][t_ids[j]] = x_ids[a.right_action[x][j]]
-    labels = (tuple(f"s:{x}" for x in s.labels)
-              + tuple(f"t:{x}" for x in t.labels)
-              + tuple(f"x:{x}" for x in a.labels) + ("0",))
-    sem = validate_table(n, table, labels=labels, provenance={"kind": "usta"})
-    return sem, ExtensionParts(s_ids, t_ids, x_ids, zero)
+    return _glue({"s": s, "t": t}, "s", "t", a, "usta")
 
 
 def build_usa(s: FiniteSemigroup, a: FiniteBiact) -> tuple[FiniteSemigroup, ExtensionParts]:
@@ -618,53 +632,42 @@ def build_usa(s: FiniteSemigroup, a: FiniteBiact) -> tuple[FiniteSemigroup, Exte
 
         s x_a = x_{sa},  x_a s = x_{as},  x_a x_b = 0,  0 absorbing.
     """
-    if a.left.order != s.order or a.left.table != s.table:
-        raise ActionMismatch("the biact's left semigroup is not S")
-    if a.right.order != s.order or a.right.table != s.table:
-        raise ActionMismatch("the biact's right semigroup is not S")
-    ns, na = s.order, a.size
-    s_ids = tuple(range(ns))
-    x_ids = tuple(range(ns, ns + na))
-    zero = ns + na
-    n = zero + 1
-    table = [[zero] * n for _ in range(n)]
-    for i in range(ns):
-        for j in range(ns):
-            table[i][j] = s.table[i][j]
-    for i in range(ns):
-        for x in range(na):
-            table[i][x_ids[x]] = x_ids[a.left_action[i][x]]
-            table[x_ids[x]][i] = x_ids[a.right_action[x][i]]
-    labels = (tuple(f"s:{x}" for x in s.labels)
-              + tuple(f"x:{x}" for x in a.labels) + ("0",))
-    sem = validate_table(n, table, labels=labels, provenance={"kind": "usa"})
-    return sem, ExtensionParts(s_ids, (), x_ids, zero)
+    return _glue({"s": s}, "s", "s", a, "usa")
 
 
-class SymbolicExtensionSTA(SymbolicSemigroup):
-    """The same gluing over symbolic parts; elements are tagged tuples
-    ("s", x), ("t", x), ("x", a) and the absorbing ("0",)."""
+class _Gluing(SymbolicSemigroup):
+    """The same gluing over symbolic parts: elements are tagged tuples
+    (tag, x) for each semigroup part, ("x", a) for the biact and the
+    absorbing ("0",).  ``parts`` maps each tag to its semigroup; the part
+    tagged ``left_tag`` acts on the left of the x-part, the part tagged
+    ``right_tag`` on its right, and every other product of distinct parts is 0.
+    ``mixed_le`` may decide the pairs (x-element, semigroup element) that
+    need instance data."""
 
-    def __init__(self, s: SymbolicSemigroup, t: SymbolicSemigroup, a: SymbolicBiact,
+    def __init__(self, parts: dict[str, SymbolicSemigroup], left_tag: str, right_tag: str,
+                 a: SymbolicBiact,
                  mixed_le: Optional[Callable[[str, tuple, tuple], Optional[bool]]] = None):
-        self.s = s
-        self.t = t
+        self.parts = parts
+        self.left_tag = left_tag
+        self.right_tag = right_tag
         self.a = a
         self.mixed_le = mixed_le
-        self.name = f"U({s.name},{t.name};{a.name})"
+        self.name = f"U({','.join(p.name for p in parts.values())};{a.name})"
+
+    def _part(self, tag: str):
+        """The semigroup part tagged ``tag``, or the biact for the x-part."""
+        return self.parts.get(tag, self.a)
 
     def mul(self, u, v):
         if u == ZERO or v == ZERO:
             return ZERO
         ku, xu = u
         kv, xv = v
-        if ku == "s" and kv == "s":
-            return ("s", self.s.mul(xu, xv))
-        if ku == "t" and kv == "t":
-            return ("t", self.t.mul(xu, xv))
-        if ku == "s" and kv == "x":
+        if ku == kv and ku in self.parts:
+            return (ku, self.parts[ku].mul(xu, xv))
+        if ku == self.left_tag and kv == "x":
             return ("x", self.a.act_left(xu, xv))
-        if ku == "x" and kv == "t":
+        if ku == "x" and kv == self.right_tag:
             return ("x", self.a.act_right(xu, xv))
         return ZERO
 
@@ -675,16 +678,12 @@ class SymbolicExtensionSTA(SymbolicSemigroup):
             return False
         ku, xu = u
         kv, xv = v
-        if ku == kv == "s":
-            return self.s.le(k, xu, xv)
-        if ku == kv == "t":
-            return self.t.le(k, xu, xv)
-        if ku == kv == "x":
-            return self.a.le(k, xu, xv)
-        if ku in ("s", "t") and kv == "x":
-            return False    # everything below an x-element stays in the null part
-        if ku == "s" and kv == "t" or ku == "t" and kv == "s":
-            return False    # cross products vanish
+        if ku == kv:
+            return self._part(ku).le(k, xu, xv)
+        if ku != "x":
+            # everything below an x-element stays in the null part, and
+            # products of distinct semigroup parts vanish
+            return False
         if self.mixed_le is not None:
             ans = self.mixed_le(k, u, v)
             if ans is not None:
@@ -692,91 +691,52 @@ class SymbolicExtensionSTA(SymbolicSemigroup):
         raise DecisionUnavailable(f"{self.name}: no decider for {u} vs {v}")
 
     def le_in_ideal(self, u, v):
-        """The J-preorder of the ideal S + N: only left translations by S
-        survive, so on the null part it is the L-preorder of the biact."""
+        """The J-preorder of the ideal S + N, S the part acting on the left:
+        on the null part only translations by S survive, so it is the
+        L-preorder of the biact, or its J-preorder when S acts on both
+        sides."""
         if u == v or u == ZERO:
             return True
         if v == ZERO:
             return False
         ku, xu = u
         kv, xv = v
-        if ku == kv == "s":
-            return self.s.le("J", xu, xv)
+        if ku == kv == self.left_tag:
+            return self.parts[ku].le("J", xu, xv)
         if ku == kv == "x":
-            return self.a.le("L", xu, xv)
-        if ku == "s" and kv == "x":
+            return self.a.le("J" if self.right_tag == self.left_tag else "L", xu, xv)
+        if ku == self.left_tag and kv == "x":
             return False
-        if ku == "x" and kv == "s":
+        if ku == "x" and kv == self.left_tag:
             raise DecisionUnavailable("x-below-s inside the ideal needs instance data")
         raise DecisionUnavailable(f"no ideal decider for {u} vs {v}")
 
     def sample(self, rng):
-        roll = rng.random()
-        if roll < 0.35:
-            return ("s", self.s.sample(rng))
-        if roll < 0.7:
-            return ("t", self.t.sample(rng))
-        if roll < 0.95:
-            return ("x", self.a.sample(rng))
-        return ZERO
+        if rng.random() < 0.05:
+            return ZERO
+        tag = rng.choice([*self.parts, "x"])
+        return (tag, self._part(tag).sample(rng))
 
     def encode(self, u):
         if u == ZERO:
             return ["0"]
         kind, x = u
-        inner = {"s": self.s, "t": self.t}.get(kind)
-        return [kind, inner.encode(x) if inner else self.a.encode(x)]
+        return [kind, self._part(kind).encode(x)]
 
 
-class SymbolicExtensionSA(SymbolicSemigroup):
-    """One-semigroup version: S + {x_a} + {0} with S acting on both sides."""
+class SymbolicExtensionSTA(_Gluing):
+    """U(S,T;A) over symbolic parts: S acts on the left, T on the right."""
+
+    def __init__(self, s: SymbolicSemigroup, t: SymbolicSemigroup, a: SymbolicBiact,
+                 mixed_le: Optional[Callable[[str, tuple, tuple], Optional[bool]]] = None):
+        super().__init__({"s": s, "t": t}, "s", "t", a, mixed_le)
+
+
+class SymbolicExtensionSA(_Gluing):
+    """U(S,A) over symbolic parts: S acts on both sides."""
 
     def __init__(self, s: SymbolicSemigroup, a: SymbolicBiact):
-        self.s = s
-        self.a = a
-        self.name = f"U({s.name};{a.name})"
-
-    def mul(self, u, v):
-        if u == ZERO or v == ZERO:
-            return ZERO
-        ku, xu = u
-        kv, xv = v
-        if ku == "s" and kv == "s":
-            return ("s", self.s.mul(xu, xv))
-        if ku == "s" and kv == "x":
-            return ("x", self.a.act_left(xu, xv))
-        if ku == "x" and kv == "s":
-            return ("x", self.a.act_right(xu, xv))
-        return ZERO
-
-    def le(self, k, u, v):
-        if u == v or u == ZERO:
-            return True
-        if v == ZERO:
-            return False
-        ku, xu = u
-        kv, xv = v
-        if ku == kv == "s":
-            return self.s.le(k, xu, xv)
-        if ku == kv == "x":
-            return self.a.le(k, xu, xv)
-        if ku == "s" and kv == "x":
-            return False
-        raise DecisionUnavailable(f"{self.name}: no decider for {u} vs {v}")
-
-    def sample(self, rng):
-        roll = rng.random()
-        if roll < 0.45:
-            return ("s", self.s.sample(rng))
-        if roll < 0.95:
-            return ("x", self.a.sample(rng))
-        return ZERO
-
-    def encode(self, u):
-        if u == ZERO:
-            return ["0"]
-        kind, x = u
-        return [kind, self.s.encode(x) if kind == "s" else self.a.encode(x)]
+        super().__init__({"s": s}, "s", "s", a)
 
 
 # ---------------------------------------------------------------------------

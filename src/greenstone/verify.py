@@ -1057,7 +1057,7 @@ def _l5_8(x: Substructure, v: _Tally) -> int:
     """Rees quotients of semigroups and of their regular biacts agree, as
     preorders and hence as stability verdicts."""
     sq = x.rees
-    bq = biact_rees_quotient(regular_biact(x.host), x.members)
+    bq = biact_rees_quotient(x.host, x.members)
     gss, gsb = green_structure(sq), green_structure(bq)
     # both collapse to the same carrier: survivors in order, then 0
     for k in KINDS:

@@ -4,7 +4,7 @@ import pytest
 
 from greenstone import biact as ba
 from greenstone import core
-from greenstone.enumeration import all_semigroups
+from greenstone.enumeration import all_semigroups, semigroup_pool
 from greenstone.errors import (
     ActionAxiomViolation,
     NotAHomomorphism,
@@ -90,6 +90,25 @@ class TestDerivedBiacts:
         s = core.adjoin(core.validate_table(2, Z2), "zero")
         b = ba.ideal_biact(s, {2})
         assert b.size == 1
+
+    def test_ideal_biact_is_the_reindexing_loop(self):
+        # the loop ideal_biact had of its own, kept as an oracle for the
+        # restriction of S, read as its own biact, through Subact
+        from greenstone.verify import ideals_of
+
+        def loop(s, ideal):
+            mem = sorted(set(ideal))
+            idx = {a: i for i, a in enumerate(mem)}
+            left = [[idx[s.table[x][a]] for a in mem] for x in range(s.order)]
+            right = [[idx[s.table[a][x]] for x in range(s.order)] for a in mem]
+            return ba.validate_biact(s, s, left, right, [s.labels[a] for a in mem])
+
+        count = 0
+        for s in (s for s in semigroup_pool() if s.order <= 3):
+            for ideal in ideals_of(s):
+                assert ba.ideal_biact(s, ideal) == loop(s, ideal)
+                count += 1
+        assert count > 50
 
     def test_revalidation_is_idempotent(self):
         b = ba.regular_biact(t2())

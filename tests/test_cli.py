@@ -149,8 +149,13 @@ class TestUsage:
     def test_unknown_flag(self, capsys, t2_file):
         assert run(capsys, "analyze", "--frobnicate", str(t2_file))[0] == 4
 
-    def test_unknown_claim_id(self, capsys):
-        assert run(capsys, "verify", "--suite", "nope")[0] == 4
+    def test_unknown_claim_id(self, capsys, tmp_path):
+        # the report path is checked before the selection, and an existing
+        # report survives the refusal
+        report = tmp_path / "r.json"
+        report.write_text("kept\n")
+        assert run(capsys, "verify", "--suite", "nope", "--report", str(report))[0] == 4
+        assert report.read_text() == "kept\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "L3.3,Ex4.8,C4.19", "--depth", "-3", "--samples", "-2"),
@@ -294,12 +299,14 @@ class TestCommands:
 class TestBadPaths:
     """Unreadable inputs and unwritable outputs are validation errors
     (exit 2) that name the path, never a traceback, and leave nothing
-    behind."""
+    behind: no file and no output, because the path is refused before any
+    work is done."""
 
     def _refused(self, capsys, *argv):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("validation error:") and "Traceback" not in err
+        assert out == ""
         return err
 
     def test_enum_out_is_an_existing_file(self, capsys, tmp_path):
@@ -315,6 +322,18 @@ class TestBadPaths:
         err = self._refused(capsys, "verify", "--suite", "P3.4", "--report", str(report))
         assert "reports" in err
         assert list(report.iterdir()) == []
+
+    def test_probe_report_is_a_directory(self, capsys, tmp_path, monkeypatch):
+        from greenstone import verify as ver
+
+        probed = []
+        monkeypatch.setattr(ver, "probe_open_problem",
+                            lambda config: probed.append(config) or {})
+        report = tmp_path / "reports"
+        report.mkdir()
+        err = self._refused(capsys, "probe", "--report", str(report))
+        assert "reports" in err
+        assert list(report.iterdir()) == [] and probed == []
 
     def test_construct_out_is_a_directory(self, capsys, triv_files, tmp_path):
         out = tmp_path / "built"

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -290,6 +292,17 @@ class TestSamplers:
         s = en.random_transformation_semigroup(3, 2, 7)
         members = en.random_subsemigroup(s, 1)
         core.classify_subset(s, members, "subsemigroup")
+
+    def test_random_biact_corpus_is_pinned(self):
+        # recorded when the right- and left-transformation recipes were
+        # written out separately; the one shared recipe makes the same draws
+        from greenstone.formats import biact_to_dict
+        corpus = en.random_biact_corpus(1000, 42)
+        text = json.dumps([biact_to_dict(b) for b in corpus], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "aaad73d7ebbab3e3e36e36f87244d63daea09479d7d13c5a433d9b2142a83a55")
+        recipes = {b.provenance.get("recipe") for b in corpus}
+        assert {"right-transformation", "left-transformation"} <= recipes
 
     def test_random_biacts_are_reproducible_and_bounded(self):
         from greenstone.formats import biact_to_dict

@@ -244,79 +244,231 @@ class TestFiniteExtensions:
                                 == gs_a.le(x, y, k))
 
 
+def usta_oracle(s, t, a):
+    """The U(S,T;A) table fill that had a builder of its own, kept as an
+    oracle for the one fill behind both builders."""
+    if a.left.order != s.order or a.left.table != s.table:
+        raise ActionMismatch("the biact's left semigroup is not S")
+    if a.right.order != t.order or a.right.table != t.table:
+        raise ActionMismatch("the biact's right semigroup is not T")
+    ns, nt, na = s.order, t.order, a.size
+    s_ids = tuple(range(ns))
+    t_ids = tuple(range(ns, ns + nt))
+    x_ids = tuple(range(ns + nt, ns + nt + na))
+    zero = ns + nt + na
+    n = zero + 1
+    table = [[zero] * n for _ in range(n)]
+    for i in range(ns):
+        for j in range(ns):
+            table[i][j] = s.table[i][j]
+    for i in range(nt):
+        for j in range(nt):
+            table[t_ids[i]][t_ids[j]] = t_ids[t.table[i][j]]
+    for i in range(ns):
+        for x in range(na):
+            table[i][x_ids[x]] = x_ids[a.left_action[i][x]]
+    for x in range(na):
+        for j in range(nt):
+            table[x_ids[x]][t_ids[j]] = x_ids[a.right_action[x][j]]
+    labels = (tuple(f"s:{x}" for x in s.labels)
+              + tuple(f"t:{x}" for x in t.labels)
+              + tuple(f"x:{x}" for x in a.labels) + ("0",))
+    sem = core.validate_table(n, table, labels=labels, provenance={"kind": "usta"})
+    return sem, sym.ExtensionParts(s_ids, t_ids, x_ids, zero)
+
+
+def usa_oracle(s, a):
+    """The U(S,A) table fill that had a builder of its own."""
+    if a.left.order != s.order or a.left.table != s.table:
+        raise ActionMismatch("the biact's left semigroup is not S")
+    if a.right.order != s.order or a.right.table != s.table:
+        raise ActionMismatch("the biact's right semigroup is not S")
+    ns, na = s.order, a.size
+    s_ids = tuple(range(ns))
+    x_ids = tuple(range(ns, ns + na))
+    zero = ns + na
+    n = zero + 1
+    table = [[zero] * n for _ in range(n)]
+    for i in range(ns):
+        for j in range(ns):
+            table[i][j] = s.table[i][j]
+    for i in range(ns):
+        for x in range(na):
+            table[i][x_ids[x]] = x_ids[a.left_action[i][x]]
+            table[x_ids[x]][i] = x_ids[a.right_action[x][i]]
+    labels = (tuple(f"s:{x}" for x in s.labels)
+              + tuple(f"x:{x}" for x in a.labels) + ("0",))
+    sem = core.validate_table(n, table, labels=labels, provenance={"kind": "usa"})
+    return sem, sym.ExtensionParts(s_ids, (), x_ids, zero)
+
+
+class TestOneFiniteGluing:
+    def test_builders_match_the_separate_fills(self):
+        pool = all_semigroups(1) + all_semigroups(2)
+        glued = usa = 0
+        for s, t in itertools.product(pool, pool):
+            for m in (1, 2, 3):
+                for a in all_biacts(s, t, m):
+                    got, want = sym.build_usta(s, t, a), usta_oracle(s, t, a)
+                    assert got == want
+                    assert got[0].provenance == want[0].provenance == {"kind": "usta"}
+                    glued += 1
+                    if s is t:
+                        got, want = sym.build_usa(s, a), usa_oracle(s, a)
+                        assert got == want
+                        assert got[0].provenance == want[0].provenance == {"kind": "usa"}
+                        usa += 1
+        assert (glued, usa) == (1065, 199)
+
+    def test_action_mismatch_names_the_side(self):
+        from greenstone.biact import product_biact, regular_biact
+        triv = core.validate_table(1, [[0]])
+        z2 = core.validate_table(2, [[0, 1], [1, 0]])
+        reg = regular_biact(triv)
+        over_z2 = product_biact(triv, z2)     # left semigroup trivial, right Z2
+        cases = [(lambda: sym.build_usta(z2, triv, reg), "left semigroup is not S"),
+                 (lambda: sym.build_usta(triv, z2, reg), "right semigroup is not T"),
+                 (lambda: sym.build_usa(z2, reg), "left semigroup is not S"),
+                 (lambda: sym.build_usa(triv, over_z2), "right semigroup is not S")]
+        for build, message in cases:
+            with pytest.raises(ActionMismatch) as exc:
+                build()
+            assert str(exc.value) == f"the biact's {message}"
+
+
+class WrapSem(sym.SymbolicSemigroup):
+    """A finite semigroup read as a symbolic one, deciding by its table."""
+
+    def __init__(self, s):
+        self.s = s
+        self.name = f"wrap{s.order}"
+        self.gs = green_structure(s)
+
+    def mul(self, x, y):
+        return self.s.table[x][y]
+
+    def le(self, k, x, y):
+        return self.gs.le(x, y, k)
+
+
+class WrapBiact(sym.SymbolicBiact):
+    def __init__(self, b, left, right):
+        self.b = b
+        self.gs = green_structure(b)
+        self.left, self.right = left, right
+
+    def act_left(self, s, a):
+        return self.b.left_action[s][a]
+
+    def act_right(self, a, t):
+        return self.b.right_action[a][t]
+
+    def le(self, k, a, b):
+        return self.gs.le(a, b, k)
+
+
+def assert_gluing_matches(u_sym, u_fin, parts, sizes):
+    """Compare the symbolic gluing with its materialised table: products on
+    every pair, and the piecewise deciders on every pair they claim to
+    decide, against reachability in the table and in the reindexed ideal.
+    ``sizes`` maps each tag to the size of its part.  Returns the number of
+    decided pairs."""
+    ranges = {"s": parts.s_ids, "t": parts.t_ids, "x": parts.x_ids}
+    tagged = [(tag, i) for tag, n in sizes.items() for i in range(n)] + [sym.ZERO]
+    assert len(tagged) == u_fin.order
+
+    def to_id(u):
+        return parts.zero_id if u == sym.ZERO else ranges[u[0]][u[1]]
+
+    gs_u = green_structure(u_fin)
+    decided = 0
+    for u1 in tagged:
+        for u2 in tagged:
+            assert to_id(u_sym.mul(u1, u2)) == u_fin.table[to_id(u1)][to_id(u2)]
+            for k in "LRJ":
+                try:
+                    got = u_sym.le(k, u1, u2)
+                except DecisionUnavailable:
+                    continue
+                assert got == gs_u.le(to_id(u1), to_id(u2), k)
+                decided += 1
+
+    # the ideal's J-order decider against the reindexed ideal
+    isub, carrier = core.subsemigroup(u_fin, parts.ideal_ids)
+    gs_i = green_structure(isub)
+    pos = {x: i for i, x in enumerate(carrier)}
+    in_ideal = [u for u in tagged if to_id(u) in pos]
+    for u1 in in_ideal:
+        for u2 in in_ideal:
+            try:
+                got = u_sym.le_in_ideal(u1, u2)
+            except DecisionUnavailable:
+                continue
+            assert got == gs_i.le(pos[to_id(u1)], pos[to_id(u2)], "J")
+            decided += 1
+    return decided
+
+
 class TestSymbolicExtensionAgainstBruteForce:
     def test_piecewise_le_matches_materialised_tables(self):
         # wrap finite parts as symbolic objects and compare the piecewise
         # decider against reachability in the materialised gluing, on every
         # pair it claims to decide
-        from greenstone.errors import DecisionUnavailable as DU
-
-        class WrapSem(sym.SymbolicSemigroup):
-            def __init__(self, s):
-                self.s = s
-                self.gs = green_structure(s)
-
-            def mul(self, x, y):
-                return self.s.table[x][y]
-
-            def le(self, k, x, y):
-                return self.gs.le(x, y, k)
-
-        class WrapBiact(sym.SymbolicBiact):
-            def __init__(self, b, left, right):
-                self.b = b
-                self.gs = green_structure(b)
-                self.left, self.right = left, right
-
-            def act_left(self, s, a):
-                return self.b.left_action[s][a]
-
-            def act_right(self, a, t):
-                return self.b.right_action[a][t]
-
-            def le(self, k, a, b):
-                return self.gs.le(a, b, k)
-
         pool = all_semigroups(2)
         for s in pool[:3]:
             for t in pool[:3]:
                 for a in all_biacts(s, t, 2):
                     u_fin, parts = sym.build_usta(s, t, a)
-                    gs_u = green_structure(u_fin)
                     ws, wt = WrapSem(s), WrapSem(t)
                     u_sym = sym.SymbolicExtensionSTA(ws, wt, WrapBiact(a, ws, wt))
-                    tagged = ([("s", i) for i in range(s.order)]
-                              + [("t", j) for j in range(t.order)]
-                              + [("x", x) for x in range(a.size)] + [sym.ZERO])
-                    ranges = {"s": parts.s_ids, "t": parts.t_ids, "x": parts.x_ids}
+                    assert_gluing_matches(u_sym, u_fin, parts,
+                                          {"s": s.order, "t": t.order, "x": a.size})
 
-                    def to_id(u):
-                        return parts.zero_id if u == sym.ZERO else ranges[u[0]][u[1]]
+    def test_sa_piecewise_le_matches_materialised_tables(self):
+        # the same for U(S,A), over every (S,S)-biact with |S| <= 2 and m <= 2
+        count = 0
+        for s in all_semigroups(1) + all_semigroups(2):
+            ws = WrapSem(s)
+            for m in (1, 2):
+                for a in all_biacts(s, s, m):
+                    u_fin, parts = sym.build_usa(s, a)
+                    u_sym = sym.SymbolicExtensionSA(ws, WrapBiact(a, ws, ws))
+                    assert u_sym.name == f"U(wrap{s.order};abstract biact)"
+                    assert assert_gluing_matches(u_sym, u_fin, parts,
+                                                 {"s": s.order, "x": a.size}) > 0
+                    count += 1
+        assert count == 40
 
-                    for u1 in tagged:
-                        for u2 in tagged:
-                            for k in "LRJ":
-                                try:
-                                    got = u_sym.le(k, u1, u2)
-                                except DU:
-                                    continue
-                                assert got == gs_u.le(to_id(u1), to_id(u2), k)
-
-                    # the ideal's J-order decider against the reindexed ideal
-                    isub, carrier = core.subsemigroup(u_fin, parts.ideal_ids)
-                    gs_i = green_structure(isub)
-                    pos = {x: i for i, x in enumerate(carrier)}
-                    in_ideal = [u for u in tagged if u == sym.ZERO or u[0] in "sx"]
-                    for u1 in in_ideal:
-                        for u2 in in_ideal:
-                            try:
-                                got = u_sym.le_in_ideal(u1, u2)
-                            except DU:
-                                continue
-                            assert got == gs_i.le(pos[to_id(u1)], pos[to_id(u2)], "J")
+    def test_undecided_pairs_raise(self):
+        # x-elements above semigroup elements need instance data: without
+        # a mixed decider both gluings refuse them, in le and le_in_ideal
+        s = all_semigroups(1)[0]
+        a = all_biacts(s, s, 1)[0]
+        ws = WrapSem(s)
+        for u in (sym.SymbolicExtensionSTA(ws, ws, WrapBiact(a, ws, ws)),
+                  sym.SymbolicExtensionSA(ws, WrapBiact(a, ws, ws))):
+            with pytest.raises(DecisionUnavailable, match="no decider"):
+                u.le("J", ("x", 0), ("s", 0))
+            with pytest.raises(DecisionUnavailable, match="x-below-s"):
+                u.le_in_ideal(("x", 0), ("s", 0))
 
 
 class TestHeadlineInstances:
+    def test_gluing_names_encodings_and_samples(self):
+        cor419, cor512 = sym.corollary_4_19_instance(), sym.corollary_5_12_instance()
+        assert cor419.u.name == "U(bicyclic,bicyclic-bar;bicyclic-copy)"
+        assert cor512.u.name == "U(free2;free-pullback-bicyclic)"
+        assert cor419.u.encode(("t", (1, 2))) == ["t", [1, 2]]
+        assert cor419.u.encode(("x", (0, 3))) == ["x", [0, 3]]
+        assert cor512.u.encode(("s", "ab")) == ["s", "ab"]
+        assert cor512.u.encode(sym.ZERO) == ["0"]
+        rng = random.Random(1)
+        for u, tags in ((cor419.u, {"s", "t", "x", "0"}), (cor512.u, {"s", "x", "0"})):
+            samples = [u.sample(rng) for _ in range(200)]
+            assert {x[0] for x in samples} == tags
+            for x in samples:
+                u.mul(x, x)
+
     def test_cor419_ideal_chain(self):
         inst = sym.corollary_4_19_instance()
         chain = inst.ideal_chain()

@@ -2,12 +2,13 @@
 
 The derived biact constructors and the biact census build through
 ``biact._trusted_biact`` without re-checking the action axioms, and the
-derived semigroup constructors build through ``core._trusted_table``
-without re-checking associativity; here their output is re-validated over
-the small census and the random corpus.  The lazy orbit scan of ``l_periodic``/
-``r_periodic`` is compared with the eager-orbit reference it replaced, and
-every predicate on a semigroup read as its own biact is compared with the
-same predicate on its regular biact, the conversion it replaced.
+derived semigroup constructors and the semigroup census build through
+``core._trusted_table`` without re-checking associativity; here their
+output is re-validated over the small census and the random corpus.  The
+lazy orbit scan of ``l_periodic``/``r_periodic`` is compared with the
+eager-orbit reference it replaced, and every predicate on a semigroup
+read as its own biact is compared with the same predicate on its regular
+biact, the conversion it replaced.
 """
 
 import itertools
@@ -54,12 +55,12 @@ def assert_valid(b: ba.FiniteBiact) -> None:
     assert again == b
 
 
-def assert_table_valid(s: core.FiniteSemigroup) -> None:
-    """Re-run ``validate_table`` with the full triple scan on a trusted
-    build: it must come back unchanged."""
+def assert_table_valid(s: core.FiniteSemigroup, method: str = "triples") -> None:
+    """Re-run ``validate_table`` (by default with the full triple scan) on a
+    trusted build: it must come back unchanged."""
     assert all(isinstance(row, tuple) for row in s.table)
     again = core.validate_table(s.order, s.table, labels=s.labels,
-                                provenance=s.provenance, method="triples")
+                                provenance=s.provenance, method=method)
     assert again == s and again.provenance == s.provenance
 
 
@@ -143,6 +144,19 @@ class TestTrustedCensus:
                     assert b.provenance == {"kind": "biact", "census": True}
                     count += 1
         assert count == 1065
+
+    @pytest.mark.parametrize("method", ["triples", "light"])
+    def test_semigroup_census(self, method):
+        # every census table is built unchecked from the orderly search,
+        # which has checked its triples
+        count = 0
+        for n in (1, 2, 3, 4):
+            for s in all_semigroups(n):
+                assert_table_valid(s, method)
+                assert s.labels == tuple(f"e{i}" for i in range(n))
+                assert s.provenance == {"kind": "table", "census": f"order {n}"}
+                count += 1
+        assert count == 1 + 5 + 24 + 188
 
 
 class TestTrustedSemigroups:
