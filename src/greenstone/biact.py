@@ -34,6 +34,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
+    DEFAULT_CLOSURE_CAP,
     FiniteSemigroup,
     _frozen,
     _grid,
@@ -50,6 +51,7 @@ from .errors import (
     NotAnIdeal,
     NotASubact,
     RoleViolation,
+    SizeLimitExceeded,
 )
 
 
@@ -273,10 +275,12 @@ def relative_rees(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact
 def product_biact(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteBiact:
     """Carrier S x T with s(a,b) = (sa,b) and (a,b)t = (a,bt).
 
-    Pair (a, b) is interned as a * |T| + b.
+    Pair (a, b) is interned as a * |T| + b.  A carrier above the closure
+    cap is refused before any table is built.
     """
     nt = t.order
-    size = s.order * nt
+    if s.order * nt > DEFAULT_CLOSURE_CAP:
+        raise SizeLimitExceeded(DEFAULT_CLOSURE_CAP, f"the product of orders {s.order} and {nt}")
 
     def pid(a: int, b: int) -> int:
         return a * nt + b

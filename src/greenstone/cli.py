@@ -235,9 +235,13 @@ def cmd_catalog(args) -> int:
 def _check_report_path(path: Optional[str]) -> None:
     """Refuse a ``--report`` path that cannot be written before any work is
     done.  The path is opened for appending, which leaves an existing
-    report as it was if the run is refused or fails later."""
+    report as it was; a new file is removed again at once, so a run that is
+    refused or fails later leaves nothing behind."""
     if path:
+        existed = Path(path).exists()
         open(path, "a").close()
+        if not existed:
+            Path(path).unlink()
 
 
 def cmd_verify(args) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .biact import FiniteBiact, _left_axiom_violation, _trusted_biact, product_biact, \
     regular_biact, relative_biact, biact_rees_quotient, subact_closure, validate_biact
@@ -281,7 +281,8 @@ def random_subsemigroup(s: FiniteSemigroup, seed) -> frozenset[int]:
     return subset_closure(s.table, seedset)
 
 
-def _semigroup_pool() -> list[FiniteSemigroup]:
+@functools.cache
+def semigroup_pool() -> list[FiniteSemigroup]:
     """A deterministic pool of small semigroups for the samplers: every
     semigroup of order <= 3 plus a few named order-4 instances."""
     pool = []
@@ -294,22 +295,16 @@ def _semigroup_pool() -> list[FiniteSemigroup]:
     return pool
 
 
-_POOL_CACHE: Optional[list[FiniteSemigroup]] = None
+_MAX_SEMIGROUP = 4   # the random biacts' acting semigroups have at most 4 elements
+_MAX_CARRIER = 6     # and their carriers at most 6
 
 
-def semigroup_pool() -> list[FiniteSemigroup]:
-    global _POOL_CACHE
-    if _POOL_CACHE is None:
-        _POOL_CACHE = _semigroup_pool()
-    return _POOL_CACHE
-
-
-def random_biact(seed, max_semigroup: int = 4, max_carrier: int = 6) -> FiniteBiact:
+def random_biact(seed) -> FiniteBiact:
     """A reproducible valid biact assembled from closure-safe recipes:
     relative and regular biacts, products, congruence and Rees quotients,
     and one-sided transformation actions."""
     rng = random.Random(f"biact:{seed}")
-    pool = [s for s in semigroup_pool() if s.order <= max_semigroup]
+    pool = [s for s in semigroup_pool() if s.order <= _MAX_SEMIGROUP]
 
     def pick_semigroup(limit: int) -> FiniteSemigroup:
         options = [s for s in pool if s.order <= limit]
@@ -317,33 +312,33 @@ def random_biact(seed, max_semigroup: int = 4, max_carrier: int = 6) -> FiniteBi
 
     recipe = rng.randrange(5)
     if recipe == 0:
-        s = pick_semigroup(max_carrier)
+        s = pick_semigroup(_MAX_CARRIER)
         members = random_subsemigroup(s, rng.random())
         biact = relative_biact(s, members)
     elif recipe == 1:
-        s = pick_semigroup(max_carrier)
+        s = pick_semigroup(_MAX_CARRIER)
         biact = regular_biact(s)
     elif recipe == 2:
         while True:
-            s = pick_semigroup(max_semigroup)
-            t = pick_semigroup(max_semigroup)
-            if s.order * t.order <= max_carrier:
+            s = pick_semigroup(_MAX_SEMIGROUP)
+            t = pick_semigroup(_MAX_SEMIGROUP)
+            if s.order * t.order <= _MAX_CARRIER:
                 break
         biact = product_biact(s, t)
     else:
         # a transformation semigroup acting on the carrier, the other side
         # acting as the identity: on the right (recipe 3), or on the left
         # through its opposite (recipe 4)
-        m = rng.randrange(2, max_carrier + 1)
+        m = rng.randrange(2, _MAX_CARRIER + 1)
         while True:
             try:
                 t = random_transformation_semigroup(m, 1, rng.random(),
-                                                    cap=max_semigroup)
+                                                    cap=_MAX_SEMIGROUP)
             except SizeLimitExceeded:
                 continue
             break
         maps = t.provenance["maps"]
-        idle = pick_semigroup(max_semigroup)
+        idle = pick_semigroup(_MAX_SEMIGROUP)
         fixed = [tuple(range(m))] * idle.order    # the identity action's rows
         if recipe == 3:    # the maps act on the right: they are the columns
             biact = validate_biact(idle, t, fixed, list(zip(*maps)),
@@ -369,7 +364,5 @@ def random_biact(seed, max_semigroup: int = 4, max_carrier: int = 6) -> FiniteBi
     return biact
 
 
-def random_biact_corpus(count: int, master_seed,
-                        max_semigroup: int = 4, max_carrier: int = 6) -> list[FiniteBiact]:
-    return [random_biact(f"{master_seed}:{i}", max_semigroup, max_carrier)
-            for i in range(count)]
+def random_biact_corpus(count: int, master_seed) -> list[FiniteBiact]:
+    return [random_biact(f"{master_seed}:{i}") for i in range(count)]

@@ -31,8 +31,8 @@ class DegreeMismatch(ValidationError):
 
 
 class SizeLimitExceeded(ValidationError):
-    def __init__(self, cap: int):
-        super().__init__(f"closure exceeded the size cap of {cap} elements")
+    def __init__(self, cap: int, what: str = "closure"):
+        super().__init__(f"{what} exceeded the size cap of {cap} elements")
         self.cap = cap
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .biact import FiniteBiact
@@ -230,7 +231,8 @@ def l_periodic(x: Structure) -> PredicateResult:
 
 def r_periodic(x: Structure) -> PredicateResult:
     """For each t and a there is 1 <= n <= size with a t^n R a t^(n+1)."""
-    return _periodic(tuple(zip(*x.right_action)), green_structure(x).class_of["R"], "t")
+    columns = (tuple(map(itemgetter(t), x.right_action)) for t in range(x.right.order))
+    return _periodic(columns, green_structure(x).class_of["R"], "t")
 
 
 def _periodic(maps, class_of: Sequence[int], letter: str) -> PredicateResult:

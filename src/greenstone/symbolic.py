@@ -980,10 +980,11 @@ def instability_witnessed(x, side: str) -> bool:
 
 _PERIODIC_FOR = {"M_L": "l_periodic", "M_R": "r_periodic"}
 _STABLE_FOR = {"l_periodic": "left_stable", "r_periodic": "right_stable"}
+_GATE_CHAIN_DEPTH = 25    # steps each negative chain is replayed
+_GATE_SAMPLE_PAIRS = 20   # sampled pairs of each simple entry
 
 
-def check_sheet_network(entries: dict[str, SymbolicSemigroup],
-                        chain_depth: int = 25, sample_pairs: int = 20) -> None:
+def check_sheet_network(entries: dict[str, SymbolicSemigroup]) -> None:
     """Refuse a catalog whose sheets contradict the implication network or
     whose negative claims lack verified witnesses."""
     rng = random.Random("catalog-gate")
@@ -1017,14 +1018,14 @@ def check_sheet_network(entries: dict[str, SymbolicSemigroup],
                 chain = entry.chain(k)
                 if chain is None:
                     raise InvariantViolation(f"{name}: {mk}=false without a chain")
-                res = verify_chain(entry, chain, k, chain_depth)
+                res = verify_chain(entry, chain, k, _GATE_CHAIN_DEPTH)
                 if not res.ok:
                     raise InvariantViolation(f"{name}: {k}-chain fails ({res.reason})")
         for side in ("left", "right"):
             if v(f"{side}_stable") is False and not instability_witnessed(entry, side):
                 raise InvariantViolation(f"{name}: {side} instability witness fails")
         if v("simple") is True:
-            for _ in range(sample_pairs):
+            for _ in range(_GATE_SAMPLE_PAIRS):
                 x, y = entry.sample(rng), entry.sample(rng)
                 if not (entry.le("J", x, y) and entry.le("J", y, x)):
                     raise InvariantViolation(f"{name}: simplicity fails at {x}, {y}")

@@ -17,8 +17,11 @@ pass, so the thousands of them are never held at once), or the fixed pool
 of small biacts whose parts the finite gluing claims glue.  Such a claim is a
 per-instance check ``check(instance, tally)`` plus a registry row naming
 its corpus; ``_over`` owns the loop, the instance count and the outcome.
+The commonest statement, "the whole has a condition iff its parts have
+it", is written once as ``_split``, so such a claim is one registry row
+naming the predicate, the whole, the parts, the witness key and the kinds.
 Claims with a symbolic part, or over pairs of semigroups, are functions
-of the ``Env``.
+of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 
 Must-hold claims must produce zero violations; counterexample-expected
 claims must produce a verified witness.  Claims whose finite runs cannot
@@ -39,7 +42,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__ as _version
@@ -198,6 +201,19 @@ class Substructure:
         return rees_quotient(self.host, self.members)
 
 
+def _kept(build: Callable[["Env"], object]) -> Callable[["Env"], object]:
+    """A corpus method that builds its corpus on the first call per ``Env``
+    and returns the same object on every later call.  The result is a plain
+    function, so a wrapper installed on ``Env`` later (a tracer) sees every
+    call."""
+    @wraps(build)
+    def corpus(env: "Env"):
+        if build.__name__ not in env._kept:
+            env._kept[build.__name__] = build(env)
+        return env._kept[build.__name__]
+    return corpus
+
+
 class Env:
     """Shared corpora for the claim checkers.
 
@@ -209,94 +225,70 @@ class Env:
 
     def __init__(self, config: SuiteConfig):
         self.config = config
-        self._semigroups: Optional[list[FiniteSemigroup]] = None
-        self._biacts_exhaustive: Optional[list[FiniteBiact]] = None
-        self._biacts_random: Optional[list[FiniteBiact]] = None
-        self._catalog: Optional[dict[str, SymbolicSemigroup]] = None
-        self._subsemigroups: Optional[list[Substructure]] = None
-        self._roles: dict[str, list[Substructure]] = {}
-        self._congruences: Optional[list[Congruence]] = None
-        self._gluings: Optional[list[FiniteBiact]] = None
+        self._kept: dict[str, object] = {}
 
     def rng(self, key: str) -> random.Random:
         return random.Random(f"{self.config.seed}:{key}")
 
+    @_kept
     def semigroups(self) -> list[FiniteSemigroup]:
         """Exhaustive census up to max_order plus the named order-4 pool."""
-        if self._semigroups is None:
-            out = []
-            for n in range(1, self.config.max_order + 1):
-                out.extend(all_semigroups(n))
-            out.extend(s for s in semigroup_pool() if s.order > self.config.max_order)
-            self._semigroups = out
-        return self._semigroups
+        out = []
+        for n in range(1, self.config.max_order + 1):
+            out.extend(all_semigroups(n))
+        out.extend(s for s in semigroup_pool() if s.order > self.config.max_order)
+        return out
 
+    @_kept
     def biacts_exhaustive(self) -> list[FiniteBiact]:
-        if self._biacts_exhaustive is None:
-            pool = [s for n in range(1, self.config.exh_semigroup + 1)
-                    for s in all_semigroups(n)]
-            out = []
-            for s, t in itertools.product(pool, pool):
-                for m in range(1, self.config.exh_carrier + 1):
-                    out.extend(all_biacts(s, t, m))
-            self._biacts_exhaustive = out
-        return self._biacts_exhaustive
+        pool = [s for n in range(1, self.config.exh_semigroup + 1)
+                for s in all_semigroups(n)]
+        return [b for s, t in itertools.product(pool, pool)
+                for m in range(1, self.config.exh_carrier + 1) for b in all_biacts(s, t, m)]
 
+    @_kept
     def biacts_random(self) -> list[FiniteBiact]:
-        if self._biacts_random is None:
-            self._biacts_random = random_biact_corpus(
-                self.config.random_biacts, self.config.seed)
-        return self._biacts_random
+        return random_biact_corpus(self.config.random_biacts, self.config.seed)
 
     def biacts(self) -> list[FiniteBiact]:
         return self.biacts_exhaustive() + self.biacts_random()
 
+    @_kept
     def catalog(self) -> dict[str, SymbolicSemigroup]:
         """The symbolic catalog, built and gated once.  Its entries carry
         mutable property sheets, so it is kept per Env, not per process."""
-        if self._catalog is None:
-            self._catalog = catalog()
-        return self._catalog
+        return catalog()
 
+    @_kept
     def subsemigroups(self) -> list[Substructure]:
         """Every subsemigroup of every semigroup, host by host."""
-        if self._subsemigroups is None:
-            self._subsemigroups = [Substructure(s, m) for s in self.semigroups()
-                                   for m in subsemigroups_of(s)]
-        return self._subsemigroups
+        return [Substructure(s, m) for s in self.semigroups() for m in subsemigroups_of(s)]
 
+    @_kept
     def ideals(self) -> list[Substructure]:
-        return self._in_role("ideal")
+        """The subsemigroups that are ideals; they share the derived objects."""
+        return [x for x in self.subsemigroups() if is_role(x.host, x.members, "ideal")]
 
+    @_kept
     def bi_ideals(self) -> list[Substructure]:
-        return self._in_role("bi-ideal")
+        """The subsemigroups that are bi-ideals; they share the derived objects."""
+        return [x for x in self.subsemigroups() if is_role(x.host, x.members, "bi-ideal")]
 
-    def _in_role(self, role: str) -> list[Substructure]:
-        """The subsemigroups that are also of ``role``: every ideal and
-        bi-ideal is a subsemigroup, so they share its derived objects."""
-        if role not in self._roles:
-            self._roles[role] = [x for x in self.subsemigroups()
-                                 if is_role(x.host, x.members, role)]
-        return self._roles[role]
-
+    @_kept
     def congruences(self) -> list[Congruence]:
         """The congruence generated by each pair of distinct elements of
         each semigroup; ``rho.over`` is the semigroup."""
-        if self._congruences is None:
-            self._congruences = [rho for s in self.semigroups()
-                                 for rho in single_pair_congruences(s)]
-        return self._congruences
+        return [rho for s in self.semigroups() for rho in single_pair_congruences(s)]
 
+    @_kept
     def gluings(self) -> list[FiniteBiact]:
         """The biacts of the semigroups of order 1 and 2 on one and two
         points, the parts of the finite gluings U(S,T;A) and U(S,A).  Fixed,
         not read from the census caps, so the gluing claims check the same
         instances at every config."""
-        if self._gluings is None:
-            pool = [s for n in (1, 2) for s in all_semigroups(n)]
-            self._gluings = [a for s, t in itertools.product(pool, pool)
-                             for m in (1, 2) for a in all_biacts(s, t, m)]
-        return self._gluings
+        pool = [s for n in (1, 2) for s in all_semigroups(n)]
+        return [a for s, t in itertools.product(pool, pool)
+                for m in (1, 2) for a in all_biacts(s, t, m)]
 
     def subacts(self) -> Iterator[Subact]:
         return (Subact(b, m) for b in self.biacts() for m in subacts_of(b))
@@ -310,10 +302,7 @@ class Env:
 
 
 def nonempty_subsets(n: int) -> Iterable[frozenset[int]]:
-    universe = list(range(n))
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(universe, r):
-            yield frozenset(combo)
+    return (frozenset(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r))
 
 
 def ideals_of(s: FiniteSemigroup) -> list[frozenset[int]]:
@@ -330,13 +319,7 @@ def subacts_of(a: FiniteBiact) -> list[frozenset[int]]:
 
 
 def single_pair_congruences(x) -> list:
-    n = x.size
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            rho = congruence_closure(x, [(a, b)])
-            out.append(rho)
-    return out
+    return [congruence_closure(x, [pair]) for pair in itertools.combinations(range(x.size), 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +341,29 @@ _SMOKE = ("finite structures satisfy every minimal condition and are stable, "
           "failures is the pass condition")
 
 
+_KEEP = 5   # violations a report shows per claim
+
+
 class _Tally:
     """The checks one claim has made and the violations it has found."""
 
-    def __init__(self, keep: int = 5):
-        self.keep = keep
+    def __init__(self):
         self.instances = 0
         self.count = 0
         self.samples: list = []
 
     def add(self, payload) -> None:
         self.count += 1
-        if len(self.samples) < self.keep:
+        if len(self.samples) < _KEEP:
             self.samples.append(_as_json(payload))
+
+    def chain(self, x, chain, k: str, depth: int, payload: dict) -> None:
+        """One check: ``chain`` descends strictly in the ``k`` preorder of
+        ``x`` for ``depth`` steps, or ``payload`` is added with the reason."""
+        self.instances += 1
+        res = verify_chain(x, chain, k, depth)
+        if not res.ok:
+            self.add({**payload, "reason": res.reason})
 
     def over(self, corpus: Iterable, check) -> "_Tally":
         """Run ``check(instance, self)`` on every instance of ``corpus``.  A
@@ -398,6 +391,35 @@ def _over(corpus: str, check, smoke: bool = False,
     def checker(env: Env) -> ClaimOutcome:
         return _Tally().over(getattr(env, corpus)(), check).outcome(smoke, notes)
     return checker
+
+
+def _split(pred: str, whole: str, parts: tuple[str, ...], key: str,
+           kinds: tuple = KINDS) -> Callable[[object, _Tally], int]:
+    """The per-instance check of "the whole has the condition iff every
+    part has it", once per kind.  ``whole`` and ``parts`` name attributes of
+    the instance; ``pred`` names a predicate of this module, looked up on
+    each call so that a wrapper installed later is called, and a kind of
+    None calls it with no kind.  A violation names the instance's members
+    under ``key``, and the kind when there are several."""
+    def check(x, v: _Tally) -> int:
+        holds = globals()[pred]
+        for k in kinds:
+            at = () if k is None else (k,)
+            whole_holds = bool(holds(getattr(x, whole), *at))
+            if whole_holds != all(holds(getattr(x, p), *at) for p in parts):
+                v.add({key: x.members, "k": k} if len(kinds) > 1 else {key: x.members})
+        return len(kinds)
+    return check
+
+
+def _same_preorders(p, q, v: _Tally) -> int:
+    """Two objects on one carrier have the same three preorders."""
+    gp, gq = green_structure(p), green_structure(q)
+    for k in KINDS:
+        for a, b in itertools.product(range(p.size), repeat=2):
+            if gp.le(a, b, k) != gq.le(a, b, k):
+                v.add({"k": k, "pair": (a, b)})
+    return len(KINDS) * p.size ** 2
 
 
 def _ab_words() -> list[str]:
@@ -437,10 +459,7 @@ def check_L3_3(env: Env) -> ClaimOutcome:
         for mk, k in (("M_L", "L"), ("M_R", "R"), ("M_J", "J")):
             claim = entry.sheet.get(mk)
             if claim and not claim.value:
-                v.instances += 1
-                res = verify_chain(entry, entry.chain(k), k, env.config.depth)
-                if not res.ok:
-                    v.add({"entry": name, "k": k, "reason": res.reason})
+                v.chain(entry, entry.chain(k), k, env.config.depth, {"entry": name, "k": k})
     return v.outcome()
 
 
@@ -461,10 +480,7 @@ def check_P3_4(env: Env) -> ClaimOutcome:
     # symbolic consistency: bicyclic fails M_L and so does a biact over it
     # (itself, acting regularly): the same chain descends
     b = Bicyclic()
-    res = verify_chain(b, b.chain("L"), "L", env.config.depth)
-    v.instances += 1
-    if not res.ok:
-        v.add({"entry": "bicyclic", "reason": res.reason})
+    v.chain(b, b.chain("L"), "L", env.config.depth, {"entry": "bicyclic"})
     return v.outcome(smoke=True)
 
 
@@ -597,10 +613,7 @@ def check_R3_14_2(env: Env) -> ClaimOutcome:
     cfg = env.config
 
     for k in ("L", "R"):
-        v.instances += 1
-        res = verify_chain(b, b.chain(k), k, cfg.depth)
-        if not res.ok:
-            v.add({"chain": k, "reason": res.reason})
+        v.chain(b, b.chain(k), k, cfg.depth, {"chain": k})
 
     rng = env.rng("R3.14(2)")
     for _ in range(cfg.samples):
@@ -625,18 +638,15 @@ def check_R3_14_2(env: Env) -> ClaimOutcome:
 
     # decider vs rewriting oracle on all words of length <= 6
     words = [""] + _ab_words()
-    for u in words:
-        for w in words:
-            v.instances += 1
-            if word_to_pair(u + w) != bicyclic_mul(word_to_pair(u), word_to_pair(w)):
-                v.add({"mul mismatch": (u, w)})
+    for u, w in itertools.product(words, repeat=2):
+        v.instances += 1
+        if word_to_pair(u + w) != bicyclic_mul(word_to_pair(u), word_to_pair(w)):
+            v.add({"mul mismatch": (u, w)})
     forms = sorted({word_to_pair(w) for w in words})
-    for x in forms:
-        for y in forms:
-            for k in KINDS:
-                v.instances += 1
-                if b.le(k, x, y) != oracle_le(k, pair_to_word(x), pair_to_word(y)):
-                    v.add({"le mismatch": (k, x, y)})
+    for x, y, k in itertools.product(forms, forms, KINDS):
+        v.instances += 1
+        if b.le(k, x, y) != oracle_le(k, pair_to_word(x), pair_to_word(y)):
+            v.add({"le mismatch": (k, x, y)})
     return v.outcome()
 
 
@@ -654,14 +664,10 @@ def _r3_14_3(pair: tuple[FiniteSemigroup, FiniteSemigroup], v: _Tally) -> int:
     sgs = green_structure(s)
     tgs = green_structure(t)
     nt = t.order
-    for a in range(s.order):
-        for bb in range(nt):
-            for c in range(s.order):
-                for d in range(nt):
-                    got = pgs.le(a * nt + bb, c * nt + d, "J")
-                    want = sgs.le(a, c, "L") and tgs.le(bb, d, "R")
-                    if got != want:
-                        v.add({"pair": ((a, bb), (c, d))})
+    carrier = list(itertools.product(range(s.order), range(nt)))
+    for (a, bb), (c, d) in itertools.product(carrier, repeat=2):
+        if pgs.le(a * nt + bb, c * nt + d, "J") != (sgs.le(a, c, "L") and tgs.le(bb, d, "R")):
+            v.add({"pair": ((a, bb), (c, d))})
     if pgs.num_classes("J") != sgs.num_classes("L") * tgs.num_classes("R"):
         v.add({"counts": (pgs.num_classes("J"),
                           sgs.num_classes("L"), tgs.num_classes("R"))})
@@ -687,34 +693,11 @@ def _l4_2(rho: Congruence, v: _Tally) -> int:
     preorders, hence the same minimal conditions."""
     sq, _ = quotient(rho.over, rho)
     bq, _ = quotient(regular_biact(rho.over), rho)
-    gs_s = green_structure(sq)
-    gs_b = green_structure(bq)
+    made = _same_preorders(sq, bq, v)
     for k in KINDS:
-        for a in range(sq.order):
-            for bb in range(sq.order):
-                if gs_s.le(a, bb, k) != gs_b.le(a, bb, k):
-                    v.add({"k": k, "pair": (a, bb)})
         if bool(minimal_condition(sq, k)) != bool(minimal_condition(bq, k)):
             v.add({"k": k, "failure": "minimal conditions differ"})
-    return len(KINDS) * sq.order ** 2
-
-
-def _p4_4(x: Subact, v: _Tally) -> int:
-    for k in KINDS:
-        whole = bool(minimal_condition(x.host, k))
-        parts = bool(minimal_condition(x.sub, k)) and bool(minimal_condition(x.rees, k))
-        if whole != parts:
-            v.add({"k": k, "subact": x.members})
-    return len(KINDS)
-
-
-def _p4_5(x: Substructure, v: _Tally) -> int:
-    for k in KINDS:
-        whole = bool(minimal_condition(x.rel, k))
-        parts = bool(minimal_condition(x.sub, k)) and bool(minimal_condition(x.rel_rees, k))
-        if whole != parts:
-            v.add({"k": k, "sub": x.members})
-    return len(KINDS)
+    return made
 
 
 def check_T4_6(env: Env) -> ClaimOutcome:
@@ -723,12 +706,10 @@ def check_T4_6(env: Env) -> ClaimOutcome:
     # (infinitely many relative L-classes in the quotient) and so does the
     # equivalence; pairwise L-inequivalent quotient elements certify this
     quot = example_4_8()["quotient"]
-    d = min(env.config.depth, 50)
-    for i in range(d):
-        for j in range(i + 1, d):
-            v.instances += 1
-            if quot.le("L", -i, -j) and quot.le("L", -j, -i):
-                v.add({"pair": (-i, -j), "failure": "quotient L-classes collapse"})
+    for i, j in itertools.combinations(range(min(env.config.depth, 50)), 2):
+        v.instances += 1
+        if quot.le("L", -i, -j) and quot.le("L", -j, -i):
+            v.add({"pair": (-i, -j), "failure": "quotient L-classes collapse"})
     return v.outcome(smoke=True, notes="the integer example certifies that the "
                                        "finiteness hypothesis cannot be dropped")
 
@@ -757,10 +738,7 @@ def check_Ex4_8(env: Env) -> ClaimOutcome:
 
     chain = biact.chain("J")
     for k in KINDS:
-        v.instances += 1
-        res = verify_chain(biact, chain, k, cfg.depth)
-        if not res.ok:
-            v.add({"k": k, "reason": res.reason})
+        v.chain(biact, chain, k, cfg.depth, {"k": k})
     for k in range(0, cfg.chain_seed + 1):
         v.instances += 1
         steps = quot.longest_strict_descent(-k)
@@ -824,23 +802,6 @@ def _c4_14(x: Substructure, v: _Tally) -> None:
             v.add({"bi-ideal": x.members})
 
 
-def _p4_15(x: Substructure, v: _Tally) -> int:
-    for k in KINDS:
-        whole = bool(minimal_condition(x.host, k))
-        parts = (bool(minimal_condition(x.ideal_biact, k))
-                 and bool(minimal_condition(x.rees, k)))
-        if whole != parts:
-            v.add({"ideal": x.members, "k": k})
-    return len(KINDS)
-
-
-def _t4_16(x: Substructure, v: _Tally) -> None:
-    whole = bool(minimal_condition(x.host, "L"))
-    parts = bool(minimal_condition(x.sub, "L")) and bool(minimal_condition(x.rees, "L"))
-    if whole != parts:
-        v.add({"ideal": x.members})
-
-
 def _con4_17(a: FiniteBiact, v: _Tally) -> None:
     """The gluing U(S,T;A) of a biact A over (S, T): associativity, the
     ideal structure, and the derived deciders against brute force."""
@@ -867,14 +828,10 @@ def _con4_17(a: FiniteBiact, v: _Tally) -> None:
     if find_isomorphism(rees_quotient(u, null), zero_direct_union(s, t)) is None:
         v.add({"failure": "U/N is not the zero-direct union"})
     # the extension equivalences for the two-sided condition
-    whole = bool(minimal_condition(u, "J"))
-    parts_ok = (bool(minimal_condition(s, "J")) and bool(minimal_condition(t, "J"))
-                and bool(minimal_condition(a, "J")))
-    if whole != parts_ok:
+    if bool(minimal_condition(u, "J")) != all(minimal_condition(p, "J") for p in (s, t, a)):
         v.add({"failure": "U equivalence"})
-    i_whole = bool(minimal_condition(isub, "J"))
-    i_parts = bool(minimal_condition(s, "J")) and bool(minimal_condition(a, "L"))
-    if i_whole != i_parts:
+    if bool(minimal_condition(isub, "J")) != (bool(minimal_condition(s, "J"))
+                                              and bool(minimal_condition(a, "L"))):
         v.add({"failure": "I equivalence"})
 
 
@@ -908,10 +865,7 @@ def check_C4_19(env: Env) -> ClaimOutcome:
     cfg = env.config
 
     chain = inst.ideal_chain()
-    v.instances += 1
-    res = verify_chain(inst.ideal_order(), chain, "J", cfg.depth)
-    if not res.ok:
-        v.add({"failure": "ideal chain", "reason": res.reason})
+    v.chain(inst.ideal_order(), chain, "J", cfg.depth, {"failure": "ideal chain"})
     for i in range(cfg.depth):
         v.instances += 1
         s = inst.chain_step_witness(i)
@@ -987,24 +941,14 @@ def check_S5_0(env: Env) -> ClaimOutcome:
 
 def _p5_1(x: Subact, v: _Tally) -> None:
     b, members = x.host, x.members
-    whole = bool(stable(b))
-    parts = bool(stable(x.sub)) and bool(stable(x.rees))
-    if whole != parts:
-        v.add({"subact": members})
-    lwhole = bool(left_stable(b))
-    lparts = bool(left_stable(x.sub)) and bool(left_stable(x.rees))
-    if lwhole != lparts:
-        v.add({"subact": members, "failure": "left form"})
+    for holds, failure in ((stable, {}), (left_stable, {"failure": "left form"})):
+        if bool(holds(b)) != all(holds(part) for part in (x.sub, x.rees)):
+            v.add({"subact": members, **failure})
     # contentful side fact: J-classes never straddle a subact
     for cls in green_structure(b).classes["J"]:
         flags = {y in members for y in cls}
         if len(flags) != 1:
             v.add({"subact": members, "failure": "J-class straddles subact"})
-
-
-def _p5_2(x: Substructure, v: _Tally) -> None:
-    if bool(stable(x.rel)) != (bool(stable(x.sub)) and bool(stable(x.rel_rees))):
-        v.add({"sub": x.members})
 
 
 def _p5_3(x: Substructure, v: _Tally) -> None:
@@ -1058,21 +1002,11 @@ def _l5_8(x: Substructure, v: _Tally) -> int:
     preorders and hence as stability verdicts."""
     sq = x.rees
     bq = biact_rees_quotient(x.host, x.members)
-    gss, gsb = green_structure(sq), green_structure(bq)
     # both collapse to the same carrier: survivors in order, then 0
-    for k in KINDS:
-        for a in range(sq.order):
-            for bb in range(sq.order):
-                if gss.le(a, bb, k) != gsb.le(a, bb, k):
-                    v.add({"k": k, "pair": (a, bb)})
+    made = _same_preorders(sq, bq, v)
     if bool(stable(sq)) != bool(stable(bq)):
         v.add({"ideal": x.members, "failure": "stability verdicts differ"})
-    return len(KINDS) * sq.order ** 2
-
-
-def _p5_9(x: Substructure, v: _Tally) -> None:
-    if bool(stable(x.host)) != (bool(stable(x.ideal_biact)) and bool(stable(x.rees))):
-        v.add({"ideal": x.members})
+    return made
 
 
 def _con5_10(a: FiniteBiact, v: _Tally) -> int:
@@ -1184,9 +1118,13 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
     Claim("C4.3", "minimal conditions pass to semigroup quotients",
           "finite-exhaustive", "must-hold", _over("congruences", _p4_1, smoke=True)),
     Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
-          "finite-exhaustive", "must-hold", _over("subacts", _p4_4, smoke=True)),
+          "finite-exhaustive", "must-hold",
+          _over("subacts", _split("minimal_condition", "host", ("sub", "rees"), "subact"),
+                smoke=True)),
     Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
-          "finite-exhaustive", "must-hold", _over("subsemigroups", _p4_5, smoke=True)),
+          "finite-exhaustive", "must-hold",
+          _over("subsemigroups",
+                _split("minimal_condition", "rel", ("sub", "rel_rees"), "sub"), smoke=True)),
     Claim("T4.6", "with finitely many relative L-classes, M_L is three-way equivalent",
           "finite-exhaustive", "must-hold", check_T4_6),
     Claim("C4.7", "finite index subsemigroups share the left minimal condition",
@@ -1207,10 +1145,13 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
     Claim("C4.14", "bi-ideals of stable M_J semigroups inherit M_J",
           "finite-exhaustive", "must-hold", _over("bi_ideals", _c4_14, smoke=True)),
     Claim("P4.15", "a semigroup is minimal iff its ideal biact and Rees quotient are",
-          "finite-exhaustive", "must-hold", _over("ideals", _p4_15, smoke=True)),
+          "finite-exhaustive", "must-hold",
+          _over("ideals", _split("minimal_condition", "host", ("ideal_biact", "rees"), "ideal"),
+                smoke=True)),
     Claim("T4.16", "left minimality passes between a semigroup, an ideal and the quotient",
           "finite-exhaustive", "must-hold",
-          _over("ideals", _t4_16, smoke=True,
+          _over("ideals", _split("minimal_condition", "host", ("sub", "rees"), "ideal", ("L",)),
+                smoke=True,
                 notes="the reverse direction genuinely fails for the "
                       "two-sided condition, which is claim C4.19")),
     Claim("Con4.17/P4.18", "the two-semigroup gluing and its derived deciders",
@@ -1223,7 +1164,9 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "finite-exhaustive", "must-hold",
           _over("subacts", _p5_1, smoke=True, notes="the straddle check is contentful")),
     Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
-          "finite-exhaustive", "must-hold", _over("subsemigroups", _p5_2, smoke=True)),
+          "finite-exhaustive", "must-hold",
+          _over("subsemigroups", _split("stable", "rel", ("sub", "rel_rees"), "sub", (None,)),
+                smoke=True)),
     Claim("P5.3", "with finitely many relative L-classes, stability transfers down",
           "finite-exhaustive", "must-hold", _over("subsemigroups", _p5_3, smoke=True)),
     Claim("T5.4", "finite index subsemigroups share stability",
@@ -1240,7 +1183,9 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
     Claim("L5.8", "semigroup and biact Rees quotients share stability",
           "finite-exhaustive", "must-hold", _over("ideals", _l5_8)),
     Claim("P5.9", "a semigroup is stable iff its ideal biact and Rees quotient are",
-          "finite-exhaustive", "must-hold", _over("ideals", _p5_9, smoke=True)),
+          "finite-exhaustive", "must-hold",
+          _over("ideals", _split("stable", "host", ("ideal_biact", "rees"), "ideal", (None,)),
+                smoke=True)),
     Claim("Con5.10/P5.11", "the one-semigroup gluing and its derived deciders",
           "derived-decider", "must-hold", check_Con5_10),
     Claim("C5.12", "an unstable semigroup whose ideal and quotient are stable",

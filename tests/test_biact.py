@@ -11,6 +11,7 @@ from greenstone.errors import (
     NotAnIdeal,
     NotASubact,
     NotASubsemigroup,
+    SizeLimitExceeded,
 )
 from greenstone.green import green_structure
 
@@ -182,6 +183,16 @@ class TestProductAndClosure:
         s = t2()
         prod = ba.product_biact(s, s)
         assert green_structure(prod).num_classes("J") == 6  # 3 L-classes x 2 R-classes
+
+    def test_product_carrier_is_capped(self):
+        def left_zero(n):
+            return core.validate_table(n, [[i] * n for i in range(n)])
+
+        # 4160 elements: one above the closure cap, refused before any table
+        with pytest.raises(SizeLimitExceeded, match="orders 65 and 64.*cap of 4096"):
+            ba.product_biact(left_zero(65), left_zero(64))
+        # 4096 elements: at the cap, still built
+        assert ba.product_biact(left_zero(64), left_zero(64)).size == core.DEFAULT_CLOSURE_CAP
 
     def test_subact_closure_empty(self):
         b = ba.regular_biact(t2())

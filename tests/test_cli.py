@@ -157,6 +157,21 @@ class TestUsage:
         assert run(capsys, "verify", "--suite", "nope", "--report", str(report))[0] == 4
         assert report.read_text() == "kept\n"
 
+    def test_refused_or_failed_run_leaves_no_new_report(self, capsys, tmp_path, monkeypatch):
+        from greenstone import verify as ver
+        from greenstone.errors import GreenstoneError
+
+        report = tmp_path / "new.json"
+        assert run(capsys, "verify", "--suite", "nope", "--report", str(report))[0] == 4
+        assert not report.exists()
+
+        def fails(config):
+            raise GreenstoneError("forced")
+
+        monkeypatch.setattr(ver, "probe_open_problem", fails)
+        assert run(capsys, "probe", "--report", str(report))[0] == 2
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "L3.3,Ex4.8,C4.19", "--depth", "-3", "--samples", "-2"),
         ("verify", "--suite", "C4.19", "--samples", "0"),
@@ -278,8 +293,11 @@ class TestCommands:
         assert payload["all_passed"] is True
 
     def test_probe(self, capsys):
-        code, out, _ = run(capsys, "probe")
+        code, out, _ = run(capsys, "probe", "--seed", "42")
         assert code == 0 and "no counterexample" in out
+        # probe reads the Env subsemigroup corpus; its stdout is pinned
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "f4d5def50f62771ac93fa29968843dc35b8fdb7fb211da717fc1af354f9c72b4")
 
     def test_claim_failure_exits_three(self, capsys, monkeypatch):
         from greenstone import verify as ver
@@ -334,6 +352,18 @@ class TestBadPaths:
         err = self._refused(capsys, "probe", "--report", str(report))
         assert "reports" in err
         assert list(report.iterdir()) == [] and probed == []
+
+    def test_construct_product_above_the_cap(self, capsys, tmp_path):
+        paths = []
+        for n in (65, 64):
+            paths.append(tmp_path / f"lz{n}.json")
+            formats.dump(core.validate_table(n, [[i] * n for i in range(n)]), paths[-1])
+        out = tmp_path / "p.json"
+        code, _, err = run(capsys, "construct", "product", "--s", str(paths[0]),
+                           "--t", str(paths[1]), "--out", str(out))
+        assert code == 2
+        assert "65" in err and "64" in err and "4096" in err
+        assert not out.exists()
 
     def test_construct_out_is_a_directory(self, capsys, triv_files, tmp_path):
         out = tmp_path / "built"

@@ -4,10 +4,17 @@ import json
 import pytest
 
 from greenstone import verify as ver
+from greenstone.biact import FiniteBiact
 from greenstone.core import is_role
 from greenstone.enumeration import SEMIGROUP_ORDER_CAP
 from greenstone.errors import InvalidSuiteConfig, UnknownClaim
 from greenstone.green import _kahn
+from greenstone.symbolic import (
+    Bicyclic,
+    ChainCheck,
+    corollary_4_19_instance,
+    example_4_8,
+)
 
 # every numbered statement must stay in the registry; removing one is a
 # build failure, not a silent narrowing of the suite
@@ -247,3 +254,224 @@ class TestSuiteConfig:
     def test_least_values_are_accepted(self):
         ver.SuiteConfig(max_order=1, exh_semigroup=1, exh_carrier=1, random_biacts=0,
                         depth=1, samples=1, chain_seed=0)
+
+
+# ---------------------------------------------------------------------------
+# each claim shape written once: the per-instance loops the shared helpers
+# replaced, kept here as oracles and run against planted failures
+
+
+def _p4_4(x, v):
+    for k in ver.KINDS:
+        whole = bool(ver.minimal_condition(x.host, k))
+        parts = bool(ver.minimal_condition(x.sub, k)) and bool(ver.minimal_condition(x.rees, k))
+        if whole != parts:
+            v.add({"k": k, "subact": x.members})
+    return len(ver.KINDS)
+
+
+def _p4_5(x, v):
+    for k in ver.KINDS:
+        whole = bool(ver.minimal_condition(x.rel, k))
+        parts = (bool(ver.minimal_condition(x.sub, k))
+                 and bool(ver.minimal_condition(x.rel_rees, k)))
+        if whole != parts:
+            v.add({"k": k, "sub": x.members})
+    return len(ver.KINDS)
+
+
+def _p4_15(x, v):
+    for k in ver.KINDS:
+        whole = bool(ver.minimal_condition(x.host, k))
+        parts = (bool(ver.minimal_condition(x.ideal_biact, k))
+                 and bool(ver.minimal_condition(x.rees, k)))
+        if whole != parts:
+            v.add({"ideal": x.members, "k": k})
+    return len(ver.KINDS)
+
+
+def _t4_16(x, v):
+    whole = bool(ver.minimal_condition(x.host, "L"))
+    parts = bool(ver.minimal_condition(x.sub, "L")) and bool(ver.minimal_condition(x.rees, "L"))
+    if whole != parts:
+        v.add({"ideal": x.members})
+
+
+def _p5_2(x, v):
+    if bool(ver.stable(x.rel)) != (bool(ver.stable(x.sub)) and bool(ver.stable(x.rel_rees))):
+        v.add({"sub": x.members})
+
+
+def _p5_9(x, v):
+    if bool(ver.stable(x.host)) != (bool(ver.stable(x.ideal_biact)) and bool(ver.stable(x.rees))):
+        v.add({"ideal": x.members})
+
+
+def _l4_2(rho, v):
+    sq, _ = ver.quotient(rho.over, rho)
+    bq, _ = ver.quotient(ver.regular_biact(rho.over), rho)
+    gs_s = ver.green_structure(sq)
+    gs_b = ver.green_structure(bq)
+    for k in ver.KINDS:
+        for a in range(sq.order):
+            for bb in range(sq.order):
+                if gs_s.le(a, bb, k) != gs_b.le(a, bb, k):
+                    v.add({"k": k, "pair": (a, bb)})
+        if bool(ver.minimal_condition(sq, k)) != bool(ver.minimal_condition(bq, k)):
+            v.add({"k": k, "failure": "minimal conditions differ"})
+    return len(ver.KINDS) * sq.order ** 2
+
+
+def _l5_8(x, v):
+    sq = x.rees
+    bq = ver.biact_rees_quotient(x.host, x.members)
+    gss, gsb = ver.green_structure(sq), ver.green_structure(bq)
+    for k in ver.KINDS:
+        for a in range(sq.order):
+            for bb in range(sq.order):
+                if gss.le(a, bb, k) != gsb.le(a, bb, k):
+                    v.add({"k": k, "pair": (a, bb)})
+    if bool(ver.stable(sq)) != bool(ver.stable(bq)):
+        v.add({"ideal": x.members, "failure": "stability verdicts differ"})
+    return len(ver.KINDS) * sq.order ** 2
+
+
+_T4_16_NOTES = ("the reverse direction genuinely fails for the two-sided "
+                "condition, which is claim C4.19")
+
+# claim id -> the checker it had as a hand-written loop
+ORACLES = {
+    "P4.4": ver._over("subacts", _p4_4, smoke=True),
+    "P4.5": ver._over("subsemigroups", _p4_5, smoke=True),
+    "P4.15": ver._over("ideals", _p4_15, smoke=True),
+    "T4.16": ver._over("ideals", _t4_16, smoke=True, notes=_T4_16_NOTES),
+    "P5.2": ver._over("subsemigroups", _p5_2, smoke=True),
+    "P5.9": ver._over("ideals", _p5_9, smoke=True),
+    "L4.2": ver._over("congruences", _l4_2),
+    "L5.8": ver._over("ideals", _l5_8),
+}
+
+
+def _kind(x):
+    return x.provenance.get("kind")
+
+
+# predicates that are false on some objects: each is planted as both
+# minimal_condition and stable, so every whole-iff-parts claim can fail
+PLANTS = {
+    "rees quotients": lambda x: _kind(x) == "rees-quotient",
+    "biacts": lambda x: isinstance(x, FiniteBiact),
+    "biact quotients": lambda x: isinstance(x, FiniteBiact) and _kind(x) == "quotient",
+    "biact rees quotients": lambda x: isinstance(x, FiniteBiact) and _kind(x) == "rees-quotient",
+    "odd sizes": lambda x: x.size % 2 == 1,
+}
+
+
+def _plant(monkeypatch, false_on):
+    real_mc, real_stable = ver.minimal_condition, ver.stable
+
+    def minimal_condition(x, k):
+        return False if false_on(x) and k != "R" else real_mc(x, k)
+
+    def stable(x):
+        return False if false_on(x) else real_stable(x)
+
+    monkeypatch.setattr(ver, "minimal_condition", minimal_condition)
+    monkeypatch.setattr(ver, "stable", stable)
+
+
+class TestClaimShapes:
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    def test_rows_match_the_hand_written_loops(self, plant, monkeypatch):
+        _plant(monkeypatch, PLANTS[plant])
+        env = ver.Env(TINY)
+        for cid, oracle in ORACLES.items():
+            assert ver.REGISTRY[cid].checker(env) == oracle(env), cid
+
+    def test_every_rewritten_claim_fails_under_some_plant(self, monkeypatch):
+        failing = set()
+        for plant in PLANTS.values():
+            with monkeypatch.context() as m:
+                _plant(m, plant)
+                env = ver.Env(TINY)
+                failing |= {cid for cid in ORACLES if ver.REGISTRY[cid].checker(env).witnesses}
+        assert failing == set(ORACLES)
+
+    def test_unplanted_rows_match(self):
+        env = ver.Env(TINY)
+        for cid, oracle in ORACLES.items():
+            outcome = ver.REGISTRY[cid].checker(env)
+            assert outcome == oracle(env) and outcome.ok, cid
+
+
+def _chains_L3_3(env, v):
+    for name, entry in sorted(env.catalog().items()):
+        for mk, k in (("M_L", "L"), ("M_R", "R"), ("M_J", "J")):
+            claim = entry.sheet.get(mk)
+            if claim and not claim.value:
+                v.instances += 1
+                res = ver.verify_chain(entry, entry.chain(k), k, env.config.depth)
+                if not res.ok:
+                    v.add({"entry": name, "k": k, "reason": res.reason})
+
+
+def _chains_P3_4(env, v):
+    b = Bicyclic()
+    res = ver.verify_chain(b, b.chain("L"), "L", env.config.depth)
+    v.instances += 1
+    if not res.ok:
+        v.add({"entry": "bicyclic", "reason": res.reason})
+
+
+def _chains_R3_14_2(env, v):
+    b = Bicyclic()
+    for k in ("L", "R"):
+        v.instances += 1
+        res = ver.verify_chain(b, b.chain(k), k, env.config.depth)
+        if not res.ok:
+            v.add({"chain": k, "reason": res.reason})
+
+
+def _chains_Ex4_8(env, v):
+    biact = example_4_8()["biact"]
+    chain = biact.chain("J")
+    for k in ver.KINDS:
+        v.instances += 1
+        res = ver.verify_chain(biact, chain, k, env.config.depth)
+        if not res.ok:
+            v.add({"k": k, "reason": res.reason})
+
+
+def _chains_C4_19(env, v):
+    inst = corollary_4_19_instance()
+    v.instances += 1
+    res = ver.verify_chain(inst.ideal_order(), inst.ideal_chain(), "J", env.config.depth)
+    if not res.ok:
+        v.add({"failure": "ideal chain", "reason": res.reason})
+
+
+CHAIN_BLOCKS = {"L3.3": _chains_L3_3, "P3.4": _chains_P3_4, "R3.14(2)": _chains_R3_14_2,
+                "Ex4.8": _chains_Ex4_8, "C4.19": _chains_C4_19}
+
+
+class TestChainReplay:
+    @pytest.mark.parametrize("cid", sorted(CHAIN_BLOCKS))
+    def test_failed_replays_match_the_inline_blocks(self, cid, monkeypatch):
+        """With every chain replay failing, a claim reports exactly what its
+        inline replay block reported: each failure, under its payload, and
+        no change in the instance count."""
+        env = ver.Env(TINY)
+        base = ver.REGISTRY[cid].checker(env)
+        assert base.ok and not base.witnesses
+
+        def fails(x, chain, k, depth):
+            return ChainCheck(ok=False, failed_at=1, reason=f"planted {k} {depth}")
+
+        monkeypatch.setattr(ver, "verify_chain", fails)
+        oracle = ver._Tally()
+        CHAIN_BLOCKS[cid](env, oracle)
+        assert oracle.count > 0
+        assert ver.REGISTRY[cid].checker(env) == ver.ClaimOutcome(
+            ok=False, instances=base.instances, vacuous=base.vacuous,
+            witnesses=oracle.samples,
+            notes=f"{oracle.count} violations; {base.notes}".strip("; "))
