@@ -24,7 +24,8 @@ The semigroup side mirrors this with ``core.validate_table`` and
 ``core._trusted_table``.  A semigroup is already its own regular biact
 (see ``core``); ``regular_biact`` builds it as a ``FiniteBiact``, and
 ``ideal_biact`` is the restriction of S, read as its own biact, to the
-ideal (``Subact(s, ideal).sub``).
+ideal (``Subact(s, ideal).sub``); an ideal is exactly a subact of S, so
+the subact check is the ideal check.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .core import (
     _grid,
     _labels,
     _translations,
-    classify_subset,
     is_homomorphism,
     subsemigroup,
 )
@@ -50,7 +50,6 @@ from .errors import (
     NotAHomomorphism,
     NotAnIdeal,
     NotASubact,
-    RoleViolation,
     SizeLimitExceeded,
 )
 
@@ -79,16 +78,26 @@ class FiniteBiact:
 @dataclass(frozen=True)
 class Subact:
     """A subset of the carrier closed under both actions.  The derived
-    biacts are built on first use and kept."""
+    biacts are built on first use and kept.  The closure is checked once,
+    on the first derived build: a member outside the carrier raises
+    ``BadEntry``, a missing image ``NotASubact``."""
     host: FiniteBiact
     members: frozenset[int]
+
+    @cached_property
+    def _closed(self) -> frozenset[int]:
+        """The members, once checked to be closed under both actions."""
+        witness = is_subact(self.host, self.members)
+        if witness is not None:
+            raise NotASubact(witness)
+        return self.members
 
     @cached_property
     def sub(self) -> FiniteBiact:
         """The subact reindexed as a biact in its own right; the members
         are closed under both actions, so the restriction satisfies the
         axioms."""
-        b, mem = self.host, sorted(self.members)
+        b, mem = self.host, sorted(self._closed)
         idx = {x: i for i, x in enumerate(mem)}
         left = [[idx[b.left_action[s][x]] for x in mem] for s in range(b.left.order)]
         right = [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem]
@@ -98,7 +107,7 @@ class Subact:
     @cached_property
     def rees(self) -> FiniteBiact:
         """The Rees quotient of the host by the subact."""
-        return biact_rees_quotient(self.host, self.members)
+        return _collapse(self.host, self._closed)
 
 
 def action_axiom_violation(s: FiniteSemigroup, t: FiniteSemigroup,
@@ -183,10 +192,9 @@ def ideal_biact(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteBiact:
     if not mem:
         raise NotAnIdeal("an ideal biact needs a nonempty ideal")
     try:
-        classify_subset(s, sorted(mem), "ideal")
-    except RoleViolation as exc:
+        return Subact(s, mem).sub
+    except NotASubact as exc:
         raise NotAnIdeal(f"not an ideal: witness {exc.witness}") from exc
-    return Subact(s, mem).sub
 
 
 def relative_biact(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact:
@@ -238,10 +246,14 @@ def biact_rees_quotient(a: FiniteBiact, sub: Iterable[int]) -> FiniteBiact:
     absorbing zero; claim suites quarantine that case.
     """
     mem = frozenset(sub)
-    if mem:
-        witness = is_subact(a, mem)
-        if witness is not None:
-            raise NotASubact(f"not a subact: witness {witness}")
+    witness = is_subact(a, mem)
+    if witness is not None:
+        raise NotASubact(witness)
+    return _collapse(a, mem)
+
+
+def _collapse(a: FiniteBiact, mem: frozenset[int]) -> FiniteBiact:
+    """The Rees quotient of ``a`` by ``mem``, already known to be closed."""
     keep = [x for x in range(a.size) if x not in mem]
     idx = {x: i for i, x in enumerate(keep)}
     zero = len(keep)

@@ -54,7 +54,11 @@ class NotASubsemigroup(ValidationError):
 
 
 class NotASubact(ValidationError):
-    pass
+    """A subset of a biact's carrier is not closed under both actions."""
+
+    def __init__(self, witness: tuple):
+        super().__init__(f"not a subact: witness {witness}")
+        self.witness = witness
 
 
 class NotAHomomorphism(ValidationError):

@@ -40,7 +40,8 @@ cost.  The one cache, keyed on the ``(left, right)`` digraph pair, is the
 one caller of the builder: objects with equal digraphs -- relabelled
 copies, a semigroup and its regular biact, equal subacts or quotients of
 different hosts -- share one structure, and generator mode, which keeps
-no slot, lands in the same cache.
+no slot, lands in the same cache.  ``digraphs`` hands out the pair
+without storing it, for callers that key their own memos on it.
 """
 
 from __future__ import annotations
@@ -346,6 +347,13 @@ def _edges(x: Union[FiniteSemigroup, FiniteBiact],
         left = tuple(tuple(sorted({la[s][e] for s in generators})) for e in range(x.size))
         right = tuple(tuple(sorted({ra[e][t] for t in generators})) for e in range(x.size))
     return left, right
+
+
+def digraphs(x: Union[FiniteSemigroup, FiniteBiact]) -> tuple[Digraph, Digraph]:
+    """The one-step left and right digraphs over every acting element: the
+    pair that determines the Green structure of ``x``.  Nothing is stored
+    on ``x``; a caller that needs the pair again keeps it."""
+    return _edges(x)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -20,7 +20,9 @@ relative predicates (K-preservation, regularity, retracts) genuinely vary.
 
 The periodicity predicates are one orbit scan, ``_periodic``, over the
 maps of a side: the left maps a -> sa are the rows of ``left_action``,
-the right maps a -> at are the columns of ``right_action``.
+the right maps a -> at are the columns of ``right_action``.  It decides
+which nodes of each map's functional graph reach a related pair once for
+all start points, instead of walking an orbit from each start point.
 
 ``left_stable_forms`` evaluates its relation forms (2-5) on one bitmask per
 element, built from the class member masks and the class ``reach`` masks
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter, not_
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .biact import FiniteBiact
@@ -237,21 +239,43 @@ def r_periodic(x: Structure) -> PredicateResult:
 
 def _periodic(maps, class_of: Sequence[int], letter: str) -> PredicateResult:
     """The orbit scan over one side's maps, ``maps[g][a]`` being g acting on
-    a.  The bound suffices by pigeonhole on the orbit of a under g; the
-    orbit is stepped lazily and stops at the first related pair."""
-    n = len(class_of)
+    a: for each g and a, some g^n a with 1 <= n <= size is related to
+    g^(n+1) a.  Within size steps the orbit of g a visits every node it
+    will ever visit, so this holds iff ``good[g a]``, where ``good[b]``
+    says that some node on the orbit of b is related to its image.  Each
+    map's ``good`` is decided once for all start points, and the witness
+    is the first (g, a) whose g a is not good."""
     for g, row in enumerate(maps):
-        for e in range(n):
-            cur = row[e]
-            for _ in range(n):
-                nxt = row[cur]
-                if class_of[cur] == class_of[nxt]:
-                    break
-                cur = nxt
-            else:
+        good = _good(row, class_of)
+        if all(good):
+            continue
+        for e, ge in enumerate(row):
+            if not good[ge]:
                 return PredicateResult(False, method="orbit scan",
                                        witness={letter: g, "a": e})
     return PredicateResult(True, method="orbit scan")
+
+
+def _good(row: Sequence[int], class_of: Sequence[int]) -> list[bool]:
+    """The least solution of ``good[b] = class_of[b] == class_of[row[b]] or
+    good[row[b]]`` on the functional graph of ``row``.  A node related to
+    its image is good; each pass over the nodes still pending marks those
+    whose image is good by then.  A pass that marks nothing leaves exactly
+    the nodes whose orbits stay among unrelated nodes, so a cycle with no
+    related pair, and whatever leads into it, is false."""
+    good = list(map(eq, class_of, map(class_of.__getitem__, row)))
+    pending = list(itertools.compress(range(len(row)), map(not_, good)))
+    while pending:
+        rest = []
+        for b in pending:
+            if good[row[b]]:
+                good[b] = True
+            else:
+                rest.append(b)
+        if len(rest) == len(pending):
+            break
+        pending = rest
+    return good
 
 
 def group_bound(s: FiniteSemigroup) -> PredicateResult:

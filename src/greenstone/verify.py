@@ -23,6 +23,20 @@ naming the predicate, the whole, the parts, the witness key and the kinds.
 Claims with a symbolic part, or over pairs of semigroups, are functions
 of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 
+Shared part verdicts.  Within one claim run the tally decides each derived
+part once per key and reuses the verdict for every later instance with
+that key (``_Tally.parts``): P4.4 and P5.1 key a subact's ``sub`` and
+``rees`` on (host digraph pair, members), P4.1 and C4.3 key a quotient on
+(host digraph pair, blocks), and R3.14(3) checks each (left digraph of S,
+right digraph of T) group of pairs once.  A subact is closed under both
+actions, so the sub's digraphs are the host's restricted to the members
+and the Rees quotient's merge them into one sink; compatibility makes a
+quotient block's successors the blocks of any representative's
+successors.  Each key therefore fixes the part's digraph pair, hence its
+Green structure, and a predicate applied to shared parts must decide from
+Green data only.  The host's verdicts are decided once per host object
+(``_Tally.whole``), which is exact for any predicate.
+
 Must-hold claims must produce zero violations; counterexample-expected
 claims must produce a verified witness.  Claims whose finite runs cannot
 fail for structural reasons (every finite structure satisfies the minimal
@@ -75,7 +89,7 @@ from .enumeration import (
     semigroup_pool,
 )
 from .errors import InvalidSuiteConfig, UnknownClaim
-from .green import GreenStructure, green_index, green_structure
+from .green import GreenStructure, digraphs, green_index, green_structure
 from .props import (
     group_bound,
     k_preserving,
@@ -314,8 +328,20 @@ def subsemigroups_of(s: FiniteSemigroup) -> list[frozenset[int]]:
 
 
 def subacts_of(a: FiniteBiact) -> list[frozenset[int]]:
-    from .biact import is_subact
-    return [m for m in nonempty_subsets(a.size) if is_subact(a, m) is None]
+    """The nonempty subacts, in ``nonempty_subsets`` order: a subset is
+    closed under both actions iff it holds the left and right one-step
+    successors of each of its members."""
+    succ = [sum(1 << y for y in {*ls, *rs}) for ls, rs in zip(*digraphs(a))]
+    out = []
+    for r in range(1, a.size + 1):
+        for c in itertools.combinations(range(a.size), r):
+            mask = reach = 0
+            for x in c:
+                mask |= 1 << x
+                reach |= succ[x]
+            if not reach & ~mask:
+                out.append(frozenset(c))
+    return out
 
 
 def single_pair_congruences(x) -> list:
@@ -343,19 +369,67 @@ _SMOKE = ("finite structures satisfy every minimal condition and are stable, "
 
 _KEEP = 5   # violations a report shows per claim
 
+_BIT = {None: 1, "L": 1, "R": 2, "J": 4}   # a kind's bit in ``_Tally.parts``
+
 
 class _Tally:
-    """The checks one claim has made and the violations it has found."""
+    """The checks one claim has made and the violations it has found, and
+    the verdicts it shares between its instances (``whole`` and ``parts``);
+    one tally serves one claim run, so no verdict outlives it."""
 
     def __init__(self):
         self.instances = 0
         self.count = 0
         self.samples: list = []
+        self._host = None                     # the last host seen,
+        self._wholes: dict = {}               # its verdicts
+        self._host_id: Optional[int] = None   # and its digraph id, once read
+        self._ids: dict = {}                  # host digraph pair -> digraph id
+        self._parts: dict = {}                # (pred, digraph id, key) -> verdict bits
 
     def add(self, payload) -> None:
         self.count += 1
         if len(self.samples) < _KEEP:
             self.samples.append(_as_json(payload))
+
+    def merge(self, other: "_Tally") -> None:
+        """Count ``other``'s checks and violations here, as if made here."""
+        self.instances += other.instances
+        self.count += other.count
+        self.samples.extend(other.samples[:_KEEP - len(self.samples)])
+
+    def _visit(self, host) -> None:
+        if host is not self._host:
+            self._host, self._wholes, self._host_id = host, {}, None
+
+    def whole(self, pred: str, host, k: Optional[str]) -> bool:
+        """``_holds(pred, host, k)``, decided once per host object.
+        Instances arrive host by host, so the last host's verdicts are the
+        ones kept."""
+        self._visit(host)
+        if (pred, k) not in self._wholes:
+            self._wholes[pred, k] = _holds(pred, host, k)
+        return self._wholes[pred, k]
+
+    def parts(self, pred: str, host, key, build: Callable[[], Iterable],
+              k: Optional[str]) -> bool:
+        """Whether ``_holds(pred, part, k)`` for every part of ``host`` that
+        ``build()`` gives, decided once per (host digraph pair, ``key``) in
+        this run.  That first decision builds the parts and decides every
+        kind at once, kept as one bit per kind (``_BIT``); None shares the
+        L bit, so a predicate is asked either always with a kind or always
+        without.  Sound only where the key determines each part's digraph
+        pair, as the members of a subact or the blocks of a congruence do,
+        and where ``pred`` decides from Green data only."""
+        self._visit(host)
+        if self._host_id is None:
+            self._host_id = self._ids.setdefault(digraphs(host), len(self._ids))
+        memo = (pred, self._host_id, key)
+        if memo not in self._parts:
+            parts = tuple(build())
+            self._parts[memo] = sum(_BIT[j] for j in ((None,) if k is None else KINDS)
+                                    if all(_holds(pred, p, j) for p in parts))
+        return bool(self._parts[memo] & _BIT[k])
 
     def chain(self, x, chain, k: str, depth: int, payload: dict) -> None:
         """One check: ``chain`` descends strictly in the ``k`` preorder of
@@ -394,22 +468,46 @@ def _over(corpus: str, check, smoke: bool = False,
 
 
 def _split(pred: str, whole: str, parts: tuple[str, ...], key: str,
-           kinds: tuple = KINDS) -> Callable[[object, _Tally], int]:
+           kinds: tuple = KINDS, shared: bool = False) -> Callable[[object, _Tally], int]:
     """The per-instance check of "the whole has the condition iff every
     part has it", once per kind.  ``whole`` and ``parts`` name attributes of
     the instance; ``pred`` names a predicate of this module, looked up on
     each call so that a wrapper installed later is called, and a kind of
     None calls it with no kind.  A violation names the instance's members
-    under ``key``, and the kind when there are several."""
+    under ``key``, and the kind when there are several.  ``shared`` marks
+    a subact corpus, whose verdicts ``_subact_split`` shares."""
     def check(x, v: _Tally) -> int:
-        holds = globals()[pred]
         for k in kinds:
-            at = () if k is None else (k,)
-            whole_holds = bool(holds(getattr(x, whole), *at))
-            if whole_holds != all(holds(getattr(x, p), *at) for p in parts):
+            if shared:
+                whole_holds, parts_hold = _subact_split(pred, x, parts, v, k)
+            else:
+                whole_holds = _holds(pred, getattr(x, whole), k)
+                parts_hold = all(_holds(pred, getattr(x, p), k) for p in parts)
+            if whole_holds != parts_hold:
                 v.add({key: x.members, "k": k} if len(kinds) > 1 else {key: x.members})
         return len(kinds)
     return check
+
+
+def _holds(pred: str, x, k: Optional[str]) -> bool:
+    """Whether the predicate of this module named ``pred`` holds on ``x``,
+    for the kind ``k`` unless it is None.  The name is looked up on each
+    call, so that a wrapper installed later is called."""
+    holds = globals()[pred]
+    return bool(holds(x) if k is None else holds(x, k))
+
+
+def _subact_split(pred: str, x: Subact, parts: tuple[str, ...], v: _Tally,
+                  k: Optional[str]) -> tuple[bool, bool]:
+    """``pred`` on the host of the subact ``x``, and on all of its ``parts``
+    (``sub``, ``rees``).  The host's verdict is decided once per host and
+    each part's once per (host digraph pair, members): a subact is closed
+    under both actions, so the sub's digraphs are the host's restricted to
+    the members, and the Rees quotient's merge the members into one sink.
+    The members are keyed as a bitmask, which is smaller than the set."""
+    key = sum(1 << m for m in x.members)
+    return (v.whole(pred, x.host, k),
+            v.parts(pred, x.host, key, lambda: [getattr(x, p) for p in parts], k))
 
 
 def _same_preorders(p, q, v: _Tally) -> int:
@@ -652,9 +750,29 @@ def check_R3_14_2(env: Env) -> ClaimOutcome:
 
 def check_R3_14_3(env: Env) -> ClaimOutcome:
     """Product biacts: (a,b) <=_J (c,d) iff a <=_L c and b <=_R d, and the
-    J-class count is the product of the L- and R-class counts."""
-    pairs = itertools.product(env.semigroups(), repeat=2)
-    return _Tally().over(pairs, _r3_14_3).outcome()
+    J-class count is the product of the L- and R-class counts.
+
+    The check of a pair (S, T) reads only element ids, the L data of S, the
+    R data of T and the Green data of S x T, whose digraphs are S_left x id
+    and id x T_right.  So it is made once per (left digraph of S, right
+    digraph of T) group, and each pair replays its group's checks and
+    violations in pair order."""
+    sems = env.semigroups()
+    lefts = _interned(digraphs(s)[0] for s in sems)
+    rights = _interned(digraphs(t)[1] for t in sems)
+    v, groups = _Tally(), {}
+    for (i, s), (j, t) in itertools.product(enumerate(sems), repeat=2):
+        group = (lefts[i], rights[j])
+        if group not in groups:
+            groups[group] = _Tally().over([(s, t)], _r3_14_3)
+        v.merge(groups[group])
+    return v.outcome()
+
+
+def _interned(values: Iterable) -> list[int]:
+    """Each value as a small id, equal exactly when the values are equal."""
+    ids: dict = {}
+    return [ids.setdefault(x, len(ids)) for x in values]
 
 
 def _r3_14_3(pair: tuple[FiniteSemigroup, FiniteSemigroup], v: _Tally) -> int:
@@ -680,10 +798,15 @@ def _r3_14_3(pair: tuple[FiniteSemigroup, FiniteSemigroup], v: _Tally) -> int:
 
 def _p4_1(rho: Congruence, v: _Tally) -> int:
     """Minimal conditions pass to the quotient by a congruence: P4.1 for
-    biact hosts, C4.3 for semigroup hosts."""
-    quot, _ = quotient(rho.over, rho)
+    biact hosts, C4.3 for semigroup hosts.  The host's verdicts are decided
+    once per host, the quotient's once per (host digraph pair, blocks):
+    compatibility makes a block's successors the blocks of any
+    representative's successors in the host."""
+    host = rho.over
     for k in KINDS:
-        if bool(minimal_condition(rho.over, k)) and not minimal_condition(quot, k):
+        if (v.whole("minimal_condition", host, k)
+                and not v.parts("minimal_condition", host, rho.blocks,
+                                lambda: [quotient(host, rho)[0]], k)):
             v.add({"k": k})
     return len(KINDS)
 
@@ -941,8 +1064,9 @@ def check_S5_0(env: Env) -> ClaimOutcome:
 
 def _p5_1(x: Subact, v: _Tally) -> None:
     b, members = x.host, x.members
-    for holds, failure in ((stable, {}), (left_stable, {"failure": "left form"})):
-        if bool(holds(b)) != all(holds(part) for part in (x.sub, x.rees)):
+    for pred, failure in (("stable", {}), ("left_stable", {"failure": "left form"})):
+        whole_holds, parts_hold = _subact_split(pred, x, ("sub", "rees"), v, None)
+        if whole_holds != parts_hold:
             v.add({"subact": members, **failure})
     # contentful side fact: J-classes never straddle a subact
     for cls in green_structure(b).classes["J"]:
@@ -1119,8 +1243,8 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "finite-exhaustive", "must-hold", _over("congruences", _p4_1, smoke=True)),
     Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over("subacts", _split("minimal_condition", "host", ("sub", "rees"), "subact"),
-                smoke=True)),
+          _over("subacts", _split("minimal_condition", "host", ("sub", "rees"), "subact",
+                                  shared=True), smoke=True)),
     Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups",

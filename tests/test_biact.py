@@ -7,6 +7,7 @@ from greenstone import core
 from greenstone.enumeration import all_semigroups, semigroup_pool
 from greenstone.errors import (
     ActionAxiomViolation,
+    BadEntry,
     NotAHomomorphism,
     NotAnIdeal,
     NotASubact,
@@ -155,6 +156,24 @@ class TestReesQuotients:
         ids = t2_ids()
         with pytest.raises(NotASubact):
             ba.biact_rees_quotient(b, {ids[(0, 1)]})
+
+    def test_subact_parts_name_bad_members(self):
+        # in the left-zero semigroup s * a = s, so {0} is not closed
+        b = ba.regular_biact(core.validate_table(2, [[0, 0], [1, 1]]))
+        for members, error in (({0}, NotASubact), ({5}, BadEntry)):
+            x = ba.Subact(b, frozenset(members))
+            for part in ("sub", "rees"):
+                with pytest.raises(error):
+                    getattr(x, part)
+
+    def test_subact_is_checked_once_for_both_parts(self, monkeypatch):
+        calls = []
+        real = ba.is_subact
+        monkeypatch.setattr(ba, "is_subact", lambda a, m: calls.append(m) or real(a, m))
+        b = ba.regular_biact(t2())
+        x = ba.subact_closure(b, [0])
+        assert x.sub.size == len(x.members) and x.rees.size == b.size - len(x.members) + 1
+        assert calls == [x.members]
 
     def test_empty_subact_adds_a_fresh_zero(self):
         b = ba.regular_biact(core.validate_table(2, Z2))

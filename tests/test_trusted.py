@@ -5,8 +5,9 @@ The derived biact constructors and the biact census build through
 derived semigroup constructors and the semigroup census build through
 ``core._trusted_table`` without re-checking associativity; here their
 output is re-validated over the small census and the random corpus.  The
-lazy orbit scan of ``l_periodic``/``r_periodic`` is compared with the
-eager-orbit reference it replaced, and every predicate on a semigroup
+orbit scan of ``l_periodic``/``r_periodic`` is compared with the
+eager-orbit reference and with the stepped scan that the memoised one
+replaced, and every predicate on a semigroup
 read as its own biact is compared with the same predicate on its regular
 biact, the conversion it replaced.
 """
@@ -325,3 +326,78 @@ class TestLazyOrbitScan:
                     assert_same_result(got, eager(x))
                     outcomes.add(got.value)
         assert outcomes == {True, False}
+
+
+def stepped_periodic(maps, class_of, letter):
+    """The stepped orbit scan that the memoised ``props._periodic``
+    replaced: each start point's orbit is walked for size steps, stopping
+    at the first related pair."""
+    n = len(class_of)
+    for g, row in enumerate(maps):
+        for e in range(n):
+            cur = row[e]
+            for _ in range(n):
+                nxt = row[cur]
+                if class_of[cur] == class_of[nxt]:
+                    break
+                cur = nxt
+            else:
+                return props.PredicateResult(False, method="orbit scan",
+                                             witness={letter: g, "a": e})
+    return props.PredicateResult(True, method="orbit scan")
+
+
+def side_maps(x):
+    """The left maps (rows of the left action) and the right maps (columns
+    of the right action) of ``x``, with the letter each witness uses."""
+    columns = [tuple(row[t] for row in x.right_action) for t in range(x.right.order)]
+    return (("s", "L", x.left_action), ("t", "R", columns))
+
+
+class TestMemoisedOrbitScan:
+    def assert_same_scans(self, x, rng=None):
+        """Both scans agree on the true L and R partitions of ``x`` and, with
+        ``rng``, on three seeded partitions standing in for them; returns
+        the verdicts seen."""
+        gs = green.green_structure(x)
+        seen = set()
+        for letter, k, maps in side_maps(x):
+            partitions = [gs.class_of[k]]
+            if rng is not None:
+                partitions += [[rng.randrange(blocks) for _ in range(x.size)]
+                               for blocks in (2, 3, 5)]
+            for class_of in partitions:
+                got = props._periodic(maps, class_of, letter)
+                assert_same_result(got, stepped_periodic(maps, class_of, letter))
+                seen.add(got.value)
+        return seen
+
+    def test_census_semigroups(self):
+        rng = random.Random("memoised-orbit-census")
+        seen = set()
+        for n in (1, 2, 3, 4):
+            for s in all_semigroups(n):
+                seen |= self.assert_same_scans(s, rng)
+        assert seen == {True, False}
+
+    def test_random_biacts(self):
+        rng = random.Random("memoised-orbit-random")
+        seen = set()
+        for b in random_biact_corpus(200, "memoised-orbit"):
+            seen |= self.assert_same_scans(b, rng)
+        assert seen == {True, False}
+
+    def test_t4(self):
+        t4 = core.generate_from_transformations(4, [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)])
+        assert t4.order == 256
+        assert self.assert_same_scans(t4, random.Random("memoised-orbit-t4")) == {True, False}
+
+    def test_cycles_without_a_related_pair_are_false(self):
+        # 0 -> 1 -> 2 -> 0 with no related pair; 3 -> 4 -> 4 with 4 related
+        # to itself; 5 -> 0 falls into the bad cycle
+        row = (1, 2, 0, 4, 4, 0)
+        class_of = list(range(6))
+        assert props._good(row, class_of) == [False, False, False, True, True, False]
+        got = props._periodic([row], class_of, "s")
+        assert (got.value, got.witness) == (False, {"s": 0, "a": 0})
+        assert_same_result(got, stepped_periodic([row], class_of, "s"))

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -475,3 +477,148 @@ class TestChainReplay:
             ok=False, instances=base.instances, vacuous=base.vacuous,
             witnesses=oracle.samples,
             notes=f"{oracle.count} violations; {base.notes}".strip("; "))
+
+
+# ---------------------------------------------------------------------------
+# shared part verdicts: the per-instance loops that P4.4, P5.1, P4.1/C4.3 and
+# R3.14(3) ran before they decided each part once per digraph key, kept
+# here as oracles (P4.4's is ``_p4_4`` above)
+
+
+def _p5_1(x, v):
+    for holds, failure in ((ver.stable, {}), (ver.left_stable, {"failure": "left form"})):
+        if bool(holds(x.host)) != all(holds(part) for part in (x.sub, x.rees)):
+            v.add({"subact": x.members, **failure})
+    for cls in ver.green_structure(x.host).classes["J"]:
+        if len({y in x.members for y in cls}) != 1:
+            v.add({"subact": x.members, "failure": "J-class straddles subact"})
+
+
+def _p4_1(rho, v):
+    quot, _ = ver.quotient(rho.over, rho)
+    for k in ver.KINDS:
+        if bool(ver.minimal_condition(rho.over, k)) and not ver.minimal_condition(quot, k):
+            v.add({"k": k})
+    return len(ver.KINDS)
+
+
+def _r3_14_3(pair, v):
+    s, t = pair
+    pgs = ver.green_structure(ver.product_biact(s, t))
+    sgs, tgs = ver.green_structure(s), ver.green_structure(t)
+    nt = t.order
+    carrier = list(itertools.product(range(s.order), range(nt)))
+    for (a, bb), (c, d) in itertools.product(carrier, repeat=2):
+        if pgs.le(a * nt + bb, c * nt + d, "J") != (sgs.le(a, c, "L") and tgs.le(bb, d, "R")):
+            v.add({"pair": ((a, bb), (c, d))})
+    if pgs.num_classes("J") != sgs.num_classes("L") * tgs.num_classes("R"):
+        v.add({"counts": (pgs.num_classes("J"), sgs.num_classes("L"), tgs.num_classes("R"))})
+    return (s.order * nt) ** 2
+
+
+def _r3_14_3_pairs(env):
+    pairs = itertools.product(env.semigroups(), repeat=2)
+    return ver._Tally().over(pairs, _r3_14_3).outcome()
+
+
+SHARED_ORACLES = {
+    "P4.4": ORACLES["P4.4"],
+    "P5.1": ver._over("subacts", _p5_1, smoke=True, notes="the straddle check is contentful"),
+    "P4.1": ver._over("biact_congruences", _p4_1, smoke=True),
+    "C4.3": ver._over("congruences", _p4_1, smoke=True),
+    "R3.14(3)": _r3_14_3_pairs,
+}
+
+
+def _green_plant(gs):
+    """A plant that reads Green data only."""
+    return (gs.size + gs.num_classes("L")) % 3 == 0
+
+
+def _plant_green(monkeypatch):
+    """Plant ``_green_plant`` as false minimal conditions (but M_R) and
+    stability verdicts, and as Green structures whose J data are the L
+    data, so that R3.14(3) can fail too."""
+    real_gs, real_mc = ver.green_structure, ver.minimal_condition
+    real_stable, real_left = ver.stable, ver.left_stable
+
+    def planted(x):
+        return _green_plant(real_gs(x))
+
+    def green_structure(x):
+        gs = real_gs(x)
+        if not _green_plant(gs):
+            return gs
+        return dataclasses.replace(gs, data={**gs.data, "J": gs.data["L"]},
+                                   classes={**gs.classes, "J": gs.classes["L"]})
+
+    monkeypatch.setattr(ver, "green_structure", green_structure)
+    monkeypatch.setattr(ver, "minimal_condition",
+                        lambda x, k: False if planted(x) and k != "R" else real_mc(x, k))
+    monkeypatch.setattr(ver, "stable", lambda x: False if planted(x) else real_stable(x))
+    monkeypatch.setattr(ver, "left_stable", lambda x: False if planted(x) else real_left(x))
+
+
+@pytest.fixture(scope="module")
+def envs():
+    """One Env per config for this section; corpora are built on first use
+    and hold no verdicts, so the tests can share them."""
+    return {"tiny": ver.Env(TINY), "default": ver.Env(ver.SuiteConfig())}
+
+
+def _outcomes(env, cids):
+    return {cid: ver.REGISTRY[cid].checker(env) for cid in cids}
+
+
+class TestSharedVerdicts:
+    @pytest.mark.parametrize("config", ["tiny", "default"])
+    def test_unplanted(self, config, envs):
+        env = envs[config]
+        for cid, oracle in SHARED_ORACLES.items():
+            outcome = ver.REGISTRY[cid].checker(env)
+            assert outcome == oracle(env) and outcome.ok, cid
+
+    @pytest.mark.parametrize("config", ["tiny", "default"])
+    def test_green_data_plant(self, config, envs, monkeypatch):
+        _plant_green(monkeypatch)
+        env = envs[config]
+        for cid, oracle in SHARED_ORACLES.items():
+            outcome = ver.REGISTRY[cid].checker(env)
+            assert outcome == oracle(env) and not outcome.ok, cid
+
+    # ten seconds at the default config, so that case runs with the slow tests
+    @pytest.mark.parametrize("config", ["tiny", pytest.param("default", marks=pytest.mark.slow)])
+    def test_provenance_plants(self, config, envs, monkeypatch):
+        env = envs[config]
+        failing = set()
+        for plant in PLANTS.values():
+            with monkeypatch.context() as m:
+                _plant(m, plant)
+                for cid in ("P4.4", "P5.1"):
+                    outcome = ver.REGISTRY[cid].checker(env)
+                    assert outcome == SHARED_ORACLES[cid](env), cid
+                    failing |= {cid} if not outcome.ok else set()
+        assert failing == {"P4.4", "P5.1"}
+
+    def test_no_verdict_outlives_its_run(self, monkeypatch):
+        env = ver.Env(TINY)
+        before = _outcomes(env, SHARED_ORACLES)
+        with monkeypatch.context() as m:
+            _plant_green(m)
+            planted = _outcomes(env, SHARED_ORACLES)
+        assert _outcomes(env, SHARED_ORACLES) == before
+        assert all(before[cid].ok and not planted[cid].ok for cid in SHARED_ORACLES)
+
+    def test_subacts_are_the_closed_subsets(self, envs):
+        from greenstone.biact import is_subact
+
+        for b in envs["default"].biacts():
+            assert ver.subacts_of(b) == [m for m in ver.nonempty_subsets(b.size)
+                                         if is_subact(b, m) is None]
+
+    @pytest.mark.slow
+    def test_grouped_products_at_max_order_4(self):
+        env = ver.Env(ver.SuiteConfig(max_order=4))
+        outcome = ver.REGISTRY["R3.14(3)"].checker(env)
+        assert outcome == _r3_14_3_pairs(env) and outcome.ok
+        assert outcome.instances == 10530025
