@@ -26,13 +26,27 @@ The semigroup side mirrors this with ``core.validate_table`` and
 ``ideal_biact`` is the restriction of S, read as its own biact, to the
 ideal (``Subact(s, ideal).sub``); an ideal is exactly a subact of S, so
 the subact check is the ideal check.
+
+Parts from digraphs.  A caller that holds the host's one-step digraph
+pair (``green.digraphs``) can build a subact, a Rees quotient, a biact
+quotient or a product without its action tables: the part's pair is
+derived from the host's (``_derived``), ``green`` takes its structure
+from that pair, and the tables are filled on first read, by the same code
+that fills them eagerly otherwise.  Such a part is an ordinary
+``FiniteBiact``: equality, hashing and repr read the tables, and so fill
+them.  The derived pairs are exact: a subact is closed under both
+actions, so the sub's steps are the host's restricted to the members; a
+host step from a non-member into the subact becomes a step into the Rees
+quotient's sink, which steps only to itself; a quotient block's steps are
+the blocks of its least member's steps, by compatibility; and in S x T a
+left step moves the S coordinate only, a right step the T coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     DEFAULT_CLOSURE_CAP,
@@ -70,6 +84,22 @@ class FiniteBiact:
     def act_right(self, a: int, t: int) -> int:
         return self.right_action[a][t]
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the tables of a
+        # part built from its digraphs (``_derived``), filled on first read
+        fill = self.__dict__.get(_FILL) if name in _TABLES else None
+        if fill is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        left, right = fill()
+        self.__dict__.update(left_action=_frozen(left), right_action=_frozen(right))
+        del self.__dict__[_FILL]
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        # a part built from its digraphs is copied and pickled with its tables
+        self.left_action
+        return {k: v for k, v in self.__dict__.items() if k != _PAIR}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FiniteBiact(size={self.size}, left={self.left.order}, "
                 f"right={self.right.order})")
@@ -94,20 +124,54 @@ class Subact:
 
     @cached_property
     def sub(self) -> FiniteBiact:
-        """The subact reindexed as a biact in its own right; the members
-        are closed under both actions, so the restriction satisfies the
-        axioms."""
-        b, mem = self.host, sorted(self._closed)
-        idx = {x: i for i, x in enumerate(mem)}
-        left = [[idx[b.left_action[s][x]] for x in mem] for s in range(b.left.order)]
-        right = [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem]
-        labels = tuple(b.labels[x] for x in mem)
-        return _trusted_biact(b.left, b.right, left, right, labels, {"kind": "subact"})
+        """The subact reindexed as a biact in its own right."""
+        return _restrict(self.host, sorted(self._closed))
 
     @cached_property
     def rees(self) -> FiniteBiact:
         """The Rees quotient of the host by the subact."""
         return _collapse(self.host, self._closed)
+
+
+Digraph = tuple[tuple[int, ...], ...]    # element -> sorted one-step successors
+Digraphs = tuple[Digraph, Digraph]       # the left and the right one
+
+_TABLES = ("left_action", "right_action")
+# the instance-dict keys of a part's pending table fill, and of its digraph
+# pair until ``green`` reads it
+_FILL, _PAIR = "_fill", "_digraphs"
+
+
+def _derived(s: FiniteSemigroup, t: FiniteSemigroup, size: int,
+             fill: Callable[[], tuple[list, list]], labels: Iterable[str],
+             provenance: Mapping, pair: Optional[Digraphs] = None) -> FiniteBiact:
+    """A derived biact whose action tables ``fill()`` gives.  Without its
+    one-step digraph pair the tables are filled now; with it they are
+    filled on first read, and ``green`` builds the structure from ``pair``."""
+    if pair is None:
+        return _trusted_biact(s, t, *fill(), labels, provenance)
+    x = object.__new__(FiniteBiact)
+    x.__dict__.update(left=s, right=t, size=size, labels=tuple(labels),
+                      provenance=dict(provenance), **{_FILL: fill, _PAIR: pair})
+    return x
+
+
+def _restrict(b: FiniteBiact, mem: Sequence[int],
+              pair: Optional[Digraphs] = None) -> FiniteBiact:
+    """The sorted members ``mem``, already known to be closed under both
+    actions, as a biact of their own; ``pair`` is the host's digraph pair,
+    when the caller holds it."""
+    idx = {x: i for i, x in enumerate(mem)}
+
+    def fill():
+        return ([[idx[b.left_action[s][x]] for x in mem] for s in range(b.left.order)],
+                [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem])
+
+    if pair is not None:
+        get = idx.__getitem__
+        pair = tuple(tuple([tuple(map(get, side[x])) for x in mem]) for side in pair)
+    return _derived(b.left, b.right, len(mem), fill, (b.labels[x] for x in mem),
+                    {"kind": "subact"}, pair)
 
 
 def action_axiom_violation(s: FiniteSemigroup, t: FiniteSemigroup,
@@ -252,30 +316,64 @@ def biact_rees_quotient(a: FiniteBiact, sub: Iterable[int]) -> FiniteBiact:
     return _collapse(a, mem)
 
 
-def _collapse(a: FiniteBiact, mem: frozenset[int]) -> FiniteBiact:
-    """The Rees quotient of ``a`` by ``mem``, already known to be closed."""
+def _collapse(a: FiniteBiact, mem: frozenset[int],
+              pair: Optional[Digraphs] = None) -> FiniteBiact:
+    """The Rees quotient of ``a`` by ``mem``, already known to be closed;
+    ``pair`` is the host's digraph pair, when the caller holds it."""
     keep = [x for x in range(a.size) if x not in mem]
     idx = {x: i for i, x in enumerate(keep)}
     zero = len(keep)
-    size = zero + 1
-    left = []
-    for s in range(a.left.order):
-        row = [zero] * size
+
+    def fill():
+        left = []
+        for s in range(a.left.order):
+            row = [zero] * (zero + 1)
+            for x in keep:
+                y = a.left_action[s][x]
+                row[idx[x]] = idx[y] if y in idx else zero
+            left.append(row)
+        right = []
         for x in keep:
-            y = a.left_action[s][x]
-            row[idx[x]] = idx[y] if y in idx else zero
-        left.append(row)
-    right = []
-    for x in keep:
-        row = [zero] * a.right.order
-        for t in range(a.right.order):
-            y = a.right_action[x][t]
-            row[t] = idx[y] if y in idx else zero
-        right.append(row)
-    right.append([zero] * a.right.order)
-    labels = tuple(a.labels[x] for x in keep) + ("0",)
-    return _trusted_biact(a.left, a.right, left, right, labels,
-                          {"kind": "rees-quotient", "collapsed": tuple(sorted(mem))})
+            row = [zero] * a.right.order
+            for t in range(a.right.order):
+                y = a.right_action[x][t]
+                row[t] = idx[y] if y in idx else zero
+            right.append(row)
+        right.append([zero] * a.right.order)
+        return left, right
+
+    def merged(succ: tuple[int, ...]) -> tuple[int, ...]:
+        # idx keeps the order and the sink is last, so the result is sorted
+        out = tuple([idx[y] for y in succ if y in idx])
+        return out if len(out) == len(succ) else out + (zero,)
+
+    if pair is not None:
+        pair = tuple(tuple([merged(side[x]) for x in keep]) + ((zero,),) for side in pair)
+    return _derived(a.left, a.right, zero + 1, fill,
+                    tuple(a.labels[x] for x in keep) + ("0",),
+                    {"kind": "rees-quotient", "collapsed": tuple(sorted(mem))}, pair)
+
+
+def _block_quotient(x: FiniteBiact, blocks: Sequence[int],
+                    pair: Optional[Digraphs] = None) -> FiniteBiact:
+    """The quotient of ``x`` by ``blocks``, already known to be a
+    congruence (dense block ids, numbered by least member); ``pair`` is
+    the host's digraph pair, when the caller holds it.  Each block acts
+    through its least member."""
+    k = max(blocks) + 1
+    reps = [0] * k
+    for e in range(len(blocks) - 1, -1, -1):
+        reps[blocks[e]] = e
+
+    def fill():
+        return ([[blocks[x.left_action[s][r]] for r in reps] for s in range(x.left.order)],
+                [[blocks[x.right_action[r][t]] for t in range(x.right.order)] for r in reps])
+
+    if pair is not None:
+        pair = tuple(tuple([tuple(sorted({blocks[y] for y in side[r]})) for r in reps])
+                     for side in pair)
+    return _derived(x.left, x.right, k, fill, ("{" + x.labels[r] + "}" for r in reps),
+                    {"kind": "quotient"}, pair)
 
 
 def relative_rees(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact:
@@ -284,26 +382,33 @@ def relative_rees(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact
     return biact_rees_quotient(relative_biact(s, members), members)
 
 
-def product_biact(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteBiact:
+def product_biact(s: FiniteSemigroup, t: FiniteSemigroup,
+                  digraphs: Optional[Digraphs] = None) -> FiniteBiact:
     """Carrier S x T with s(a,b) = (sa,b) and (a,b)t = (a,bt).
 
     Pair (a, b) is interned as a * |T| + b.  A carrier above the closure
-    cap is refused before any table is built.
+    cap is refused before any table is built.  ``digraphs``, when the
+    caller holds them, are the left digraph of S and the right digraph of
+    T (``green.digraphs``); the product's tables are then filled on first
+    read.
     """
-    nt = t.order
-    if s.order * nt > DEFAULT_CLOSURE_CAP:
-        raise SizeLimitExceeded(DEFAULT_CLOSURE_CAP, f"the product of orders {s.order} and {nt}")
+    ns, nt = s.order, t.order
+    if ns * nt > DEFAULT_CLOSURE_CAP:
+        raise SizeLimitExceeded(DEFAULT_CLOSURE_CAP, f"the product of orders {ns} and {nt}")
 
-    def pid(a: int, b: int) -> int:
-        return a * nt + b
+    def fill():
+        return ([[s.table[x][a] * nt + b for a in range(ns) for b in range(nt)]
+                 for x in range(ns)],
+                [[a * nt + t.table[b][y] for y in range(nt)]
+                 for a in range(ns) for b in range(nt)])
 
-    left = [[pid(s.table[x][a], b) for a in range(s.order) for b in range(nt)]
-            for x in range(s.order)]
-    right = [[pid(a, t.table[b][y]) for y in range(nt)]
-             for a in range(s.order) for b in range(nt)]
-    labels = tuple(f"({s.labels[a]},{t.labels[b]})"
-                   for a in range(s.order) for b in range(nt))
-    return _trusted_biact(s, t, left, right, labels, {"kind": "product"})
+    pair = None
+    if digraphs is not None:
+        s_left, t_right = digraphs
+        pair = (tuple(tuple(y * nt + b for y in s_left[a]) for a in range(ns) for b in range(nt)),
+                tuple(tuple(a * nt + y for y in t_right[b]) for a in range(ns) for b in range(nt)))
+    labels = tuple(f"({s.labels[a]},{t.labels[b]})" for a in range(ns) for b in range(nt))
+    return _derived(s, t, ns * nt, fill, labels, {"kind": "product"}, pair)
 
 
 def pullback_biact(a: FiniteBiact,

@@ -439,12 +439,15 @@ def _translations(x) -> list:
 
 def congruence_closure(x, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence containing ``pairs``: union-find saturation
-    under all one-sided translations until fixpoint."""
+    under all one-sided translations until fixpoint.  A pair naming an id
+    outside the carrier raises ``BadEntry``."""
     n = x.size
     fns = _translations(x)
     dsu = _DSU(n)
     work: list[tuple[int, int]] = []
     for a, b in pairs:
+        if not (_is_int(a) and _is_int(b) and 0 <= a < n and 0 <= b < n):
+            raise BadEntry(f"congruence pair {(a, b)!r} names an element outside 0..{n - 1}")
         if dsu.union(a, b):
             work.append((a, b))
     while work:
@@ -490,32 +493,27 @@ def quotient(x, rho: Congruence):
     FiniteBiact over the same acting semigroups.  The projection maps
     element ids to block ids and is a homomorphism.
     """
-    from .biact import _trusted_biact
+    from .biact import _block_quotient
     n = x.size
-    if rho.size != n:
-        raise IncompatiblePartition(("size", rho.size, n))
+    for size in (rho.size, len(rho.blocks)):
+        if size != n:
+            raise IncompatiblePartition(("size", size, n))
     witness = congruence_violation(x, rho.blocks)
     if witness is not None:
         raise IncompatiblePartition(witness)
+    # compatibility was checked above, so the induced product or actions
+    # satisfy the axioms and need no re-check
     blocks = rho.blocks
+    if not isinstance(x, FiniteSemigroup):
+        return _block_quotient(x, blocks), blocks
     k = rho.num_blocks
     reps = [0] * k
     for e in range(n - 1, -1, -1):
         reps[blocks[e]] = e
-    # compatibility was checked above, so the induced product or actions
-    # satisfy the axioms and need no re-check
-    if isinstance(x, FiniteSemigroup):
-        table = [[blocks[x.table[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-        labels = tuple("{" + x.labels[reps[i]] + "}" for i in range(k))
-        prov = {"kind": "quotient", "base": x.provenance.get("kind", "table")}
-        return _trusted_table(k, table, labels, prov), blocks
-    left = [[blocks[x.left_action[s][reps[a]]] for a in range(k)]
-            for s in range(x.left.order)]
-    right = [[blocks[x.right_action[reps[a]][t]] for t in range(x.right.order)]
-             for a in range(k)]
+    table = [[blocks[x.table[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
     labels = tuple("{" + x.labels[reps[i]] + "}" for i in range(k))
-    return _trusted_biact(x.left, x.right, left, right, labels,
-                          {"kind": "quotient"}), blocks
+    prov = {"kind": "quotient", "base": x.provenance.get("kind", "table")}
+    return _trusted_table(k, table, labels, prov), blocks
 
 
 def rees_quotient(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:

@@ -42,6 +42,12 @@ copies, a semigroup and its regular biact, equal subacts or quotients of
 different hosts -- share one structure, and generator mode, which keeps
 no slot, lands in the same cache.  ``digraphs`` hands out the pair
 without storing it, for callers that key their own memos on it.
+
+A part derived from a host whose pair the caller holds (a subact, a Rees
+quotient, a biact quotient, a product; see ``biact``) arrives with its
+own pair, derived from the host's, so nothing is frozen for it: its first
+lookup takes that pair straight to the cache and drops it, and its
+action tables stay unbuilt unless something else reads them.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .biact import FiniteBiact, biact_rees_quotient, relative_biact
+from .biact import _PAIR, Digraph, FiniteBiact, biact_rees_quotient, relative_biact
 from .core import FiniteSemigroup, _DSU, _normalize_blocks
 from .errors import InvariantViolation, UnknownClass
 
@@ -330,9 +336,6 @@ def _members(size: int, class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in out)
 
 
-Digraph = tuple[tuple[int, ...], ...]    # element -> sorted one-step successors
-
-
 def _edges(x: Union[FiniteSemigroup, FiniteBiact],
            generators: Optional[Sequence[int]] = None) -> tuple[Digraph, Digraph]:
     """The frozen one-step left and right digraphs, over every acting
@@ -380,9 +383,10 @@ def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
         if gens is None:
             raise ValueError("semigroup carries no generator record")
         return _green_structure_cached(*_edges(x, gens))
-    gs = x.__dict__.get(_SLOT)
+    slots = x.__dict__
+    gs = slots.get(_SLOT)
     if gs is None:
-        gs = x.__dict__[_SLOT] = _green_structure_cached(*_edges(x))
+        gs = slots[_SLOT] = _green_structure_cached(*(slots.pop(_PAIR, None) or _edges(x)))
     return gs
 
 

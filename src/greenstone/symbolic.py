@@ -33,6 +33,7 @@ the same data.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -244,17 +245,25 @@ def oracle_le(k: str, u: str, v: str) -> bool:
             return True
         nxt = []
         for w in frontier:
-            steps = []
-            if k in ("L", "J"):
-                steps += [reduce_word("a" + w), reduce_word("b" + w)]
-            if k in ("R", "J"):
-                steps += [reduce_word(w + "a"), reduce_word(w + "b")]
-            for w2 in steps:
+            for w2 in _oracle_steps(k, w):
                 if len(w2) <= bound and w2 not in seen:
                     seen.add(w2)
                     nxt.append(w2)
         frontier = nxt
     return target in seen
+
+
+@functools.lru_cache(maxsize=4096)
+def _oracle_steps(k: str, w: str) -> tuple[str, ...]:
+    """The reduced one-step rewrites of the reduced word ``w`` that the
+    ``k`` search applies.  Bounded, because ``oracle_le`` is public and
+    its words are the caller's."""
+    steps: tuple[str, ...] = ()
+    if k in ("L", "J"):
+        steps += (reduce_word("a" + w), reduce_word("b" + w))
+    if k in ("R", "J"):
+        steps += (reduce_word(w + "a"), reduce_word(w + "b"))
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,27 @@ naming the predicate, the whole, the parts, the witness key and the kinds.
 Claims with a symbolic part, or over pairs of semigroups, are functions
 of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 
-Shared part verdicts.  Within one claim run the tally decides each derived
-part once per key and reuses the verdict for every later instance with
-that key (``_Tally.parts``): P4.4 and P5.1 key a subact's ``sub`` and
-``rees`` on (host digraph pair, members), P4.1 and C4.3 key a quotient on
-(host digraph pair, blocks), and R3.14(3) checks each (left digraph of S,
-right digraph of T) group of pairs once.  A subact is closed under both
-actions, so the sub's digraphs are the host's restricted to the members
-and the Rees quotient's merge them into one sink; compatibility makes a
-quotient block's successors the blocks of any representative's
-successors.  Each key therefore fixes the part's digraph pair, hence its
-Green structure, and a predicate applied to shared parts must decide from
-Green data only.  The host's verdicts are decided once per host object
-(``_Tally.whole``), which is exact for any predicate.
+The host-level pass.  P4.4, P5.1 (subacts, their ``sub`` and Rees
+quotient) and P4.1, C4.3 (single-pair congruences, their quotient) are
+decided host by host (``_over_hosts``).  Each host's one-step digraph pair
+is computed once and interned as a digraph id.  A host's subacts depend
+on its pair only, so they are listed once per digraph id, with P5.1's
+count of the J-classes that straddle each; the congruences read the
+tables and are listed per host.  The host's verdicts are decided once per
+host object, which is exact for any predicate.  The parts' verdicts are
+decided once per (digraph id, key), for every kind at once, on parts
+built from the host's pair without action tables (see ``biact``); P5.1's
+stability and left stability share one build.  That replay is exact
+because the key fixes each part's digraph pair: a subact is closed under
+both actions, so the sub's steps are the host's restricted to the
+members and the Rees quotient's merge them into one sink, and
+compatibility makes a quotient block's steps the blocks of its least
+member's steps.  The pair fixes the Green structure, and the key fixes
+the part's kind and size, so a predicate that decides from these, as
+every predicate of these claims does, gives the same verdict on each
+part with that key.  The instances and violations are then replayed
+in corpus order.  R3.14(3) checks each (left digraph of S, right digraph
+of T) group of pairs once, on a product built from those two digraphs.
 
 Must-hold claims must produce zero violations; counterexample-expected
 claims must produce a verified witness.  Claims whose finite runs cannot
@@ -61,8 +69,12 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__ as _version
 from .biact import (
+    Digraphs,
     FiniteBiact,
     Subact,
+    _block_quotient,
+    _collapse,
+    _restrict,
     biact_rees_quotient,
     ideal_biact,
     product_biact,
@@ -89,7 +101,7 @@ from .enumeration import (
     semigroup_pool,
 )
 from .errors import InvalidSuiteConfig, UnknownClaim
-from .green import GreenStructure, digraphs, green_index, green_structure
+from .green import GreenStructure, _bits, digraphs, green_index, green_structure
 from .props import (
     group_bound,
     k_preserving,
@@ -328,19 +340,25 @@ def subsemigroups_of(s: FiniteSemigroup) -> list[frozenset[int]]:
 
 
 def subacts_of(a: FiniteBiact) -> list[frozenset[int]]:
-    """The nonempty subacts, in ``nonempty_subsets`` order: a subset is
-    closed under both actions iff it holds the left and right one-step
-    successors of each of its members."""
-    succ = [sum(1 << y for y in {*ls, *rs}) for ls, rs in zip(*digraphs(a))]
+    """The nonempty subacts, in ``nonempty_subsets`` order."""
+    return [frozenset(_bits(m)) for m in _subact_keys(a, digraphs(a))]
+
+
+def _subact_keys(host: FiniteBiact, pair: Digraphs) -> list[int]:
+    """The nonempty subacts of ``host``, whose one-step digraph pair is
+    ``pair``, as member bitmasks, in ``nonempty_subsets`` order.  Only the
+    pair is read: a subset is closed under both actions iff it holds the
+    left and right one-step successors of each of its members."""
+    succ = [sum(1 << y for y in {*ls, *rs}) for ls, rs in zip(*pair)]
     out = []
-    for r in range(1, a.size + 1):
-        for c in itertools.combinations(range(a.size), r):
+    for r in range(1, len(succ) + 1):
+        for c in itertools.combinations(range(len(succ)), r):
             mask = reach = 0
             for x in c:
                 mask |= 1 << x
                 reach |= succ[x]
             if not reach & ~mask:
-                out.append(frozenset(c))
+                out.append(mask)
     return out
 
 
@@ -369,23 +387,14 @@ _SMOKE = ("finite structures satisfy every minimal condition and are stable, "
 
 _KEEP = 5   # violations a report shows per claim
 
-_BIT = {None: 1, "L": 1, "R": 2, "J": 4}   # a kind's bit in ``_Tally.parts``
-
 
 class _Tally:
-    """The checks one claim has made and the violations it has found, and
-    the verdicts it shares between its instances (``whole`` and ``parts``);
-    one tally serves one claim run, so no verdict outlives it."""
+    """The checks one claim has made and the violations it has found."""
 
     def __init__(self):
         self.instances = 0
         self.count = 0
         self.samples: list = []
-        self._host = None                     # the last host seen,
-        self._wholes: dict = {}               # its verdicts
-        self._host_id: Optional[int] = None   # and its digraph id, once read
-        self._ids: dict = {}                  # host digraph pair -> digraph id
-        self._parts: dict = {}                # (pred, digraph id, key) -> verdict bits
 
     def add(self, payload) -> None:
         self.count += 1
@@ -397,39 +406,6 @@ class _Tally:
         self.instances += other.instances
         self.count += other.count
         self.samples.extend(other.samples[:_KEEP - len(self.samples)])
-
-    def _visit(self, host) -> None:
-        if host is not self._host:
-            self._host, self._wholes, self._host_id = host, {}, None
-
-    def whole(self, pred: str, host, k: Optional[str]) -> bool:
-        """``_holds(pred, host, k)``, decided once per host object.
-        Instances arrive host by host, so the last host's verdicts are the
-        ones kept."""
-        self._visit(host)
-        if (pred, k) not in self._wholes:
-            self._wholes[pred, k] = _holds(pred, host, k)
-        return self._wholes[pred, k]
-
-    def parts(self, pred: str, host, key, build: Callable[[], Iterable],
-              k: Optional[str]) -> bool:
-        """Whether ``_holds(pred, part, k)`` for every part of ``host`` that
-        ``build()`` gives, decided once per (host digraph pair, ``key``) in
-        this run.  That first decision builds the parts and decides every
-        kind at once, kept as one bit per kind (``_BIT``); None shares the
-        L bit, so a predicate is asked either always with a kind or always
-        without.  Sound only where the key determines each part's digraph
-        pair, as the members of a subact or the blocks of a congruence do,
-        and where ``pred`` decides from Green data only."""
-        self._visit(host)
-        if self._host_id is None:
-            self._host_id = self._ids.setdefault(digraphs(host), len(self._ids))
-        memo = (pred, self._host_id, key)
-        if memo not in self._parts:
-            parts = tuple(build())
-            self._parts[memo] = sum(_BIT[j] for j in ((None,) if k is None else KINDS)
-                                    if all(_holds(pred, p, j) for p in parts))
-        return bool(self._parts[memo] & _BIT[k])
 
     def chain(self, x, chain, k: str, depth: int, payload: dict) -> None:
         """One check: ``chain`` descends strictly in the ``k`` preorder of
@@ -467,22 +443,71 @@ def _over(corpus: str, check, smoke: bool = False,
     return checker
 
 
+def _over_hosts(hosts: str, preds: tuple, keys: Callable, parts: Callable, check: Callable,
+                by_pair: bool = False, smoke: bool = False,
+                notes: str = "") -> Callable[[Env], ClaimOutcome]:
+    """The checker of a claim that compares the predicates ``preds``, as
+    (name, kinds) pairs, on each host of the Env corpus named ``hosts``
+    and on the derived parts of its instances, host by host.
+
+    - Each host's one-step digraph pair is computed once and interned as a
+      digraph id.
+    - ``keys(host, pair)`` lists the host's instances as hashable keys, in
+      order.  With ``by_pair`` the keys depend on the pair only, as
+      subacts do, and are listed once per digraph id.
+    - The host's verdicts are decided once per host object, on its first
+      instance, which is exact for any predicate.
+    - ``parts(host, pair, key)`` builds an instance's parts from the pair,
+      and their verdicts are decided once per (digraph id, key).  This is
+      exact because the key fixes each part's digraph pair, hence its
+      Green structure, and its kind and size: the predicates must decide
+      from these, as every predicate of the claims does.
+    - ``check(key, whole, part, v)`` then makes the instance's checks from
+      the two verdict tuples (``_verdicts``) and returns their number, so
+      instances and violations come in corpus order.
+    """
+    def checker(env: Env) -> ClaimOutcome:
+        v, ids, listed, decided = _Tally(), {}, {}, {}
+        for host in getattr(env, hosts)():
+            pair = digraphs(host)
+            hid = ids.setdefault(pair, len(ids))
+            if not by_pair or hid not in listed:
+                listed[hid] = keys(host, pair)
+            whole = None
+            for key in listed[hid]:
+                if whole is None:
+                    whole = _verdicts(preds, (host,))
+                if (hid, key) not in decided:
+                    decided[hid, key] = _verdicts(preds, parts(host, pair, key))
+                v.instances += check(key, whole, decided[hid, key], v)
+        return v.outcome(smoke, notes)
+    return checker
+
+
+_BIT = {None: 1, "L": 1, "R": 2, "J": 4}   # a kind's bit in ``_verdicts``
+
+
+def _verdicts(preds: tuple, xs: Iterable) -> tuple[int, ...]:
+    """For each (name, kinds) of ``preds``, whether the predicate holds on
+    every object of ``xs``, as one bit per kind (``_BIT``; None, for a
+    predicate asked without a kind, is bit 1)."""
+    xs = tuple(xs)
+    return tuple(sum(_BIT[k] for k in kinds if all(_holds(pred, x, k) for x in xs))
+                 for pred, kinds in preds)
+
+
 def _split(pred: str, whole: str, parts: tuple[str, ...], key: str,
-           kinds: tuple = KINDS, shared: bool = False) -> Callable[[object, _Tally], int]:
+           kinds: tuple = KINDS) -> Callable[[object, _Tally], int]:
     """The per-instance check of "the whole has the condition iff every
     part has it", once per kind.  ``whole`` and ``parts`` name attributes of
     the instance; ``pred`` names a predicate of this module, looked up on
     each call so that a wrapper installed later is called, and a kind of
     None calls it with no kind.  A violation names the instance's members
-    under ``key``, and the kind when there are several.  ``shared`` marks
-    a subact corpus, whose verdicts ``_subact_split`` shares."""
+    under ``key``, and the kind when there are several."""
     def check(x, v: _Tally) -> int:
         for k in kinds:
-            if shared:
-                whole_holds, parts_hold = _subact_split(pred, x, parts, v, k)
-            else:
-                whole_holds = _holds(pred, getattr(x, whole), k)
-                parts_hold = all(_holds(pred, getattr(x, p), k) for p in parts)
+            whole_holds = _holds(pred, getattr(x, whole), k)
+            parts_hold = all(_holds(pred, getattr(x, p), k) for p in parts)
             if whole_holds != parts_hold:
                 v.add({key: x.members, "k": k} if len(kinds) > 1 else {key: x.members})
         return len(kinds)
@@ -497,17 +522,23 @@ def _holds(pred: str, x, k: Optional[str]) -> bool:
     return bool(holds(x) if k is None else holds(x, k))
 
 
-def _subact_split(pred: str, x: Subact, parts: tuple[str, ...], v: _Tally,
-                  k: Optional[str]) -> tuple[bool, bool]:
-    """``pred`` on the host of the subact ``x``, and on all of its ``parts``
-    (``sub``, ``rees``).  The host's verdict is decided once per host and
-    each part's once per (host digraph pair, members): a subact is closed
-    under both actions, so the sub's digraphs are the host's restricted to
-    the members, and the Rees quotient's merge the members into one sink.
-    The members are keyed as a bitmask, which is smaller than the set."""
-    key = sum(1 << m for m in x.members)
-    return (v.whole(pred, x.host, k),
-            v.parts(pred, x.host, key, lambda: [getattr(x, p) for p in parts], k))
+def _subact_parts(host: FiniteBiact, pair: Digraphs, mask: int) -> tuple:
+    """The sub and the Rees quotient of the subact ``mask`` of ``host``,
+    built from the host's digraph pair."""
+    members = list(_bits(mask))
+    return (_restrict(host, members, pair), _collapse(host, frozenset(members), pair))
+
+
+_MINIMAL = (("minimal_condition", KINDS),)
+
+
+def _p4_4(mask: int, whole: tuple, part: tuple, v: _Tally) -> int:
+    """A biact has a minimal condition iff a subact and its Rees quotient
+    do."""
+    for k in KINDS:
+        if (whole[0] ^ part[0]) & _BIT[k]:
+            v.add({"subact": frozenset(_bits(mask)), "k": k})
+    return len(KINDS)
 
 
 def _same_preorders(p, q, v: _Tally) -> int:
@@ -735,12 +766,12 @@ def check_R3_14_2(env: Env) -> ClaimOutcome:
             v.add({"failure": f"{side} instability witness"})
 
     # decider vs rewriting oracle on all words of length <= 6
-    words = [""] + _ab_words()
-    for u, w in itertools.product(words, repeat=2):
+    pairs = {w: word_to_pair(w) for w in [""] + _ab_words()}
+    for u, w in itertools.product(pairs, repeat=2):
         v.instances += 1
-        if word_to_pair(u + w) != bicyclic_mul(word_to_pair(u), word_to_pair(w)):
+        if word_to_pair(u + w) != bicyclic_mul(pairs[u], pairs[w]):
             v.add({"mul mismatch": (u, w)})
-    forms = sorted({word_to_pair(w) for w in words})
+    forms = sorted(set(pairs.values()))
     for x, y, k in itertools.product(forms, forms, KINDS):
         v.instances += 1
         if b.le(k, x, y) != oracle_le(k, pair_to_word(x), pair_to_word(y)):
@@ -755,16 +786,18 @@ def check_R3_14_3(env: Env) -> ClaimOutcome:
     The check of a pair (S, T) reads only element ids, the L data of S, the
     R data of T and the Green data of S x T, whose digraphs are S_left x id
     and id x T_right.  So it is made once per (left digraph of S, right
-    digraph of T) group, and each pair replays its group's checks and
-    violations in pair order."""
+    digraph of T) group, on a product built from those two digraphs, and
+    each pair replays its group's checks and violations in pair order."""
     sems = env.semigroups()
-    lefts = _interned(digraphs(s)[0] for s in sems)
-    rights = _interned(digraphs(t)[1] for t in sems)
+    pairs = [digraphs(s) for s in sems]
+    lefts = _interned(p[0] for p in pairs)
+    rights = _interned(p[1] for p in pairs)
     v, groups = _Tally(), {}
     for (i, s), (j, t) in itertools.product(enumerate(sems), repeat=2):
         group = (lefts[i], rights[j])
         if group not in groups:
-            groups[group] = _Tally().over([(s, t)], _r3_14_3)
+            prod = product_biact(s, t, (pairs[i][0], pairs[j][1]))
+            groups[group] = _Tally().over([(s, t, prod)], _r3_14_3)
         v.merge(groups[group])
     return v.outcome()
 
@@ -775,9 +808,8 @@ def _interned(values: Iterable) -> list[int]:
     return [ids.setdefault(x, len(ids)) for x in values]
 
 
-def _r3_14_3(pair: tuple[FiniteSemigroup, FiniteSemigroup], v: _Tally) -> int:
-    s, t = pair
-    prod = product_biact(s, t)
+def _r3_14_3(group: tuple[FiniteSemigroup, FiniteSemigroup, FiniteBiact], v: _Tally) -> int:
+    s, t, prod = group
     pgs = green_structure(prod)
     sgs = green_structure(s)
     tgs = green_structure(t)
@@ -796,17 +828,24 @@ def _r3_14_3(pair: tuple[FiniteSemigroup, FiniteSemigroup], v: _Tally) -> int:
 # section 4 claims
 
 
-def _p4_1(rho: Congruence, v: _Tally) -> int:
+def _congruence_keys(host, pair: Digraphs) -> list[tuple[int, ...]]:
+    """The blocks of each single-pair congruence of ``host``."""
+    return [rho.blocks for rho in single_pair_congruences(host)]
+
+
+def _quotient_part(host, pair: Digraphs, blocks: tuple[int, ...]) -> tuple:
+    """The quotient by ``blocks``: a biact's built from the host's digraph
+    pair, a semigroup's from its table."""
+    if isinstance(host, FiniteSemigroup):
+        return (quotient(host, Congruence(blocks, host.size, host))[0],)
+    return (_block_quotient(host, blocks, pair),)
+
+
+def _p4_1(blocks: tuple[int, ...], whole: tuple, part: tuple, v: _Tally) -> int:
     """Minimal conditions pass to the quotient by a congruence: P4.1 for
-    biact hosts, C4.3 for semigroup hosts.  The host's verdicts are decided
-    once per host, the quotient's once per (host digraph pair, blocks):
-    compatibility makes a block's successors the blocks of any
-    representative's successors in the host."""
-    host = rho.over
+    biact hosts, C4.3 for semigroup hosts."""
     for k in KINDS:
-        if (v.whole("minimal_condition", host, k)
-                and not v.parts("minimal_condition", host, rho.blocks,
-                                lambda: [quotient(host, rho)[0]], k)):
+        if whole[0] & ~part[0] & _BIT[k]:
             v.add({"k": k})
     return len(KINDS)
 
@@ -1062,17 +1101,31 @@ def check_S5_0(env: Env) -> ClaimOutcome:
     return v.outcome()
 
 
-def _p5_1(x: Subact, v: _Tally) -> None:
-    b, members = x.host, x.members
-    for pred, failure in (("stable", {}), ("left_stable", {"failure": "left form"})):
-        whole_holds, parts_hold = _subact_split(pred, x, ("sub", "rees"), v, None)
-        if whole_holds != parts_hold:
-            v.add({"subact": members, **failure})
-    # contentful side fact: J-classes never straddle a subact
-    for cls in green_structure(b).classes["J"]:
-        flags = {y in members for y in cls}
-        if len(flags) != 1:
-            v.add({"subact": members, "failure": "J-class straddles subact"})
+_STABLE = (("stable", (None,)), ("left_stable", (None,)))
+
+
+def _p5_1_keys(host: FiniteBiact, pair: Digraphs) -> list[tuple[int, int]]:
+    """The subacts of a host as member bitmasks, each with the number of
+    host J-classes that straddle it."""
+    j_classes = green_structure(host).classes["J"]
+    return [(mask, sum(0 < sum(mask >> y & 1 for y in cls) < len(cls) for cls in j_classes))
+            for mask in _subact_keys(host, pair)]
+
+
+def _p5_1_parts(host: FiniteBiact, pair: Digraphs, key: tuple[int, int]) -> tuple:
+    return _subact_parts(host, pair, key[0])
+
+
+def _p5_1(key: tuple[int, int], whole: tuple, part: tuple, v: _Tally) -> int:
+    """A biact is stable iff a subact and its Rees quotient are (also in
+    the left form), and no J-class straddles a subact."""
+    mask, straddles = key
+    for i, failure in enumerate(({}, {"failure": "left form"})):
+        if whole[i] != part[i]:
+            v.add({"subact": frozenset(_bits(mask)), **failure})
+    for _ in range(straddles):
+        v.add({"subact": frozenset(_bits(mask)), "failure": "J-class straddles subact"})
+    return 1
 
 
 def _p5_3(x: Substructure, v: _Tally) -> None:
@@ -1236,15 +1289,18 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "finite-exhaustive", "must-hold", check_R3_14_3),
     Claim("P4.1", "minimal conditions pass to biact quotients",
           "finite-exhaustive", "must-hold",
-          _over("biact_congruences", _p4_1, smoke=True)),
+          _over_hosts("biacts", _MINIMAL, _congruence_keys, _quotient_part, _p4_1,
+                      smoke=True)),
     Claim("L4.2", "semigroup quotients agree with regular-biact quotients",
           "finite-exhaustive", "must-hold", _over("congruences", _l4_2)),
     Claim("C4.3", "minimal conditions pass to semigroup quotients",
-          "finite-exhaustive", "must-hold", _over("congruences", _p4_1, smoke=True)),
+          "finite-exhaustive", "must-hold",
+          _over_hosts("semigroups", _MINIMAL, _congruence_keys, _quotient_part, _p4_1,
+                      smoke=True)),
     Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over("subacts", _split("minimal_condition", "host", ("sub", "rees"), "subact",
-                                  shared=True), smoke=True)),
+          _over_hosts("biacts", _MINIMAL, _subact_keys, _subact_parts, _p4_4, by_pair=True,
+                      smoke=True)),
     Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups",
@@ -1286,7 +1342,8 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "symbolic-witness", "counterexample-expected", check_S5_0),
     Claim("P5.1", "a biact is stable iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over("subacts", _p5_1, smoke=True, notes="the straddle check is contentful")),
+          _over_hosts("biacts", _STABLE, _p5_1_keys, _p5_1_parts, _p5_1, by_pair=True,
+                      smoke=True, notes="the straddle check is contentful")),
     Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups", _split("stable", "rel", ("sub", "rel_rees"), "sub", (None,)),

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenstone import core
+from greenstone.biact import regular_biact
 from greenstone.errors import (
     BadEntry,
     DegreeMismatch,
@@ -295,6 +297,13 @@ class TestCongruence:
         with pytest.raises(IncompatiblePartition):
             core.congruence_from_blocks(s, [0, 0, 1, 1])  # {0,1},{2,3} not compatible
 
+    @pytest.mark.parametrize("pair", [(0, -1), (0, 5), (-2, 1), (2, 0), (True, 0)])
+    def test_pair_outside_the_carrier_is_named(self, pair):
+        # -1 used to read as the last element and 5 raised a bare IndexError
+        b = regular_biact(core.validate_table(2, LEFT_ZERO2))
+        with pytest.raises(BadEntry, match=re.escape(repr(pair))):
+            core.congruence_closure(b, [(0, 1), pair])
+
     def test_closure_is_the_least_congruence(self):
         # oracle: enumerate every partition of a 3-element carrier, keep the
         # compatible ones, and intersect those containing the seed pair
@@ -451,6 +460,17 @@ class TestQuotient:
         s = core.validate_table(4, Z4)
         q, _ = core.quotient(s, core.congruence_closure(s, [(0, 1)]))
         assert q.order == 1
+
+    @pytest.mark.parametrize("blocks", [(0, 0, 1), (0,), ()])
+    def test_blocks_of_the_wrong_length_are_refused(self, blocks):
+        # a congruence whose blocks disagree with its size used to raise a
+        # bare IndexError, on a semigroup and on a biact alike
+        s = core.validate_table(2, LEFT_ZERO2)
+        rho = core.Congruence(blocks=blocks, size=2, over=s)
+        for x in (s, regular_biact(s)):
+            with pytest.raises(IncompatiblePartition) as err:
+                core.quotient(x, rho)
+            assert err.value.witness == ("size", len(blocks), 2)
 
     def test_projection_is_a_homomorphism(self):
         s = t2()

@@ -21,6 +21,32 @@ def words_up_to(length):
     return out
 
 
+def uncached_oracle_le(k, u, v):
+    """``symbolic.oracle_le`` before its one-step rewrites were cached: the
+    same breadth-bounded search, recomputing each word's rewrites."""
+    target = sym.reduce_word(u)
+    start = sym.reduce_word(v)
+    bound = len(target) + 2 * len(start) + 4
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        if target in seen:
+            return True
+        nxt = []
+        for w in frontier:
+            steps = []
+            if k in ("L", "J"):
+                steps += [sym.reduce_word("a" + w), sym.reduce_word("b" + w)]
+            if k in ("R", "J"):
+                steps += [sym.reduce_word(w + "a"), sym.reduce_word(w + "b")]
+            for w2 in steps:
+                if len(w2) <= bound and w2 not in seen:
+                    seen.add(w2)
+                    nxt.append(w2)
+        frontier = nxt
+    return target in seen
+
+
 class TestBicyclic:
     def test_defining_relation(self):
         b = sym.Bicyclic()
@@ -42,6 +68,25 @@ class TestBicyclic:
                 for k in ("L", "R", "J"):
                     assert b.le(k, x, y) == sym.oracle_le(
                         k, sym.pair_to_word(x), sym.pair_to_word(y))
+
+    def test_cached_oracle_matches_the_uncached_one_on_normal_forms(self):
+        forms = [sym.pair_to_word(x) for x in sorted({sym.word_to_pair(w)
+                                                      for w in words_up_to(6)})]
+        assert len(forms) == 28
+        for k, u, v in itertools.product(("L", "R", "J"), forms, forms):
+            assert sym.oracle_le(k, u, v) == uncached_oracle_le(k, u, v), (k, u, v)
+
+    def test_cached_oracle_matches_the_uncached_one_on_all_short_words(self):
+        words = words_up_to(6)
+        for k, u, v in itertools.product(("L", "R", "J"), words, words):
+            assert sym.oracle_le(k, u, v) == uncached_oracle_le(k, u, v), (k, u, v)
+
+    def test_oracle_step_cache_is_bounded(self):
+        assert sym._oracle_steps.cache_info().maxsize is not None
+        sym.oracle_le("J", "bba", "ba")
+        assert sym._oracle_steps("J", "ba") == ("a", "bba", "baa", "b")
+        assert sym._oracle_steps("L", "ba") == ("a", "bba")
+        assert sym._oracle_steps("R", "ba") == ("baa", "b")
 
     def test_reduce_word(self):
         assert sym.reduce_word("ab") == ""

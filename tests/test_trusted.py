@@ -12,7 +12,9 @@ read as its own biact is compared with the same predicate on its regular
 biact, the conversion it replaced.
 """
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -401,3 +403,104 @@ class TestMemoisedOrbitScan:
         got = props._periodic([row], class_of, "s")
         assert (got.value, got.witness) == (False, {"s": 0, "a": 0})
         assert_same_result(got, stepped_periodic([row], class_of, "s"))
+
+
+# ---------------------------------------------------------------------------
+# parts built from their host's digraphs: the claims build subacts, Rees
+# quotients, biact quotients and products without tables, from a digraph
+# pair derived from the host's; here each such part is compared with the
+# same part built with tables, and its Green structure with ``_build`` over
+# the tables
+
+
+def lazy_and_eager_parts(b: ba.FiniteBiact):
+    """Each subact, Rees quotient (also by the empty subact) and single-pair
+    congruence quotient of ``b``, built from the host's digraph pair and
+    built with tables."""
+    pair = green.digraphs(b)
+    for members in subacts_of(b) + [frozenset()]:
+        if members:
+            yield ba._restrict(b, sorted(members), pair), ba.Subact(b, members).sub
+        yield ba._collapse(b, members, pair), ba.biact_rees_quotient(b, members)
+    for rho in single_pair_congruences(b):
+        yield ba._block_quotient(b, rho.blocks, pair), core.quotient(b, rho)[0]
+
+
+def lazy_and_eager_products(pool):
+    for s, t in itertools.product(pool, repeat=2):
+        factors = (green.digraphs(s)[0], green.digraphs(t)[1])
+        yield ba.product_biact(s, t, factors), ba.product_biact(s, t)
+
+
+def assert_same_part(lazy: ba.FiniteBiact, eager: ba.FiniteBiact, built: dict) -> None:
+    """``lazy`` carries the digraph pair of ``eager``'s tables and no tables
+    of its own; its Green structure and stability verdicts are ``_build``'s
+    over those tables; and once read, it is ``eager`` in every respect."""
+    assert type(lazy) is ba.FiniteBiact
+    pair = vars(lazy)[ba._PAIR]
+    assert pair == green._edges(eager)
+    gs = green.green_structure(lazy)
+    assert not {"left_action", "right_action", ba._PAIR} & set(vars(lazy))
+    if pair not in built:
+        built[pair] = green._build(eager.size, *green._edges(eager))
+    want = built[pair]
+    assert gs.to_json() == want.to_json()
+    assert (gs.left_stable, gs.right_stable) == (want.left_stable, want.right_stable)
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    assert (lazy.left, lazy.right, lazy.size) == (eager.left, eager.right, eager.size)
+    assert lazy.labels == eager.labels and lazy.provenance == eager.provenance
+    assert lazy.left_action == eager.left_action and lazy.right_action == eager.right_action
+    assert ba._FILL not in vars(lazy)
+
+
+def _seed0_biacts():
+    from greenstone.verify import Env, SuiteConfig
+
+    return Env(SuiteConfig(seed=0)).biacts()
+
+
+PART_CORPORA = {
+    "seed-0 biacts": _seed0_biacts,
+    "random biacts": lambda: random_biact_corpus(200, "parts-from-digraphs"),
+}
+
+
+class TestPartsFromDigraphs:
+    @pytest.mark.parametrize("corpus", sorted(PART_CORPORA))
+    def test_subacts_rees_quotients_and_quotients(self, corpus):
+        built: dict = {}
+        count = 0
+        for b in PART_CORPORA[corpus]():
+            for lazy, eager in lazy_and_eager_parts(b):
+                assert_same_part(lazy, eager, built)
+                count += 1
+        assert count > 1000
+
+    def test_products_of_census_semigroups(self):
+        pool = [s for n in (1, 2, 3) for s in all_semigroups(n)]
+        built: dict = {}
+        for lazy, eager in lazy_and_eager_products(pool):
+            assert_same_part(lazy, eager, built)
+
+    def test_tables_are_filled_on_first_read_only(self):
+        s = POOL[-1]
+        lazy = ba.product_biact(s, s, (green.digraphs(s)[0], green.digraphs(s)[1]))
+        fill = vars(lazy)[ba._FILL]
+        calls = []
+        vars(lazy)[ba._FILL] = lambda: calls.append(1) or fill()
+        green.green_structure(lazy)
+        props.minimal_condition(lazy, "J")
+        assert calls == [] and "left_action" not in vars(lazy)
+        assert lazy.right_action is lazy.right_action and calls == [1]
+        assert lazy.left_action == ba.product_biact(s, s).left_action and calls == [1]
+        with pytest.raises(AttributeError, match="no_such_field"):
+            lazy.no_such_field
+
+    def test_copies_carry_the_tables(self):
+        s = POOL[-1]
+        eager = ba.product_biact(s, s)
+        for copy_of in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            lazy = ba.product_biact(s, s, (green.digraphs(s)[0], green.digraphs(s)[1]))
+            twin = copy_of(lazy)
+            assert not {ba._FILL, ba._PAIR} & set(vars(twin))
+            assert twin == eager and twin.left_action == eager.left_action

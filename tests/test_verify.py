@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -622,3 +623,64 @@ class TestSharedVerdicts:
         outcome = ver.REGISTRY["R3.14(3)"].checker(env)
         assert outcome == _r3_14_3_pairs(env) and outcome.ok
         assert outcome.instances == 10530025
+
+
+# ---------------------------------------------------------------------------
+# the host-level pass: the parts of P4.4, P5.1 and P4.1, and the products of
+# R3.14(3), are built from digraphs, and none of them should need a table
+
+HOT_CLAIMS = ("P4.4", "P5.1", "P4.1", "R3.14(3)")
+
+
+class TestHostPass:
+    @pytest.mark.parametrize("config", ["tiny", "default"])
+    def test_hot_claims_fill_no_part_table(self, config, envs, monkeypatch):
+        from greenstone import biact as ba
+
+        filled, real = [], ba.FiniteBiact.__getattr__
+
+        def spy(self, name):
+            if ba._FILL in vars(self):
+                filled.append((self.provenance.get("kind"), name))
+            return real(self, name)
+
+        monkeypatch.setattr(ba.FiniteBiact, "__getattr__", spy)
+        for cid in HOT_CLAIMS:
+            outcome = ver.REGISTRY[cid].checker(envs[config])
+            assert outcome.ok and outcome.instances > 0, cid
+        assert filled == []
+
+    def test_straddle_counts_replay_per_subact(self, envs, monkeypatch):
+        """With every J-class planted as the whole carrier, each proper
+        subact is straddled, and P5.1 reports it as its oracle does."""
+        real = ver.green_structure
+
+        def green_structure(x):
+            gs = real(x)
+            return dataclasses.replace(gs, classes={**gs.classes, "J": (tuple(range(gs.size)),)})
+
+        monkeypatch.setattr(ver, "green_structure", green_structure)
+        outcome = ver.REGISTRY["P5.1"].checker(envs["tiny"])
+        assert outcome == SHARED_ORACLES["P5.1"](envs["tiny"]) and not outcome.ok
+        assert "straddles" in json.dumps(outcome.witnesses)
+
+
+# the claims digest of ``verify --suite all --seed N`` for the benchmark's
+# sixteen suite seeds, recorded in perfbench/refs.json
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
+
+
+def _claims_digest(report: dict) -> str:
+    keep = ("id", "status", "instances", "vacuous", "witnesses")
+    claims = [{k: c[k] for k in keep} for c in report["claims"]]
+    return hashlib.sha256(json.dumps(claims, sort_keys=True, separators=(",", ":"))
+                          .encode()).hexdigest()
+
+
+class TestSuiteSeeds:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(16))
+    def test_claims_digest_matches_the_benchmark_reference(self, seed):
+        want = json.loads(REFS.read_text())["suite"][str(seed)]
+        report = ver.run_suite("all", ver.SuiteConfig(seed=seed)).to_json()
+        assert report["all_passed"] and _claims_digest(report) == want
