@@ -10,43 +10,43 @@ Carrier ids are their own namespace, disjoint from the semigroup ids.
 
 Trust boundary: ``validate_biact`` is the entry point for raw action
 tables (file load, the random samplers' one-sided recipes, hand-built
-actions) and checks ranges and all three axioms.  The derived
-constructors here (regular, ideal, relative, Rees quotient, subact,
-product, pullback) check only their own preconditions -- ideal,
-subsemigroup, subact, homomorphism -- and then build through the
-unchecked ``_trusted_biact``, because their output satisfies the axioms
-by construction.  So does the exhaustive census
-(``enumeration.all_biacts``), whose candidates pass the left-axiom scan
-``_left_axiom_violation`` (on S, and on the opposite of T for the right
-actions) and a compatibility check first.  A differential test
-re-validates their output over the small census and the random corpus.
-The semigroup side mirrors this with ``core.validate_table`` and
-``core._trusted_table``.  A semigroup is already its own regular biact
-(see ``core``); ``regular_biact`` builds it as a ``FiniteBiact``, and
-``ideal_biact`` is the restriction of S, read as its own biact, to the
-ideal (``Subact(s, ideal).sub``); an ideal is exactly a subact of S, so
-the subact check is the ideal check.
+actions) and checks ranges and all three axioms.  The other constructors
+check only their own preconditions -- ideal, subsemigroup, subact,
+homomorphism -- because their output satisfies the axioms by
+construction.  Those that read no host biact (regular, relative,
+pullback) build through the unchecked ``_trusted_biact``, and so does
+the exhaustive census (``enumeration.all_biacts``), whose candidates
+pass the left-axiom scan ``_left_axiom_violation`` (on S, and on the
+opposite of T for the right actions) and a compatibility check first.
+A differential test re-validates their output over the small census and
+the random corpus.  The semigroup side mirrors this with
+``core.validate_table`` and ``core._trusted_table``.  A semigroup is
+already its own regular biact (see ``core``); ``regular_biact`` builds it
+as a ``FiniteBiact``, and ``ideal_biact`` is the restriction of S, read
+as its own biact, to the ideal (``Subact(s, ideal).sub``); an ideal is
+exactly a subact of S, so the subact check is the ideal check.
 
-Parts from digraphs.  A caller that holds the host's one-step digraph
-pair (``green.digraphs``) can build a subact, a Rees quotient, a biact
-quotient or a product without its action tables: the part's pair is
-derived from the host's (``_derived``), ``green`` takes its structure
-from that pair, and the tables are filled on first read, by the same code
-that fills them eagerly otherwise.  Such a part is an ordinary
-``FiniteBiact``: equality, hashing and repr read the tables, and so fill
-them.  The derived pairs are exact: a subact is closed under both
-actions, so the sub's steps are the host's restricted to the members; a
-host step from a non-member into the subact becomes a step into the Rees
-quotient's sink, which steps only to itself; a quotient block's steps are
-the blocks of its least member's steps, by compatibility; and in S x T a
-left step moves the S coordinate only, a right step the T coordinate.
+Parts from digraphs.  This module owns the one-step digraph pair
+(``digraphs``), the input that fixes a Green structure.  Every part
+derived from a host -- a subact, a Rees quotient, a biact quotient, a
+product -- is built by ``_derived`` from a pair derived from the host's:
+the pair the caller holds, or else ``digraphs(host)``.  ``green`` takes
+the part's structure from that pair, and its action tables are filled on
+first read.  Such a part is an ordinary ``FiniteBiact``: equality,
+hashing and repr read the tables, and so fill them.  The derived pairs
+are exact: a subact is closed under both actions, so the sub's steps are
+the host's restricted to the members; a host step from a non-member into
+the subact becomes a step into the Rees quotient's sink, which steps
+only to itself; a quotient block's steps are the blocks of its least
+member's steps, by compatibility; and in S x T a left step moves the S
+coordinate only, a right step the T coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_CLOSURE_CAP,
@@ -142,14 +142,35 @@ _TABLES = ("left_action", "right_action")
 _FILL, _PAIR = "_fill", "_digraphs"
 
 
+def _edges(x: Union[FiniteSemigroup, FiniteBiact],
+           generators: Optional[Sequence[int]] = None) -> Digraphs:
+    """The frozen one-step left and right digraphs, over every acting
+    element or only over ``generators``.  A semigroup is read as its own
+    biact.  Over every element, the left successors of e are column e of
+    the left action and the right successors are row e of the right one."""
+    la, ra = x.left_action, x.right_action
+    if generators is None:
+        left = tuple(tuple(sorted(set(col))) for col in zip(*la))
+        right = tuple(tuple(sorted(set(row))) for row in ra)
+    else:
+        left = tuple(tuple(sorted({la[s][e] for s in generators})) for e in range(x.size))
+        right = tuple(tuple(sorted({ra[e][t] for t in generators})) for e in range(x.size))
+    return left, right
+
+
+def digraphs(x: Union[FiniteSemigroup, FiniteBiact]) -> Digraphs:
+    """The one-step left and right digraphs over every acting element: the
+    pair that determines the Green structure of ``x``.  Nothing is stored
+    on ``x``; a caller that needs the pair again keeps it."""
+    return _edges(x)
+
+
 def _derived(s: FiniteSemigroup, t: FiniteSemigroup, size: int,
              fill: Callable[[], tuple[list, list]], labels: Iterable[str],
-             provenance: Mapping, pair: Optional[Digraphs] = None) -> FiniteBiact:
-    """A derived biact whose action tables ``fill()`` gives.  Without its
-    one-step digraph pair the tables are filled now; with it they are
-    filled on first read, and ``green`` builds the structure from ``pair``."""
-    if pair is None:
-        return _trusted_biact(s, t, *fill(), labels, provenance)
+             provenance: Mapping, pair: Digraphs) -> FiniteBiact:
+    """A derived biact whose one-step digraph pair is ``pair``, from which
+    ``green`` builds its structure, and whose action tables ``fill()``
+    gives on first read."""
     x = object.__new__(FiniteBiact)
     x.__dict__.update(left=s, right=t, size=size, labels=tuple(labels),
                       provenance=dict(provenance), **{_FILL: fill, _PAIR: pair})
@@ -167,9 +188,8 @@ def _restrict(b: FiniteBiact, mem: Sequence[int],
         return ([[idx[b.left_action[s][x]] for x in mem] for s in range(b.left.order)],
                 [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem])
 
-    if pair is not None:
-        get = idx.__getitem__
-        pair = tuple(tuple([tuple(map(get, side[x])) for x in mem]) for side in pair)
+    get = idx.__getitem__
+    pair = tuple(tuple([tuple(map(get, side[x])) for x in mem]) for side in pair or digraphs(b))
     return _derived(b.left, b.right, len(mem), fill, (b.labels[x] for x in mem),
                     {"kind": "subact"}, pair)
 
@@ -325,30 +345,17 @@ def _collapse(a: FiniteBiact, mem: frozenset[int],
     zero = len(keep)
 
     def fill():
-        left = []
-        for s in range(a.left.order):
-            row = [zero] * (zero + 1)
-            for x in keep:
-                y = a.left_action[s][x]
-                row[idx[x]] = idx[y] if y in idx else zero
-            left.append(row)
-        right = []
-        for x in keep:
-            row = [zero] * a.right.order
-            for t in range(a.right.order):
-                y = a.right_action[x][t]
-                row[t] = idx[y] if y in idx else zero
-            right.append(row)
-        right.append([zero] * a.right.order)
-        return left, right
+        to = [idx.get(y, zero) for y in range(a.size)]    # a member goes to the sink
+        return ([[to[row[x]] for x in keep] + [zero] for row in a.left_action],
+                [[to[y] for y in a.right_action[x]] for x in keep] + [[zero] * a.right.order])
 
     def merged(succ: tuple[int, ...]) -> tuple[int, ...]:
         # idx keeps the order and the sink is last, so the result is sorted
         out = tuple([idx[y] for y in succ if y in idx])
         return out if len(out) == len(succ) else out + (zero,)
 
-    if pair is not None:
-        pair = tuple(tuple([merged(side[x]) for x in keep]) + ((zero,),) for side in pair)
+    pair = tuple(tuple([merged(side[x]) for x in keep]) + ((zero,),)
+                 for side in pair or digraphs(a))
     return _derived(a.left, a.right, zero + 1, fill,
                     tuple(a.labels[x] for x in keep) + ("0",),
                     {"kind": "rees-quotient", "collapsed": tuple(sorted(mem))}, pair)
@@ -369,9 +376,8 @@ def _block_quotient(x: FiniteBiact, blocks: Sequence[int],
         return ([[blocks[x.left_action[s][r]] for r in reps] for s in range(x.left.order)],
                 [[blocks[x.right_action[r][t]] for t in range(x.right.order)] for r in reps])
 
-    if pair is not None:
-        pair = tuple(tuple([tuple(sorted({blocks[y] for y in side[r]})) for r in reps])
-                     for side in pair)
+    pair = tuple(tuple([tuple(sorted({blocks[y] for y in side[r]})) for r in reps])
+                 for side in pair or digraphs(x))
     return _derived(x.left, x.right, k, fill, ("{" + x.labels[r] + "}" for r in reps),
                     {"kind": "quotient"}, pair)
 
@@ -389,8 +395,7 @@ def product_biact(s: FiniteSemigroup, t: FiniteSemigroup,
     Pair (a, b) is interned as a * |T| + b.  A carrier above the closure
     cap is refused before any table is built.  ``digraphs``, when the
     caller holds them, are the left digraph of S and the right digraph of
-    T (``green.digraphs``); the product's tables are then filled on first
-    read.
+    T (``_edges``).
     """
     ns, nt = s.order, t.order
     if ns * nt > DEFAULT_CLOSURE_CAP:
@@ -402,11 +407,9 @@ def product_biact(s: FiniteSemigroup, t: FiniteSemigroup,
                 [[a * nt + t.table[b][y] for y in range(nt)]
                  for a in range(ns) for b in range(nt)])
 
-    pair = None
-    if digraphs is not None:
-        s_left, t_right = digraphs
-        pair = (tuple(tuple(y * nt + b for y in s_left[a]) for a in range(ns) for b in range(nt)),
-                tuple(tuple(a * nt + y for y in t_right[b]) for a in range(ns) for b in range(nt)))
+    s_left, t_right = digraphs or (_edges(s)[0], _edges(t)[1])
+    pair = (tuple(tuple(y * nt + b for y in s_left[a]) for a in range(ns) for b in range(nt)),
+            tuple(tuple(a * nt + y for y in t_right[b]) for a in range(ns) for b in range(nt)))
     labels = tuple(f"({s.labels[a]},{t.labels[b]})" for a in range(ns) for b in range(nt))
     return _derived(s, t, ns * nt, fill, labels, {"kind": "product"}, pair)
 

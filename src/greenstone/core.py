@@ -150,25 +150,20 @@ def greedy_generators(order: int, table: Sequence[Sequence[int]]) -> list[int]:
 
 def validate_table(order: int, table: Sequence[Sequence[int]],
                    labels: Optional[Sequence[str]] = None,
-                   provenance: Optional[Mapping] = None,
-                   method: str = "auto") -> FiniteSemigroup:
+                   provenance: Optional[Mapping] = None) -> FiniteSemigroup:
     """Build a semigroup from a multiplication table, or refuse.
 
-    ``method`` is one of ``auto`` (triple scan up to order 64, Light's
-    test above), ``triples`` or ``light``.
+    Associativity is checked by the triple scan up to order
+    ``TRIPLE_SCAN_LIMIT`` and by Light's test above it.
     """
     if not _is_int(order) or order <= 0:
         raise BadEntry(f"order must be a positive integer, got {order!r}")
     tbl = _grid(table, order, order, order, "table")
 
-    if method == "auto":
-        method = "triples" if order <= TRIPLE_SCAN_LIMIT else "light"
-    if method == "triples":
+    if order <= TRIPLE_SCAN_LIMIT:
         bad = scan_triples(order, tbl)
-    elif method == "light":
-        bad = light_test(order, tbl, greedy_generators(order, tbl))
     else:
-        raise ValueError(f"unknown associativity method {method!r}")
+        bad = light_test(order, tbl, greedy_generators(order, tbl))
     if bad is not None:
         raise NonAssociative(*bad)
 
@@ -440,12 +435,16 @@ def _translations(x) -> list:
 def congruence_closure(x, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence containing ``pairs``: union-find saturation
     under all one-sided translations until fixpoint.  A pair naming an id
-    outside the carrier raises ``BadEntry``."""
+    outside the carrier, or that is not a pair, raises ``BadEntry``."""
     n = x.size
     fns = _translations(x)
     dsu = _DSU(n)
     work: list[tuple[int, int]] = []
-    for a, b in pairs:
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise BadEntry(f"congruence pair {pair!r} is not a pair of element ids") from None
         if not (_is_int(a) and _is_int(b) and 0 <= a < n and 0 <= b < n):
             raise BadEntry(f"congruence pair {(a, b)!r} names an element outside 0..{n - 1}")
         if dsu.union(a, b):
@@ -491,13 +490,17 @@ def quotient(x, rho: Congruence):
 
     For semigroups the result is a FiniteSemigroup; for biacts a
     FiniteBiact over the same acting semigroups.  The projection maps
-    element ids to block ids and is a homomorphism.
+    element ids to block ids and is a homomorphism.  Block ids must be
+    canonical (dense, numbered by least member), as ``Congruence`` says.
     """
     from .biact import _block_quotient
     n = x.size
     for size in (rho.size, len(rho.blocks)):
         if size != n:
             raise IncompatiblePartition(("size", size, n))
+    canonical = _normalize_blocks(rho.blocks)
+    if tuple(rho.blocks) != canonical:
+        raise IncompatiblePartition(("blocks", tuple(rho.blocks), canonical))
     witness = congruence_violation(x, rho.blocks)
     if witness is not None:
         raise IncompatiblePartition(witness)

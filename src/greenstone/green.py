@@ -40,14 +40,14 @@ cost.  The one cache, keyed on the ``(left, right)`` digraph pair, is the
 one caller of the builder: objects with equal digraphs -- relabelled
 copies, a semigroup and its regular biact, equal subacts or quotients of
 different hosts -- share one structure, and generator mode, which keeps
-no slot, lands in the same cache.  ``digraphs`` hands out the pair
-without storing it, for callers that key their own memos on it.
+no slot, lands in the same cache.  ``biact.digraphs`` hands out the
+pair without storing it, for callers that key their own memos on it.
 
-A part derived from a host whose pair the caller holds (a subact, a Rees
-quotient, a biact quotient, a product; see ``biact``) arrives with its
-own pair, derived from the host's, so nothing is frozen for it: its first
-lookup takes that pair straight to the cache and drops it, and its
-action tables stay unbuilt unless something else reads them.
+A part derived from a host (a subact, a Rees quotient, a biact quotient,
+a product; see ``biact``) arrives with its own pair, derived from the
+host's, so nothing is frozen for it: its first lookup takes that pair
+straight to the cache and drops it, and its action tables stay unbuilt
+unless something else reads them.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .biact import _PAIR, Digraph, FiniteBiact, biact_rees_quotient, relative_biact
+from .biact import (_PAIR, Digraph, FiniteBiact, _edges, biact_rees_quotient,
+                    digraphs, relative_biact)  # ``digraphs`` is re-exported
 from .core import FiniteSemigroup, _DSU, _normalize_blocks
 from .errors import InvariantViolation, UnknownClass
 
@@ -334,29 +335,6 @@ def _members(size: int, class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     for x in range(size):
         out[class_of[x]].append(x)
     return tuple(tuple(c) for c in out)
-
-
-def _edges(x: Union[FiniteSemigroup, FiniteBiact],
-           generators: Optional[Sequence[int]] = None) -> tuple[Digraph, Digraph]:
-    """The frozen one-step left and right digraphs, over every acting
-    element or only over ``generators``.  A semigroup is read as its own
-    biact.  Over every element, the left successors of e are column e of
-    the left action and the right successors are row e of the right one."""
-    la, ra = x.left_action, x.right_action
-    if generators is None:
-        left = tuple(tuple(sorted(set(col))) for col in zip(*la))
-        right = tuple(tuple(sorted(set(row))) for row in ra)
-    else:
-        left = tuple(tuple(sorted({la[s][e] for s in generators})) for e in range(x.size))
-        right = tuple(tuple(sorted({ra[e][t] for t in generators})) for e in range(x.size))
-    return left, right
-
-
-def digraphs(x: Union[FiniteSemigroup, FiniteBiact]) -> tuple[Digraph, Digraph]:
-    """The one-step left and right digraphs over every acting element: the
-    pair that determines the Green structure of ``x``.  Nothing is stored
-    on ``x``; a caller that needs the pair again keeps it."""
-    return _edges(x)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -46,8 +46,7 @@ from .errors import (
     InvariantViolation,
     UnknownEntry,
 )
-
-PREORDERS = ("L", "R", "J")
+from .green import PREORDERS, _not_a_preorder
 
 ZERO = ("0",)          # absorbing element of the extension semigroups
 ZERO_CLASS = "zero"    # collapsed class in symbolic Rees quotients
@@ -233,8 +232,10 @@ def oracle_le(k: str, u: str, v: str) -> bool:
     Starting from the reduced form of v, single-generator multiplications
     (prepended for L, appended for R, both for J) are applied and reduced;
     u is below v exactly when its reduced form is reached.  The length
-    bound covers every required intermediate form.
+    bound covers every required intermediate form.  K is L, R or J.
     """
+    if k not in PREORDERS:
+        raise _not_a_preorder(k)
     target = reduce_word(u)
     start = reduce_word(v)
     bound = len(target) + 2 * len(start) + 4

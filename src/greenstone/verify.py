@@ -76,6 +76,7 @@ from .biact import (
     _collapse,
     _restrict,
     biact_rees_quotient,
+    digraphs,
     ideal_biact,
     product_biact,
     regular_biact,
@@ -101,7 +102,7 @@ from .enumeration import (
     semigroup_pool,
 )
 from .errors import InvalidSuiteConfig, UnknownClaim
-from .green import GreenStructure, _bits, digraphs, green_index, green_structure
+from .green import GreenStructure, _bits, green_index, green_structure
 from .props import (
     group_bound,
     k_preserving,

@@ -228,6 +228,36 @@ class TestProductAndClosure:
         assert ba.subact_closure(b, range(4)).members == frozenset(range(4))
 
 
+class TestPartsFromTheHost:
+    def test_derived_parts_hold_no_tables_until_read(self, monkeypatch):
+        # every part derived from a host takes its digraph pair from the
+        # host's and fills its tables on first read; none is built through
+        # ``_trusted_biact``
+        s = t2()
+        host = ba.regular_biact(s)
+        ids = t2_ids()
+        members = ba.subact_closure(host, [ids[(0, 0)]]).members
+        rho = core.congruence_closure(host, [(ids[(0, 0)], ids[(1, 1)])])
+        assert 1 < rho.num_blocks < host.size
+
+        def refuse(*args):
+            raise AssertionError("a derived part was built through _trusted_biact")
+
+        monkeypatch.setattr(ba, "_trusted_biact", refuse)
+        sub = ba.Subact(host, members)
+        parts = [sub.sub, sub.rees, ba.biact_rees_quotient(host, members),
+                 ba.ideal_biact(s, members), core.quotient(host, rho)[0],
+                 ba.product_biact(s, s)]
+        for part in parts:
+            assert not {"left_action", "right_action"} & set(vars(part))
+            assert {ba._FILL, ba._PAIR} <= set(vars(part))
+        monkeypatch.undo()
+        for part in parts:
+            again = ba.validate_biact(part.left, part.right, part.left_action,
+                                      part.right_action, part.labels, part.provenance)
+            assert again == part and ba._FILL not in vars(part)
+
+
 def _two_loop_closure(a, seed):
     """Test-local oracle: the subact closure as it was, stepping the left
     action and then the right action of each new member."""

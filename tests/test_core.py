@@ -304,6 +304,13 @@ class TestCongruence:
         with pytest.raises(BadEntry, match=re.escape(repr(pair))):
             core.congruence_closure(b, [(0, 1), pair])
 
+    @pytest.mark.parametrize("item", [(0,), (0, 1, 2), 5], ids=["one", "three", "int"])
+    def test_malformed_pair_is_named(self, item):
+        # these used to raise a bare ValueError or TypeError from unpacking
+        b = regular_biact(core.validate_table(2, LEFT_ZERO2))
+        with pytest.raises(BadEntry, match=re.escape(repr(item))):
+            core.congruence_closure(b, [(0, 1), item])
+
     def test_closure_is_the_least_congruence(self):
         # oracle: enumerate every partition of a 3-element carrier, keep the
         # compatible ones, and intersect those containing the seed pair
@@ -471,6 +478,17 @@ class TestQuotient:
             with pytest.raises(IncompatiblePartition) as err:
                 core.quotient(x, rho)
             assert err.value.witness == ("size", len(blocks), 2)
+
+    @pytest.mark.parametrize("blocks,biact", [((1, 1), False), ((1, 1), True), ((0, 2), False)],
+                             ids=["semigroup", "biact", "gap"])
+    def test_non_canonical_blocks_are_refused(self, blocks, biact):
+        # these used to yield a two-element "quotient" with projection
+        # (1, 1), on a semigroup and on a biact, and an order-3 table
+        s = core.validate_table(2, LEFT_ZERO2)
+        x = regular_biact(s) if biact else s
+        with pytest.raises(IncompatiblePartition) as err:
+            core.quotient(x, core.Congruence(blocks=blocks, size=2, over=x))
+        assert err.value.witness == ("blocks", blocks, core._normalize_blocks(blocks))
 
     def test_projection_is_a_homomorphism(self):
         s = t2()

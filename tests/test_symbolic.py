@@ -81,6 +81,12 @@ class TestBicyclic:
         for k, u, v in itertools.product(("L", "R", "J"), words, words):
             assert sym.oracle_le(k, u, v) == uncached_oracle_le(k, u, v), (k, u, v)
 
+    @pytest.mark.parametrize("k", ["H", "D", ""])
+    def test_oracle_refuses_a_letter_outside_the_preorders(self, k):
+        # these used to answer True, as if every word were below itself
+        with pytest.raises(ValueError, match="Green preorders are L, R, J"):
+            sym.oracle_le(k, "a", "a")
+
     def test_oracle_step_cache_is_bounded(self):
         assert sym._oracle_steps.cache_info().maxsize is not None
         sym.oracle_le("J", "bba", "ba")
