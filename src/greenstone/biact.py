@@ -108,9 +108,10 @@ class FiniteBiact:
 @dataclass(frozen=True)
 class Subact:
     """A subset of the carrier closed under both actions.  The derived
-    biacts are built on first use and kept.  The closure is checked once,
-    on the first derived build: a member outside the carrier raises
-    ``BadEntry``, a missing image ``NotASubact``."""
+    biacts are built on first use and kept, both from the host's digraph
+    pair, computed once.  The closure is checked once, on the first
+    derived build: a member outside the carrier raises ``BadEntry``, a
+    missing image ``NotASubact``."""
     host: FiniteBiact
     members: frozenset[int]
 
@@ -123,14 +124,19 @@ class Subact:
         return self.members
 
     @cached_property
+    def _pair(self) -> Digraphs:
+        """The host's digraph pair, shared by ``sub`` and ``rees``."""
+        return digraphs(self.host)
+
+    @cached_property
     def sub(self) -> FiniteBiact:
         """The subact reindexed as a biact in its own right."""
-        return _restrict(self.host, sorted(self._closed))
+        return _restrict(self.host, sorted(self._closed), self._pair)
 
     @cached_property
     def rees(self) -> FiniteBiact:
         """The Rees quotient of the host by the subact."""
-        return _collapse(self.host, self._closed)
+        return _collapse(self.host, self._closed, self._pair)
 
 
 Digraph = tuple[tuple[int, ...], ...]    # element -> sorted one-step successors

@@ -436,8 +436,13 @@ def congruence_closure(x, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence containing ``pairs``: union-find saturation
     under all one-sided translations until fixpoint.  A pair naming an id
     outside the carrier, or that is not a pair, raises ``BadEntry``."""
+    return _closure(x, _translations(x), pairs)
+
+
+def _closure(x, fns: Sequence, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """``congruence_closure`` over the translations ``fns`` of ``x``, for a
+    caller that closes many sets of pairs on one ``x``."""
     n = x.size
-    fns = _translations(x)
     dsu = _DSU(n)
     work: list[tuple[int, int]] = []
     for pair in pairs:

@@ -12,7 +12,11 @@ steps collapses to a single left multiplication.  Classes are the strongly
 connected components, class posets are the condensations, H = L meet R,
 and D is the join of L and R, verified to equal both compositions L o R
 and R o L via the egg-box property (every (R, L) cell inside a D-class is
-nonempty; an empty cell is a hard engine error).
+nonempty; an empty cell is a hard engine error).  The build checks it by
+counting: the cells of a D-class are all nonempty exactly when its
+H-classes, the distinct (R, L) pairs in it, number its R-classes times
+its L-classes; only a D-class that fails the count is laid out as a grid,
+to name the first empty cell.
 
 Class ids are dense and numbered by least member, so all outputs are
 reproducible bit-exactly.
@@ -36,12 +40,23 @@ keeps its own in an instance slot, written on first lookup the way
 ``functools.cached_property`` writes (outside the dataclass fields, so
 equality, hashing and repr are untouched); a later lookup is an attribute
 read and hashes nothing.  Freezing the digraphs is the only per-object
-cost.  The one cache, keyed on the ``(left, right)`` digraph pair, is the
-one caller of the builder: objects with equal digraphs -- relabelled
-copies, a semigroup and its regular biact, equal subacts or quotients of
-different hosts -- share one structure, and generator mode, which keeps
-no slot, lands in the same cache.  ``biact.digraphs`` hands out the
-pair without storing it, for callers that key their own memos on it.
+cost.  Two caches sit behind the slot:
+
+- the pair cache (``_green_structure_cached``), keyed on the ``(left,
+  right)`` digraph pair, is the one caller of the builder: objects with
+  equal digraphs -- relabelled copies, a semigroup and its regular biact,
+  equal subacts or quotients of different hosts -- share one structure,
+  and generator mode, which keeps no slot, lands in the same cache;
+- the preorder cache (``_preorder_cached``), keyed on one digraph, is the
+  one caller of ``_preorder_data``: a build takes its L and R data from
+  it, and its J data keyed on the union of the two digraphs, so pairs
+  that agree on one side decide that side's preorder once.  H, D, the
+  stability verdicts and the egg-box check are made per build.  The
+  preorder data are frozen and hold only tuples, so structures share
+  them safely.
+
+``biact.digraphs`` hands out the pair without storing it, for callers
+that key their own memos on it.
 
 A part derived from a host (a subact, a Rees quotient, a biact quotient,
 a product; see ``biact``) arrives with its own pair, derived from the
@@ -53,6 +68,7 @@ unless something else reads them.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -286,11 +302,16 @@ def _not_a_preorder(k: str) -> ValueError:
     return ValueError(f"Green preorders are L, R, J; got {k!r}")
 
 
-def _build(size: int, left_succ: list[list[int]], right_succ: list[list[int]]) -> GreenStructure:
-    both = [sorted(set(left_succ[a]) | set(right_succ[a])) for a in range(size)]
-    ldat = _preorder_data(size, left_succ)
-    rdat = _preorder_data(size, right_succ)
-    jdat = _preorder_data(size, both)
+@functools.lru_cache(maxsize=3 * 4096)    # three digraphs per cached structure
+def _preorder_cached(succ: Digraph) -> _PreorderData:
+    """Keyed on one frozen digraph: the one caller of ``_preorder_data``."""
+    return _preorder_data(len(succ), succ)
+
+
+def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
+    ldat = _preorder_cached(left)
+    rdat = _preorder_cached(right)
+    jdat = _preorder_cached(tuple(tuple(sorted({*ls, *rs})) for ls, rs in zip(left, right)))
 
     # H = L meet R
     h_class_of = _normalize_blocks(list(zip(ldat.class_of, rdat.class_of)))
@@ -315,10 +336,14 @@ def _build(size: int, left_succ: list[list[int]], right_succ: list[list[int]]) -
     gs = GreenStructure(size=size,
                         data={"L": ldat, "R": rdat, "J": jdat},
                         class_of=class_of, classes=classes,
-                        left_stable=_stable(left_succ, jdat.class_of, ldat.class_of),
-                        right_stable=_stable(right_succ, jdat.class_of, rdat.class_of))
-    for dcls in range(gs.num_classes("D")):
-        gs.eggbox(dcls)  # raises InvariantViolation on an empty cell
+                        left_stable=_stable(left, jdat.class_of, ldat.class_of),
+                        right_stable=_stable(right, jdat.class_of, rdat.class_of))
+    # every (R, L) cell of a D-class is nonempty iff its H-classes, the
+    # distinct (R, L) pairs in it, number its R-classes times its L-classes
+    count = {k: Counter(d_class_of[cls[0]] for cls in classes[k]) for k in "RLH"}
+    for dcls in range(len(classes["D"])):
+        if count["H"][dcls] != count["R"][dcls] * count["L"][dcls]:
+            gs.eggbox(dcls)  # raises InvariantViolation naming the first empty cell
     return gs
 
 

@@ -565,6 +565,21 @@ class IntegersOverNatRees(SymbolicBiact):
             best[x] = 1 + max(best[y] for y in below) if below else 0
         return best[seed]
 
+    def longest_strict_descents(self, depth: int) -> list[int]:
+        """``longest_strict_descent(-k)`` for k = 0..depth, in one exhaustive
+        pass over the window [-depth, 0] plus the zero class.  An element's
+        longest descent reads only the elements strictly below it, and
+        those are the same in every seed's window that holds it."""
+        if depth < 0:
+            raise ValueError("depth must be a nonnegative integer")
+        elements = list(range(-depth, 1)) + [ZERO_CLASS]
+        best = {ZERO_CLASS: 0}
+        for x in range(0, -depth - 1, -1):
+            below = [y for y in elements
+                     if self.le("J", y, x) and not self.le("J", x, y)]
+            best[x] = 1 + max(best[y] for y in below) if below else 0
+        return [best[-k] for k in range(depth + 1)]
+
 
 def example_4_8() -> dict:
     """The biact of the integers over the naturals and its Rees quotient."""

@@ -26,21 +26,21 @@ of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 The host-level pass.  P4.4, P5.1 (subacts, their ``sub`` and Rees
 quotient) and P4.1, C4.3 (single-pair congruences, their quotient) are
 decided host by host (``_over_hosts``).  Each host's one-step digraph pair
-is computed once and interned as a digraph id.  A host's subacts depend
-on its pair only, so they are listed once per digraph id, with P5.1's
-count of the J-classes that straddle each; the congruences read the
-tables and are listed per host.  The host's verdicts are decided once per
-host object, which is exact for any predicate.  The parts' verdicts are
-decided once per (digraph id, key), for every kind at once, on parts
-built from the host's pair without action tables (see ``biact``); P5.1's
-stability and left stability share one build.  That replay is exact
-because the key fixes each part's digraph pair: a subact is closed under
-both actions, so the sub's steps are the host's restricted to the
-members and the Rees quotient's merge them into one sink, and
-compatibility makes a quotient block's steps the blocks of its least
-member's steps.  The pair fixes the Green structure, and the key fixes
-the part's kind and size, so a predicate that decides from these, as
-every predicate of these claims does, gives the same verdict on each
+is computed once per ``Env`` and interned as a digraph id.  A host's
+subacts depend on its pair only, so they are listed once per digraph id,
+with P5.1's count of the J-classes that straddle each; the congruences
+read the tables and are listed per host.  The host's verdicts are
+decided once per host object, which is exact for any predicate.  The
+parts' verdicts are decided once per (digraph id, key), for every kind
+at once, on parts built from the host's pair without action tables (see
+``biact``); P5.1's stability and left stability share one build.  That
+replay is exact because the key fixes each part's digraph pair: a subact
+is closed under both actions, so the sub's steps are the host's
+restricted to the members and the Rees quotient's merge them into one
+sink, and compatibility makes a quotient block's steps the blocks of its
+least member's steps.  The pair fixes the Green structure, and the key
+fixes the part's kind and size, so a predicate that decides from these,
+as every predicate of these claims does, gives the same verdict on each
 part with that key.  The instances and violations are then replayed
 in corpus order.  R3.14(3) checks each (left digraph of S, right digraph
 of T) group of pairs once, on a product built from those two digraphs.
@@ -85,8 +85,9 @@ from .biact import (
 from .core import (
     Congruence,
     FiniteSemigroup,
+    _closure,
+    _translations,
     classify_subset,
-    congruence_closure,
     find_isomorphism,
     is_role,
     quotient,
@@ -253,6 +254,7 @@ class Env:
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._kept: dict[str, object] = {}
+        self._digraph_ids: dict[str, tuple[list[Digraphs], list[int]]] = {}
 
     def rng(self, key: str) -> random.Random:
         return random.Random(f"{self.config.seed}:{key}")
@@ -317,6 +319,17 @@ class Env:
         return [a for s, t in itertools.product(pool, pool)
                 for m in (1, 2) for a in all_biacts(s, t, m)]
 
+    def digraph_ids(self, hosts: str) -> tuple[list[Digraphs], list[int]]:
+        """The distinct one-step digraph pairs of the corpus named
+        ``hosts``, in first-seen order, and each host's digraph id, its
+        index into them: computed on the first call per corpus, like the
+        kept corpora."""
+        if hosts not in self._digraph_ids:
+            ids: dict[Digraphs, int] = {}
+            hids = [ids.setdefault(digraphs(x), len(ids)) for x in getattr(self, hosts)()]
+            self._digraph_ids[hosts] = (list(ids), hids)
+        return self._digraph_ids[hosts]
+
     def subacts(self) -> Iterator[Subact]:
         return (Subact(b, m) for b in self.biacts() for m in subacts_of(b))
 
@@ -364,7 +377,8 @@ def _subact_keys(host: FiniteBiact, pair: Digraphs) -> list[int]:
 
 
 def single_pair_congruences(x) -> list:
-    return [congruence_closure(x, [pair]) for pair in itertools.combinations(range(x.size), 2)]
+    fns = _translations(x)
+    return [_closure(x, fns, [pair]) for pair in itertools.combinations(range(x.size), 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +465,9 @@ def _over_hosts(hosts: str, preds: tuple, keys: Callable, parts: Callable, check
     (name, kinds) pairs, on each host of the Env corpus named ``hosts``
     and on the derived parts of its instances, host by host.
 
-    - Each host's one-step digraph pair is computed once and interned as a
-      digraph id.
+    - Each host's one-step digraph pair is computed once per ``Env`` and
+      interned as a digraph id (``Env.digraph_ids``), so the claims over
+      one corpus share it.
     - ``keys(host, pair)`` lists the host's instances as hashable keys, in
       order.  With ``by_pair`` the keys depend on the pair only, as
       subacts do, and are listed once per digraph id.
@@ -468,10 +483,10 @@ def _over_hosts(hosts: str, preds: tuple, keys: Callable, parts: Callable, check
       instances and violations come in corpus order.
     """
     def checker(env: Env) -> ClaimOutcome:
-        v, ids, listed, decided = _Tally(), {}, {}, {}
-        for host in getattr(env, hosts)():
-            pair = digraphs(host)
-            hid = ids.setdefault(pair, len(ids))
+        v, listed, decided = _Tally(), {}, {}
+        pairs, hids = env.digraph_ids(hosts)
+        for host, hid in zip(getattr(env, hosts)(), hids):
+            pair = pairs[hid]
             if not by_pair or hid not in listed:
                 listed[hid] = keys(host, pair)
             whole = None
@@ -902,9 +917,8 @@ def check_Ex4_8(env: Env) -> ClaimOutcome:
     chain = biact.chain("J")
     for k in KINDS:
         v.chain(biact, chain, k, cfg.depth, {"k": k})
-    for k in range(0, cfg.chain_seed + 1):
+    for k, steps in enumerate(quot.longest_strict_descents(cfg.chain_seed)):
         v.instances += 1
-        steps = quot.longest_strict_descent(-k)
         if steps != k + 1:
             v.add({"seed": -k, "steps": steps})
     # the integers form a group: sampled elements are all mutually related

@@ -175,6 +175,16 @@ class TestReesQuotients:
         assert x.sub.size == len(x.members) and x.rees.size == b.size - len(x.members) + 1
         assert calls == [x.members]
 
+    def test_host_pair_is_computed_once_for_both_parts(self, monkeypatch):
+        calls = []
+        real = ba._edges
+        monkeypatch.setattr(ba, "_edges", lambda x, *gens: calls.append(x) or real(x, *gens))
+        b = ba.regular_biact(t2())
+        x = ba.subact_closure(b, [0])
+        assert green_structure(x.sub).size == len(x.members)
+        assert green_structure(x.rees).size == b.size - len(x.members) + 1
+        assert calls == [b]
+
     def test_empty_subact_adds_a_fresh_zero(self):
         b = ba.regular_biact(core.validate_table(2, Z2))
         q = ba.biact_rees_quotient(b, ())

@@ -5,7 +5,7 @@ import pytest
 from greenstone import biact as ba
 from greenstone import core, green
 from greenstone.enumeration import all_semigroups, random_biact_corpus, semigroup_pool
-from greenstone.errors import UnknownClass
+from greenstone.errors import InvariantViolation, UnknownClass
 
 LEFT_ZERO2 = [[0, 0], [1, 1]]
 Z2 = [[0, 1], [1, 0]]
@@ -84,6 +84,50 @@ class TestEggbox:
         gs = green.green_structure(core.validate_table(1, [[0]]))
         with pytest.raises(UnknownClass):
             gs.eggbox(5)
+
+    def test_counting_check_rejects_what_the_grid_check_rejects(self):
+        # arbitrary digraph pairs reach empty cells, which no finite biact
+        # has; the build must refuse exactly those, naming the first one
+        import random
+
+        rng = random.Random("eggbox-count")
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randrange(1, 7)
+            left, right = (tuple(tuple(sorted(rng.sample(range(n), rng.randrange(0, min(n, 2) + 1))))
+                                 for _ in range(n)) for _ in range(2))
+            try:
+                green._build(n, left, right)
+                got = None
+            except InvariantViolation as exc:
+                got = str(exc)
+            assert got == _first_empty_cell(n, left, right), (left, right)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
+def _first_empty_cell(n, left, right):
+    """Test-local oracle: the grid check over every D-class in id order,
+    as the message for its first empty (R, L) cell, or None."""
+    l_of = green._preorder_data(n, left).class_of
+    r_of = green._preorder_data(n, right).class_of
+    d_of = list(range(n))           # D = the join of L and R, by relabelling
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.product(range(n), repeat=2):
+            if (l_of[a] == l_of[b] or r_of[a] == r_of[b]) and d_of[a] != d_of[b]:
+                low = min(d_of[a], d_of[b])
+                d_of = [low if d in (d_of[a], d_of[b]) else d for d in d_of]
+                changed = True
+    for dcls, least in enumerate(sorted(set(d_of))):
+        members = [x for x in range(n) if d_of[x] == least]
+        cells = {(r_of[x], l_of[x]) for x in members}
+        for r in sorted({r_of[x] for x in members}):
+            for c in sorted({l_of[x] for x in members}):
+                if (r, c) not in cells:
+                    return f"empty egg-box cell (R{r}, L{c}) inside D-class {dcls}"
+    return None
 
 
 class TestUnknownIds:
@@ -168,11 +212,13 @@ class TestGreenCache:
         # the cache may hand back a structure first built for another
         # object with the same digraphs; it must equal an uncached build
         for x in cache_corpus():
+            green._preorder_cached.cache_clear()   # the oracle computes afresh
             fresh = green._build(x.size, *green._edges(x))
             assert green.green_structure(x).to_json() == fresh.to_json()
 
     def test_generator_mode_matches_a_fresh_build(self):
         s = t3()
+        green._preorder_cached.cache_clear()
         fresh = green._build(s.size, *green._edges(s, s.generator_ids()))
         got = green.green_structure(s, use_generators=True)
         assert got.to_json() == fresh.to_json()
@@ -218,9 +264,11 @@ class TestObjectSlot:
         one = core.validate_table(2, LEFT_ZERO2, provenance={"kind": "one"})
         other = core.validate_table(2, LEFT_ZERO2, provenance={"kind": "other"})
         assert one == other and one.provenance != other.provenance
-        green._green_structure_cached.cache_clear()   # rebuild for each
+        for cache in (green._green_structure_cached, green._preorder_cached):
+            cache.cache_clear()   # rebuild for each
         gs_one = green.green_structure(one)
-        green._green_structure_cached.cache_clear()
+        for cache in (green._green_structure_cached, green._preorder_cached):
+            cache.cache_clear()
         gs_other = green.green_structure(other)
         assert gs_one is not gs_other
         assert gs_one == gs_other
@@ -240,6 +288,56 @@ class TestObjectSlot:
         assert green._SLOT not in vars(s)
         full = green.green_structure(s)
         assert full is not gen and vars(s)[green._SLOT] is full
+
+
+class TestPreorderMemo:
+    def test_memo_matches_uncached_runs_over_the_seed0_suite(self, monkeypatch):
+        # every build of the suite takes its L, R and J data from the memo;
+        # each must equal an uncached run on its digraph, and the memo must
+        # run once per distinct digraph
+        from greenstone.verify import SuiteConfig, run_suite
+
+        real_build, real_data = green._build, green._preorder_data
+        builds, runs = [], []
+
+        def build(size, left, right):
+            gs = real_build(size, left, right)
+            builds.append((left, right, gs))
+            return gs
+
+        def data(n, succ):
+            runs.append(succ)
+            return real_data(n, succ)
+
+        for cache in (green._green_structure_cached, green._preorder_cached):
+            cache.cache_clear()
+        monkeypatch.setattr(green, "_build", build)
+        monkeypatch.setattr(green, "_preorder_data", data)
+        assert run_suite("all", SuiteConfig(seed=0)).all_passed
+        monkeypatch.undo()
+        assert len(builds) > 1000
+        seen = set()
+        for left, right, gs in builds:
+            both = tuple(tuple(sorted({*ls, *rs})) for ls, rs in zip(left, right))
+            for k, succ in zip("LRJ", (left, right, both)):
+                assert gs.data[k] == real_data(len(succ), succ), (k, succ)
+                seen.add(succ)
+        assert len(runs) == len(set(runs)) == len(seen)
+        assert set(runs) == seen
+
+    def test_structures_share_the_data_of_a_common_side(self):
+        # Z2 acting on itself on the left, with a trivial right action, and
+        # Z2 as its own regular biact: equal left digraphs, different right
+        group = core.validate_table(2, Z2)
+        trivial = core.validate_table(1, [[0]])
+        one_side = ba.validate_biact(group, trivial, [[0, 1], [1, 0]], [[0], [1]],
+                                     labels=["memo-a0", "memo-a1"])
+        both = ba.regular_biact(group)
+        green._preorder_cached.cache_clear()
+        gs_one, gs_both = green.green_structure(one_side), green.green_structure(both)
+        assert gs_one is not gs_both
+        assert gs_one.data["L"] is gs_both.data["L"]
+        assert gs_one.data["R"] != gs_both.data["R"]
 
 
 class TestStabilityVerdict:

@@ -225,8 +225,8 @@ class TestRelationForms:
         checked = 0
         while checked < 300:
             n = rng.randrange(1, 7)
-            left, right = ([sorted(rng.sample(range(n), rng.randrange(0, min(n, 2) + 1)))
-                            for _ in range(n)] for _ in range(2))
+            left, right = (tuple(tuple(sorted(rng.sample(range(n), rng.randrange(0, min(n, 2) + 1))))
+                                 for _ in range(n)) for _ in range(2))
             try:
                 gs = green._build(n, left, right)
             except InvariantViolation:

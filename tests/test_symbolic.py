@@ -214,6 +214,14 @@ class TestExample48:
         for k in range(0, 30):
             assert quot.longest_strict_descent(-k) == k + 1
 
+    def test_one_pass_matches_the_per_seed_search(self):
+        quot = sym.example_4_8()["quotient"]
+        for depth in range(31):
+            assert quot.longest_strict_descents(depth) == [
+                quot.longest_strict_descent(-k) for k in range(depth + 1)]
+        with pytest.raises(ValueError):
+            quot.longest_strict_descents(-1)
+
     def test_quotient_actions_absorb(self):
         quot = sym.example_4_8()["quotient"]
         assert quot.act_left(5, -3) == sym.ZERO_CLASS

@@ -239,6 +239,37 @@ class TestCorpora:
                     for rho in ver.single_pair_congruences(b)])
 
 
+    def test_single_pair_congruences_read_the_translations_once(self, monkeypatch):
+        from greenstone import core
+
+        calls = []
+        real = ver._translations
+        monkeypatch.setattr(ver, "_translations", lambda x: calls.append(x) or real(x))
+        env = ver.Env(TINY)
+        for x in env.semigroups() + env.biacts():
+            calls.clear()
+            got = ver.single_pair_congruences(x)
+            assert calls == [x]
+            assert [(rho.blocks, rho.over) for rho in got] == [
+                (core.congruence_closure(x, [p]).blocks, x)
+                for p in itertools.combinations(range(x.size), 2)]
+
+    def test_host_digraphs_are_read_once_per_env(self, monkeypatch):
+        calls = []
+        real = ver.digraphs
+        monkeypatch.setattr(ver, "digraphs", lambda x: calls.append(x) or real(x))
+        env = ver.Env(TINY)
+        for cid in ("P4.1", "P4.4", "P5.1", "C4.3"):
+            assert ver.REGISTRY[cid].checker(env).ok
+        hosts = env.biacts() + env.semigroups()
+        assert len(calls) == len(hosts) and all(x is y for x, y in zip(calls, hosts))
+        pairs, ids = env.digraph_ids("biacts")
+        assert env.digraph_ids("biacts") == (pairs, ids) and len(calls) == len(hosts)
+        assert [pairs[i] for i in ids] == [real(b) for b in env.biacts()]
+        # distinct pairs, numbered in first-seen order
+        assert list(dict.fromkeys(ids)) == list(range(len(pairs))) == list(range(len(set(pairs))))
+
+
 class TestSuiteConfig:
     @pytest.mark.parametrize("name, value", [
         ("max_order", 0), ("exh_semigroup", 0), ("exh_carrier", 0), ("random_biacts", -1),
