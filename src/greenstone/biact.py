@@ -53,6 +53,7 @@ from .core import (
     FiniteSemigroup,
     _frozen,
     _grid,
+    _is_int,
     _labels,
     _translations,
     is_homomorphism,
@@ -313,9 +314,13 @@ def is_subact(a: FiniteBiact, members: Iterable[int]) -> Optional[tuple]:
 
 
 def subact_closure(a: FiniteBiact, seed: Iterable[int]) -> Subact:
-    """Smallest subact containing ``seed`` (possibly empty)."""
-    maps = _translations(a)
+    """Smallest subact containing ``seed`` (possibly empty).  A seed
+    element outside the carrier raises ``BadEntry``."""
     members = set(seed)
+    for x in members:
+        if not (_is_int(x) and 0 <= x < a.size):
+            raise BadEntry(f"seed element {x!r} outside carrier")
+    maps = _translations(a)
     frontier = list(members)
     while frontier:
         fresh = []

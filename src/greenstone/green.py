@@ -12,11 +12,13 @@ steps collapses to a single left multiplication.  Classes are the strongly
 connected components, class posets are the condensations, H = L meet R,
 and D is the join of L and R, verified to equal both compositions L o R
 and R o L via the egg-box property (every (R, L) cell inside a D-class is
-nonempty; an empty cell is a hard engine error).  The build checks it by
-counting: the cells of a D-class are all nonempty exactly when its
-H-classes, the distinct (R, L) pairs in it, number its R-classes times
-its L-classes; only a D-class that fails the count is laid out as a grid,
-to name the first empty cell.
+nonempty; an empty cell is a hard engine error).  An element's H-class
+is its (L-class, R-class) cell, numbered on first sight, and D is found
+by joining the L- and R-classes once per nonempty cell.  The build
+checks the egg-box property by counting: the cells of a D-class are all
+nonempty exactly when its H-classes, the distinct (R, L) pairs in it,
+number its R-classes times its L-classes; only a D-class that fails the
+count is laid out as a grid, to name the first empty cell.
 
 Class ids are dense and numbered by least member, so all outputs are
 reproducible bit-exactly.
@@ -62,20 +64,21 @@ A part derived from a host (a subact, a Rees quotient, a biact quotient,
 a product; see ``biact``) arrives with its own pair, derived from the
 host's, so nothing is frozen for it: its first lookup takes that pair
 straight to the cache and drops it, and its action tables stay unbuilt
-unless something else reads them.
+unless something else reads them.  The claim suite freezes each corpus
+host's pair once per run and fills the host's slot from it
+(``_fill_slot``, ``verify.Env``).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .biact import (_PAIR, Digraph, FiniteBiact, _edges, biact_rees_quotient,
+from .biact import (_PAIR, Digraph, Digraphs, FiniteBiact, _edges, biact_rees_quotient,
                     digraphs, relative_biact)  # ``digraphs`` is re-exported
-from .core import FiniteSemigroup, _DSU, _normalize_blocks
-from .errors import InvariantViolation, UnknownClass
+from .core import FiniteSemigroup, _DSU, _is_int, _normalize_blocks
+from .errors import BadEntry, InvariantViolation, UnknownClass
 
 PREORDERS = ("L", "R", "J")
 RELATIONS = ("L", "R", "J", "H", "D")
@@ -241,10 +244,17 @@ class GreenStructure:
             raise _not_a_preorder(k) from None
 
     def same(self, a: int, b: int, k: str) -> bool:
-        return self.class_of[k][a] == self.class_of[k][b]
+        try:
+            of = self.class_of[k]
+        except KeyError:
+            raise _not_a_relation(k) from None
+        return of[a] == of[b]
 
     def num_classes(self, k: str) -> int:
-        return len(self.classes[k])
+        try:
+            return len(self.classes[k])
+        except KeyError:
+            raise _not_a_relation(k) from None
 
     def class_members(self, k: str, cls: int) -> tuple[int, ...]:
         if not 0 <= cls < self.num_classes(k):
@@ -302,6 +312,10 @@ def _not_a_preorder(k: str) -> ValueError:
     return ValueError(f"Green preorders are L, R, J; got {k!r}")
 
 
+def _not_a_relation(k: str) -> ValueError:
+    return ValueError(f"Green relations are L, R, J, H, D; got {k!r}")
+
+
 @functools.lru_cache(maxsize=3 * 4096)    # three digraphs per cached structure
 def _preorder_cached(succ: Digraph) -> _PreorderData:
     """Keyed on one frozen digraph: the one caller of ``_preorder_data``."""
@@ -311,21 +325,24 @@ def _preorder_cached(succ: Digraph) -> _PreorderData:
 def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
     ldat = _preorder_cached(left)
     rdat = _preorder_cached(right)
-    jdat = _preorder_cached(tuple(tuple(sorted({*ls, *rs})) for ls, rs in zip(left, right)))
+    jdat = _preorder_cached(tuple(ls if ls == rs else tuple(sorted({*ls, *rs}))
+                                  for ls, rs in zip(left, right)))
 
-    # H = L meet R
-    h_class_of = _normalize_blocks(list(zip(ldat.class_of, rdat.class_of)))
+    # H = L meet R: an element's H-class is its (L-class, R-class) cell,
+    # numbered on first sight, i.e. by least member
+    cells: dict[tuple[int, int], int] = {}
+    h_class_of = tuple([cells.setdefault(lr, len(cells))
+                        for lr in zip(ldat.class_of, rdat.class_of)])
 
-    # D = join of L and R; the egg-box check below certifies that the join
-    # coincides with both compositions L o R and R o L.
-    dsu = _DSU(size)
-    for cls in ldat.classes:
-        for x in cls[1:]:
-            dsu.union(cls[0], x)
-    for cls in rdat.classes:
-        for x in cls[1:]:
-            dsu.union(cls[0], x)
-    d_class_of = dsu.blocks()
+    # D = join of L and R: the L-classes and R-classes (ids nl, nl + 1, ...)
+    # joined once per nonempty cell; the egg-box check below certifies that
+    # the join coincides with both compositions L o R and R o L.
+    nl = len(ldat.classes)
+    dsu = _DSU(nl + len(rdat.classes))
+    for lcls, rcls in cells:
+        dsu.union(lcls, nl + rcls)
+    root = [dsu.find(lcls) for lcls in range(nl)]
+    d_class_of = _normalize_blocks([root[lcls] for lcls in ldat.class_of])
 
     class_of = {
         "L": ldat.class_of, "R": rdat.class_of, "J": jdat.class_of,
@@ -339,10 +356,17 @@ def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
                         left_stable=_stable(left, jdat.class_of, ldat.class_of),
                         right_stable=_stable(right, jdat.class_of, rdat.class_of))
     # every (R, L) cell of a D-class is nonempty iff its H-classes, the
-    # distinct (R, L) pairs in it, number its R-classes times its L-classes
-    count = {k: Counter(d_class_of[cls[0]] for cls in classes[k]) for k in "RLH"}
-    for dcls in range(len(classes["D"])):
-        if count["H"][dcls] != count["R"][dcls] * count["L"][dcls]:
+    # nonempty cells in it, number its R-classes times its L-classes
+    nd = len(classes["D"])
+    rows, cols, full = [0] * nd, [0] * nd, [0] * nd
+    for cls in rdat.classes:
+        rows[d_class_of[cls[0]]] += 1
+    for cls in ldat.classes:
+        cols[d_class_of[cls[0]]] += 1
+    for cls in classes["H"]:
+        full[d_class_of[cls[0]]] += 1
+    for dcls in range(nd):
+        if full[dcls] != rows[dcls] * cols[dcls]:
             gs.eggbox(dcls)  # raises InvariantViolation naming the first empty cell
     return gs
 
@@ -393,9 +417,26 @@ def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
     return gs
 
 
+def _fill_slot(x: Union[FiniteSemigroup, FiniteBiact], pair: Digraphs) -> None:
+    """Write the slot of ``x`` from ``pair``, its one-step digraph pair as
+    the caller froze it, unless ``x`` already holds a structure; a derived
+    part's own pair is dropped, as its first lookup would drop it.  No key
+    is handed over and deleted: a deletion would leave every object a dict
+    of its own, where the objects of one class otherwise share their keys."""
+    slots = x.__dict__
+    if _SLOT not in slots:
+        slots.pop(_PAIR, None)
+        slots[_SLOT] = _green_structure_cached(*pair)
+
+
 def le(x, a: int, b: int, k: str) -> bool:
-    """Decide the K-preorder between two elements, K in {L, R, J}."""
-    return green_structure(x).le(a, b, k)
+    """Decide the K-preorder between two elements, K in {L, R, J}.  An
+    element id outside ``0..size-1`` raises ``BadEntry``."""
+    gs = green_structure(x)
+    for e in (a, b):
+        if not (_is_int(e) and 0 <= e < gs.size):
+            raise BadEntry(f"element {e!r} outside 0..{gs.size - 1}")
+    return gs.le(a, b, k)
 
 
 def eggbox(x, d_class: int) -> list[list[tuple[int, ...]]]:

@@ -7,9 +7,16 @@ semigroup means exactly that S as an (S, S)-biact is stable.
 
 The stability, minimal-condition and periodicity predicates are trivially
 true on finite inputs (finite posets satisfy the minimal condition, finite
-biacts are stable), but they are still computed constructively, never
-returned as constants: a false answer from any of them on a finite
-structure is an engine bug, and the verification suite leans on that.
+biacts are stable), but their verdicts are still computed constructively,
+never assumed: a false answer from any of them on a finite structure is
+an engine bug, and the verification suite leans on that.
+
+Results are immutable (``PredicateResult`` is frozen), so a verdict with
+nothing to report is one shared object: every true result without a
+witness is a module-level constant, one per predicate and method (one
+per kind for the minimal conditions).  Failing, inconclusive and
+witness-carrying results are built per call.
+
 The minimal-condition and stability verdicts are computed where the
 class posets are built: ``green`` runs Kahn's pass and the stability test
 on the one-step digraphs once per Green structure, and every object
@@ -28,14 +35,23 @@ all start points, instead of walking an orbit from each start point.
 element, built from the class member masks and the class ``reach`` masks
 of the Green structure, so each form costs O(n) big-integer operations
 rather than O(n^2) pair tests.
+
+Forms 2-8 of ``left_stable_forms`` and the whole of ``stable_char`` read
+the Green structure alone, so each is decided once per structure and kept
+in the structure's instance dict (``_per_structure``), the way ``green``
+keeps an object's structure in its slot: every object sharing the
+structure reads the kept answer.  A structure copied with
+``dataclasses.replace`` starts with none.  Form 1 is ``left_stable`` of
+the object itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import eq, itemgetter, not_
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .biact import FiniteBiact
 from .core import FiniteSemigroup, subsemigroup
@@ -45,7 +61,7 @@ from .green import GreenStructure, _bits, green_structure
 Structure = Union[FiniteSemigroup, FiniteBiact]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredicateResult:
     value: Optional[bool]            # None means inconclusive
     method: str
@@ -64,6 +80,16 @@ class PredicateResult:
         return {"value": self.value, "method": self.method, "witness": self.witness}
 
 
+# the shared true results without a witness, by method
+_MINIMAL = {k: PredicateResult(True, method=f"acyclic {k}-class condensation")
+            for k in ("L", "R", "J")}
+_DEFINITION = PredicateResult(True, method="definition")
+_TRACE = PredicateResult(True, method="D=J and trace conditions")
+_ORBIT = PredicateResult(True, method="orbit scan")
+_POWERS = PredicateResult(True, method="idempotent power search")
+_PREORDERS = PredicateResult(True, method="preorder comparison")
+
+
 def minimal_condition(x: Structure, k: str) -> PredicateResult:
     """Minimal condition on the poset of K-classes.
 
@@ -72,11 +98,13 @@ def minimal_condition(x: Structure, k: str) -> PredicateResult:
     covering edges, run once when the Green structure is built (see
     ``green``), must consume every class.
     """
-    if k not in ("L", "R", "J"):
+    if k not in _MINIMAL:
         raise ValueError(f"minimal conditions exist for L, R, J; got {k!r}")
     left = green_structure(x).data[k].unconsumed
-    return PredicateResult(left == 0, method=f"acyclic {k}-class condensation",
-                           witness={"classes_unconsumed": left} if left else None)
+    if not left:
+        return _MINIMAL[k]
+    return PredicateResult(False, method=f"acyclic {k}-class condensation",
+                           witness={"classes_unconsumed": left})
 
 
 def left_stable(x: Structure) -> PredicateResult:
@@ -87,7 +115,7 @@ def left_stable(x: Structure) -> PredicateResult:
     """
     gs = green_structure(x)
     if gs.left_stable:
-        return PredicateResult(True, method="definition")
+        return _DEFINITION
     act = x.left_action
     for s in range(x.left.order):
         for e in range(x.size):
@@ -101,7 +129,7 @@ def left_stable(x: Structure) -> PredicateResult:
 def right_stable(x: Structure) -> PredicateResult:
     gs = green_structure(x)
     if gs.right_stable:
-        return PredicateResult(True, method="definition")
+        return _DEFINITION
     act = x.right_action
     for e in range(x.size):
         for t in range(x.right.order):
@@ -126,7 +154,7 @@ def stable(x: Structure) -> PredicateResult:
     if not rres:
         return PredicateResult(False, method="definition",
                                witness={"side": "right", **(rres.witness or {})})
-    return PredicateResult(True, method="definition")
+    return _DEFINITION
 
 
 def _relation_masks(gs: GreenStructure, n: int):
@@ -156,6 +184,20 @@ def _mask_union(masks, classes: int) -> int:
     return out
 
 
+def _per_structure(decide: Callable[[GreenStructure], Any]) -> Callable[[GreenStructure], Any]:
+    """``decide(gs)``, which must read nothing but the Green structure, made
+    once per structure and kept in its instance dict under the function's
+    name, outside the dataclass fields (as ``green`` keeps an object's
+    structure in its slot)."""
+    @functools.wraps(decide)
+    def kept(gs: GreenStructure):
+        slots = gs.__dict__
+        if decide.__name__ not in slots:
+            slots[decide.__name__] = decide(gs)
+        return slots[decide.__name__]
+    return kept
+
+
 def left_stable_forms(x: Structure) -> tuple[bool, bool, bool, bool, bool, bool, bool, bool]:
     """Eight equivalent renderings of left stability, evaluated independently.
 
@@ -168,13 +210,18 @@ def left_stable_forms(x: Structure) -> tuple[bool, bool, bool, bool, bool, bool,
     7. within each J-class, the restricted L-class poset has the minimal
        condition (finite rendering: its strict order is acyclic);
     8. within each J-class, the restricted poset has a minimal element.
-    """
-    gs = green_structure(x)
-    n = x.size
-    f1 = bool(left_stable(x))
 
+    Forms 2-8 read the Green structure only and are decided once per
+    structure (``_relation_forms``).
+    """
+    return (bool(left_stable(x)),) + _relation_forms(green_structure(x))
+
+
+@_per_structure
+def _relation_forms(gs: GreenStructure) -> tuple[bool, bool, bool, bool, bool, bool, bool]:
+    """Forms 2-8 of ``left_stable_forms``."""
     # each relation is a list of per-element masks (see _relation_masks)
-    le_l, same_j, same_l, ge_j = _relation_masks(gs, n)
+    le_l, same_j, same_l, ge_j = _relation_masks(gs, gs.size)
     cap_j = [u & v for u, v in zip(le_l, same_j)]
     cap_gej = [u & v for u, v in zip(le_l, ge_j)]
     f2 = cap_j == same_l
@@ -203,13 +250,18 @@ def left_stable_forms(x: Structure) -> tuple[bool, bool, bool, bool, bool, bool,
                    if not any((d, c) in below for d in lclasses)]
         if not minimal:
             f8 = False
-    return (f1, f2, f3, f4, f5, f6, f7, f8)
+    return (f2, f3, f4, f5, f6, f7, f8)
 
 
 def stable_char(x: Structure) -> PredicateResult:
-    """D = J together with (<=_L meet R) = H = (L meet <=_R), as relations."""
-    gs = green_structure(x)
-    n = x.size
+    """D = J together with (<=_L meet R) = H = (L meet <=_R), as relations,
+    decided once per Green structure (``_stable_char``)."""
+    return _stable_char(green_structure(x))
+
+
+@_per_structure
+def _stable_char(gs: GreenStructure) -> PredicateResult:
+    n = gs.size
     if tuple(gs.class_of["D"]) != tuple(gs.class_of["J"]):
         return PredicateResult(False, method="D=J and trace conditions",
                                witness={"reason": "D != J"})
@@ -223,7 +275,7 @@ def stable_char(x: Structure) -> PredicateResult:
             if rhs != gs.same(e, f, "H"):
                 return PredicateResult(False, method="D=J and trace conditions",
                                        witness={"pair": (e, f), "reason": "L meet <=_R != H"})
-    return PredicateResult(True, method="D=J and trace conditions")
+    return _TRACE
 
 
 def l_periodic(x: Structure) -> PredicateResult:
@@ -253,7 +305,7 @@ def _periodic(maps, class_of: Sequence[int], letter: str) -> PredicateResult:
             if not good[ge]:
                 return PredicateResult(False, method="orbit scan",
                                        witness={letter: g, "a": e})
-    return PredicateResult(True, method="orbit scan")
+    return _ORBIT
 
 
 def _good(row: Sequence[int], class_of: Sequence[int]) -> list[bool]:
@@ -295,7 +347,7 @@ def group_bound(s: FiniteSemigroup) -> PredicateResult:
         if idem is None or not any(gs.same(p, idem, "H") for p in powers):
             return PredicateResult(False, method="idempotent power search",
                                    witness={"element": x})
-    return PredicateResult(True, method="idempotent power search")
+    return _POWERS
 
 
 def k_preserving(s: FiniteSemigroup, sub_members: Iterable[int], k: str) -> PredicateResult:
@@ -313,7 +365,7 @@ def k_preserving(s: FiniteSemigroup, sub_members: Iterable[int], k: str) -> Pred
                 return PredicateResult(False, method="preorder comparison",
                                        witness={"pair": (carrier[i], carrier[j]),
                                                 "in_sub": inner, "in_host": outer})
-    return PredicateResult(True, method="preorder comparison")
+    return _PREORDERS
 
 
 def regular_subsemigroup(s: FiniteSemigroup, sub_members: Iterable[int]) -> PredicateResult:
@@ -323,7 +375,7 @@ def regular_subsemigroup(s: FiniteSemigroup, sub_members: Iterable[int]) -> Pred
     for a in members:
         if not any(s.table[s.table[a][t]][a] == a for t in members):
             return PredicateResult(False, method="definition", witness={"a": a})
-    return PredicateResult(True, method="definition")
+    return _DEFINITION
 
 
 def retract(s: FiniteSemigroup, sub_members: Iterable[int],

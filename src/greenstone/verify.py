@@ -10,35 +10,41 @@ Every registered claim is a checkable property with an execution scope:
 
 Most claims transfer a condition between a structure and its
 substructures, so they quantify over one corpus that ``Env`` owns: the
-semigroups or biacts themselves, the subsemigroups, ideals, bi-ideals and
-single-pair congruences of the semigroups (built once per ``Env``), or the
-subacts and single-pair congruences of the biacts (generated afresh on each
-pass, so the thousands of them are never held at once), or the fixed pool
-of small biacts whose parts the finite gluing claims glue.  Such a claim is a
-per-instance check ``check(instance, tally)`` plus a registry row naming
-its corpus; ``_over`` owns the loop, the instance count and the outcome.
-The commonest statement, "the whole has a condition iff its parts have
-it", is written once as ``_split``, so such a claim is one registry row
-naming the predicate, the whole, the parts, the witness key and the kinds.
+semigroups or biacts themselves (the host corpora, whose digraph pairs
+are frozen once, when they are built), the subsemigroups, ideals,
+bi-ideals and single-pair congruences of the semigroups (built once per
+``Env``), or the fixed pool of small biacts whose parts the finite gluing
+claims glue.  The subacts and single-pair congruences of the biacts are
+not a corpus: the claims over them run host by host (below).  Such a
+claim is a per-instance check ``check(instance, tally)`` plus a registry
+row naming its corpus; ``_over`` owns the loop, the instance count and
+the outcome.  The commonest statement, "the whole has a condition iff
+its parts have it", is written once as ``_split``, so such a claim is one
+registry row naming the predicate, the whole, the parts, the witness key
+and the kinds.
 Claims with a symbolic part, or over pairs of semigroups, are functions
 of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 
 The host-level pass.  P4.4, P5.1 (subacts, their ``sub`` and Rees
 quotient) and P4.1, C4.3 (single-pair congruences, their quotient) are
 decided host by host (``_over_hosts``).  Each host's one-step digraph pair
-is computed once per ``Env`` and interned as a digraph id.  A host's
-subacts depend on its pair only, so they are listed once per digraph id,
-with P5.1's count of the J-classes that straddle each; the congruences
-read the tables and are listed per host.  The host's verdicts are
-decided once per host object, which is exact for any predicate.  The
-parts' verdicts are decided once per (digraph id, key), for every kind
-at once, on parts built from the host's pair without action tables (see
-``biact``); P5.1's stability and left stability share one build.  That
-replay is exact because the key fixes each part's digraph pair: a subact
-is closed under both actions, so the sub's steps are the host's
-restricted to the members and the Rees quotient's merge them into one
-sink, and compatibility makes a quotient block's steps the blocks of its
-least member's steps.  The pair fixes the Green structure, and the key
+is frozen once per ``Env``, when its corpus is built, and interned as a
+digraph id.  A host's instances are listed once per listing key, which
+fixes all that the listing reads: a host's subacts depend on its pair
+only, so they are listed once per digraph id, with P5.1's count of the
+J-classes that straddle each; its single-pair congruences depend on its
+size and its set of translation maps only, so they are listed once per
+such key, which hosts with different digraphs can share (a biact and its
+mirror image, whose left and right maps trade places).  The host's
+verdicts are decided once per host object, which is exact for any
+predicate.  The parts' verdicts are decided once per (digraph id, key),
+for every kind at once, on parts built from the host's pair without
+action tables (see ``biact``); P5.1's stability and left stability share
+one build.  That replay is exact because the key fixes each part's
+digraph pair: a subact is closed under both actions, so the sub's steps
+are the host's restricted to the members and the Rees quotient's merge
+them into one sink, and compatibility makes a quotient block's steps the
+blocks of its least member's steps.  The pair fixes the Green structure, and the key
 fixes the part's kind and size, so a predicate that decides from these,
 as every predicate of these claims does, gives the same verdict on each
 part with that key.  The instances and violations are then replayed
@@ -77,7 +83,6 @@ from .biact import (
     _restrict,
     biact_rees_quotient,
     digraphs,
-    ideal_biact,
     product_biact,
     regular_biact,
     relative_biact,
@@ -103,7 +108,7 @@ from .enumeration import (
     semigroup_pool,
 )
 from .errors import InvalidSuiteConfig, UnknownClaim
-from .green import GreenStructure, _bits, green_index, green_structure
+from .green import GreenStructure, _bits, _fill_slot, green_index, green_structure
 from .props import (
     group_bound,
     k_preserving,
@@ -198,9 +203,11 @@ class Claim:
 @dataclass(eq=False)
 class Substructure:
     """A semigroup with one of its subsemigroups, ideals or bi-ideals.  The
-    derived objects are built on first use and kept."""
+    derived objects are built on first use and kept.  ``pair`` is the
+    host's digraph pair, when the caller holds it (``Env`` does)."""
     host: FiniteSemigroup
     members: frozenset[int]
+    pair: Optional[Digraphs] = None
 
     @cached_property
     def rel(self) -> FiniteBiact:
@@ -220,8 +227,10 @@ class Substructure:
 
     @cached_property
     def ideal_biact(self) -> FiniteBiact:
-        """An ideal as a biact over the host."""
-        return ideal_biact(self.host, self.members)
+        """An ideal as a biact over the host: the restriction of the host,
+        read as its own biact, to the ideal, a subact of it.  Read on
+        ideals only (``Env.ideals``), which are closed by construction."""
+        return _restrict(self.host, sorted(self.members), self.pair)
 
     @cached_property
     def rees(self) -> FiniteSemigroup:
@@ -242,6 +251,15 @@ def _kept(build: Callable[["Env"], object]) -> Callable[["Env"], object]:
     return corpus
 
 
+def _hosts(build: Callable[["Env"], list]) -> Callable[["Env"], list]:
+    """A kept corpus (``_kept``) of hosts, whose one-step digraph pairs are
+    frozen when it is built (``Env._freeze``)."""
+    @wraps(build)
+    def hosts(env: "Env") -> list:
+        return env._freeze(build(env))
+    return _kept(hosts)
+
+
 class Env:
     """Shared corpora for the claim checkers.
 
@@ -254,12 +272,14 @@ class Env:
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._kept: dict[str, object] = {}
+        self._interned: dict[Digraphs, Digraphs] = {}
+        self._pairs: dict[int, Digraphs] = {}      # id(host) -> its interned pair
         self._digraph_ids: dict[str, tuple[list[Digraphs], list[int]]] = {}
 
     def rng(self, key: str) -> random.Random:
         return random.Random(f"{self.config.seed}:{key}")
 
-    @_kept
+    @_hosts
     def semigroups(self) -> list[FiniteSemigroup]:
         """Exhaustive census up to max_order plus the named order-4 pool."""
         out = []
@@ -268,14 +288,14 @@ class Env:
         out.extend(s for s in semigroup_pool() if s.order > self.config.max_order)
         return out
 
-    @_kept
+    @_hosts
     def biacts_exhaustive(self) -> list[FiniteBiact]:
         pool = [s for n in range(1, self.config.exh_semigroup + 1)
                 for s in all_semigroups(n)]
         return [b for s, t in itertools.product(pool, pool)
                 for m in range(1, self.config.exh_carrier + 1) for b in all_biacts(s, t, m)]
 
-    @_kept
+    @_hosts
     def biacts_random(self) -> list[FiniteBiact]:
         return random_biact_corpus(self.config.random_biacts, self.config.seed)
 
@@ -291,7 +311,8 @@ class Env:
     @_kept
     def subsemigroups(self) -> list[Substructure]:
         """Every subsemigroup of every semigroup, host by host."""
-        return [Substructure(s, m) for s in self.semigroups() for m in subsemigroups_of(s)]
+        return [Substructure(s, m, self._pairs[id(s)])
+                for s in self.semigroups() for m in subsemigroups_of(s)]
 
     @_kept
     def ideals(self) -> list[Substructure]:
@@ -319,21 +340,40 @@ class Env:
         return [a for s, t in itertools.product(pool, pool)
                 for m in (1, 2) for a in all_biacts(s, t, m)]
 
+    def _freeze(self, hosts: list) -> list:
+        """Freeze each host's one-step digraph pair, once per ``Env``, and
+        intern it, so that equal pairs share one tuple.  The host's Green
+        slot is filled from it at once (``green._fill_slot``), unless the
+        host already holds a structure: the pool semigroups are shared
+        across ``Env``s."""
+        for x in hosts:
+            pair = digraphs(x)
+            pair = self._pairs[id(x)] = self._interned.setdefault(pair, pair)
+            _fill_slot(x, pair)
+        return hosts
+
     def digraph_ids(self, hosts: str) -> tuple[list[Digraphs], list[int]]:
-        """The distinct one-step digraph pairs of the corpus named
+        """The distinct one-step digraph pairs of the host corpus named
         ``hosts``, in first-seen order, and each host's digraph id, its
-        index into them: computed on the first call per corpus, like the
-        kept corpora."""
+        index into them: read off the pairs frozen with the corpus, on the
+        first call per corpus."""
         if hosts not in self._digraph_ids:
             ids: dict[Digraphs, int] = {}
-            hids = [ids.setdefault(digraphs(x), len(ids)) for x in getattr(self, hosts)()]
+            hids = [ids.setdefault(self._pairs[id(x)], len(ids))
+                    for x in getattr(self, hosts)()]
             self._digraph_ids[hosts] = (list(ids), hids)
         return self._digraph_ids[hosts]
 
     def subacts(self) -> Iterator[Subact]:
+        """Every subact of every biact, one ``Subact`` each.  No claim
+        reads it (P4.4 and P5.1 run host by host, ``_over_hosts``): it
+        serves the tests' per-instance oracles."""
         return (Subact(b, m) for b in self.biacts() for m in subacts_of(b))
 
     def biact_congruences(self) -> Iterator[Congruence]:
+        """The single-pair congruences of every biact.  No claim reads it
+        (P4.1 runs host by host, ``_over_hosts``): it serves the tests'
+        per-instance oracles."""
         return (rho for b in self.biacts() for rho in single_pair_congruences(b))
 
 
@@ -458,19 +498,21 @@ def _over(corpus: str, check, smoke: bool = False,
     return checker
 
 
-def _over_hosts(hosts: str, preds: tuple, keys: Callable, parts: Callable, check: Callable,
-                by_pair: bool = False, smoke: bool = False,
+def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
+                parts: Callable, check: Callable, smoke: bool = False,
                 notes: str = "") -> Callable[[Env], ClaimOutcome]:
     """The checker of a claim that compares the predicates ``preds``, as
     (name, kinds) pairs, on each host of the Env corpus named ``hosts``
     and on the derived parts of its instances, host by host.
 
-    - Each host's one-step digraph pair is computed once per ``Env`` and
+    - Each host's one-step digraph pair is frozen once per ``Env`` and
       interned as a digraph id (``Env.digraph_ids``), so the claims over
       one corpus share it.
     - ``keys(host, pair)`` lists the host's instances as hashable keys, in
-      order.  With ``by_pair`` the keys depend on the pair only, as
-      subacts do, and are listed once per digraph id.
+      order.  It is called once per listing key ``listing(host, hid)``,
+      which must fix everything ``keys`` reads: the digraph id for
+      subacts (``_by_digraph``), the translation maps for congruences
+      (``_by_translations``).
     - The host's verdicts are decided once per host object, on its first
       instance, which is exact for any predicate.
     - ``parts(host, pair, key)`` builds an instance's parts from the pair,
@@ -487,10 +529,11 @@ def _over_hosts(hosts: str, preds: tuple, keys: Callable, parts: Callable, check
         pairs, hids = env.digraph_ids(hosts)
         for host, hid in zip(getattr(env, hosts)(), hids):
             pair = pairs[hid]
-            if not by_pair or hid not in listed:
-                listed[hid] = keys(host, pair)
+            by = listing(host, hid)
+            if by not in listed:
+                listed[by] = keys(host, pair)
             whole = None
-            for key in listed[hid]:
+            for key in listed[by]:
                 if whole is None:
                     whole = _verdicts(preds, (host,))
                 if (hid, key) not in decided:
@@ -498,6 +541,19 @@ def _over_hosts(hosts: str, preds: tuple, keys: Callable, parts: Callable, check
                 v.instances += check(key, whole, decided[hid, key], v)
         return v.outcome(smoke, notes)
     return checker
+
+
+def _by_digraph(host, hid: int) -> int:
+    """The listing key of instances that read the host's digraph pair
+    only: its digraph id."""
+    return hid
+
+
+def _by_translations(host, hid: int) -> tuple:
+    """The listing key of single-pair congruences: the size and the set of
+    translation maps, all that ``core._closure`` reads (in any order: the
+    closure is the least congruence, whatever the order of its unions)."""
+    return host.size, frozenset(_translations(host))
 
 
 _BIT = {None: 1, "L": 1, "R": 2, "J": 4}   # a kind's bit in ``_verdicts``
@@ -805,7 +861,8 @@ def check_R3_14_3(env: Env) -> ClaimOutcome:
     digraph of T) group, on a product built from those two digraphs, and
     each pair replays its group's checks and violations in pair order."""
     sems = env.semigroups()
-    pairs = [digraphs(s) for s in sems]
+    distinct, hids = env.digraph_ids("semigroups")
+    pairs = [distinct[h] for h in hids]
     lefts = _interned(p[0] for p in pairs)
     rights = _interned(p[1] for p in pairs)
     v, groups = _Tally(), {}
@@ -1193,7 +1250,7 @@ def _l5_8(x: Substructure, v: _Tally) -> int:
     """Rees quotients of semigroups and of their regular biacts agree, as
     preorders and hence as stability verdicts."""
     sq = x.rees
-    bq = biact_rees_quotient(x.host, x.members)
+    bq = _collapse(x.host, x.members, x.pair)   # an ideal is closed by construction
     # both collapse to the same carrier: survivors in order, then 0
     made = _same_preorders(sq, bq, v)
     if bool(stable(sq)) != bool(stable(bq)):
@@ -1304,17 +1361,17 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "finite-exhaustive", "must-hold", check_R3_14_3),
     Claim("P4.1", "minimal conditions pass to biact quotients",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _MINIMAL, _congruence_keys, _quotient_part, _p4_1,
-                      smoke=True)),
+          _over_hosts("biacts", _MINIMAL, _by_translations, _congruence_keys, _quotient_part,
+                      _p4_1, smoke=True)),
     Claim("L4.2", "semigroup quotients agree with regular-biact quotients",
           "finite-exhaustive", "must-hold", _over("congruences", _l4_2)),
     Claim("C4.3", "minimal conditions pass to semigroup quotients",
           "finite-exhaustive", "must-hold",
-          _over_hosts("semigroups", _MINIMAL, _congruence_keys, _quotient_part, _p4_1,
-                      smoke=True)),
+          _over_hosts("semigroups", _MINIMAL, _by_translations, _congruence_keys,
+                      _quotient_part, _p4_1, smoke=True)),
     Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _MINIMAL, _subact_keys, _subact_parts, _p4_4, by_pair=True,
+          _over_hosts("biacts", _MINIMAL, _by_digraph, _subact_keys, _subact_parts, _p4_4,
                       smoke=True)),
     Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
@@ -1357,7 +1414,7 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "symbolic-witness", "counterexample-expected", check_S5_0),
     Claim("P5.1", "a biact is stable iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _STABLE, _p5_1_keys, _p5_1_parts, _p5_1, by_pair=True,
+          _over_hosts("biacts", _STABLE, _by_digraph, _p5_1_keys, _p5_1_parts, _p5_1,
                       smoke=True, notes="the straddle check is contentful")),
     Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",

@@ -237,6 +237,12 @@ class TestProductAndClosure:
         b = ba.regular_biact(t2())
         assert ba.subact_closure(b, range(4)).members == frozenset(range(4))
 
+    def test_subact_closure_names_a_seed_outside_the_carrier(self):
+        b = ba.regular_biact(core.validate_table(2, [[0, 0], [1, 1]]))
+        for bad in (7, -1):
+            with pytest.raises(BadEntry, match=f"seed element {bad} outside carrier"):
+                ba.subact_closure(b, [0, bad])
+
 
 class TestPartsFromTheHost:
     def test_derived_parts_hold_no_tables_until_read(self, monkeypatch):

@@ -1,11 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from greenstone import biact as ba
 from greenstone import core, green
 from greenstone.enumeration import all_semigroups, random_biact_corpus, semigroup_pool
-from greenstone.errors import InvariantViolation, UnknownClass
+from greenstone.errors import BadEntry, InvariantViolation, UnknownClass
 
 LEFT_ZERO2 = [[0, 0], [1, 1]]
 Z2 = [[0, 1], [1, 0]]
@@ -165,6 +166,25 @@ class TestUnknownRelation:
         for call in calls:
             with pytest.raises(ValueError, match="L, R, J"):
                 call()
+
+    @pytest.mark.parametrize("k", ["X", "l", ""])
+    def test_relation_lookups_name_the_letter(self, k):
+        gs = green.green_structure(core.validate_table(2, LEFT_ZERO2))
+        calls = [lambda: gs.num_classes(k), lambda: gs.class_members(k, 0),
+                 lambda: gs.same(0, 1, k)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"L, R, J, H, D; got {k!r}"):
+                call()
+
+
+class TestElementIds:
+    @pytest.mark.parametrize("bad", [-1, 5, True, "0"])
+    def test_le_names_an_id_outside_the_carrier(self, bad):
+        s = core.validate_table(2, LEFT_ZERO2)
+        for a, b in ((0, bad), (bad, 0)):
+            with pytest.raises(BadEntry, match=f"element {bad!r} outside 0..1"):
+                green.le(s, a, b, "L")
+        assert green.le(s, 0, 1, "L") and green.le(s, 1, 0, "L")
 
 
 class TestSoundness:
@@ -338,6 +358,82 @@ class TestPreorderMemo:
         assert gs_one is not gs_both
         assert gs_one.data["L"] is gs_both.data["L"]
         assert gs_one.data["R"] != gs_both.data["R"]
+
+
+def _old_build(size, left, right):
+    """Test-local copy of ``green._build`` before it numbered H by cell and
+    joined D over class ids: H by normalizing the (L, R) pairs, D by a
+    union-find over elements, the egg-box count by ``Counter``s, and the
+    preorder data computed afresh."""
+    ldat = green._preorder_data(size, left)
+    rdat = green._preorder_data(size, right)
+    jdat = green._preorder_data(size, tuple(tuple(sorted({*ls, *rs}))
+                                            for ls, rs in zip(left, right)))
+    h_class_of = core._normalize_blocks(list(zip(ldat.class_of, rdat.class_of)))
+    dsu = core._DSU(size)
+    for cls in ldat.classes + rdat.classes:
+        for x in cls[1:]:
+            dsu.union(cls[0], x)
+    d_class_of = dsu.blocks()
+    classes = {"L": ldat.classes, "R": rdat.classes, "J": jdat.classes,
+               "H": green._members(size, h_class_of), "D": green._members(size, d_class_of)}
+    gs = green.GreenStructure(
+        size=size, data={"L": ldat, "R": rdat, "J": jdat},
+        class_of={"L": ldat.class_of, "R": rdat.class_of, "J": jdat.class_of,
+                  "H": h_class_of, "D": d_class_of},
+        classes=classes,
+        left_stable=green._stable(left, jdat.class_of, ldat.class_of),
+        right_stable=green._stable(right, jdat.class_of, rdat.class_of))
+    count = {k: Counter(d_class_of[cls[0]] for cls in classes[k]) for k in "RLH"}
+    for dcls in range(len(classes["D"])):
+        if count["H"][dcls] != count["R"][dcls] * count["L"][dcls]:
+            gs.eggbox(dcls)
+    return gs
+
+
+def _built_or_refused(build, size, left, right):
+    try:
+        return build(size, left, right)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+class TestLeanBuild:
+    """``_build`` numbers H by (L, R) cell, joins D over class ids and counts
+    egg-box cells in lists; every field must be the old build's."""
+
+    def test_random_digraph_pairs(self):
+        import random
+
+        rng = random.Random("lean-build")
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randrange(1, 8)
+            left, right = (tuple(tuple(sorted(rng.sample(range(n), rng.randrange(min(n, 3) + 1))))
+                                 for _ in range(n)) for _ in range(2))
+            got = _built_or_refused(green._build, n, left, right)
+            assert got == _built_or_refused(_old_build, n, left, right), (left, right)
+            outcomes.add(type(got))
+        assert outcomes == {green.GreenStructure, str}
+
+    def test_every_build_of_the_seed0_suite(self, monkeypatch):
+        from greenstone.verify import SuiteConfig, run_suite
+
+        real, builds = green._build, []
+
+        def build(size, left, right):
+            gs = real(size, left, right)
+            builds.append((size, left, right, gs))
+            return gs
+
+        for cache in (green._green_structure_cached, green._preorder_cached):
+            cache.cache_clear()
+        monkeypatch.setattr(green, "_build", build)
+        assert run_suite("all", SuiteConfig(seed=0)).all_passed
+        monkeypatch.undo()
+        assert len(builds) > 1000
+        for size, left, right, gs in builds:
+            assert gs == _old_build(size, left, right), (left, right)
 
 
 class TestStabilityVerdict:

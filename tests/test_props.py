@@ -331,3 +331,80 @@ class TestResultShape:
         payload = json.loads(json.dumps(res.to_json()))
         assert payload["value"] is True
         assert payload["method"] == "definition"
+
+
+class TestSharedResults:
+    def test_true_verdicts_are_shared_constants(self):
+        one, other = t2(), core.validate_table(2, Z2)
+        biact = random_biact_corpus(1, "shared-results")[0]
+        whole = [lambda x, k=k: props.minimal_condition(x, k) for k in "LRJ"] + [
+            props.left_stable, props.right_stable, props.stable, props.stable_char,
+            props.l_periodic, props.r_periodic]
+        semigroup = [props.group_bound,
+                     lambda s: props.regular_subsemigroup(s, range(s.order)),
+                     *(lambda s, k=k: props.k_preserving(s, range(s.order), k) for k in "LRJ")]
+        for pred, xs in [(p, (one, other, biact)) for p in whole] + [(p, (one, other))
+                                                                     for p in semigroup]:
+            first = pred(xs[0])
+            assert first.value is True and first.witness is None
+            assert all(pred(x) is first for x in xs[1:])
+        assert props.minimal_condition(one, "L") is not props.minimal_condition(one, "R")
+
+    def test_results_refuse_assignment(self):
+        s = t2()
+        shared = props.stable(s)
+        built = props.retract(s, {t2_ids()[(0, 1)], t2_ids()[(1, 0)]}, cap=1)
+        for res in (shared, built):
+            for name in ("value", "method", "witness"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(res, name, None)
+        assert shared.value is True and built.value is None
+
+    def test_witnessed_results_are_built_per_call(self):
+        s = core.validate_table(2, [[0, 0], [0, 1]])    # the min semilattice 0 < 1
+        first = props.retract(s, {0})
+        assert first.value is True and first.witness == {"0": 0, "1": 0}
+        assert props.retract(s, {0}) is not first
+
+
+class TestGreenMemo:
+    """Forms 2-8 of ``left_stable_forms`` and ``stable_char`` are decided once
+    per Green structure.  The test clears the Green caches and the hosts'
+    structures first, so it cannot pass on what other tests left there."""
+
+    def test_kept_answers_match_fresh_ones_over_the_default_corpus(self, monkeypatch):
+        from greenstone import biact as ba
+        from greenstone.verify import Env, SuiteConfig
+
+        env = Env(SuiteConfig())
+        hosts = env.semigroups() + env.biacts()
+        for cache in (green._green_structure_cached, green._preorder_cached):
+            cache.cache_clear()
+        for x in hosts:
+            vars(x).pop(green._SLOT, None)
+        evaluated, real = [], props._relation_masks
+        monkeypatch.setattr(props, "_relation_masks",
+                            lambda gs, n: evaluated.append(gs) or real(gs, n))
+        kept = [(props.left_stable_forms(x), props.stable_char(x)) for x in hosts]
+        structures = {id(gs): gs for gs in map(green.green_structure, hosts)}
+        # once per structure, and the hosts share structures
+        assert sorted(map(id, evaluated)) == sorted(structures)
+        assert len(structures) < len(hosts)
+
+        for cache in (green._green_structure_cached, green._preorder_cached):
+            cache.cache_clear()
+        for x, (forms, char) in zip(hosts, kept):
+            fresh = green._build(x.size, *ba.digraphs(x))
+            assert vars(fresh).keys() == {f.name for f in dataclasses.fields(fresh)}
+            assert forms == (bool(props.left_stable(x)),) + props._relation_forms(fresh)
+            assert char == props._stable_char(fresh)
+
+    def test_a_replaced_structure_keeps_no_memo(self):
+        s = t2()
+        gs = green.green_structure(s)
+        forms, char = props.left_stable_forms(s), props.stable_char(s)
+        memo = {"_relation_forms", "_stable_char"}
+        assert memo <= vars(gs).keys()
+        copy = dataclasses.replace(gs)
+        assert not memo & vars(copy).keys() and copy == gs
+        assert props._relation_forms(copy) == forms[1:] and props._stable_char(copy) == char

@@ -270,6 +270,41 @@ class TestCorpora:
         assert list(dict.fromkeys(ids)) == list(range(len(pairs))) == list(range(len(set(pairs))))
 
 
+    def test_each_host_pair_is_computed_once_over_all_claims(self, monkeypatch):
+        """Over all claims on one Env, each host's digraph pair is computed
+        once, when its corpus is built: the host's Green lookups and the
+        parts of its ideals take the frozen pair.  Counted are the two
+        paths that compute a host's pair, ``digraphs`` and the Green
+        lookup's ``_edges``.  The pool semigroups are shared across Envs
+        and may already hold a structure; they are read once either way."""
+        from collections import Counter
+
+        from greenstone import biact as ba
+        from greenstone import green
+
+        reads = []
+        real_digraphs, real_edges = ba.digraphs, green._edges
+
+        def digraphs(x):
+            reads.append(x)
+            return real_digraphs(x)
+
+        def edges(x, *generators):
+            reads.append(x)
+            return real_edges(x, *generators)
+
+        for module in (ba, ver):
+            monkeypatch.setattr(module, "digraphs", digraphs)
+        monkeypatch.setattr(green, "_edges", edges)
+        env = ver.Env(TINY)
+        for cid in sorted(ver.REGISTRY):
+            assert ver.REGISTRY[cid].checker(env).ok, cid
+        hosts = env.semigroups() + env.biacts()
+        count = Counter(map(id, reads))
+        assert [count[id(x)] for x in hosts] == [1] * len(hosts)
+        assert not any(ba._PAIR in vars(x) for x in hosts)
+
+
 class TestSuiteConfig:
     @pytest.mark.parametrize("name, value", [
         ("max_order", 0), ("exh_semigroup", 0), ("exh_carrier", 0), ("random_biacts", -1),
@@ -697,6 +732,50 @@ class TestHostPass:
         outcome = ver.REGISTRY["P5.1"].checker(envs["tiny"])
         assert outcome == SHARED_ORACLES["P5.1"](envs["tiny"]) and not outcome.ok
         assert "straddles" in json.dumps(outcome.witnesses)
+
+
+class TestListingKeys:
+    """P4.1 lists a host's congruences once per (size, translation set), a
+    key that hosts with different digraphs can share."""
+
+    @staticmethod
+    def _mirrors():
+        from greenstone import core
+
+        # the left-zero semigroup and its opposite: the regular biacts' left
+        # and right translations trade places
+        lz3 = core.validate_table(3, [[i] * 3 for i in range(3)])
+        hosts = [ver.regular_biact(lz3), ver.regular_biact(core.opposite(lz3))]
+
+        class Mirrors(ver.Env):
+            @ver._hosts
+            def biacts_exhaustive(self):
+                return list(hosts)
+
+            @ver._hosts
+            def biacts_random(self):
+                return []
+
+        return Mirrors(TINY), hosts
+
+    def test_mirror_biacts_share_one_listing(self, monkeypatch):
+        env, hosts = self._mirrors()
+        assert env.digraph_ids("biacts")[1] == [0, 1]
+        assert ver._by_translations(hosts[0], 0) == ver._by_translations(hosts[1], 1)
+        listed, real = [], ver.single_pair_congruences
+        monkeypatch.setattr(ver, "single_pair_congruences",
+                            lambda x: listed.append(x) or real(x))
+        outcome = ver.REGISTRY["P4.1"].checker(env)
+        assert listed == hosts[:1]
+        assert outcome.instances == 2 * 3 * len(ver.KINDS)
+        monkeypatch.undo()
+        assert outcome == SHARED_ORACLES["P4.1"](env) and outcome.ok
+
+    def test_mirror_biacts_under_the_green_data_plant(self, monkeypatch):
+        env, _ = self._mirrors()
+        _plant_green(monkeypatch)
+        outcome = ver.REGISTRY["P4.1"].checker(env)
+        assert outcome == SHARED_ORACLES["P4.1"](env) and not outcome.ok
 
 
 # the claims digest of ``verify --suite all --seed N`` for the benchmark's
