@@ -39,7 +39,10 @@ the host's restricted to the members; a host step from a non-member into
 the subact becomes a step into the Rees quotient's sink, which steps
 only to itself; a quotient block's steps are the blocks of its least
 member's steps, by compatibility; and in S x T a left step moves the S
-coordinate only, a right step the T coordinate.
+coordinate only, a right step the T coordinate.  Every successor tuple of
+a pair, a host's (``_edges``) or a derived one, passes through the tuple
+intern ``core._shared``, so equal successor sets of any hosts and parts
+are one object (see ``green``).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .core import (
     _grid,
     _is_int,
     _labels,
+    _shared,
     _translations,
     is_homomorphism,
     subsemigroup,
@@ -157,11 +161,13 @@ def _edges(x: Union[FiniteSemigroup, FiniteBiact],
     the left action and the right successors are row e of the right one."""
     la, ra = x.left_action, x.right_action
     if generators is None:
-        left = tuple(tuple(sorted(set(col))) for col in zip(*la))
-        right = tuple(tuple(sorted(set(row))) for row in ra)
+        left = tuple([_shared(tuple(sorted(set(col)))) for col in zip(*la)])
+        right = tuple([_shared(tuple(sorted(set(row)))) for row in ra])
     else:
-        left = tuple(tuple(sorted({la[s][e] for s in generators})) for e in range(x.size))
-        right = tuple(tuple(sorted({ra[e][t] for t in generators})) for e in range(x.size))
+        left = tuple([_shared(tuple(sorted({la[s][e] for s in generators})))
+                      for e in range(x.size)])
+        right = tuple([_shared(tuple(sorted({ra[e][t] for t in generators})))
+                       for e in range(x.size)])
     return left, right
 
 
@@ -196,7 +202,8 @@ def _restrict(b: FiniteBiact, mem: Sequence[int],
                 [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem])
 
     get = idx.__getitem__
-    pair = tuple(tuple([tuple(map(get, side[x])) for x in mem]) for side in pair or digraphs(b))
+    pair = tuple(tuple([_shared(tuple(map(get, side[x]))) for x in mem])
+                 for side in pair or digraphs(b))
     return _derived(b.left, b.right, len(mem), fill, (b.labels[x] for x in mem),
                     {"kind": "subact"}, pair)
 
@@ -297,11 +304,12 @@ def relative_biact(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiac
 
 
 def is_subact(a: FiniteBiact, members: Iterable[int]) -> Optional[tuple]:
-    """A witness that members is not closed under both actions, or None."""
+    """A witness that members is not closed under both actions, or None.
+    A member that is not an element id of ``a`` raises ``BadEntry``."""
     mem = set(members)
     for x in mem:
-        if not (0 <= x < a.size):
-            raise BadEntry(f"member {x} outside carrier")
+        if not (_is_int(x) and 0 <= x < a.size):
+            raise BadEntry(f"member {x!r} outside carrier")
     for s in range(a.left.order):
         for x in mem:
             if a.left_action[s][x] not in mem:
@@ -363,9 +371,9 @@ def _collapse(a: FiniteBiact, mem: frozenset[int],
     def merged(succ: tuple[int, ...]) -> tuple[int, ...]:
         # idx keeps the order and the sink is last, so the result is sorted
         out = tuple([idx[y] for y in succ if y in idx])
-        return out if len(out) == len(succ) else out + (zero,)
+        return _shared(out if len(out) == len(succ) else out + (zero,))
 
-    pair = tuple(tuple([merged(side[x]) for x in keep]) + ((zero,),)
+    pair = tuple(tuple([merged(side[x]) for x in keep]) + (_shared((zero,)),)
                  for side in pair or digraphs(a))
     return _derived(a.left, a.right, zero + 1, fill,
                     tuple(a.labels[x] for x in keep) + ("0",),
@@ -387,7 +395,7 @@ def _block_quotient(x: FiniteBiact, blocks: Sequence[int],
         return ([[blocks[x.left_action[s][r]] for r in reps] for s in range(x.left.order)],
                 [[blocks[x.right_action[r][t]] for t in range(x.right.order)] for r in reps])
 
-    pair = tuple(tuple([tuple(sorted({blocks[y] for y in side[r]})) for r in reps])
+    pair = tuple(tuple([_shared(tuple(sorted({blocks[y] for y in side[r]}))) for r in reps])
                  for side in pair or digraphs(x))
     return _derived(x.left, x.right, k, fill, ("{" + x.labels[r] + "}" for r in reps),
                     {"kind": "quotient"}, pair)
@@ -419,8 +427,10 @@ def product_biact(s: FiniteSemigroup, t: FiniteSemigroup,
                  for a in range(ns) for b in range(nt)])
 
     s_left, t_right = digraphs or (_edges(s)[0], _edges(t)[1])
-    pair = (tuple(tuple(y * nt + b for y in s_left[a]) for a in range(ns) for b in range(nt)),
-            tuple(tuple(a * nt + y for y in t_right[b]) for a in range(ns) for b in range(nt)))
+    pair = (tuple([_shared(tuple([y * nt + b for y in s_left[a]]))
+                   for a in range(ns) for b in range(nt)]),
+            tuple([_shared(tuple([a * nt + y for y in t_right[b]]))
+                   for a in range(ns) for b in range(nt)]))
     labels = tuple(f"({s.labels[a]},{t.labels[b]})" for a in range(ns) for b in range(nt))
     return _derived(s, t, ns * nt, fill, labels, {"kind": "product"}, pair)
 

@@ -25,6 +25,7 @@ construction.  A differential test re-validates it over the small census.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -43,6 +44,10 @@ from .errors import (
 
 # 4096 elements: a table of at most 16.8M entries
 DEFAULT_CLOSURE_CAP = 4096
+
+# The most distinct tuples ``_shared`` holds: room for the 5,178 that the
+# claim suite at max-order 4 meets (see ``green``).
+SHARED_TUPLES = 8192
 
 # Above this order the constructor switches from the full triple scan to
 # the generator-based test; both remain callable for cross-checks.
@@ -204,6 +209,14 @@ def _frozen(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     if isinstance(table, tuple) and all(isinstance(row, tuple) for row in table):
         return table
     return tuple(tuple(row) for row in table)
+
+
+@functools.lru_cache(maxsize=SHARED_TUPLES)
+def _shared(t: tuple) -> tuple:
+    """The first-seen tuple equal to ``t``, among the last ``SHARED_TUPLES``
+    distinct ones asked for, else ``t`` itself: equal tuples that the Green
+    engine freezes and keeps become one object."""
+    return t
 
 
 def _trusted_table(order: int, table: Sequence[Sequence[int]],

@@ -166,6 +166,15 @@ class TestReesQuotients:
                 with pytest.raises(error):
                     getattr(x, part)
 
+    def test_is_subact_refuses_ids_that_are_not_integers(self):
+        # a bool equals 0 or 1 and a string compares with nothing, yet
+        # neither is an element id
+        b = ba.regular_biact(core.validate_table(3, [[0, 0, 0], [0, 1, 0], [0, 0, 2]]))
+        for members, shown in (({0, True}, "True"), ({"x"}, "'x'")):
+            with pytest.raises(BadEntry, match=f"member {shown} outside carrier"):
+                ba.is_subact(b, members)
+        assert ba.is_subact(b, {0, 1}) is None
+
     def test_subact_is_checked_once_for_both_parts(self, monkeypatch):
         calls = []
         real = ba.is_subact

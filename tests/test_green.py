@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -434,6 +436,81 @@ class TestLeanBuild:
         assert len(builds) > 1000
         for size, left, right, gs in builds:
             assert gs == _old_build(size, left, right), (left, right)
+
+
+def _suite_builds(monkeypatch):
+    """The seed-0 suite's report and its Green builds, keyed by digraph pair,
+    run with both Green caches and the tuple intern cleared first."""
+    from greenstone.verify import SuiteConfig, run_suite
+
+    real, builds = green._build, {}
+
+    def build(size, left, right):
+        gs = builds[left, right] = real(size, left, right)
+        return gs
+
+    for cache in (green._green_structure_cached, green._preorder_cached, core._shared):
+        cache.cache_clear()
+    monkeypatch.setattr(green, "_build", build)
+    report = run_suite("all", SuiteConfig(seed=0))
+    monkeypatch.undo()
+    assert report.all_passed
+    return report, builds
+
+
+class TestSharedTuples:
+    """Equal tuples that the Green engine and the digraph derivations keep
+    are one object (``core._shared``); values never change."""
+
+    def test_equal_tuples_are_one_object_over_the_seed0_suite(self, monkeypatch):
+        _, builds = _suite_builds(monkeypatch)
+        assert len(builds) > 1000
+        kept = []
+        for (left, right), gs in builds.items():
+            kept.extend(left + right)                                     # successors
+            kept.extend(m for k in green.RELATIONS for m in gs.classes[k])  # members
+            kept.extend(e for k in green.PREORDERS for e in gs.covers(k))   # cover pairs
+        first: dict = {}
+        strays = [t for t in kept if first.setdefault(t, t) is not t]
+        assert strays == []
+
+    def test_the_identity_in_place_of_the_intern_builds_equal_structures(self, monkeypatch):
+        for module in (green, ba):
+            monkeypatch.setattr(module, "_shared", lambda t: t)
+        plain_report, plain = _suite_builds(monkeypatch)   # undoes the patch
+        report, shared = _suite_builds(monkeypatch)
+        assert report.to_json_text() == plain_report.to_json_text()
+        # objects that kept a structure from the first run build nothing
+        # in the second, so its pairs are some of the first run's
+        assert len(shared) > 1000 and shared.keys() <= plain.keys()
+        for pair, gs in shared.items():
+            assert gs == plain[pair], pair
+
+    def test_the_intern_is_bounded(self):
+        core._shared.cache_clear()
+        first = (1, 2, 3)
+        assert core._shared(first) is first
+        assert core._shared(tuple([1, 2, 3])) is first
+        for i in range(core.SHARED_TUPLES + 100):
+            fresh = (i, "bound")
+            assert core._shared(fresh) == fresh
+            assert core._shared.cache_info().currsize <= core.SHARED_TUPLES
+        assert core._shared.cache_info().currsize == core.SHARED_TUPLES
+        core._shared.cache_clear()
+
+
+class TestCopies:
+    def test_objects_with_a_structure_survive_copy_and_pickle(self):
+        group = core.validate_table(2, Z2)
+        trivial = core.validate_table(1, [[0]])
+        table_built = ba.validate_biact(group, trivial, [[0, 1], [1, 0]], [[0], [1]])
+        derived = ba.subact_closure(ba.regular_biact(t2()), [0]).sub
+        for x in (t3(), table_built, derived):
+            gs = green.green_structure(x)
+            for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert twin == x and green.green_structure(twin) == gs
+            for twin in (copy.deepcopy(gs), pickle.loads(pickle.dumps(gs))):
+                assert twin == gs
 
 
 class TestStabilityVerdict:
