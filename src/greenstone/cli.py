@@ -3,9 +3,11 @@
 Exit codes: 0 success, 2 validation failure, 3 claim failure, 4 usage
 error.  All outputs are deterministic given the inputs and seeds.
 
-The claim suite, the census and the symbolic catalog are imported by the
-commands that use them, so ``analyze`` and the other file commands load
-only the engine.
+Each command imports the layers it runs, so ``--version``, ``--help`` and
+usage errors load no engine module, ``enum`` loads neither the Green
+engine nor the predicates, and only ``construct usta``/``usa``,
+``catalog``, ``verify`` and ``probe`` load the symbolic catalog or the
+claim suite.
 """
 
 from __future__ import annotations
@@ -17,21 +19,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .biact import FiniteBiact, product_biact
-from .core import FiniteSemigroup, rees_quotient, zero_direct_union
 from .errors import GreenstoneError, InvalidSuiteConfig, UnknownClaim, ValidationError
 from .formats import dump, load
-from .green import _bits, class_counts, eggbox_dot, green_index, green_structure, poset_dot
-from .props import (
-    group_bound,
-    l_periodic,
-    left_stable,
-    left_stable_forms,
-    minimal_condition,
-    r_periodic,
-    right_stable,
-    stable,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,6 +46,20 @@ def _parse_members(text: str) -> frozenset[int]:
 
 
 def cmd_analyze(args) -> int:
+    from .biact import FiniteBiact
+    from .core import FiniteSemigroup
+    from .green import _bits, class_counts, green_structure
+    from .props import (
+        group_bound,
+        l_periodic,
+        left_stable,
+        left_stable_forms,
+        minimal_condition,
+        r_periodic,
+        right_stable,
+        stable,
+    )
+
     obj = load(args.input)
     counts = class_counts(obj)
     if isinstance(obj, FiniteBiact):
@@ -85,6 +88,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_eggbox(args) -> int:
+    from .green import eggbox_dot, green_structure, poset_dot
+
     obj = load(args.input)
     gs = green_structure(obj)
     if args.dot:
@@ -103,6 +108,9 @@ def cmd_eggbox(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .core import FiniteSemigroup
+    from .green import green_index
+
     obj = load(args.semigroup)
     if not isinstance(obj, FiniteSemigroup):
         raise ValidationError("the index command expects a semigroup file")
@@ -122,13 +130,18 @@ def _require(args, what: str, *names: str) -> None:
 
 
 def cmd_construct(args) -> int:
-    from .symbolic import build_usa, build_usta
+    from .biact import product_biact
+    from .core import rees_quotient, zero_direct_union
 
     what = args.what
     if what == "usta":
+        from .symbolic import build_usta
+
         _require(args, what, "s", "t", "biact")
         built, _ = build_usta(load(args.s), load(args.t), load(args.biact))
     elif what == "usa":
+        from .symbolic import build_usa
+
         _require(args, what, "s", "biact")
         built, _ = build_usa(load(args.s), load(args.biact))
     elif what == "rees":

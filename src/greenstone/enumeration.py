@@ -27,8 +27,9 @@ import itertools
 import random
 from typing import Iterable, Iterator, Sequence
 
-from .biact import FiniteBiact, _left_axiom_violation, _trusted_biact, product_biact, \
-    regular_biact, relative_biact, biact_rees_quotient, subact_closure, validate_biact
+from .biact import Digraphs, FiniteBiact, _left_axiom_violation, _trusted_biact, digraphs, \
+    product_biact, regular_biact, relative_biact, biact_rees_quotient, subact_closure, \
+    validate_biact
 from .core import (
     FiniteSemigroup,
     _default_labels,
@@ -295,6 +296,13 @@ def semigroup_pool() -> list[FiniteSemigroup]:
     return pool
 
 
+@functools.cache
+def _pool_digraphs(s: FiniteSemigroup) -> Digraphs:
+    """The one-step digraphs of a pool semigroup, frozen once for every
+    product draw that takes it."""
+    return digraphs(s)
+
+
 _MAX_SEMIGROUP = 4   # the random biacts' acting semigroups have at most 4 elements
 _MAX_CARRIER = 6     # and their carriers at most 6
 
@@ -324,7 +332,7 @@ def random_biact(seed) -> FiniteBiact:
             t = pick_semigroup(_MAX_SEMIGROUP)
             if s.order * t.order <= _MAX_CARRIER:
                 break
-        biact = product_biact(s, t)
+        biact = product_biact(s, t, (_pool_digraphs(s)[0], _pool_digraphs(t)[1]))
     else:
         # a transformation semigroup acting on the carrier, the other side
         # acting as the identity: on the right (recipe 3), or on the left

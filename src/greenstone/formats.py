@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .biact import FiniteBiact, validate_biact
-from .core import FiniteSemigroup, generate_from_transformations, validate_table
 from .errors import BadEntry, ParseError
+
+# the engine modules load on the first load or dump, so a command that
+# never reads or writes a file does not load them
+if TYPE_CHECKING:
+    from .biact import FiniteBiact
+    from .core import FiniteSemigroup
 
 
 def semigroup_to_dict(s: FiniteSemigroup) -> dict:
@@ -36,6 +40,8 @@ def semigroup_to_dict(s: FiniteSemigroup) -> dict:
 
 
 def semigroup_from_dict(data: dict) -> FiniteSemigroup:
+    from .core import generate_from_transformations, validate_table
+
     if not isinstance(data, dict):
         raise ParseError(f"a semigroup must be a JSON object, got {data!r}")
     kind = data.get("kind")
@@ -63,6 +69,8 @@ def biact_to_dict(b: FiniteBiact) -> dict:
 
 
 def biact_from_dict(data: dict) -> FiniteBiact:
+    from .biact import validate_biact
+
     for key in ("left", "right", "size", "left_action", "right_action"):
         if key not in data:
             raise ParseError(f"biact file is missing {key!r}")
@@ -96,6 +104,8 @@ def load(path: Union[str, Path]) -> Union[FiniteSemigroup, FiniteBiact]:
 
 
 def dump(obj: Union[FiniteSemigroup, FiniteBiact], path: Union[str, Path]) -> None:
+    from .biact import FiniteBiact
+
     if isinstance(obj, FiniteBiact):
         data = biact_to_dict(obj)
     else:

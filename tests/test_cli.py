@@ -402,3 +402,69 @@ def test_cli_imports_only_the_engine():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout.split() == ["[]", "True", "True"]
+
+
+ENGINE = ("greenstone.core", "greenstone.biact", "greenstone.green", "greenstone.props",
+          "greenstone.enumeration", "greenstone.symbolic", "greenstone.verify", "dataclasses")
+
+
+def _loaded_after(script, *argv):
+    """The ENGINE modules loaded in a fresh interpreter after ``script``
+    runs with ``argv`` (``python -m greenstone.cli ARGV`` when script is
+    None); the last stdout line lists them."""
+    src = Path(cli.__file__).resolve().parents[1]
+    report = f"import json, sys; print(json.dumps([m for m in {ENGINE!r} if m in sys.modules]))"
+    if script is None:
+        script = ("import runpy, sys\n"
+                  f"sys.argv = ['greenstone', *{list(argv)!r}]\n"
+                  "try:\n"
+                  "    runpy.run_module('greenstone.cli', run_name='__main__', alter_sys=True)\n"
+                  "except SystemExit:\n"
+                  "    pass\n")
+    done = subprocess.run([sys.executable, "-c", script + "\n" + report],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestImportLayering:
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["nosuch"]])
+    def test_launches_that_run_no_command_load_no_engine(self, argv):
+        assert _loaded_after(None, *argv) == set()
+
+    def test_bare_package_import_loads_no_engine(self):
+        assert _loaded_after("import greenstone") == set()
+
+    def test_enum_loads_neither_green_nor_props(self, tmp_path):
+        loaded = _loaded_after(None, "enum", "--order", "2", "--out", str(tmp_path / "out"))
+        assert len(list((tmp_path / "out").glob("*.json"))) == 5
+        assert "greenstone.enumeration" in loaded
+        assert not loaded & {"greenstone.green", "greenstone.props"}
+
+    def test_construct_product_loads_no_green_engine(self, t2_file, tmp_path):
+        loaded = _loaded_after(None, "construct", "product", "--s", str(t2_file),
+                               "--t", str(t2_file), "--out", str(tmp_path / "p.json"))
+        assert (tmp_path / "p.json").is_file()
+        assert not loaded & {"greenstone.green", "greenstone.symbolic"}
+
+    def test_analyze_loads_the_engine_but_not_the_suite(self, t2_file):
+        loaded = _loaded_after(None, "analyze", str(t2_file))
+        assert {"greenstone.green", "greenstone.props"} <= loaded
+        assert not loaded & {"greenstone.enumeration", "greenstone.symbolic",
+                             "greenstone.verify"}
+
+    def test_every_package_name_resolves_after_a_bare_import(self):
+        script = ("import greenstone\n"
+                  "missing = [n for n in greenstone.__all__ if not hasattr(greenstone, n)]\n"
+                  "mods = [getattr(greenstone, m).__name__ for m in "
+                  "('core', 'biact', 'green', 'props')]\n"
+                  "assert not missing and mods == ['greenstone.' + m for m in "
+                  "('core', 'biact', 'green', 'props')], (missing, mods)\n"
+                  "from greenstone import green_structure, FiniteSemigroup, catalog\n"
+                  "assert green_structure is greenstone.green.green_structure\n")
+        loaded = _loaded_after(script)
+        assert {"greenstone.core", "greenstone.biact", "greenstone.green",
+                "greenstone.props", "greenstone.symbolic"} <= loaded
+        import greenstone
+        with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+            greenstone.nosuch

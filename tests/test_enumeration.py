@@ -311,3 +311,20 @@ class TestSamplers:
         assert [biact_to_dict(b) for b in c1] == [biact_to_dict(b) for b in c2]
         for b in c1:
             assert b.left.order <= 4 and b.right.order <= 4 and b.size <= 6
+
+    def test_pool_digraphs_are_frozen_once_per_pool_semigroup(self, monkeypatch):
+        # the product draws take each pool semigroup's digraphs from one
+        # frozen pair, not from a fresh ``_edges`` call per draw
+        from collections import Counter
+
+        from greenstone import biact as ba
+
+        calls = []
+        real = ba._edges
+        monkeypatch.setattr(ba, "_edges", lambda x, *gens: calls.append(x) or real(x, *gens))
+        en._pool_digraphs.cache_clear()
+        pool = {id(s) for s in en.semigroup_pool()}
+        corpus = en.random_biact_corpus(1000, 0)
+        counts = Counter(id(x) for x in calls if id(x) in pool)
+        assert sum(b.provenance["kind"] == "product" for b in corpus) > len(counts) > 0
+        assert max(counts.values()) == 1
