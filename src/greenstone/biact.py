@@ -47,17 +47,18 @@ are one object (see ``green``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_CLOSURE_CAP,
     FiniteSemigroup,
+    _Frozen,
     _frozen,
     _grid,
     _is_int,
     _labels,
+    _set,
     _shared,
     _translations,
     is_homomorphism,
@@ -73,15 +74,22 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteBiact:
-    left: FiniteSemigroup
-    right: FiniteSemigroup
-    size: int
-    left_action: tuple[tuple[int, ...], ...]   # |S| x size
-    right_action: tuple[tuple[int, ...], ...]  # size x |T|
-    labels: tuple[str, ...]
-    provenance: Mapping = field(default_factory=dict, compare=False, repr=False)
+class FiniteBiact(_Frozen):
+    _fields = ("left", "right", "size", "left_action", "right_action", "labels",
+               "provenance")
+    _hidden = ("provenance",)
+
+    def __init__(self, left: FiniteSemigroup, right: FiniteSemigroup, size: int,
+                 left_action: tuple[tuple[int, ...], ...],
+                 right_action: tuple[tuple[int, ...], ...],
+                 labels: tuple[str, ...], provenance: Optional[Mapping] = None):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "size", size)
+        _set(self, "left_action", left_action)      # |S| x size
+        _set(self, "right_action", right_action)    # size x |T|
+        _set(self, "labels", labels)
+        _set(self, "provenance", {} if provenance is None else provenance)
 
     def act_left(self, s: int, a: int) -> int:
         return self.left_action[s][a]
@@ -100,25 +108,22 @@ class FiniteBiact:
         del self.__dict__[_FILL]
         return self.__dict__[name]
 
-    def __getstate__(self) -> dict:
-        # a part built from its digraphs is copied and pickled with its tables
-        self.left_action
-        return {k: v for k, v in self.__dict__.items() if k != _PAIR}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FiniteBiact(size={self.size}, left={self.left.order}, "
                 f"right={self.right.order})")
 
 
-@dataclass(frozen=True)
-class Subact:
+class Subact(_Frozen):
     """A subset of the carrier closed under both actions.  The derived
     biacts are built on first use and kept, both from the host's digraph
     pair, computed once.  The closure is checked once, on the first
     derived build: a member outside the carrier raises ``BadEntry``, a
     missing image ``NotASubact``."""
-    host: FiniteBiact
-    members: frozenset[int]
+    _fields = ("host", "members")
+
+    def __init__(self, host: FiniteBiact, members: frozenset[int]):
+        _set(self, "host", host)
+        _set(self, "members", members)
 
     @cached_property
     def _closed(self) -> frozenset[int]:

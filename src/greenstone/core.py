@@ -21,12 +21,29 @@ candidates, the public API).  The derived constructors here check only
 their own preconditions (closure, ideal, congruence, degree) and build
 through the unchecked ``_trusted_table``: their output is associative by
 construction.  A differential test re-validates it over the small census.
+
+Value classes.  The engine's nine record classes (``FiniteSemigroup``,
+``SubsetRole`` and ``Congruence`` here, ``FiniteBiact`` and ``Subact`` in
+``biact``, ``_PreorderData``, ``GreenStructure`` and ``GreenIndexResult`` in
+``green``, ``PredicateResult`` in ``props``) are written by hand over one
+small base, ``_Frozen``, with the behaviour frozen dataclasses gave them:
+equality and hashing over the same fields, the same repr, and assignment
+refused with the same message.  Every file command loads these four
+modules, and ``dataclasses`` would bring ``inspect``, ``ast``, ``dis`` and
+``tokenize`` with it, plus the generated methods of nine classes.  On a
+shared 2-vCPU host (Python 3.11) that made ``import greenstone.props``
+about 20 ms slower and ``analyze`` on an order-133 transformation
+semigroup about 34 ms slower, per launch (medians of 30 alternating
+launches).  ``verify`` and ``symbolic`` keep ``dataclasses``: they load
+only under ``verify``, ``probe``, ``catalog`` and ``construct usta/usa``,
+whose runs are far longer than the import, and the benchmark's tracer
+rebuilds ``verify.Claim`` records with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import operator
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -54,12 +71,60 @@ SHARED_TUPLES = 8192
 TRIPLE_SCAN_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    provenance: Mapping = field(default_factory=dict, compare=False, repr=False)
+_set = object.__setattr__    # how an ``__init__`` writes past the refusal
+
+
+class _Frozen:
+    """Frozen value semantics for the engine's record classes, driven by
+    two class attributes: ``_fields``, the constructor's fields in order,
+    and ``_hidden``, those left out of equality, hashing and repr.  Objects
+    are equal when they are of one class and their other fields are equal,
+    and hash as the tuple of those fields; the repr lists them.  Assigning
+    or deleting an attribute is refused.  Copies and pickles are rebuilt
+    through the constructor from ``_fields``.  Each class writes its own
+    ``__init__``, which writes each field with ``_set``, and chooses its own
+    storage: an instance dict, or ``__slots__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+        cls._key = operator.attrgetter(*cls._shown)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class FiniteSemigroup(_Frozen):
+    _fields = ("order", "table", "labels", "provenance")
+    _hidden = ("provenance",)
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...],
+                 labels: tuple[str, ...], provenance: Optional[Mapping] = None):
+        _set(self, "order", order)
+        _set(self, "table", table)
+        _set(self, "labels", labels)
+        _set(self, "provenance", {} if provenance is None else provenance)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -329,11 +394,13 @@ def adjoin(s: FiniteSemigroup, kind: str) -> FiniteSemigroup:
     return _trusted_table(n + 1, table, labels, prov)
 
 
-@dataclass(frozen=True)
-class SubsetRole:
-    host: FiniteSemigroup
-    members: frozenset[int]
-    role: str
+class SubsetRole(_Frozen):
+    _fields = ("host", "members", "role")
+
+    def __init__(self, host: FiniteSemigroup, members: frozenset[int], role: str):
+        _set(self, "host", host)
+        _set(self, "members", members)
+        _set(self, "role", role)
 
 
 _ROLES = ("subsemigroup", "left-ideal", "right-ideal", "ideal", "bi-ideal")
@@ -387,17 +454,20 @@ def is_role(s: FiniteSemigroup, members: Iterable[int], role: str) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(_Frozen):
     """Equivalence compatible with all translations, as block ids per element.
 
     Block ids are dense and numbered by least member, so the partition
     representation is canonical.  ``over`` keeps a reference to the host
     structure the congruence was built on.
     """
-    blocks: tuple[int, ...]
-    size: int
-    over: object = field(default=None, compare=False, repr=False)
+    _fields = ("blocks", "size", "over")
+    _hidden = ("over",)
+
+    def __init__(self, blocks: tuple[int, ...], size: int, over: object = None):
+        _set(self, "blocks", blocks)
+        _set(self, "size", size)
+        _set(self, "over", over)
 
     @property
     def num_blocks(self) -> int:

@@ -39,7 +39,7 @@ name a witness.
 
 The structure depends on nothing but the one-step digraphs.  Each object
 keeps its own in an instance slot, written on first lookup the way
-``functools.cached_property`` writes (outside the dataclass fields, so
+``functools.cached_property`` writes (outside the value fields, so
 equality, hashing and repr are untouched); a later lookup is an attribute
 read and hashes nothing.  Freezing the digraphs is the only per-object
 cost.  Two caches sit behind the slot:
@@ -86,12 +86,11 @@ host's pair once per run and fills the host's slot from it
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .biact import (_PAIR, Digraph, Digraphs, FiniteBiact, _edges, biact_rees_quotient,
                     digraphs, relative_biact)  # ``digraphs`` is re-exported
-from .core import FiniteSemigroup, _DSU, _is_int, _normalize_blocks, _shared
+from .core import FiniteSemigroup, _DSU, _Frozen, _is_int, _normalize_blocks, _set, _shared
 from .errors import BadEntry, InvariantViolation, UnknownClass
 
 PREORDERS = ("L", "R", "J")
@@ -145,14 +144,18 @@ def _sccs(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return comps
 
 
-@dataclass(frozen=True, slots=True)
-class _PreorderData:
-    class_of: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    reach: tuple[int, ...]                    # class -> bitmask of classes <= it
-    covers: tuple[tuple[int, int], ...]       # (upper, lower) covering pairs
-    unconsumed: int                           # classes Kahn's pass left: 0 iff acyclic
-    height: int                               # classes on the longest cover chain
+class _PreorderData(_Frozen):
+    __slots__ = _fields = ("class_of", "classes", "reach", "covers", "unconsumed", "height")
+
+    def __init__(self, class_of: tuple[int, ...], classes: tuple[tuple[int, ...], ...],
+                 reach: tuple[int, ...], covers: tuple[tuple[int, int], ...],
+                 unconsumed: int, height: int):
+        _set(self, "class_of", class_of)
+        _set(self, "classes", classes)
+        _set(self, "reach", reach)              # class -> bitmask of classes <= it
+        _set(self, "covers", covers)            # (upper, lower) covering pairs
+        _set(self, "unconsumed", unconsumed)    # classes Kahn's pass left: 0 iff acyclic
+        _set(self, "height", height)            # classes on the longest cover chain
 
 
 def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
@@ -234,14 +237,25 @@ def _kahn(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return n - seen, height
 
 
-@dataclass(frozen=True)
-class GreenStructure:
-    size: int
-    data: dict            # K in {L,R,J} -> _PreorderData
-    class_of: dict        # K in {L,R,J,H,D} -> tuple elem -> class id
-    classes: dict         # K in {L,R,J,H,D} -> tuple of sorted member tuples
-    left_stable: bool     # no one-step left edge leaves an L-class inside its J-class
-    right_stable: bool    # dually, for right edges and R-classes
+class GreenStructure(_Frozen):
+    """The Green data of one digraph pair.  Slotted: besides its fields it
+    holds one memo, ``_memo``, where ``props`` keeps the answers it decides
+    once per structure; the memo is outside equality, hashing, repr and
+    copies, and a new structure starts without one."""
+    _fields = ("size", "data", "class_of", "classes", "left_stable", "right_stable")
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(self, size: int, data: dict, class_of: dict, classes: dict,
+                 left_stable: bool, right_stable: bool):
+        _set(self, "size", size)
+        _set(self, "data", data)            # K in {L,R,J} -> _PreorderData
+        _set(self, "class_of", class_of)    # K in {L,R,J,H,D} -> tuple elem -> class id
+        _set(self, "classes", classes)      # K in {L,R,J,H,D} -> tuple of sorted member tuples
+        # no one-step left edge leaves an L-class inside its J-class; dually
+        # for right edges and R-classes
+        _set(self, "left_stable", left_stable)
+        _set(self, "right_stable", right_stable)
+        _set(self, "_memo", None)
 
     def le(self, a: int, b: int, k: str) -> bool:
         """Decide a <=_K b for K in {L, R, J}."""
@@ -502,16 +516,22 @@ def soundness_violations(x) -> list[str]:
     return issues
 
 
-@dataclass(frozen=True)
-class GreenIndexResult:
+class GreenIndexResult(_Frozen):
     """Relative H-class census for a subsemigroup T of S."""
-    index: int                       # classes outside T, plus one
-    outside_h_classes: int
-    inside_h_classes: int
-    classes_in_sub: tuple[tuple[int, ...], ...]
-    classes_outside: tuple[tuple[int, ...], ...]
-    quotient_l_classes: int
-    quotient_r_classes: int
+    _fields = ("index", "outside_h_classes", "inside_h_classes", "classes_in_sub",
+               "classes_outside", "quotient_l_classes", "quotient_r_classes")
+
+    def __init__(self, index: int, outside_h_classes: int, inside_h_classes: int,
+                 classes_in_sub: tuple[tuple[int, ...], ...],
+                 classes_outside: tuple[tuple[int, ...], ...],
+                 quotient_l_classes: int, quotient_r_classes: int):
+        _set(self, "index", index)                  # classes outside T, plus one
+        _set(self, "outside_h_classes", outside_h_classes)
+        _set(self, "inside_h_classes", inside_h_classes)
+        _set(self, "classes_in_sub", classes_in_sub)
+        _set(self, "classes_outside", classes_outside)
+        _set(self, "quotient_l_classes", quotient_l_classes)
+        _set(self, "quotient_r_classes", quotient_r_classes)
 
 
 def green_index(s: FiniteSemigroup, sub_members: Iterable[int]) -> GreenIndexResult:

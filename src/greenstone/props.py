@@ -38,10 +38,9 @@ rather than O(n^2) pair tests.
 
 Forms 2-8 of ``left_stable_forms`` and the whole of ``stable_char`` read
 the Green structure alone, so each is decided once per structure and kept
-in the structure's instance dict (``_per_structure``), the way ``green``
-keeps an object's structure in its slot: every object sharing the
-structure reads the kept answer.  A structure copied with
-``dataclasses.replace`` starts with none.  Form 1 is ``left_stable`` of
+in the structure's memo slot (``_per_structure``, ``GreenStructure._memo``):
+every object sharing the structure reads the kept answer.  A structure
+built anew, or copied, starts with none.  Form 1 is ``left_stable`` of
 the object itself.
 """
 
@@ -49,23 +48,24 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import eq, itemgetter, not_
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .biact import FiniteBiact
-from .core import FiniteSemigroup, subsemigroup
+from .core import FiniteSemigroup, _Frozen, _set, subsemigroup
 from .errors import InvariantViolation
 from .green import GreenStructure, _bits, green_structure
 
 Structure = Union[FiniteSemigroup, FiniteBiact]
 
 
-@dataclass(frozen=True)
-class PredicateResult:
-    value: Optional[bool]            # None means inconclusive
-    method: str
-    witness: Any = None
+class PredicateResult(_Frozen):
+    _fields = ("value", "method", "witness")
+
+    def __init__(self, value: Optional[bool], method: str, witness: Any = None):
+        _set(self, "value", value)          # None means inconclusive
+        _set(self, "method", method)
+        _set(self, "witness", witness)
 
     @property
     def status(self) -> str:
@@ -186,15 +186,19 @@ def _mask_union(masks, classes: int) -> int:
 
 def _per_structure(decide: Callable[[GreenStructure], Any]) -> Callable[[GreenStructure], Any]:
     """``decide(gs)``, which must read nothing but the Green structure, made
-    once per structure and kept in its instance dict under the function's
-    name, outside the dataclass fields (as ``green`` keeps an object's
-    structure in its slot)."""
+    once per structure and kept in its memo slot under the function's name,
+    outside the structure's fields."""
+    name = decide.__name__
+
     @functools.wraps(decide)
     def kept(gs: GreenStructure):
-        slots = gs.__dict__
-        if decide.__name__ not in slots:
-            slots[decide.__name__] = decide(gs)
-        return slots[decide.__name__]
+        memo = gs._memo
+        if memo is None:
+            memo = {}
+            _set(gs, "_memo", memo)
+        if name not in memo:
+            memo[name] = decide(gs)
+        return memo[name]
     return kept
 
 

@@ -78,6 +78,7 @@ from .biact import (
     Digraphs,
     FiniteBiact,
     Subact,
+    _PAIR,
     _block_quotient,
     _collapse,
     _restrict,
@@ -342,12 +343,14 @@ class Env:
 
     def _freeze(self, hosts: list) -> list:
         """Freeze each host's one-step digraph pair, once per ``Env``, and
-        intern it, so that equal pairs share one tuple.  The host's Green
-        slot is filled from it at once (``green._fill_slot``), unless the
-        host already holds a structure: the pool semigroups are shared
-        across ``Env``s."""
+        intern it, so that equal pairs share one tuple.  A derived host (a
+        random corpus part, ``biact._derived``) carries its pair, which is
+        taken as it is, not recomputed from its tables, which would fill
+        them.  The host's Green slot is filled from the pair at once
+        (``green._fill_slot``), unless the host already holds a structure:
+        the pool semigroups are shared across ``Env``s."""
         for x in hosts:
-            pair = digraphs(x)
+            pair = vars(x).get(_PAIR) or digraphs(x)
             pair = self._pairs[id(x)] = self._interned.setdefault(pair, pair)
             _fill_slot(x, pair)
         return hosts

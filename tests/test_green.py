@@ -297,7 +297,7 @@ class TestObjectSlot:
 
     def test_lookup_changes_no_identity(self):
         for x in (t2(), ba.regular_biact(t2()), random_biact_corpus(1, "slot")[0]):
-            twin = type(x)(**{f: getattr(x, f) for f in x.__dataclass_fields__})
+            twin = type(x)(**{f: getattr(x, f) for f in x._fields})
             before = (hash(x), repr(x), x == twin, hash(twin) == hash(x))
             green.green_structure(x)
             assert (hash(x), repr(x), x == twin, hash(twin) == hash(x)) == before
@@ -511,6 +511,28 @@ class TestCopies:
                 assert twin == x and green.green_structure(twin) == gs
             for twin in (copy.deepcopy(gs), pickle.loads(pickle.dumps(gs))):
                 assert twin == gs
+
+    def test_every_value_class_survives_copy_and_pickle(self):
+        # the slotted classes too, which a frozen class must rebuild itself
+        # where the Python (3.10) has no object.__getstate__
+        from greenstone import props
+
+        s = t3()
+        gs = green.green_structure(s)
+        props.stable_char(s)                      # a structure with a memo
+        ideal = next(c for c in gs.classes["J"] if core.is_role(s, c, "ideal"))
+        biact = ba.validate_biact(core.validate_table(2, Z2), core.validate_table(1, [[0]]),
+                                  [[0, 1], [1, 0]], [[0], [1]])
+        values = [s, core.classify_subset(s, ideal, "ideal"),
+                  core.congruence_closure(s, [(0, 1)]), biact,
+                  ba.subact_closure(ba.regular_biact(t2()), [0]).sub,
+                  ba.subact_closure(biact, [0]), gs.data["J"], gs, green.green_index(s, ideal),
+                  props.stable(s), props.retract(s, ideal)]
+        assert len({type(x) for x in values}) == 9
+        for x in values:
+            for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(twin) is type(x) and twin == x
+        assert copy.copy(gs)._memo is None
 
 
 class TestStabilityVerdict:
