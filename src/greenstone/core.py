@@ -36,8 +36,8 @@ about 20 ms slower and ``analyze`` on an order-133 transformation
 semigroup about 34 ms slower, per launch (medians of 30 alternating
 launches).  ``verify`` and ``symbolic`` keep ``dataclasses``: they load
 only under ``verify``, ``probe``, ``catalog`` and ``construct usta/usa``,
-whose runs are far longer than the import, and the benchmark's tracer
-rebuilds ``verify.Claim`` records with ``dataclasses.replace``.
+and the benchmark's tracer rebuilds ``verify.Claim`` records with
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
