@@ -26,18 +26,18 @@ Value classes.  The engine's nine record classes (``FiniteSemigroup``,
 ``SubsetRole`` and ``Congruence`` here, ``FiniteBiact`` and ``Subact`` in
 ``biact``, ``_PreorderData``, ``GreenStructure`` and ``GreenIndexResult`` in
 ``green``, ``PredicateResult`` in ``props``) are written by hand over one
-small base, ``_Frozen``, with the behaviour frozen dataclasses gave them:
-equality and hashing over the same fields, the same repr, and assignment
-refused with the same message.  Every file command loads these four
-modules, and ``dataclasses`` would bring ``inspect``, ``ast``, ``dis`` and
-``tokenize`` with it, plus the generated methods of nine classes.  On a
-shared 2-vCPU host (Python 3.11) that made ``import greenstone.props``
-about 20 ms slower and ``analyze`` on an order-133 transformation
-semigroup about 34 ms slower, per launch (medians of 30 alternating
-launches).  ``verify`` and ``symbolic`` keep ``dataclasses``: they load
-only under ``verify``, ``probe``, ``catalog`` and ``construct usta/usa``,
-and the benchmark's tracer rebuilds ``verify.Claim`` records with
-``dataclasses.replace``.
+small base, ``_Frozen``, with the behaviour they had as frozen data
+classes: equality and hashing over the same fields, the same repr, and
+assignment refused with the same message.  Every file command loads these
+four modules, and the standard library's data-class module would bring
+``inspect``, ``ast``, ``dis`` and ``tokenize`` with it, plus the generated
+methods of nine classes.  On a shared 2-vCPU host (Python 3.11) that made
+``import greenstone.props`` about 20 ms slower and ``analyze`` on an
+order-133 transformation semigroup about 34 ms slower, per launch
+(medians of 30 alternating launches).  ``verify`` and ``symbolic`` keep
+that module: they load only under ``verify``, ``probe``, ``catalog`` and
+``construct usta/usa``, and the benchmark's tracer rebuilds
+``verify.Claim`` records with its ``replace``.
 """
 
 from __future__ import annotations
