@@ -78,10 +78,9 @@ def cmd_analyze(args) -> int:
     if isinstance(obj, FiniteSemigroup):
         print(f"group-bound: {bool(group_bound(obj))}")
         # the principal ideal of x is the down-set of its J-class
-        gs = green_structure(obj)
-        members = gs.classes["J"]
-        principal = sorted(tuple(sorted(y for c in _bits(reach) for y in members[c]))
-                           for reach in gs.data["J"].reach)
+        j = green_structure(obj).relation("J")
+        principal = sorted(tuple(sorted(y for c in _bits(reach) for y in j.classes[c]))
+                           for reach in j.reach)
         rendered = ["{" + ",".join(map(str, ideal)) + "}" for ideal in principal]
         print(f"principal ideals: {' '.join(rendered)}")
     return EXIT_OK

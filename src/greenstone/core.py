@@ -22,29 +22,42 @@ their own preconditions (closure, ideal, congruence, degree) and build
 through the unchecked ``_trusted_table``: their output is associative by
 construction.  A differential test re-validates it over the small census.
 
-Value classes.  The engine's nine record classes (``FiniteSemigroup``,
+Value classes.  The engine's ten record classes (``FiniteSemigroup``,
 ``SubsetRole`` and ``Congruence`` here, ``FiniteBiact`` and ``Subact`` in
-``biact``, ``_PreorderData``, ``GreenStructure`` and ``GreenIndexResult`` in
-``green``, ``PredicateResult`` in ``props``) are written by hand over one
-small base, ``_Frozen``, with the behaviour they had as frozen data
-classes: equality and hashing over the same fields, the same repr, and
-assignment refused with the same message.  Every file command loads these
-four modules, and the standard library's data-class module would bring
-``inspect``, ``ast``, ``dis`` and ``tokenize`` with it, plus the generated
-methods of nine classes.  On a shared 2-vCPU host (Python 3.11) that made
+``biact``, ``_Partition``, ``_PreorderData``, ``GreenStructure`` and
+``GreenIndexResult`` in ``green``, ``PredicateResult`` in ``props``) are
+written by hand over one small base, ``_Frozen``, with the behaviour they
+had as frozen data classes: equality and hashing over the same fields, the
+same repr, and assignment refused with the same message.  Every file
+command loads these four modules, and the standard library's data-class
+module would bring ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it,
+plus the generated methods of nine classes.  On a shared 2-vCPU host (Python 3.11) that made
 ``import greenstone.props`` about 20 ms slower and ``analyze`` on an
 order-133 transformation semigroup about 34 ms slower, per launch
 (medians of 30 alternating launches).  ``verify`` and ``symbolic`` keep
 that module: they load only under ``verify``, ``probe``, ``catalog`` and
 ``construct usta/usa``, and the benchmark's tracer rebuilds
 ``verify.Claim`` records with its ``replace``.
+
+Memos.  The engine's value-keyed memos are one type, ``_Memo``: a plain
+dict under a bound, which evicts its oldest key first and counts its
+misses for ``cache_info()``.  There are four, each bounded by a module
+constant: the tuple intern ``_shared`` here (``SHARED_TUPLES``), the
+preorder and Green-structure memos of ``green`` (3 x 4,096 and 4,096) and
+the rewrite steps of ``symbolic.oracle_le`` (4,096).  A hit is a dict
+lookup in C.  Counting hits takes a Python ``__call__``, which the two
+``green`` memos pay (``_CountedMemo``: 27,000 calls in the seed-0 claim
+suite, and the benchmark reads their hit rate), and the intern and the
+rewrite steps do not: they take about 300,000 calls there, and a Python
+call on each made the claim suite's launches about 10% slower in CPU time
+(medians of 12 alternating launches per side, shared 2-vCPU host).
 """
 
 from __future__ import annotations
 
-import functools
 import operator
-from typing import Iterable, Mapping, Optional, Sequence
+from collections import namedtuple
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadEntry,
@@ -276,12 +289,72 @@ def _frozen(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
-@functools.lru_cache(maxsize=SHARED_TUPLES)
-def _shared(t: tuple) -> tuple:
-    """The first-seen tuple equal to ``t``, among the last ``SHARED_TUPLES``
-    distinct ones asked for, else ``t`` itself: equal tuples that the Green
-    engine freezes and keeps become one object."""
-    return t
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Memo(dict):
+    """A bounded memo of the one-argument function ``fn``: a plain dict from
+    key to value.  ``memo(key)`` is the dict lookup itself, in C; a miss
+    (``__missing__``) counts, computes ``fn(key)`` and keeps it.  At most
+    ``maxsize`` keys are kept: a key that arrives when the memo is full
+    evicts the oldest kept key first, in insertion order.  ``cache_info()``
+    (hits, misses, bound, size) and ``cache_clear()`` read and reset it as
+    they do a ``functools.lru_cache``, but its hits read None: a lookup in C
+    counts nothing (``_CountedMemo`` counts them).  An entry costs its dict
+    slot alone, where an ``lru_cache`` entry also holds a link node and,
+    for a tuple argument, a one-tuple key."""
+
+    __slots__ = ("fn", "maxsize", "misses")
+    __call__ = dict.__getitem__
+
+    def __init__(self, fn: Callable, maxsize: int):
+        self.fn = fn
+        self.maxsize = maxsize
+        self.misses = 0
+
+    def __missing__(self, key):
+        self.misses += 1
+        value = self.fn(key)
+        if len(self) >= self.maxsize:
+            del self[next(iter(self))]
+        self[key] = value
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(None, self.misses, self.maxsize, len(self))
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.misses = 0
+
+
+class _CountedMemo(_Memo):
+    """A ``_Memo`` that also counts its hits, in a Python ``__call__``: for
+    a memo whose hit rate is read and whose calls are few enough that the
+    count costs nothing measurable (``green``'s two memos)."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, fn: Callable, maxsize: int):
+        super().__init__(fn, maxsize)
+        self.calls = 0
+
+    def __call__(self, key):
+        self.calls += 1
+        return self[key]
+
+    def cache_info(self) -> _CacheInfo:
+        return super().cache_info()._replace(hits=self.calls - self.misses)
+
+    def cache_clear(self) -> None:
+        super().cache_clear()
+        self.calls = 0
+
+
+# The first-seen tuple equal to ``t``, among the last ``SHARED_TUPLES``
+# distinct ones kept, else ``t`` itself: equal tuples that the Green engine
+# freezes and keeps become one object.
+_shared = _Memo(lambda t: t, SHARED_TUPLES)
 
 
 def _trusted_table(order: int, table: Sequence[Sequence[int]],

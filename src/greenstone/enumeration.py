@@ -38,7 +38,6 @@ from .core import (
     generate_from_transformations,
     opposite,
     quotient,
-    scan_triples,
     subset_closure,
     validate_table,
 )
@@ -168,19 +167,6 @@ def all_semigroups(n: int) -> list[FiniteSemigroup]:
     return [_trusted_table(n, tbl, _default_labels(n),
                            {"kind": "table", "census": f"order {n}"})
             for tbl in _orderly_tables(n)]
-
-
-def brute_force_semigroup_count(n: int) -> int:
-    """Independent oracle: filter every table by a full triple scan, then
-    count canonical forms.  Only sensible for n <= 3."""
-    if n > 3:
-        raise CapExceeded("the dumb oracle scans n^(n^2) tables; use n <= 3")
-    seen: set[tuple] = set()
-    for flat in itertools.product(range(n), repeat=n * n):
-        table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-        if scan_triples(n, table) is None:
-            seen.add(canonical_table(n, table))
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -42,20 +42,28 @@ keeps its own in an instance slot, written on first lookup the way
 ``functools.cached_property`` writes (outside the value fields, so
 equality, hashing and repr are untouched); a later lookup is an attribute
 read and hashes nothing.  Freezing the digraphs is the only per-object
-cost.  Two caches sit behind the slot:
+cost.  Two memos sit behind the slot, each a bounded
+``core._CountedMemo`` (a plain dict that evicts its oldest key first when
+full, and counts its hits and misses for ``cache_info()``):
 
-- the pair cache (``_green_structure_cached``), keyed on the ``(left,
-  right)`` digraph pair, is the one caller of the builder: objects with
-  equal digraphs -- relabelled copies, a semigroup and its regular biact,
-  equal subacts or quotients of different hosts -- share one structure,
-  and generator mode, which keeps no slot, lands in the same cache;
-- the preorder cache (``_preorder_cached``), keyed on one digraph, is the
-  one caller of ``_preorder_data``: a build takes its L and R data from
-  it, and its J data keyed on the union of the two digraphs, so pairs
-  that agree on one side decide that side's preorder once.  H, D, the
-  stability verdicts and the egg-box check are made per build.  The
-  preorder data are frozen and hold only tuples, so structures share
-  them safely.
+- the pair memo (``_green_structure_cached``, 4,096 pairs), keyed on the
+  ``(left, right)`` digraph pair, is the one caller of the builder:
+  objects with equal digraphs -- relabelled copies, a semigroup and its
+  regular biact, equal subacts or quotients of different hosts -- share
+  one structure, and generator mode, which keeps no slot, lands in the
+  same memo; its misses are the builds;
+- the preorder memo (``_preorder_cached``, 3 x 4,096 digraphs), keyed on
+  one digraph, is the one caller of ``_preorder_data``: a build takes its
+  L and R data from it, and its J data keyed on the union of the two
+  digraphs, so pairs that agree on one side decide that side's preorder
+  once.  H, D, the stability verdicts and the egg-box check are made per
+  build.  The preorder data are frozen and hold only tuples, so
+  structures share them safely.
+
+A structure holds no dict: its five relations sit in one tuple slot (L, R
+and J as their preorder data, H and D as ``_Partition``s), read through
+``GreenStructure.relation``, and the answers ``props`` keeps per structure
+sit in two more slots.
 
 Equal tuples are one object.  Each tuple a build keeps passes through
 ``core._shared``, a bounded intern that hands back the first-seen equal
@@ -65,11 +73,11 @@ each cover pair, the H and D ``class_of`` tuples, and the successor
 tuples of the J union (a union equal to the left or the right digraph is
 handed over as that digraph).  ``biact`` passes every successor tuple of
 a digraph pair through it too.  The intern holds at most
-``core.SHARED_TUPLES`` (8,192) distinct tuples and drops the least
-recently asked for first; the seed-0 claim suite meets 2,013 and the
-suite at max-order 4 5,178, so neither drops any.  Values, class ids and
-outputs are unchanged.  The seed-0 suite keeps 2,366 structures, and
-sharing their tuples takes its peak RSS from about 28 to 24 MB.
+``core.SHARED_TUPLES`` (8,192) distinct tuples and drops the oldest kept
+first; the seed-0 claim suite meets 2,013 and the suite at max-order 4
+5,178, so neither drops any.  Values, class ids and outputs are
+unchanged.  The seed-0 suite keeps 2,366 structures, and sharing their
+tuples takes its peak RSS from about 28 to 24 MB.
 
 ``biact.digraphs`` hands out the pair without storing it, for callers
 that key their own memos on it.
@@ -85,12 +93,12 @@ host's pair once per run and fills the host's slot from it
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .biact import (_PAIR, Digraph, Digraphs, FiniteBiact, _edges, biact_rees_quotient,
                     digraphs, relative_biact)  # ``digraphs`` is re-exported
-from .core import FiniteSemigroup, _DSU, _Frozen, _is_int, _normalize_blocks, _set, _shared
+from .core import (FiniteSemigroup, _CountedMemo, _DSU, _Frozen, _is_int, _normalize_blocks,
+                   _set, _shared)
 from .errors import BadEntry, InvariantViolation, UnknownClass
 
 PREORDERS = ("L", "R", "J")
@@ -144,18 +152,33 @@ def _sccs(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return comps
 
 
-class _PreorderData(_Frozen):
-    __slots__ = _fields = ("class_of", "classes", "reach", "covers", "unconsumed", "height")
+class _Partition(_Frozen):
+    """The classes of one relation: ``class_of`` maps an element to its
+    class id, ``classes`` lists each class's sorted members."""
+    __slots__ = _fields = ("class_of", "classes")
+
+    def __init__(self, class_of: tuple[int, ...], classes: tuple[tuple[int, ...], ...]):
+        _set(self, "class_of", class_of)
+        _set(self, "classes", classes)
+
+
+class _PreorderData(_Partition):
+    """The classes of one preorder and their poset."""
+    __slots__ = ("reach", "covers", "unconsumed", "height")
+    _fields = _Partition._fields + __slots__
 
     def __init__(self, class_of: tuple[int, ...], classes: tuple[tuple[int, ...], ...],
                  reach: tuple[int, ...], covers: tuple[tuple[int, int], ...],
                  unconsumed: int, height: int):
-        _set(self, "class_of", class_of)
-        _set(self, "classes", classes)
+        super().__init__(class_of, classes)
         _set(self, "reach", reach)              # class -> bitmask of classes <= it
         _set(self, "covers", covers)            # (upper, lower) covering pairs
         _set(self, "unconsumed", unconsumed)    # classes Kahn's pass left: 0 iff acyclic
         _set(self, "height", height)            # classes on the longest cover chain
+
+    def le(self, a: int, b: int) -> bool:
+        """Decide a <= b in this preorder."""
+        return bool(self.reach[self.class_of[b]] >> self.class_of[a] & 1)
 
 
 def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
@@ -238,56 +261,75 @@ def _kahn(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 class GreenStructure(_Frozen):
-    """The Green data of one digraph pair.  Slotted: besides its fields it
-    holds one memo, ``_memo``, where ``props`` keeps the answers it decides
-    once per structure; the memo is outside equality, hashing, repr and
-    copies, and a new structure starts without one."""
+    """The Green data of one digraph pair.  Slotted, and it holds no dict:
+    its relations sit in one slot, the tuple ``_relations`` in
+    ``RELATIONS`` order (L, R and J as their preorder data, H and D as
+    partitions), and ``relation(k)`` reads one; a loop over one relation
+    reads it once and asks it directly (``_PreorderData.le``).  The
+    constructor's ``data``, ``class_of`` and ``classes`` fields are read
+    back as dicts built on each read, for equality, repr, copies and
+    callers outside the engine; no engine path reads them.  Two more slots
+    (``_KEPT``) keep the answers ``props`` decides once per structure: None
+    until decided, outside equality, hashing, repr and copies, so a new
+    structure starts without them."""
     _fields = ("size", "data", "class_of", "classes", "left_stable", "right_stable")
-    __slots__ = _fields + ("_memo",)
+    _KEPT = ("_relation_forms", "_stable_char")
+    __slots__ = ("size", "_relations", "left_stable", "right_stable") + _KEPT
 
     def __init__(self, size: int, data: dict, class_of: dict, classes: dict,
                  left_stable: bool, right_stable: bool):
         _set(self, "size", size)
-        _set(self, "data", data)            # K in {L,R,J} -> _PreorderData
-        _set(self, "class_of", class_of)    # K in {L,R,J,H,D} -> tuple elem -> class id
-        _set(self, "classes", classes)      # K in {L,R,J,H,D} -> tuple of sorted member tuples
+        # data: K in {L,R,J} -> _PreorderData; class_of: K in {L,R,J,H,D} ->
+        # tuple elem -> class id; classes: K -> tuple of sorted member tuples.
+        # L, R and J keep their classes once, in their preorder data.
+        for k in PREORDERS:
+            if (class_of[k], classes[k]) != (data[k].class_of, data[k].classes):
+                raise ValueError(f"the {k} classes differ from the {k} preorder data")
+        _set(self, "_relations", tuple([data[k] for k in PREORDERS]
+                                       + [_Partition(class_of[k], classes[k]) for k in "HD"]))
         # no one-step left edge leaves an L-class inside its J-class; dually
         # for right edges and R-classes
         _set(self, "left_stable", left_stable)
         _set(self, "right_stable", right_stable)
-        _set(self, "_memo", None)
+        for name in self._KEPT:
+            _set(self, name, None)
 
-    def le(self, a: int, b: int, k: str) -> bool:
-        """Decide a <=_K b for K in {L, R, J}."""
+    data = property(lambda self: dict(zip(PREORDERS, self._relations)))
+    class_of = property(lambda self: {k: r.class_of for k, r in zip(RELATIONS, self._relations)})
+    classes = property(lambda self: {k: r.classes for k, r in zip(RELATIONS, self._relations)})
+
+    def relation(self, k: str) -> _Partition:
+        """The classes of K in {L, R, J, H, D}: for L, R and J its preorder
+        data, which also hold the class poset."""
         try:
-            d = self.data[k]
+            return self._relations[_RELATION[k]]
         except KeyError:
-            raise _not_a_preorder(k) from None
-        return bool(d.reach[d.class_of[b]] >> d.class_of[a] & 1)
+            raise _not_a_relation(k) from None
 
     def _preorder(self, k: str) -> _PreorderData:
         try:
-            return self.data[k]
+            return self._relations[_PREORDER[k]]
         except KeyError:
             raise _not_a_preorder(k) from None
 
+    def le(self, a: int, b: int, k: str) -> bool:
+        """Decide a <=_K b for K in {L, R, J}."""
+        return self._preorder(k).le(a, b)
+
     def same(self, a: int, b: int, k: str) -> bool:
         try:
-            of = self.class_of[k]
+            of = self._relations[_RELATION[k]].class_of
         except KeyError:
             raise _not_a_relation(k) from None
         return of[a] == of[b]
 
     def num_classes(self, k: str) -> int:
-        try:
-            return len(self.classes[k])
-        except KeyError:
-            raise _not_a_relation(k) from None
+        return len(self.relation(k).classes)
 
     def class_members(self, k: str, cls: int) -> tuple[int, ...]:
         if not 0 <= cls < self.num_classes(k):
             raise UnknownClass(f"{k}-class {cls} does not exist")
-        return self.classes[k][cls]
+        return self.relation(k).classes[cls]
 
     def covers(self, k: str) -> tuple[tuple[int, int], ...]:
         return self._preorder(k).covers
@@ -305,12 +347,13 @@ class GreenStructure(_Frozen):
         are L-classes (each sorted by class id)."""
         if not (0 <= d_class < self.num_classes("D")):
             raise UnknownClass(f"D-class {d_class} does not exist")
-        members = self.classes["D"][d_class]
-        rows = sorted({self.class_of["R"][x] for x in members})
-        cols = sorted({self.class_of["L"][x] for x in members})
+        members = self.relation("D").classes[d_class]
+        r_of, l_of = self.relation("R").class_of, self.relation("L").class_of
+        rows = sorted({r_of[x] for x in members})
+        cols = sorted({l_of[x] for x in members})
         cell: dict[tuple[int, int], list[int]] = {}
         for x in members:
-            cell.setdefault((self.class_of["R"][x], self.class_of["L"][x]), []).append(x)
+            cell.setdefault((r_of[x], l_of[x]), []).append(x)
         grid = []
         for r in rows:
             line = []
@@ -326,14 +369,20 @@ class GreenStructure(_Frozen):
     def to_json(self) -> dict:
         out: dict = {"size": self.size}
         for k in RELATIONS:
+            rel = self.relation(k)
             entry: dict = {
-                "class_of": list(self.class_of[k]),
-                "classes": [list(c) for c in self.classes[k]],
+                "class_of": list(rel.class_of),
+                "classes": [list(c) for c in rel.classes],
             }
             if k in PREORDERS:
-                entry["covers"] = [list(e) for e in self.data[k].covers]
+                entry["covers"] = [list(e) for e in rel.covers]
             out[k] = entry
         return out
+
+
+# each relation's index into ``GreenStructure._relations``
+_RELATION = {k: i for i, k in enumerate(RELATIONS)}
+_PREORDER = {k: _RELATION[k] for k in PREORDERS}
 
 
 def _not_a_preorder(k: str) -> ValueError:
@@ -344,10 +393,9 @@ def _not_a_relation(k: str) -> ValueError:
     return ValueError(f"Green relations are L, R, J, H, D; got {k!r}")
 
 
-@functools.lru_cache(maxsize=3 * 4096)    # three digraphs per cached structure
-def _preorder_cached(succ: Digraph) -> _PreorderData:
-    """Keyed on one frozen digraph: the one caller of ``_preorder_data``."""
-    return _preorder_data(len(succ), succ)
+# keyed on one frozen digraph: the one caller of ``_preorder_data``; three
+# digraphs per kept structure
+_preorder_cached = _CountedMemo(lambda succ: _preorder_data(len(succ), succ), 3 * 4096)
 
 
 def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
@@ -415,10 +463,8 @@ def _members(size: int, class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return _shared(tuple([_shared(tuple(c)) for c in out]))
 
 
-@functools.lru_cache(maxsize=4096)
-def _green_structure_cached(left: Digraph, right: Digraph) -> GreenStructure:
-    """Keyed on the digraphs: the one caller of ``_build``."""
-    return _build(len(left), left, right)
+# keyed on the (left, right) digraph pair: the one caller of ``_build``
+_green_structure_cached = _CountedMemo(lambda pair: _build(len(pair[0]), *pair), 4096)
 
 
 _SLOT = "_green_structure"    # the instance-dict key of an object's structure
@@ -438,11 +484,11 @@ def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
         gens = x.generator_ids()
         if gens is None:
             raise ValueError("semigroup carries no generator record")
-        return _green_structure_cached(*_edges(x, gens))
+        return _green_structure_cached(_edges(x, gens))
     slots = x.__dict__
     gs = slots.get(_SLOT)
     if gs is None:
-        gs = slots[_SLOT] = _green_structure_cached(*(slots.pop(_PAIR, None) or _edges(x)))
+        gs = slots[_SLOT] = _green_structure_cached(slots.pop(_PAIR, None) or _edges(x))
     return gs
 
 
@@ -455,7 +501,7 @@ def _fill_slot(x: Union[FiniteSemigroup, FiniteBiact], pair: Digraphs) -> None:
     slots = x.__dict__
     if _SLOT not in slots:
         slots.pop(_PAIR, None)
-        slots[_SLOT] = _green_structure_cached(*pair)
+        slots[_SLOT] = _green_structure_cached(pair)
 
 
 def le(x, a: int, b: int, k: str) -> bool:
@@ -475,45 +521,6 @@ def eggbox(x, d_class: int) -> list[list[tuple[int, ...]]]:
 def class_counts(x) -> dict[str, int]:
     gs = green_structure(x)
     return {k: gs.num_classes(k) for k in RELATIONS}
-
-
-def soundness_violations(x) -> list[str]:
-    """Structural sanity of the computed Green data; empty when sound.
-
-    Checks H = L meet R, the containments L, R, D inside J, antisymmetry
-    of the class posets, and that reflexivity/transitivity of the le
-    oracle agree with the class data.
-    """
-    gs = green_structure(x)
-    n = gs.size
-    issues = []
-    for a in range(n):
-        for b in range(n):
-            if (gs.same(a, b, "H")
-                    != (gs.same(a, b, "L") and gs.same(a, b, "R"))):
-                issues.append(f"H != L meet R at ({a},{b})")
-            for k in ("L", "R", "D"):
-                if gs.same(a, b, k) and not gs.same(a, b, "J"):
-                    issues.append(f"{k} not inside J at ({a},{b})")
-            for k in PREORDERS:
-                if gs.same(a, b, k) != (gs.le(a, b, k) and gs.le(b, a, k)):
-                    issues.append(f"{k}-class disagrees with mutual le at ({a},{b})")
-    # D = L o R = R o L, elementwise
-    for a in range(n):
-        for b in range(n):
-            lr = any(gs.same(a, c, "L") and gs.same(c, b, "R") for c in range(n))
-            rl = any(gs.same(a, c, "R") and gs.same(c, b, "L") for c in range(n))
-            if lr != rl:
-                issues.append(f"L o R != R o L at ({a},{b})")
-            if lr != gs.same(a, b, "D"):
-                issues.append(f"D != L o R at ({a},{b})")
-    for k in PREORDERS:
-        d = gs.data[k]
-        for c in range(gs.num_classes(k)):
-            for e in range(gs.num_classes(k)):
-                if c != e and d.reach[c] >> e & 1 and d.reach[e] >> c & 1:
-                    issues.append(f"{k}-class poset has a 2-cycle ({c},{e})")
-    return issues
 
 
 class GreenIndexResult(_Frozen):
@@ -544,7 +551,7 @@ def green_index(s: FiniteSemigroup, sub_members: Iterable[int]) -> GreenIndexRes
     rel = relative_biact(s, members)
     gs = green_structure(rel)
     inside, outside = [], []
-    for cls in gs.classes["H"]:
+    for cls in gs.relation("H").classes:
         flags = {x in members for x in cls}
         if len(flags) != 1:
             raise InvariantViolation(f"relative H-class {cls} straddles the subsemigroup")
@@ -567,7 +574,7 @@ def poset_dot(x, k: str) -> str:
     covers = gs.covers(k)
     lines = [f"digraph {k}_classes {{", "  rankdir=BT;"]
     for c in range(gs.num_classes(k)):
-        members = ",".join(str(m) for m in gs.classes[k][c])
+        members = ",".join(str(m) for m in gs.class_members(k, c))
         lines.append(f'  {k}{c} [label="{k}{c} {{{members}}}"];')
     for upper, lower in covers:
         lines.append(f"  {k}{lower} -> {k}{upper};")

@@ -38,10 +38,10 @@ rather than O(n^2) pair tests.
 
 Forms 2-8 of ``left_stable_forms`` and the whole of ``stable_char`` read
 the Green structure alone, so each is decided once per structure and kept
-in the structure's memo slot (``_per_structure``, ``GreenStructure._memo``):
-every object sharing the structure reads the kept answer.  A structure
-built anew, or copied, starts with none.  Form 1 is ``left_stable`` of
-the object itself.
+in a slot of the structure named after it (``_per_structure``,
+``GreenStructure._KEPT``): every object sharing the structure reads the
+kept answer.  A structure built anew, or copied, starts with none.  Form 1
+is ``left_stable`` of the object itself.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def minimal_condition(x: Structure, k: str) -> PredicateResult:
     """
     if k not in _MINIMAL:
         raise ValueError(f"minimal conditions exist for L, R, J; got {k!r}")
-    left = green_structure(x).data[k].unconsumed
+    left = green_structure(x).relation(k).unconsumed
     if not left:
         return _MINIMAL[k]
     return PredicateResult(False, method=f"acyclic {k}-class condensation",
@@ -161,12 +161,13 @@ def _relation_masks(gs: GreenStructure, n: int):
     """The relations <=_L, J, L and >=_J as one bitmask per element b: the
     set of elements a with (a, b) in the relation, read off the class
     member masks and the class ``reach`` masks."""
-    l_of, j_of = gs.class_of["L"], gs.class_of["J"]
-    l_members = [sum(1 << x for x in c) for c in gs.classes["L"]]
-    j_members = [sum(1 << x for x in c) for c in gs.classes["J"]]
-    down_l = [_mask_union(l_members, r) for r in gs.data["L"].reach]
+    lrel, jrel = gs.relation("L"), gs.relation("J")
+    l_of, j_of = lrel.class_of, jrel.class_of
+    l_members = [sum(1 << x for x in c) for c in lrel.classes]
+    j_members = [sum(1 << x for x in c) for c in jrel.classes]
+    down_l = [_mask_union(l_members, r) for r in lrel.reach]
     up_j = [0] * len(j_members)      # class d -> members of the classes >=_J d
-    for c, r in enumerate(gs.data["J"].reach):
+    for c, r in enumerate(jrel.reach):
         for d in _bits(r):
             up_j[d] |= j_members[c]
     le_l = [down_l[l_of[b]] for b in range(n)]
@@ -185,20 +186,21 @@ def _mask_union(masks, classes: int) -> int:
 
 
 def _per_structure(decide: Callable[[GreenStructure], Any]) -> Callable[[GreenStructure], Any]:
-    """``decide(gs)``, which must read nothing but the Green structure, made
-    once per structure and kept in its memo slot under the function's name,
-    outside the structure's fields."""
+    """``decide(gs)``, which must read nothing but the Green structure and
+    never answers None, made once per structure and kept in the structure's
+    slot of the function's name (``GreenStructure._KEPT``), outside its
+    fields."""
     name = decide.__name__
+    if name not in GreenStructure._KEPT:
+        raise TypeError(f"GreenStructure has no slot to keep {name!r}")
 
     @functools.wraps(decide)
     def kept(gs: GreenStructure):
-        memo = gs._memo
-        if memo is None:
-            memo = {}
-            _set(gs, "_memo", memo)
-        if name not in memo:
-            memo[name] = decide(gs)
-        return memo[name]
+        value = getattr(gs, name)
+        if value is None:
+            value = decide(gs)
+            _set(gs, name, value)
+        return value
     return kept
 
 
@@ -235,8 +237,9 @@ def _relation_forms(gs: GreenStructure) -> tuple[bool, bool, bool, bool, bool, b
 
     # L-classes grouped by the J-class containing them
     by_j: dict[int, list[int]] = {}
-    for lcls, members in enumerate(gs.classes["L"]):
-        by_j.setdefault(gs.class_of["J"][members[0]], []).append(lcls)
+    j_of = gs.relation("J").class_of
+    for lcls, members in enumerate(gs.relation("L").classes):
+        by_j.setdefault(j_of[members[0]], []).append(lcls)
 
     def strictly_below(c: int, d: int) -> bool:
         return gs.class_le(c, d, "L") and not gs.class_le(d, c, "L")
@@ -266,17 +269,20 @@ def stable_char(x: Structure) -> PredicateResult:
 @_per_structure
 def _stable_char(gs: GreenStructure) -> PredicateResult:
     n = gs.size
-    if tuple(gs.class_of["D"]) != tuple(gs.class_of["J"]):
+    le_l, le_r = gs.relation("L").le, gs.relation("R").le
+    l_of, r_of, h_of = (gs.relation(k).class_of for k in "LRH")
+    if gs.relation("D").class_of != gs.relation("J").class_of:
         return PredicateResult(False, method="D=J and trace conditions",
                                witness={"reason": "D != J"})
     for e in range(n):
         for f in range(n):
-            lhs = gs.le(e, f, "L") and gs.same(e, f, "R")
-            if lhs != gs.same(e, f, "H"):
+            same_h = h_of[e] == h_of[f]
+            lhs = le_l(e, f) and r_of[e] == r_of[f]
+            if lhs != same_h:
                 return PredicateResult(False, method="D=J and trace conditions",
                                        witness={"pair": (e, f), "reason": "<=_L meet R != H"})
-            rhs = gs.same(e, f, "L") and gs.le(e, f, "R")
-            if rhs != gs.same(e, f, "H"):
+            rhs = l_of[e] == l_of[f] and le_r(e, f)
+            if rhs != same_h:
                 return PredicateResult(False, method="D=J and trace conditions",
                                        witness={"pair": (e, f), "reason": "L meet <=_R != H"})
     return _TRACE
@@ -284,13 +290,13 @@ def _stable_char(gs: GreenStructure) -> PredicateResult:
 
 def l_periodic(x: Structure) -> PredicateResult:
     """For each s and a there is 1 <= n <= size with s^n a L s^(n+1) a."""
-    return _periodic(x.left_action, green_structure(x).class_of["L"], "s")
+    return _periodic(x.left_action, green_structure(x).relation("L").class_of, "s")
 
 
 def r_periodic(x: Structure) -> PredicateResult:
     """For each t and a there is 1 <= n <= size with a t^n R a t^(n+1)."""
     columns = (tuple(map(itemgetter(t), x.right_action)) for t in range(x.right.order))
-    return _periodic(columns, green_structure(x).class_of["R"], "t")
+    return _periodic(columns, green_structure(x).relation("R").class_of, "t")
 
 
 def _periodic(maps, class_of: Sequence[int], letter: str) -> PredicateResult:
@@ -359,12 +365,11 @@ def k_preserving(s: FiniteSemigroup, sub_members: Iterable[int], k: str) -> Pred
     K-preorder restricted to it."""
     members = sorted(set(sub_members))
     sub, carrier = subsemigroup(s, members)
-    sub_gs = green_structure(sub)
-    amb_gs = green_structure(s)
+    sub_le, amb_le = green_structure(sub)._preorder(k).le, green_structure(s)._preorder(k).le
     for i in range(sub.order):
         for j in range(sub.order):
-            inner = sub_gs.le(i, j, k)
-            outer = amb_gs.le(carrier[i], carrier[j], k)
+            inner = sub_le(i, j)
+            outer = amb_le(carrier[i], carrier[j])
             if inner != outer:
                 return PredicateResult(False, method="preorder comparison",
                                        witness={"pair": (carrier[i], carrier[j]),

@@ -33,13 +33,12 @@ the same data.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .biact import FiniteBiact
-from .core import FiniteSemigroup, validate_table
+from .core import FiniteSemigroup, _Memo, validate_table
 from .errors import (
     ActionMismatch,
     DecisionUnavailable,
@@ -246,7 +245,7 @@ def oracle_le(k: str, u: str, v: str) -> bool:
             return True
         nxt = []
         for w in frontier:
-            for w2 in _oracle_steps(k, w):
+            for w2 in _oracle_steps((k, w)):
                 if len(w2) <= bound and w2 not in seen:
                     seen.add(w2)
                     nxt.append(w2)
@@ -254,17 +253,21 @@ def oracle_le(k: str, u: str, v: str) -> bool:
     return target in seen
 
 
-@functools.lru_cache(maxsize=4096)
-def _oracle_steps(k: str, w: str) -> tuple[str, ...]:
+def _steps(key: tuple[str, str]) -> tuple[str, ...]:
     """The reduced one-step rewrites of the reduced word ``w`` that the
-    ``k`` search applies.  Bounded, because ``oracle_le`` is public and
-    its words are the caller's."""
+    ``k`` search applies, for ``key`` = (k, w)."""
+    k, w = key
     steps: tuple[str, ...] = ()
     if k in ("L", "J"):
         steps += (reduce_word("a" + w), reduce_word("b" + w))
     if k in ("R", "J"):
         steps += (reduce_word(w + "a"), reduce_word(w + "b"))
     return steps
+
+
+# ``_steps`` by (k, w).  Bounded, because ``oracle_le`` is public and its
+# words are the caller's.
+_oracle_steps = _Memo(_steps, 4096)
 
 
 # ---------------------------------------------------------------------------

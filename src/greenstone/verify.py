@@ -71,13 +71,12 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from . import __version__ as _version
 from .biact import (
     Digraphs,
     FiniteBiact,
-    Subact,
     _PAIR,
     _block_quotient,
     _collapse,
@@ -367,17 +366,6 @@ class Env:
             self._digraph_ids[hosts] = (list(ids), hids)
         return self._digraph_ids[hosts]
 
-    def subacts(self) -> Iterator[Subact]:
-        """Every subact of every biact, one ``Subact`` each.  No claim
-        reads it (P4.4 and P5.1 run host by host, ``_over_hosts``): it
-        serves the tests' per-instance oracles."""
-        return (Subact(b, m) for b in self.biacts() for m in subacts_of(b))
-
-    def biact_congruences(self) -> Iterator[Congruence]:
-        """The single-pair congruences of every biact.  No claim reads it
-        (P4.1 runs host by host, ``_over_hosts``): it serves the tests'
-        per-instance oracles."""
-        return (rho for b in self.biacts() for rho in single_pair_congruences(b))
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +608,9 @@ def _same_preorders(p, q, v: _Tally) -> int:
     """Two objects on one carrier have the same three preorders."""
     gp, gq = green_structure(p), green_structure(q)
     for k in KINDS:
+        lp, lq = gp.relation(k).le, gq.relation(k).le
         for a, b in itertools.product(range(p.size), repeat=2):
-            if gp.le(a, b, k) != gq.le(a, b, k):
+            if lp(a, b) != lq(a, b):
                 v.add({"k": k, "pair": (a, b)})
     return len(KINDS) * p.size ** 2
 
@@ -673,7 +662,7 @@ def _l3_3(b: FiniteBiact, v: _Tally) -> int:
         if not minimal_condition(b, k):
             v.add({"object": "biact", "k": k})
         # longest strict chain in the class poset is bounded by #classes
-        depth = gs.data[k].height
+        depth = gs.relation(k).height
         if depth >= gs.num_classes(k) + 1:
             v.add({"chain too long": depth})
     return len(KINDS)
@@ -889,10 +878,11 @@ def _r3_14_3(group: tuple[FiniteSemigroup, FiniteSemigroup, FiniteBiact], v: _Ta
     pgs = green_structure(prod)
     sgs = green_structure(s)
     tgs = green_structure(t)
+    le_j, le_l, le_r = pgs.relation("J").le, sgs.relation("L").le, tgs.relation("R").le
     nt = t.order
     carrier = list(itertools.product(range(s.order), range(nt)))
     for (a, bb), (c, d) in itertools.product(carrier, repeat=2):
-        if pgs.le(a * nt + bb, c * nt + d, "J") != (sgs.le(a, c, "L") and tgs.le(bb, d, "R")):
+        if le_j(a * nt + bb, c * nt + d) != (le_l(a, c) and le_r(bb, d)):
             v.add({"pair": ((a, bb), (c, d))})
     if pgs.num_classes("J") != sgs.num_classes("L") * tgs.num_classes("R"):
         v.add({"counts": (pgs.num_classes("J"),
@@ -1086,8 +1076,9 @@ def _x_deciders(gs: GreenStructure, ids, gs_a: GreenStructure, v: _Tally, where:
     gluing on its x-part (carrier element x sits at ``ids[x]``) is the
     ``ka`` preorder of the biact whose Green structure is ``gs_a``."""
     for kg, ka in kinds:
+        le_g, le_a = gs.relation(kg).le, gs_a.relation(ka).le
         for x, y in itertools.product(range(gs_a.size), repeat=2):
-            if gs.le(ids[x], ids[y], kg) != gs_a.le(x, y, ka):
+            if le_g(ids[x], ids[y]) != le_a(x, y):
                 v.add({"failure": f"{kg} decider{where}", "pair": (x, y)})
 
 
@@ -1182,7 +1173,7 @@ _STABLE = (("stable", (None,)), ("left_stable", (None,)))
 def _p5_1_keys(host: FiniteBiact, pair: Digraphs) -> list[tuple[int, int]]:
     """The subacts of a host as member bitmasks, each with the number of
     host J-classes that straddle it."""
-    j_classes = green_structure(host).classes["J"]
+    j_classes = green_structure(host).relation("J").classes
     return [(mask, sum(0 < sum(mask >> y & 1 for y in cls) < len(cls) for cls in j_classes))
             for mask in _subact_keys(host, pair)]
 

@@ -10,14 +10,11 @@ import json
 import random
 import time
 
-from greenstone import green, props, symbolic as sym
+from greenstone import props, symbolic as sym
 from greenstone import verify as ver
-from greenstone.enumeration import (
-    all_biacts,
-    all_semigroups,
-    brute_force_semigroup_count,
-    random_biact_corpus,
-)
+from greenstone.enumeration import all_biacts, all_semigroups, random_biact_corpus
+from test_enumeration import brute_force_semigroup_count
+from test_green import soundness_violations
 
 _CACHE: dict = {}
 
@@ -62,7 +59,7 @@ def test_criterion_01_green_engine_soundness():
             assert counts[n] == brute_force_semigroup_count(n)
         for n in (1, 2, 3):
             for s in all_semigroups(n):
-                assert green.soundness_violations(s) == []
+                assert soundness_violations(s) == []
                 for k in ("L", "R", "J"):
                     assert props.minimal_condition(s, k).value is True
 

@@ -35,6 +35,56 @@ def test_bound_and_win_counts():
     assert not out["within_bound"]
 
 
+# the stdout of ``perfbench/run.py --workload census-4 --seed 1 --seconds 1
+# --trace 0``, as the harness printed it
+_HARNESS_STDOUT = """\
+workload census-4  seed 1  1 job(s) per pass
+  seed 1 unused: the order-4 census is exhaustive
+setup_s median 0.0647 s over 15 (min 0.0601, max 0.0714) launches
+  raw median 0.1106 s over 15 (min 0.0806, max 0.1188)
+wall_s median 0.0964 s over 4 (min 0.0922, max 0.1007) passes
+  raw median 0.1755 s over 4 (min 0.1299, max 0.1771)
+  pass 0: scaled 0.101 s, raw job walls 0.177
+  pass 1: scaled 0.097 s, raw job walls 0.176
+  pass 2: scaled 0.092 s, raw job walls 0.175
+  pass 3: scaled 0.095 s, raw job walls 0.130
+fail_ratio 0 ratio (0 of 19 jobs failed their output check)
+wall_s 0.0964196 s
+setup_s 0.0647323 s
+peak_rss_mb 25.6758 MB
+pass_ratio 1 ratio
+{"correct": true, "attempted": 19, "failed": 0, "metrics": {}}
+"""
+
+
+def test_raw_medians_are_read_off_the_harness_stdout():
+    assert bench_record.raw_medians(_HARNESS_STDOUT) == {"raw_setup_s": 0.1106,
+                                                         "raw_wall_s": 0.1755}
+
+
+def test_an_export_without_a_harness_gets_a_copy(tmp_path, monkeypatch):
+    tops = {"old": ["src"], "new": ["src", "perfbench"]}    # each revision's top level
+    extracted = []
+
+    def run(cmd, input=None, **kwargs):     # git archive, tar and compileall, stubbed
+        if cmd[0] == "git":
+            return bench_record.subprocess.CompletedProcess(cmd, 0, stdout=cmd[5:])
+        if cmd[0] == "tar":
+            dest = Path(cmd[-1])
+            extracted.append((dest.name, input))
+            for name in input[1:] or tops[dest.name]:
+                (dest / name).mkdir()
+        return bench_record.subprocess.CompletedProcess(cmd, 0)
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    assert bench_record.export("OLD", tmp_path / "old", "CHANGE")
+    assert (tmp_path / "old" / "perfbench").is_dir()
+    assert not bench_record.export("NEW", tmp_path / "new", "CHANGE")
+    # the harness comes from the change revision, and only where it lacks
+    assert extracted == [("old", ["OLD"]), ("old", ["CHANGE", "perfbench"]),
+                         ("new", ["NEW"])]
+
+
 @pytest.mark.slow
 def test_records_a_short_census_comparison(tmp_path):
     # HEAD against itself through the real harness, on a short run
@@ -52,3 +102,8 @@ def test_records_a_short_census_comparison(tmp_path):
     assert {"wall_s", "setup_s", "peak_rss_mb", "pass_ratio"} <= set(record["metrics"])
     assert record["metrics"]["pass_ratio"]["verdict"] == "unchanged"
     assert all(p[side]["failed"] == 0 for p in record["pairs"] for side in ("parent", "change"))
+    # the unscaled medians, read off the harness's raw lines
+    for p in record["pairs"]:
+        for side in ("parent", "change"):
+            assert p[side]["raw_wall_s"] > 0 and p[side]["raw_setup_s"] > 0
+    assert not record["parent"]["perfbench_copied"]

@@ -37,6 +37,11 @@ def _replace(obj, **changes):
     return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
 
 
+def _kept(gs):
+    """The answers ``props`` keeps on the structure, None where none is kept."""
+    return tuple(getattr(gs, name) for name in green.GreenStructure._KEPT)
+
+
 class TestStability:
     def test_finite_semigroups_are_stable(self):
         for n in (1, 2, 3):
@@ -156,7 +161,9 @@ class TestMinimalCondition:
         classes = ((0,), (1,), (2,))
         data = green._PreorderData((0, 1, 2), classes, (7, 6, 6), covers,
                                    *green._kahn(3, covers))
-        gs = green.GreenStructure(3, {"L": data}, {"L": data.class_of}, {"L": classes},
+        gs = green.GreenStructure(3, dict.fromkeys("LRJ", data),
+                                  dict.fromkeys("LRJHD", data.class_of),
+                                  dict.fromkeys("LRJHD", classes),
                                   left_stable=True, right_stable=True)
         monkeypatch.setattr(props, "green_structure", lambda x: gs)
         res = props.minimal_condition(None, "L")
@@ -401,7 +408,7 @@ class TestGreenMemo:
             cache.cache_clear()
         for x, (forms, char) in zip(hosts, kept):
             fresh = green._build(x.size, *ba.digraphs(x))
-            assert fresh._memo is None
+            assert _kept(fresh) == (None, None)
             assert forms == (bool(props.left_stable(x)),) + props._relation_forms(fresh)
             assert char == props._stable_char(fresh)
 
@@ -409,8 +416,7 @@ class TestGreenMemo:
         s = t2()
         gs = green.green_structure(s)
         forms, char = props.left_stable_forms(s), props.stable_char(s)
-        memo = {"_relation_forms", "_stable_char"}
-        assert memo <= gs._memo.keys()
+        assert _kept(gs) == (forms[1:], char)
         copy = _replace(gs)
-        assert copy._memo is None and copy == gs
+        assert _kept(copy) == (None, None) and copy == gs
         assert props._relation_forms(copy) == forms[1:] and props._stable_char(copy) == char

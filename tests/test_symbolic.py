@@ -90,9 +90,9 @@ class TestBicyclic:
     def test_oracle_step_cache_is_bounded(self):
         assert sym._oracle_steps.cache_info().maxsize is not None
         sym.oracle_le("J", "bba", "ba")
-        assert sym._oracle_steps("J", "ba") == ("a", "bba", "baa", "b")
-        assert sym._oracle_steps("L", "ba") == ("a", "bba")
-        assert sym._oracle_steps("R", "ba") == ("baa", "b")
+        assert sym._oracle_steps(("J", "ba")) == ("a", "bba", "baa", "b")
+        assert sym._oracle_steps(("L", "ba")) == ("a", "bba")
+        assert sym._oracle_steps(("R", "ba")) == ("baa", "b")
 
     def test_reduce_word(self):
         assert sym.reduce_word("ab") == ""

@@ -16,6 +16,7 @@ import copy
 import itertools
 import pickle
 import random
+import types
 
 import pytest
 
@@ -227,6 +228,9 @@ class Partition:
 
     def same(self, x, y, k):
         return self.class_of[k][x] == self.class_of[k][y]
+
+    def relation(self, k):
+        return types.SimpleNamespace(class_of=self.class_of[k])
 
     @property
     def left_stable(self):

@@ -240,5 +240,6 @@ class TestAgainstTwins:
         gs = green.green_structure(s)
         fresh = green._build(s.order, *ba.digraphs(s))
         props.stable_char(s)
-        assert gs._memo and fresh._memo is None
+        assert gs._stable_char is not None
+        assert all(getattr(fresh, name) is None for name in green.GreenStructure._KEPT)
         assert gs == fresh and repr(gs) == repr(fresh)

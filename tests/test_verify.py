@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 from greenstone import verify as ver
-from greenstone.biact import FiniteBiact
+from greenstone.biact import FiniteBiact, Subact
 from greenstone.core import is_role
 from greenstone.enumeration import SEMIGROUP_ORDER_CAP
 from greenstone.errors import InvalidSuiteConfig, UnknownClaim
-from greenstone.green import _kahn
+from greenstone.green import _PreorderData, _kahn
 from greenstone.symbolic import (
     Bicyclic,
     ChainCheck,
@@ -237,10 +237,10 @@ class TestCorpora:
 
     def test_biact_corpora(self):
         env = ver.Env(ver.SuiteConfig())
-        subacts = [(x.host, x.members) for x in env.subacts()]
+        subacts = [(x.host, x.members) for x in _subacts(env)]
         assert subacts == [(b, m) for b in env.biacts() for m in ver.subacts_of(b)]
         assert len(subacts) == 7331
-        assert ([(rho.over, rho.blocks) for rho in env.biact_congruences()]
+        assert ([(rho.over, rho.blocks) for rho in _biact_congruences(env)]
                 == [(b, rho.blocks) for b in env.biacts()
                     for rho in ver.single_pair_congruences(b)])
 
@@ -445,9 +445,26 @@ def _l5_8(x, v):
 _T4_16_NOTES = ("the reverse direction genuinely fails for the two-sided "
                 "condition, which is claim C4.19")
 
+def _subacts(env):
+    """Every subact of every biact, one ``Subact`` each: the per-instance
+    corpus of the P4.4 and P5.1 oracles (the claims run host by host)."""
+    return (Subact(b, m) for b in env.biacts() for m in ver.subacts_of(b))
+
+
+def _biact_congruences(env):
+    """The single-pair congruences of every biact: the per-instance corpus
+    of the P4.1 oracle."""
+    return (rho for b in env.biacts() for rho in ver.single_pair_congruences(b))
+
+
+def _over(corpus, check, smoke=False, notes=""):
+    """``verify._over`` over ``corpus(env)``, a corpus of these tests."""
+    return lambda env: ver._Tally().over(corpus(env), check).outcome(smoke, notes)
+
+
 # claim id -> the checker it had as a hand-written loop
 ORACLES = {
-    "P4.4": ver._over("subacts", _p4_4, smoke=True),
+    "P4.4": _over(_subacts, _p4_4, smoke=True),
     "P4.5": ver._over("subsemigroups", _p4_5, smoke=True),
     "P4.15": ver._over("ideals", _p4_15, smoke=True),
     "T4.16": ver._over("ideals", _t4_16, smoke=True, notes=_T4_16_NOTES),
@@ -627,8 +644,8 @@ def _r3_14_3_pairs(env):
 
 SHARED_ORACLES = {
     "P4.4": ORACLES["P4.4"],
-    "P5.1": ver._over("subacts", _p5_1, smoke=True, notes="the straddle check is contentful"),
-    "P4.1": ver._over("biact_congruences", _p4_1, smoke=True),
+    "P5.1": _over(_subacts, _p5_1, smoke=True, notes="the straddle check is contentful"),
+    "P4.1": _over(_biact_congruences, _p4_1, smoke=True),
     "C4.3": ver._over("congruences", _p4_1, smoke=True),
     "R3.14(3)": _r3_14_3_pairs,
 }
@@ -654,7 +671,8 @@ def _plant_green(monkeypatch):
         if not _green_plant(gs):
             return gs
         return _replace(gs, data={**gs.data, "J": gs.data["L"]},
-                                   classes={**gs.classes, "J": gs.classes["L"]})
+                        class_of={**gs.class_of, "J": gs.class_of["L"]},
+                        classes={**gs.classes, "J": gs.classes["L"]})
 
     monkeypatch.setattr(ver, "green_structure", green_structure)
     monkeypatch.setattr(ver, "minimal_condition",
@@ -763,7 +781,10 @@ class TestHostPass:
 
         def green_structure(x):
             gs = real(x)
-            return _replace(gs, classes={**gs.classes, "J": (tuple(range(gs.size)),)})
+            whole = _PreorderData((0,) * gs.size, (tuple(range(gs.size)),), (1,), (), 0, 1)
+            return _replace(gs, data={**gs.data, "J": whole},
+                            class_of={**gs.class_of, "J": whole.class_of},
+                            classes={**gs.classes, "J": whole.classes})
 
         monkeypatch.setattr(ver, "green_structure", green_structure)
         outcome = ver.REGISTRY["P5.1"].checker(envs["tiny"])

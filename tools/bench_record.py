@@ -7,14 +7,19 @@ Each revision is exported with ``git archive`` into a fresh directory and
 byte-compiled there by a separate process before its first measured run: a
 job's ``peak_rss_mb`` includes the RSS that the harness holds when it
 spawns the job, and a harness that compiles a fresh export itself holds
-several MB more on its first run.  Then ``perfbench/run.py --trace 0`` runs
-as a subprocess in each export, in pairs that alternate which side runs
-first (the parent first in even pairs).  Both sides of pair ``i`` use the
-seed ``first-seed + i``, and each side runs its own export's harness.
+several MB more on its first run.  A parent export without
+``perfbench/`` (a revision older than the harness) gets the change
+revision's, and the record says so.  Then ``perfbench/run.py --trace 0`` runs as a subprocess
+in each export, in pairs that alternate which side runs first (the parent
+first in even pairs).  Both sides of pair ``i`` use the seed
+``first-seed + i``, and each side runs its own export's harness.
 
-For every end-to-end metric named in ``BENCHMARK.json`` the record holds
-the raw per-pair values, each side's median and quartiles, and how many
-pairs each side won.  The verdict is "better" or "worse" when one side
+Each pair keeps both sides' end-to-end values, which the harness scales by
+the host contention it measures, and also ``raw_wall_s`` and
+``raw_setup_s``: the unscaled medians that the harness prints on its
+``raw median`` lines.  For every end-to-end metric named in
+``BENCHMARK.json`` the record holds each side's median and quartiles, and
+how many pairs each side won.  The verdict is "better" or "worse" when one side
 wins at least nine tenths of the pairs and the medians differ by more than
 the parent's interquartile range, "unchanged" when every pair ties, and
 "unresolved" when the pairs straddle.  ``within_bound`` says whether the
@@ -34,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
@@ -45,14 +51,40 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> None:
-    """Extract ``rev`` into ``dest`` and byte-compile it in its own process."""
-    dest.mkdir(parents=True)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+def extract(rev: str, dest: Path, *paths: str) -> None:
+    """Extract ``paths`` of ``rev`` (all of it, if none) into ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *paths],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export(rev: str, dest: Path, harness_rev: Optional[str] = None) -> bool:
+    """Extract ``rev`` into ``dest``, add the ``perfbench/`` of
+    ``harness_rev`` if it has none, and byte-compile it in its own process.
+    Returns whether the harness was added."""
+    dest.mkdir(parents=True)
+    extract(rev, dest)
+    copied = harness_rev is not None and not (dest / "perfbench").exists()
+    if copied:
+        extract(harness_rev, dest, "perfbench")
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                    cwd=dest, check=True, stdout=subprocess.DEVNULL)
+    return copied
+
+
+def raw_medians(stdout: str) -> dict:
+    """The unscaled medians of the harness's ``raw median`` lines, each
+    named after the metric line just above it: ``raw_setup_s`` and
+    ``raw_wall_s``."""
+    out, metric = {}, None
+    for line in stdout.splitlines():
+        words = line.split()
+        if words[:2] in (["setup_s", "median"], ["wall_s", "median"]):
+            metric = words[0]
+        elif words[:2] == ["raw", "median"] and metric is not None:
+            out[f"raw_{metric}"] = float(words[2])
+            metric = None
+    return out
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -63,7 +95,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                           timeout=RUN_TIMEOUT_S)
     summary = json.loads(done.stdout.strip().splitlines()[-1])
     return {"attempted": summary["attempted"], "failed": summary["failed"],
-            **{name: m["value"] for name, m in summary["metrics"].items()}}
+            **{name: m["value"] for name, m in summary["metrics"].items()},
+            **raw_medians(done.stdout)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -115,7 +148,8 @@ def main(argv=None) -> int:
     try:
         trees = {side: work / side for side in sides}
         for side, tree in trees.items():
-            export(sides[side]["rev"], tree)
+            harness_rev = args.change if side == "parent" else None
+            sides[side]["perfbench_copied"] = export(sides[side]["rev"], tree, harness_rev)
         pairs = []
         for i in range(args.pairs):
             seed = args.first_seed + i
