@@ -44,19 +44,25 @@ dict under a bound, which evicts its oldest key first and counts its
 misses for ``cache_info()``.  There are four, each bounded by a module
 constant: the tuple intern ``_shared`` here (``SHARED_TUPLES``), the
 preorder and Green-structure memos of ``green`` (3 x 4,096 and 4,096) and
-the rewrite steps of ``symbolic.oracle_le`` (4,096).  A hit is a dict
+the rewrite steps of ``symbolic.oracle_below`` (4,096).  A hit is a dict
 lookup in C.  Counting hits takes a Python ``__call__``, which the two
 ``green`` memos pay (``_CountedMemo``: 27,000 calls in the seed-0 claim
 suite, and the benchmark reads their hit rate), and the intern and the
 rewrite steps do not: they take about 300,000 calls there, and a Python
 call on each made the claim suite's launches about 10% slower in CPU time
-(medians of 12 alternating launches per side, shared 2-vCPU host).
+(medians of 12 alternating launches per side, shared 2-vCPU host).  A
+memo keeps its keys' insertion order in a deque beside the dict, so an
+evicting insert pops the oldest key in O(1): asking the dict for its
+first key walks past every slot that earlier evictions left empty at the
+front of its entry table: 3.4 and 5.6 us per evicting insert at 4,096 and
+8,192 keys against 1.1 and 1.3 us with the deque (20,000 inserts, Python
+3.11.7, shared 2-vCPU x86_64 host).
 """
 
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
+from collections import deque, namedtuple
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -302,22 +308,26 @@ class _Memo(dict):
     they do a ``functools.lru_cache``, but its hits read None: a lookup in C
     counts nothing (``_CountedMemo`` counts them).  An entry costs its dict
     slot alone, where an ``lru_cache`` entry also holds a link node and,
-    for a tuple argument, a one-tuple key."""
+    for a tuple argument, a one-tuple key; ``_order`` holds the kept keys
+    oldest first, one pointer each, so an eviction finds the oldest key
+    without a walk over the dict."""
 
-    __slots__ = ("fn", "maxsize", "misses")
+    __slots__ = ("fn", "maxsize", "misses", "_order")
     __call__ = dict.__getitem__
 
     def __init__(self, fn: Callable, maxsize: int):
         self.fn = fn
         self.maxsize = maxsize
         self.misses = 0
+        self._order: deque = deque()
 
     def __missing__(self, key):
         self.misses += 1
         value = self.fn(key)
         if len(self) >= self.maxsize:
-            del self[next(iter(self))]
+            del self[self._order.popleft()]
         self[key] = value
+        self._order.append(key)
         return value
 
     def cache_info(self) -> _CacheInfo:
@@ -325,6 +335,7 @@ class _Memo(dict):
 
     def cache_clear(self) -> None:
         self.clear()
+        self._order.clear()
         self.misses = 0
 
 

@@ -23,6 +23,14 @@ count is laid out as a grid, to name the first empty cell.
 Class ids are dense and numbered by least member, so all outputs are
 reproducible bit-exactly.
 
+The classes of a preorder come from one iterative pass of Tarjan's
+algorithm (Tarjan 1972), each frame an element and the iterator over its
+successors, which resumes where the frame last descended.  The pass
+emits the classes successors first, so replaying them in that order
+builds each class's reach mask (the classes at or below it) as the
+union of its members' successors' masks, with no per-class successor
+sets.
+
 Each class poset is traversed once, when it is built: Kahn's pass over
 its covers records how many classes it leaves unconsumed (0 exactly when
 the condensation is acyclic, which decides the minimal conditions M_L,
@@ -93,7 +101,7 @@ host's pair once per run and fills the host's slot from it
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .biact import (_PAIR, Digraph, Digraphs, FiniteBiact, _edges, biact_rees_quotient,
                     digraphs, relative_biact)  # ``digraphs`` is re-exported
@@ -103,53 +111,6 @@ from .errors import BadEntry, InvariantViolation, UnknownClass
 
 PREORDERS = ("L", "R", "J")
 RELATIONS = ("L", "R", "J", "H", "D")
-
-
-def _sccs(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components are emitted successors-first."""
-    index: list[Optional[int]] = [None] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            descended = False
-            sv = succ[v]
-            for i in range(pi, len(sv)):
-                w = sv[i]
-                if index[w] is None:
-                    work[-1][1] = i + 1
-                    work.append([w, 0])
-                    descended = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-    return comps
 
 
 class _Partition(_Frozen):
@@ -182,44 +143,72 @@ class _PreorderData(_Partition):
 
 
 def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
-    comps = _sccs(n, succ)
-    comp_of = [0] * n
-    for i, comp in enumerate(comps):
-        for x in comp:
-            comp_of[x] = i
+    # Tarjan's pass, iterative: a frame is an element and the iterator over
+    # its successors, which resumes where the frame last descended.  An
+    # element is unvisited while its index is 0 and on the stack while its
+    # component is -1; components are emitted successors-first.
+    index = [0] * n
+    low = [0] * n
+    comp_of = [-1] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    c, comp = len(comps), []
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = c
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     # classes are numbered by least member, for reproducible output
     class_of = _shared(_normalize_blocks(comp_of))
     classes = _members(n, class_of)
 
-    k = len(comps)
-    succ_cls: list[set[int]] = [set() for _ in range(k)]
-    for a in range(n):
-        ca = class_of[a]
-        for b in succ[a]:
-            cb = class_of[b]
-            if cb != ca:
-                succ_cls[ca].add(cb)
-
-    # Tarjan emits successors before predecessors; replay that order on the
-    # renumbered ids to accumulate reachability masks.
-    reach = [0] * k
+    # a class reaches itself and whatever its members' successors reach; in
+    # Tarjan's order every other class a successor lies in is done already
+    reach = [0] * len(comps)
     for comp in comps:
         c = class_of[comp[0]]
         mask = 1 << c
-        for d in succ_cls[c]:
-            mask |= reach[d]
+        for x in comp:
+            for y in succ[x]:
+                mask |= reach[class_of[y]]
         reach[c] = mask
 
     # the covers of c: the classes strictly below c and strictly below no
     # other class strictly below c, listed in (upper, lower) order
-    strict = [reach[c] & ~(1 << c) for c in range(k)]
+    strict = [mask & ~(1 << c) for c, mask in enumerate(reach)]
     covers: list[tuple[int, int]] = []
-    for c in range(k):
+    for c in range(len(reach)):
         below = 0
         for e in _bits(strict[c]):
             below |= strict[e]
         covers.extend((c, d) for d in _bits(strict[c] & ~below))
-    unconsumed, height = _kahn(k, covers)
+    unconsumed, height = _kahn(len(reach), covers)
     return _PreorderData(class_of, classes, _shared(tuple(reach)),
                          _shared(tuple(map(_shared, covers))), unconsumed, height)
 

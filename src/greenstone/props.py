@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import eq, itemgetter, not_
+from operator import eq, not_
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .biact import FiniteBiact
@@ -295,8 +295,7 @@ def l_periodic(x: Structure) -> PredicateResult:
 
 def r_periodic(x: Structure) -> PredicateResult:
     """For each t and a there is 1 <= n <= size with a t^n R a t^(n+1)."""
-    columns = (tuple(map(itemgetter(t), x.right_action)) for t in range(x.right.order))
-    return _periodic(columns, green_structure(x).relation("R").class_of, "t")
+    return _periodic(zip(*x.right_action), green_structure(x).relation("R").class_of, "t")
 
 
 def _periodic(maps, class_of: Sequence[int], letter: str) -> PredicateResult:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .biact import FiniteBiact
 from .core import FiniteSemigroup, _Memo, validate_table
@@ -226,31 +226,48 @@ def pair_to_word(x: tuple[int, int]) -> str:
 
 
 def oracle_le(k: str, u: str, v: str) -> bool:
-    """Decide u <=_K v by breadth-bounded search on reduced words.
+    """Decide u <=_K v by a bounded search on reduced words, K in {L, R, J}:
+    ``oracle_below`` from v with u as its one target."""
+    return bool(oracle_below(k, v, (u,)))
+
+
+def oracle_below(k: str, v: str, targets: Iterable[str]) -> frozenset[str]:
+    """The words u of ``targets`` with u <=_K v, from one bounded search.
 
     Starting from the reduced form of v, single-generator multiplications
-    (prepended for L, appended for R, both for J) are applied and reduced;
-    u is below v exactly when its reduced form is reached.  The length
-    bound covers every required intermediate form.  K is L, R or J.
+    (prepended for L, appended for R, both for J) are applied and reduced.
+    u is below v exactly when its reduced form is reached through reduced
+    words of length at most len(u) + 2 len(v) + 4, both lengths reduced: a
+    bound that covers every required intermediate form.  The search
+    records, for each word it reaches, the least length bound under which
+    it does, visiting words in increasing order of that bound up to the
+    largest bound any target needs, so one search from v answers every
+    target exactly as a search per target would.  K is L, R or J.
     """
     if k not in PREORDERS:
         raise _not_a_preorder(k)
-    target = reduce_word(u)
     start = reduce_word(v)
-    bound = len(target) + 2 * len(start) + 4
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if target in seen:
-            return True
-        nxt = []
-        for w in frontier:
-            for w2 in _oracle_steps((k, w)):
-                if len(w2) <= bound and w2 not in seen:
-                    seen.add(w2)
-                    nxt.append(w2)
-        frontier = nxt
-    return target in seen
+    bounds = {u: (t, len(t) + 2 * len(start) + 4)
+              for u, t in ((u, reduce_word(u)) for u in targets)}
+    if not bounds:
+        return frozenset()
+    cap = max(bound for _, bound in bounds.values())
+    # least[w]: the least bound under which the search reaches w, final when
+    # w is first reached; ``level`` holds the words by that bound, each
+    # level done before the next, until every target is reached
+    least = {start: len(start)}
+    level: list[list[str]] = [[] for _ in range(cap + 1)]
+    level[len(start)].append(start)
+    missing = {t for t, _ in bounds.values()} - {start}
+    for bound in range(len(start), cap + 1):
+        todo = level[bound]
+        while todo and missing:
+            for w2 in _oracle_steps((k, todo.pop())):
+                if w2 not in least and len(w2) <= cap:
+                    least[w2] = max(bound, len(w2))
+                    level[least[w2]].append(w2)
+                    missing.discard(w2)
+    return frozenset(u for u, (t, bound) in bounds.items() if least.get(t, cap + 1) <= bound)
 
 
 def _steps(key: tuple[str, str]) -> tuple[str, ...]:
@@ -265,7 +282,7 @@ def _steps(key: tuple[str, str]) -> tuple[str, ...]:
     return steps
 
 
-# ``_steps`` by (k, w).  Bounded, because ``oracle_le`` is public and its
+# ``_steps`` by (k, w).  Bounded, because the oracle is public and its
 # words are the caller's.
 _oracle_steps = _Memo(_steps, 4096)
 

@@ -27,29 +27,37 @@ of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 
 The host-level pass.  P4.4, P5.1 (subacts, their ``sub`` and Rees
 quotient) and P4.1, C4.3 (single-pair congruences, their quotient) are
-decided host by host (``_over_hosts``).  Each host's one-step digraph pair
-is frozen once per ``Env``, when its corpus is built, and interned as a
-digraph id.  A host's instances are listed once per listing key, which
-fixes all that the listing reads: a host's subacts depend on its pair
-only, so they are listed once per digraph id, with P5.1's count of the
-J-classes that straddle each; its single-pair congruences depend on its
-size and its set of translation maps only, so they are listed once per
-such key, which hosts with different digraphs can share (a biact and its
-mirror image, whose left and right maps trade places).  The host's
-verdicts are decided once per host object, which is exact for any
-predicate.  The parts' verdicts are decided once per (digraph id, key),
-for every kind at once, on parts built from the host's pair without
-action tables (see ``biact``); P5.1's stability and left stability share
-one build.  That replay is exact because the key fixes each part's
-digraph pair: a subact is closed under both actions, so the sub's steps
-are the host's restricted to the members and the Rees quotient's merge
-them into one sink, and compatibility makes a quotient block's steps the
-blocks of its least member's steps.  The pair fixes the Green structure, and the key
-fixes the part's kind and size, so a predicate that decides from these,
-as every predicate of these claims does, gives the same verdict on each
-part with that key.  The instances and violations are then replayed
-in corpus order.  R3.14(3) checks each (left digraph of S, right digraph
-of T) group of pairs once, on a product built from those two digraphs.
+decided host by host (``_over_subacts``, ``_over_hosts``).  Each host's
+one-step digraph pair is frozen once per ``Env``, when its corpus is
+built, and interned as a digraph id.  A host's instances are listed once
+per listing key, which fixes all that the listing reads: a host's
+subacts depend on its pair only, so they are listed once per digraph id
+and ``Env`` (``Env.subact_masks``), and P5.1 counts the J-classes that
+straddle each once per digraph id and run; its single-pair congruences
+depend on its size and its set of translation maps only, so they are
+listed once per such key and run, which hosts with different digraphs
+can share (a biact and its mirror image, whose left and right maps trade
+places).  The host's verdicts are decided once per host object, which is
+exact for any predicate.  The parts' verdicts are decided once per
+(digraph id, key), for every kind at once, on parts built from the
+host's pair without action tables (see ``biact``).  That replay is exact
+because the key fixes each part's digraph pair: a subact is closed under
+both actions, so the sub's steps are the host's restricted to the
+members and the Rees quotient's merge them into one sink, and
+compatibility makes a quotient block's steps the blocks of its least
+member's steps.  The pair fixes the Green structure, and the key fixes
+the part's kind and size, so a predicate that decides from these, as
+every predicate of these claims does, gives the same verdict on each
+part with that key.  The instances and violations are then replayed in
+corpus order.  P4.4 and P5.1 share one part table per ``Env``
+(``Env.subact_verdicts``): its host and part verdicts cover the
+predicates of both claims, so whichever runs first builds each subact's
+parts once and the other builds none.  The table is kept per binding of
+those predicates in this module, so a verdict is read back only under
+the functions that decided it; the congruence claims keep their
+verdicts for one run.  R3.14(3) checks each (left digraph of S, right
+digraph of T) group of pairs once, on a product built from those two
+digraphs.
 
 Must-hold claims must produce zero violations; counterexample-expected
 claims must produce a verified witness.  Claims whose finite runs cannot
@@ -138,7 +146,7 @@ from .symbolic import (
     example_4_8,
     free_to_bicyclic,
     instability_witnessed,
-    oracle_le,
+    oracle_below,
     pair_to_word,
     verify_chain,
     word_to_pair,
@@ -261,12 +269,16 @@ def _hosts(build: Callable[["Env"], list]) -> Callable[["Env"], list]:
 
 
 class Env:
-    """Shared corpora for the claim checkers.
+    """Shared corpora for the claim checkers, and the verdicts of the
+    subact pass.
 
     The semigroup-side corpora are small and built once.  The biact-side
-    substructures are generated afresh on each call, because holding the
-    thousands of subact restrictions and quotients at once would raise the
-    suite's peak memory by megabytes.
+    substructures are not kept: holding the thousands of subact
+    restrictions and quotients at once would raise the suite's peak memory
+    by megabytes.  What P4.4 and P5.1 decide on them is kept instead, as
+    bits (``subact_verdicts``): the verdicts of each biact host and of each
+    subact's two parts, keyed by the predicate functions bound when they
+    were decided, so a planted or traced predicate decides afresh.
     """
 
     def __init__(self, config: SuiteConfig):
@@ -275,6 +287,8 @@ class Env:
         self._interned: dict[Digraphs, Digraphs] = {}
         self._pairs: dict[int, Digraphs] = {}      # id(host) -> its interned pair
         self._digraph_ids: dict[str, tuple[list[Digraphs], list[int]]] = {}
+        self._subact_masks: dict[int, tuple[int, ...]] = {}   # biact digraph id -> subacts
+        self._subact_verdicts: dict[tuple, _SubactVerdicts] = {}
 
     def rng(self, key: str) -> random.Random:
         return random.Random(f"{self.config.seed}:{key}")
@@ -366,6 +380,22 @@ class Env:
             self._digraph_ids[hosts] = (list(ids), hids)
         return self._digraph_ids[hosts]
 
+    def subact_masks(self, hid: int) -> tuple[int, ...]:
+        """The subacts of the biact hosts whose digraph id is ``hid``, as
+        member bitmasks in ``nonempty_subsets`` order, listed on the first
+        call per id: they depend on the digraph pair only."""
+        if hid not in self._subact_masks:
+            self._subact_masks[hid] = tuple(_subact_keys(self.digraph_ids("biacts")[0][hid]))
+        return self._subact_masks[hid]
+
+    def subact_verdicts(self) -> "_SubactVerdicts":
+        """The verdict table of P4.4 and P5.1 under the predicates of
+        ``_SUBACT`` as this module binds them now, made on the first call
+        per binding."""
+        bound = tuple(globals()[pred] for pred, _ in _SUBACT)
+        if bound not in self._subact_verdicts:
+            self._subact_verdicts[bound] = _SubactVerdicts(len(self.biacts()))
+        return self._subact_verdicts[bound]
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +416,14 @@ def subsemigroups_of(s: FiniteSemigroup) -> list[frozenset[int]]:
 
 def subacts_of(a: FiniteBiact) -> list[frozenset[int]]:
     """The nonempty subacts, in ``nonempty_subsets`` order."""
-    return [frozenset(_bits(m)) for m in _subact_keys(a, digraphs(a))]
+    return [frozenset(_bits(m)) for m in _subact_keys(digraphs(a))]
 
 
-def _subact_keys(host: FiniteBiact, pair: Digraphs) -> list[int]:
-    """The nonempty subacts of ``host``, whose one-step digraph pair is
-    ``pair``, as member bitmasks, in ``nonempty_subsets`` order.  Only the
-    pair is read: a subset is closed under both actions iff it holds the
-    left and right one-step successors of each of its members."""
+def _subact_keys(pair: Digraphs) -> list[int]:
+    """The nonempty subacts of a biact whose one-step digraph pair is
+    ``pair``, as member bitmasks, in ``nonempty_subsets`` order: a subset
+    is closed under both actions iff it holds the left and right one-step
+    successors of each of its members."""
     succ = [sum(1 << y for y in {*ls, *rs}) for ls, rs in zip(*pair)]
     out = []
     for r in range(1, len(succ) + 1):
@@ -501,9 +531,8 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
       one corpus share it.
     - ``keys(host, pair)`` lists the host's instances as hashable keys, in
       order.  It is called once per listing key ``listing(host, hid)``,
-      which must fix everything ``keys`` reads: the digraph id for
-      subacts (``_by_digraph``), the translation maps for congruences
-      (``_by_translations``).
+      which must fix everything ``keys`` reads: the translation maps for
+      congruences (``_by_translations``).
     - The host's verdicts are decided once per host object, on its first
       instance, which is exact for any predicate.
     - ``parts(host, pair, key)`` builds an instance's parts from the pair,
@@ -512,8 +541,10 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
       Green structure, and its kind and size: the predicates must decide
       from these, as every predicate of the claims does.
     - ``check(key, whole, part, v)`` then makes the instance's checks from
-      the two verdict tuples (``_verdicts``) and returns their number, so
+      the two verdicts (``_verdicts``) and returns their number, so
       instances and violations come in corpus order.
+    - The verdicts are kept for this run only (the subact claims share
+      theirs: ``_over_subacts``).
     """
     def checker(env: Env) -> ClaimOutcome:
         v, listed, decided = _Tally(), {}, {}
@@ -534,10 +565,62 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
     return checker
 
 
-def _by_digraph(host, hid: int) -> int:
-    """The listing key of instances that read the host's digraph pair
-    only: its digraph id."""
-    return hid
+def _over_subacts(check: Callable, keys: Optional[Callable] = None, smoke: bool = False,
+                  notes: str = "") -> Callable[[Env], ClaimOutcome]:
+    """The checker of a claim over the subacts of the biact hosts, host by
+    host, as ``_over_hosts`` makes it, but from the verdicts that P4.4 and
+    P5.1 share on one ``Env`` (``Env.subact_verdicts``: the predicates of
+    ``_SUBACT`` on the host and on each subact's sub and Rees quotient).
+
+    - The subacts of a digraph id are listed once per ``Env``
+      (``Env.subact_masks``); ``keys(host, masks)`` turns them into the
+      claim's instance keys, in order, once per digraph id and run (the
+      masks themselves when ``keys`` is None).
+    - ``check(key, whole, part, v)`` makes an instance's checks from the
+      host's verdict bits and its parts' and returns their number.
+    """
+    def checker(env: Env) -> ClaimOutcome:
+        v, listed, table = _Tally(), {}, env.subact_verdicts()
+        pairs, hids = env.digraph_ids("biacts")
+        for i, (host, hid) in enumerate(zip(env.biacts(), hids)):
+            masks = env.subact_masks(hid)
+            if hid not in listed:
+                listed[hid] = masks if keys is None else keys(host, masks)
+            whole = table.host(i, host)
+            for key, part in zip(listed[hid], table.parts(hid, host, pairs[hid], masks)):
+                v.instances += check(key, whole, part, v)
+        return v.outcome(smoke, notes)
+    return checker
+
+
+class _SubactVerdicts:
+    """The verdicts of ``_SUBACT`` that P4.4 and P5.1 share on one ``Env``
+    under one binding of the predicates, packed into bits by ``_verdicts``:
+    each biact host's, by its place in the corpus, and for each digraph id
+    its subacts', in ``Env.subact_masks`` order, each the bits that the
+    sub and the Rees quotient both hold.  Each is decided on first use, a
+    digraph id's from the first host that has it."""
+
+    __slots__ = ("_hosts", "_parts")
+
+    def __init__(self, n_hosts: int):
+        self._hosts: list[Optional[int]] = [None] * n_hosts
+        self._parts: dict[int, bytes] = {}
+
+    def host(self, i: int, host: FiniteBiact) -> int:
+        """The bits of ``host``, the ``i``-th biact host."""
+        if self._hosts[i] is None:
+            self._hosts[i] = _verdicts(_SUBACT, (host,))
+        return self._hosts[i]
+
+    def parts(self, hid: int, host: FiniteBiact, pair: Digraphs,
+              masks: Iterable[int]) -> bytes:
+        """The bits of the parts of each subact ``masks`` of the digraph id
+        ``hid``, built from ``pair``, the pair of ``host``."""
+        if hid not in self._parts:
+            self._parts[hid] = bytes([_verdicts(_SUBACT, _subact_parts(host, pair, mask))
+                                      for mask in masks])
+        return self._parts[hid]
 
 
 def _by_translations(host, hid: int) -> tuple:
@@ -550,13 +633,19 @@ def _by_translations(host, hid: int) -> tuple:
 _BIT = {None: 1, "L": 1, "R": 2, "J": 4}   # a kind's bit in ``_verdicts``
 
 
-def _verdicts(preds: tuple, xs: Iterable) -> tuple[int, ...]:
+def _verdicts(preds: tuple, xs: Iterable) -> int:
     """For each (name, kinds) of ``preds``, whether the predicate holds on
     every object of ``xs``, as one bit per kind (``_BIT``; None, for a
-    predicate asked without a kind, is bit 1)."""
+    predicate asked without a kind, is bit 1), the i-th predicate's bits
+    shifted by 3i (``_bit``)."""
     xs = tuple(xs)
-    return tuple(sum(_BIT[k] for k in kinds if all(_holds(pred, x, k) for x in xs))
-                 for pred, kinds in preds)
+    return sum(_BIT[k] << 3 * i for i, (pred, kinds) in enumerate(preds)
+               for k in kinds if all(_holds(pred, x, k) for x in xs))
+
+
+def _bit(preds: tuple, pred: str, k: Optional[str] = None) -> int:
+    """The bit of ``pred`` for the kind ``k`` in ``_verdicts(preds, ...)``."""
+    return _BIT[k] << 3 * [name for name, _ in preds].index(pred)
 
 
 def _split(pred: str, whole: str, parts: tuple[str, ...], key: str,
@@ -593,13 +682,16 @@ def _subact_parts(host: FiniteBiact, pair: Digraphs, mask: int) -> tuple:
 
 
 _MINIMAL = (("minimal_condition", KINDS),)
+# the predicates of P4.4 and P5.1, whose verdicts on the biact hosts and on
+# their subacts' parts the two claims share (``Env.subact_verdicts``)
+_SUBACT = _MINIMAL + (("stable", (None,)), ("left_stable", (None,)))
 
 
-def _p4_4(mask: int, whole: tuple, part: tuple, v: _Tally) -> int:
+def _p4_4(mask: int, whole: int, part: int, v: _Tally) -> int:
     """A biact has a minimal condition iff a subact and its Rees quotient
     do."""
     for k in KINDS:
-        if (whole[0] ^ part[0]) & _BIT[k]:
+        if (whole ^ part) & _BIT[k]:
             v.add({"subact": frozenset(_bits(mask)), "k": k})
     return len(KINDS)
 
@@ -835,10 +927,12 @@ def check_R3_14_2(env: Env) -> ClaimOutcome:
         v.instances += 1
         if word_to_pair(u + w) != bicyclic_mul(pairs[u], pairs[w]):
             v.add({"mul mismatch": (u, w)})
-    forms = sorted(set(pairs.values()))
-    for x, y, k in itertools.product(forms, forms, KINDS):
+    # one oracle search per (kind, upper word) answers all its lower words
+    words = {x: pair_to_word(x) for x in sorted(set(pairs.values()))}
+    below = {(k, y): oracle_below(k, w, words.values()) for y, w in words.items() for k in KINDS}
+    for x, y, k in itertools.product(words, words, KINDS):
         v.instances += 1
-        if b.le(k, x, y) != oracle_le(k, pair_to_word(x), pair_to_word(y)):
+        if b.le(k, x, y) != (words[x] in below[k, y]):
             v.add({"le mismatch": (k, x, y)})
     return v.outcome()
 
@@ -907,11 +1001,11 @@ def _quotient_part(host, pair: Digraphs, blocks: tuple[int, ...]) -> tuple:
     return (_block_quotient(host, blocks, pair),)
 
 
-def _p4_1(blocks: tuple[int, ...], whole: tuple, part: tuple, v: _Tally) -> int:
+def _p4_1(blocks: tuple[int, ...], whole: int, part: int, v: _Tally) -> int:
     """Minimal conditions pass to the quotient by a congruence: P4.1 for
     biact hosts, C4.3 for semigroup hosts."""
     for k in KINDS:
-        if whole[0] & ~part[0] & _BIT[k]:
+        if whole & ~part & _BIT[k]:
             v.add({"k": k})
     return len(KINDS)
 
@@ -1167,27 +1261,25 @@ def check_S5_0(env: Env) -> ClaimOutcome:
     return v.outcome()
 
 
-_STABLE = (("stable", (None,)), ("left_stable", (None,)))
-
-
-def _p5_1_keys(host: FiniteBiact, pair: Digraphs) -> list[tuple[int, int]]:
-    """The subacts of a host as member bitmasks, each with the number of
-    host J-classes that straddle it."""
+def _p5_1_keys(host: FiniteBiact, masks: Iterable[int]) -> list[tuple[int, int]]:
+    """The subacts ``masks`` of a host, each with the number of host
+    J-classes that straddle it."""
     j_classes = green_structure(host).relation("J").classes
     return [(mask, sum(0 < sum(mask >> y & 1 for y in cls) < len(cls) for cls in j_classes))
-            for mask in _subact_keys(host, pair)]
+            for mask in masks]
 
 
-def _p5_1_parts(host: FiniteBiact, pair: Digraphs, key: tuple[int, int]) -> tuple:
-    return _subact_parts(host, pair, key[0])
+# P5.1's two stability checks: the verdict bit each compares and the
+# payload of its violation
+_P5_1 = ((_bit(_SUBACT, "stable"), {}), (_bit(_SUBACT, "left_stable"), {"failure": "left form"}))
 
 
-def _p5_1(key: tuple[int, int], whole: tuple, part: tuple, v: _Tally) -> int:
+def _p5_1(key: tuple[int, int], whole: int, part: int, v: _Tally) -> int:
     """A biact is stable iff a subact and its Rees quotient are (also in
     the left form), and no J-class straddles a subact."""
     mask, straddles = key
-    for i, failure in enumerate(({}, {"failure": "left form"})):
-        if whole[i] != part[i]:
+    for bit, failure in _P5_1:
+        if (whole ^ part) & bit:
             v.add({"subact": frozenset(_bits(mask)), **failure})
     for _ in range(straddles):
         v.add({"subact": frozenset(_bits(mask)), "failure": "J-class straddles subact"})
@@ -1365,8 +1457,7 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
                       _quotient_part, _p4_1, smoke=True)),
     Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _MINIMAL, _by_digraph, _subact_keys, _subact_parts, _p4_4,
-                      smoke=True)),
+          _over_subacts(_p4_4, smoke=True)),
     Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups",
@@ -1408,8 +1499,8 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "symbolic-witness", "counterexample-expected", check_S5_0),
     Claim("P5.1", "a biact is stable iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _STABLE, _by_digraph, _p5_1_keys, _p5_1_parts, _p5_1,
-                      smoke=True, notes="the straddle check is contentful")),
+          _over_subacts(_p5_1, _p5_1_keys, smoke=True,
+                        notes="the straddle check is contentful")),
     Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups", _split("stable", "rel", ("sub", "rel_rees"), "sub", (None,)),

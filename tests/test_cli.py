@@ -137,6 +137,20 @@ class TestAnalyze:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.slow
+    def test_t5_output_is_pinned(self, capsys, tmp_path):
+        """The full transformation monoid on five points, order 3,125 (the
+        generators of ``test_core.T5``): the one large input whose whole
+        analysis is pinned, so a change to the Green kernel or the
+        predicates that holds on small inputs only fails here."""
+        path = tmp_path / "t5.json"
+        path.write_text(json.dumps({"kind": "transformations", "degree": 5, "generators": [
+            [1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [0, 0, 2, 3, 4]]}))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7da6a34962a114aed32b920fac619094fe78001a873582cea7d10f4131368e1b")
+
     def test_closure_over_the_cap_is_refused(self, capsys, tmp_path):
         # T6 has 46,656 elements, more than the default closure cap
         assert core.DEFAULT_CLOSURE_CAP == 4096

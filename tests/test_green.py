@@ -615,6 +615,135 @@ class TestStabilityVerdict:
         assert (gs.left_stable, gs.right_stable) == (False, False)
 
 
+def _sccs(n, succ):
+    """Iterative Tarjan as ``green`` ran it before its one iterator-driven
+    pass; components are emitted successors-first."""
+    index = [None] * n
+    low = [0] * n
+    onstack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [[root, 0]]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                onstack[v] = True
+            descended = False
+            sv = succ[v]
+            for i in range(pi, len(sv)):
+                w = sv[i]
+                if index[w] is None:
+                    work[-1][1] = i + 1
+                    work.append([w, 0])
+                    descended = True
+                    break
+                if onstack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+    return comps
+
+
+def _sccs_preorder_data(n, succ):
+    """``green._preorder_data`` as it was over ``_sccs``, with per-class
+    successor sets: the oracle of the one-pass kernel."""
+    comps = _sccs(n, succ)
+    comp_of = [0] * n
+    for i, comp in enumerate(comps):
+        for x in comp:
+            comp_of[x] = i
+    class_of = core._normalize_blocks(comp_of)
+    classes = green._members(n, class_of)
+    k = len(comps)
+    succ_cls = [set() for _ in range(k)]
+    for a in range(n):
+        ca = class_of[a]
+        for b in succ[a]:
+            cb = class_of[b]
+            if cb != ca:
+                succ_cls[ca].add(cb)
+    reach = [0] * k
+    for comp in comps:
+        c = class_of[comp[0]]
+        mask = 1 << c
+        for d in succ_cls[c]:
+            mask |= reach[d]
+        reach[c] = mask
+    strict = [reach[c] & ~(1 << c) for c in range(k)]
+    covers = []
+    for c in range(k):
+        below = 0
+        for e in green._bits(strict[c]):
+            below |= strict[e]
+        covers.extend((c, d) for d in green._bits(strict[c] & ~below))
+    unconsumed, height = green._kahn(k, covers)
+    return green._PreorderData(class_of, classes, tuple(reach), tuple(covers),
+                               unconsumed, height)
+
+
+class TestOnePassKernel:
+    """``_preorder_data`` runs Tarjan as one iterator-driven pass and builds
+    each class's reach mask from its members' successors; every field must
+    be the ``_sccs`` kernel's."""
+
+    @staticmethod
+    def _same(succ):
+        got = green._preorder_data(len(succ), succ)
+        want = _sccs_preorder_data(len(succ), succ)
+        assert got == want, succ
+        assert (got.unconsumed, got.height) == (want.unconsumed, want.height)
+
+    def test_every_digraph_of_the_seed0_suite(self):
+        from greenstone.verify import SuiteConfig, run_suite
+
+        for cache in (green._green_structure_cached, green._preorder_cached):
+            cache.cache_clear()
+        assert run_suite("all", SuiteConfig(seed=0)).all_passed
+        digraphs = list(green._preorder_cached)
+        assert len(digraphs) > 1000
+        for succ in digraphs:
+            self._same(succ)
+
+    def test_the_t4_pair(self):
+        s = core.generate_from_transformations(4, [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)])
+        left, right = ba.digraphs(s)
+        for succ in (left, right, tuple(tuple(sorted({*ls, *rs}))
+                                        for ls, rs in zip(left, right))):
+            self._same(succ)
+
+    def test_random_digraphs_with_cycles_and_deep_chains(self):
+        import random
+
+        rng = random.Random("one-pass")
+        for _ in range(300):
+            n = rng.randrange(1, 12)
+            self._same(tuple(tuple(sorted(rng.sample(range(n), rng.randrange(min(n, 4) + 1))))
+                             for _ in range(n)))
+        # a long path and a long cycle: one class per node, or one in all
+        n = 400
+        self._same(tuple((x + 1,) for x in range(n - 1)) + ((),))
+        self._same(tuple(((x + 1) % n,) for x in range(n)))
+
+
 class TestReachabilityEngine:
     def test_matches_brute_force_on_random_digraphs(self):
         import random

@@ -3,7 +3,7 @@ structure.
 
 Four memos share one type: the tuple intern ``core._shared``, the preorder
 and pair memos of ``green`` (which also count their hits) and the rewrite
-steps of ``symbolic.oracle_le``.  Each is a plain dict under a
+steps of ``symbolic.oracle_below``.  Each is a plain dict under a
 module-constant bound that evicts its oldest key first; these tests hold
 each to its bound, its eviction order and its uncached function.
 """
@@ -94,6 +94,25 @@ class TestBounds:
         assert memo.cache_info() == (0, 0, memo.maxsize, 0)
 
 
+class TestEviction:
+    @pytest.mark.parametrize("name", MEMOS)
+    def test_the_order_deque_follows_the_dict(self, name, cleared):
+        """An evicting insert pops the oldest key off ``_order`` instead of
+        walking the dict to its first key: the two stay in step through
+        several rounds of evictions and a clear."""
+        memo, keys = MEMOS[name]
+        asked = list(itertools.islice(keys(), 3 * memo.maxsize // 2))
+        for key in asked[:memo.maxsize // 2]:
+            memo(key)
+        memo.cache_clear()
+        assert list(memo._order) == list(memo) == []
+        for key in asked:
+            memo(key)
+        assert list(memo._order) == list(memo) == asked[-memo.maxsize:]
+        assert memo(asked[-1]) is memo[asked[-1]]      # a hit inserts nothing
+        assert len(memo._order) == memo.maxsize
+
+
 class TestValues:
     def test_values_equal_the_uncached_functions_on_seed0(self, cleared, monkeypatch):
         assert run_suite("all", SuiteConfig(seed=0)).all_passed
@@ -118,11 +137,13 @@ class TestValues:
             "from greenstone.verify import SuiteConfig, run_suite\n"
             "builds, real = [], green._build\n"
             "green._build = lambda *a: builds.append(a) or real(*a)\n"
+            "runs, data = [], green._preorder_data\n"
+            "green._preorder_data = lambda *a: runs.append(a) or data(*a)\n"
             "assert run_suite('all', SuiteConfig(seed=0)).all_passed\n"
-            "print(len(builds), green._green_structure_cached.cache_info().misses)\n")
+            "print(len(builds), green._green_structure_cached.cache_info().misses, len(runs))\n")
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": str(_SRC)}).stdout
-        assert out.split() == ["2366", "2366"]
+        assert out.split() == ["2366", "2366", "2338"]
 
 
 def _dicts(obj):

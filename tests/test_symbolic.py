@@ -22,8 +22,10 @@ def words_up_to(length):
 
 
 def uncached_oracle_le(k, u, v):
-    """``symbolic.oracle_le`` before its one-step rewrites were cached: the
-    same breadth-bounded search, recomputing each word's rewrites."""
+    """``symbolic.oracle_le`` before its one-step rewrites were cached and
+    before one search per start word answered all its targets: a
+    breadth-bounded search per target, recomputing each word's rewrites.
+    The oracle of ``symbolic.oracle_below``."""
     target = sym.reduce_word(u)
     start = sym.reduce_word(v)
     bound = len(target) + 2 * len(start) + 4
@@ -80,6 +82,24 @@ class TestBicyclic:
         words = words_up_to(6)
         for k, u, v in itertools.product(("L", "R", "J"), words, words):
             assert sym.oracle_le(k, u, v) == uncached_oracle_le(k, u, v), (k, u, v)
+
+    def test_one_search_per_start_matches_the_uncached_oracle(self):
+        # the normal forms of R3.14(2), and every word of up to four letters,
+        # reduced or not, as start words and as one target list each
+        forms = [sym.pair_to_word(x) for x in sorted({sym.word_to_pair(w)
+                                                      for w in words_up_to(6)})]
+        for words in (forms, [""] + words_up_to(4)):
+            for k, v in itertools.product(("L", "R", "J"), words):
+                want = {u for u in words if uncached_oracle_le(k, u, v)}
+                assert sym.oracle_below(k, v, words) == want, (k, v)
+
+    def test_one_search_answers_each_target_as_given(self):
+        # targets come back as given, unreduced and repeated ones too
+        assert sym.oracle_below("L", "ba", ["aab", "a", "a", "b"]) == {"aab", "a"}
+        assert sym.oracle_below("R", "ba", ["b", "abb", "a"]) == {"b", "abb"}
+        assert sym.oracle_below("J", "ba", []) == frozenset()
+        with pytest.raises(ValueError, match="Green preorders are L, R, J"):
+            sym.oracle_below("H", "ba", ["a"])
 
     @pytest.mark.parametrize("k", ["H", "D", ""])
     def test_oracle_refuses_a_letter_outside_the_preorders(self, k):

@@ -683,8 +683,10 @@ def _plant_green(monkeypatch):
 
 @pytest.fixture(scope="module")
 def envs():
-    """One Env per config for this section; corpora are built on first use
-    and hold no verdicts, so the tests can share them."""
+    """One Env per config for this section; corpora are built on first use,
+    and the verdicts an Env keeps are keyed by the predicates that decided
+    them, so a plant never reads an unplanted verdict and the tests can
+    share them."""
     return {"tiny": ver.Env(TINY), "default": ver.Env(ver.SuiteConfig())}
 
 
@@ -723,6 +725,9 @@ class TestSharedVerdicts:
         assert failing == {"P4.4", "P5.1"}
 
     def test_no_verdict_outlives_its_run(self, monkeypatch):
+        # the subact verdicts the Env keeps are read back only under the
+        # predicates that decided them: the planted run decides afresh, and
+        # the unplanted run after it reads the first run's
         env = ver.Env(TINY)
         before = _outcomes(env, SHARED_ORACLES)
         with monkeypatch.context() as m:
@@ -744,6 +749,75 @@ class TestSharedVerdicts:
         outcome = ver.REGISTRY["R3.14(3)"].checker(env)
         assert outcome == _r3_14_3_pairs(env) and outcome.ok
         assert outcome.instances == 10530025
+
+
+# ---------------------------------------------------------------------------
+# one part table for P4.4 and P5.1: per (digraph id, subact mask) the bits of
+# both claims' predicates on the parts, decided once per binding of them
+
+PLANT_NAMES = sorted(PLANTS) + ["green data"]
+
+
+def _plant_named(monkeypatch, name):
+    if name == "green data":
+        _plant_green(monkeypatch)
+    else:
+        _plant(monkeypatch, PLANTS[name])
+
+
+class TestSharedPartTable:
+    @pytest.mark.parametrize("first, second", [("P4.4", "P5.1"), ("P5.1", "P4.4")])
+    def test_the_second_claim_under_each_plant(self, first, second, monkeypatch):
+        """On one Env, one claim runs unplanted and fills the table; the other
+        then runs under each plant and must decide afresh, as its oracle
+        does; and unplanted again, it reads the first claim's table."""
+        env = ver.Env(TINY)
+        outcome = ver.REGISTRY[first].checker(env)
+        assert outcome == SHARED_ORACLES[first](env) and outcome.ok
+        failing = set()
+        for name in PLANT_NAMES:
+            with monkeypatch.context() as m:
+                _plant_named(m, name)
+                outcome = ver.REGISTRY[second].checker(env)
+                assert outcome == SHARED_ORACLES[second](env), name
+                failing |= {name} if not outcome.ok else set()
+        assert failing                  # the plants reach the second claim
+        outcome = ver.REGISTRY[second].checker(env)
+        assert outcome == SHARED_ORACLES[second](env) and outcome.ok
+
+    @pytest.mark.parametrize("config", ["tiny", "default"])
+    def test_each_subact_is_built_once_across_both_claims(self, config, monkeypatch):
+        env = ver.Env(TINY if config == "tiny" else ver.SuiteConfig())
+        pairs, _ = env.digraph_ids("biacts")
+        ids = {pair: hid for hid, pair in enumerate(pairs)}
+        built, real = [], ver._subact_parts
+
+        def subact_parts(host, pair, mask):
+            built.append((ids[pair], mask))
+            return real(host, pair, mask)
+
+        monkeypatch.setattr(ver, "_subact_parts", subact_parts)
+        outcomes = [ver.REGISTRY[cid].checker(env) for cid in ("P4.4", "P5.1", "P4.4")]
+        assert len(built) == len(set(built))
+        assert set(built) == {(hid, mask) for hid, pair in enumerate(pairs)
+                              for mask in ver._subact_keys(pair)}
+        monkeypatch.undo()
+        assert outcomes[0] == outcomes[2] == SHARED_ORACLES["P4.4"](env)
+        assert outcomes[1] == SHARED_ORACLES["P5.1"](env)
+
+    def test_a_wrapped_predicate_decides_afresh(self, monkeypatch):
+        """A traced predicate (a wrapper around the same function) is another
+        binding: its calls are made, not read from the unwrapped run's, and
+        made once per host and part across both claims (every finite biact
+        is stable, so both parts of each subact are asked)."""
+        env = ver.Env(TINY)
+        before = _outcomes(env, ("P4.4", "P5.1"))
+        calls, real = [], ver.stable
+        monkeypatch.setattr(ver, "stable", lambda x: calls.append(x) or real(x))
+        assert _outcomes(env, ("P4.4", "P5.1")) == before
+        pairs, _ = env.digraph_ids("biacts")
+        subacts = sum(len(env.subact_masks(hid)) for hid in range(len(pairs)))
+        assert len(calls) == len(env.biacts()) + 2 * subacts
 
 
 # ---------------------------------------------------------------------------
