@@ -41,16 +41,16 @@ that module: they load only under ``verify``, ``probe``, ``catalog`` and
 
 Memos.  The engine's value-keyed memos are one type, ``_Memo``: a plain
 dict under a bound, which evicts its oldest key first and counts its
-misses for ``cache_info()``.  There are four, each bounded by a module
-constant: the tuple intern ``_shared`` here (``SHARED_TUPLES``), the
-preorder and Green-structure memos of ``green`` (3 x 4,096 and 4,096) and
-the rewrite steps of ``symbolic.oracle_below`` (4,096).  A hit is a dict
-lookup in C.  Counting hits takes a Python ``__call__``, which the two
-``green`` memos pay (``_CountedMemo``: 27,000 calls in the seed-0 claim
-suite, and the benchmark reads their hit rate), and the intern and the
-rewrite steps do not: they take about 300,000 calls there, and a Python
-call on each made the claim suite's launches about 10% slower in CPU time
-(medians of 12 alternating launches per side, shared 2-vCPU host).  A
+misses for ``cache_info()``.  There are three, each bounded by a module
+constant: the tuple intern ``_shared`` here (``SHARED_TUPLES``) and the
+preorder and Green-structure memos of ``green`` (3 x 4,096 and 4,096).  A
+hit is a dict lookup in C.  Counting hits takes a Python ``__call__``,
+which the two ``green`` memos pay (``_CountedMemo``: 27,000 calls in the
+seed-0 claim suite, and the benchmark reads their hit rate), and the
+intern does not: it took about 300,000 calls there, with the rewrite steps
+of the bicyclic oracle, once a memo too, and a Python call on each made
+the claim suite's launches about 10% slower in CPU time (medians of 12
+alternating launches per side, shared 2-vCPU host).  A
 memo keeps its keys' insertion order in a deque beside the dict, so an
 evicting insert pops the oldest key in O(1): asking the dict for its
 first key walks past every slot that earlier evictions left empty at the

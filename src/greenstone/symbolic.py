@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .biact import FiniteBiact
-from .core import FiniteSemigroup, _Memo, validate_table
+from .core import FiniteSemigroup, validate_table
 from .errors import (
     ActionMismatch,
     DecisionUnavailable,
@@ -262,7 +262,7 @@ def oracle_below(k: str, v: str, targets: Iterable[str]) -> frozenset[str]:
     for bound in range(len(start), cap + 1):
         todo = level[bound]
         while todo and missing:
-            for w2 in _oracle_steps((k, todo.pop())):
+            for w2 in _steps(k, todo.pop()):
                 if w2 not in least and len(w2) <= cap:
                     least[w2] = max(bound, len(w2))
                     level[least[w2]].append(w2)
@@ -270,21 +270,15 @@ def oracle_below(k: str, v: str, targets: Iterable[str]) -> frozenset[str]:
     return frozenset(u for u, (t, bound) in bounds.items() if least.get(t, cap + 1) <= bound)
 
 
-def _steps(key: tuple[str, str]) -> tuple[str, ...]:
+def _steps(k: str, w: str) -> tuple[str, ...]:
     """The reduced one-step rewrites of the reduced word ``w`` that the
-    ``k`` search applies, for ``key`` = (k, w)."""
-    k, w = key
+    ``k`` search applies."""
     steps: tuple[str, ...] = ()
     if k in ("L", "J"):
         steps += (reduce_word("a" + w), reduce_word("b" + w))
     if k in ("R", "J"):
         steps += (reduce_word(w + "a"), reduce_word(w + "b"))
     return steps
-
-
-# ``_steps`` by (k, w).  Bounded, because the oracle is public and its
-# words are the caller's.
-_oracle_steps = _Memo(_steps, 4096)
 
 
 # ---------------------------------------------------------------------------

@@ -27,37 +27,36 @@ of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 
 The host-level pass.  P4.4, P5.1 (subacts, their ``sub`` and Rees
 quotient) and P4.1, C4.3 (single-pair congruences, their quotient) are
-decided host by host (``_over_subacts``, ``_over_hosts``).  Each host's
+decided host by host, by one pass (``_over_hosts``).  Each host's
 one-step digraph pair is frozen once per ``Env``, when its corpus is
 built, and interned as a digraph id.  A host's instances are listed once
-per listing key, which fixes all that the listing reads: a host's
-subacts depend on its pair only, so they are listed once per digraph id
-and ``Env`` (``Env.subact_masks``), and P5.1 counts the J-classes that
-straddle each once per digraph id and run; its single-pair congruences
-depend on its size and its set of translation maps only, so they are
-listed once per such key and run, which hosts with different digraphs
-can share (a biact and its mirror image, whose left and right maps trade
-places).  The host's verdicts are decided once per host object, which is
-exact for any predicate.  The parts' verdicts are decided once per
-(digraph id, key), for every kind at once, on parts built from the
-host's pair without action tables (see ``biact``).  That replay is exact
-because the key fixes each part's digraph pair: a subact is closed under
-both actions, so the sub's steps are the host's restricted to the
-members and the Rees quotient's merge them into one sink, and
-compatibility makes a quotient block's steps the blocks of its least
-member's steps.  The pair fixes the Green structure, and the key fixes
-the part's kind and size, so a predicate that decides from these, as
-every predicate of these claims does, gives the same verdict on each
-part with that key.  The instances and violations are then replayed in
-corpus order.  P4.4 and P5.1 share one part table per ``Env``
-(``Env.subact_verdicts``): its host and part verdicts cover the
-predicates of both claims, so whichever runs first builds each subact's
-parts once and the other builds none.  The table is kept per binding of
-those predicates in this module, so a verdict is read back only under
-the functions that decided it; the congruence claims keep their
-verdicts for one run.  R3.14(3) checks each (left digraph of S, right
-digraph of T) group of pairs once, on a product built from those two
-digraphs.
+per listing key and run, which fixes all that the listing reads: a
+host's subacts depend on its pair only, so they are listed once per
+digraph id; its single-pair congruences depend on its size and its set
+of translation maps only, so they are listed once per such key, which
+hosts with different digraphs can share (a biact and its mirror image,
+whose left and right maps trade places).  The verdicts live in one table
+on the ``Env`` per host corpus, binding of the predicates and binding of
+the part builder (``Env.verdicts``).  The host's verdicts are decided
+once per host, which is exact for any predicate.  The parts' verdicts
+are decided once per (digraph id, key), for every kind at once, on parts
+built from the host's pair without action tables (see ``biact``).  That
+replay is exact because the key fixes each part's digraph pair: a subact
+is closed under both actions, so the sub's steps are the host's
+restricted to the members and the Rees quotient's merge them into one
+sink, and compatibility makes a quotient block's steps the blocks of its
+least member's steps.  A semigroup host is read as its own biact, whose
+quotient has its semigroup quotient's steps.  The pair fixes the Green
+structure, and the key fixes the part's kind and size, so a predicate
+that decides from these, as every predicate of these claims does, gives
+the same verdict on each part with that key.  The instances and
+violations are then replayed in corpus order.  P4.4 and P5.1 name the
+same corpus, predicates and builder, so they share one table: whichever
+runs first builds each subact's parts once and the other builds none.
+A verdict is read back only under the functions that decided it, so a
+planted or traced predicate or builder decides afresh.  R3.14(3) checks
+each (left digraph of S, right digraph of T) group of pairs once, on a
+product built from those two digraphs.
 
 Must-hold claims must produce zero violations; counterexample-expected
 claims must produce a verified witness.  Claims whose finite runs cannot
@@ -99,6 +98,7 @@ from .core import (
     Congruence,
     FiniteSemigroup,
     _closure,
+    _shared,
     _translations,
     classify_subset,
     find_isomorphism,
@@ -270,15 +270,15 @@ def _hosts(build: Callable[["Env"], list]) -> Callable[["Env"], list]:
 
 class Env:
     """Shared corpora for the claim checkers, and the verdicts of the
-    subact pass.
+    host-level pass.
 
     The semigroup-side corpora are small and built once.  The biact-side
     substructures are not kept: holding the thousands of subact
     restrictions and quotients at once would raise the suite's peak memory
-    by megabytes.  What P4.4 and P5.1 decide on them is kept instead, as
-    bits (``subact_verdicts``): the verdicts of each biact host and of each
-    subact's two parts, keyed by the predicate functions bound when they
-    were decided, so a planted or traced predicate decides afresh.
+    by megabytes.  What the host pass decides on them is kept instead, as
+    bits (``verdicts``), keyed by the predicate functions and the part
+    builder bound when they were decided, so a planted or traced function
+    decides afresh.
     """
 
     def __init__(self, config: SuiteConfig):
@@ -287,8 +287,7 @@ class Env:
         self._interned: dict[Digraphs, Digraphs] = {}
         self._pairs: dict[int, Digraphs] = {}      # id(host) -> its interned pair
         self._digraph_ids: dict[str, tuple[list[Digraphs], list[int]]] = {}
-        self._subact_masks: dict[int, tuple[int, ...]] = {}   # biact digraph id -> subacts
-        self._subact_verdicts: dict[tuple, _SubactVerdicts] = {}
+        self._verdicts: dict[tuple, tuple[list, dict]] = {}
 
     def rng(self, key: str) -> random.Random:
         return random.Random(f"{self.config.seed}:{key}")
@@ -380,22 +379,18 @@ class Env:
             self._digraph_ids[hosts] = (list(ids), hids)
         return self._digraph_ids[hosts]
 
-    def subact_masks(self, hid: int) -> tuple[int, ...]:
-        """The subacts of the biact hosts whose digraph id is ``hid``, as
-        member bitmasks in ``nonempty_subsets`` order, listed on the first
-        call per id: they depend on the digraph pair only."""
-        if hid not in self._subact_masks:
-            self._subact_masks[hid] = tuple(_subact_keys(self.digraph_ids("biacts")[0][hid]))
-        return self._subact_masks[hid]
-
-    def subact_verdicts(self) -> "_SubactVerdicts":
-        """The verdict table of P4.4 and P5.1 under the predicates of
-        ``_SUBACT`` as this module binds them now, made on the first call
-        per binding."""
-        bound = tuple(globals()[pred] for pred, _ in _SUBACT)
-        if bound not in self._subact_verdicts:
-            self._subact_verdicts[bound] = _SubactVerdicts(len(self.biacts()))
-        return self._subact_verdicts[bound]
+    def verdicts(self, hosts: str, preds: tuple, parts: Callable) -> tuple[list, dict]:
+        """The verdict table of the host pass over the host corpus named
+        ``hosts``, the predicates ``preds`` as this module binds them now
+        and the part builder ``parts``, made on the first call per binding:
+        each host's verdict bits by its place in the corpus, and each
+        part's by digraph id and then instance key, both filled on first
+        use.  Keyed by id first, the table keeps no (id, key) tuple per
+        part, which more than halves its memory at seed 7100."""
+        table = (hosts, preds, tuple(globals()[pred] for pred, _ in preds), parts)
+        if table not in self._verdicts:
+            self._verdicts[table] = ([None] * len(getattr(self, hosts)()), {})
+        return self._verdicts[table]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +515,7 @@ def _over(corpus: str, check, smoke: bool = False,
 
 
 def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
-                parts: Callable, check: Callable, smoke: bool = False,
+                parts: str, check: Callable, smoke: bool = False,
                 notes: str = "") -> Callable[[Env], ClaimOutcome]:
     """The checker of a claim that compares the predicates ``preds``, as
     (name, kinds) pairs, on each host of the Env corpus named ``hosts``
@@ -530,97 +525,55 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
       interned as a digraph id (``Env.digraph_ids``), so the claims over
       one corpus share it.
     - ``keys(host, pair)`` lists the host's instances as hashable keys, in
-      order.  It is called once per listing key ``listing(host, hid)``,
-      which must fix everything ``keys`` reads: the translation maps for
-      congruences (``_by_translations``).
-    - The host's verdicts are decided once per host object, on its first
-      instance, which is exact for any predicate.
-    - ``parts(host, pair, key)`` builds an instance's parts from the pair,
-      and their verdicts are decided once per (digraph id, key).  This is
+      order.  It is called once per listing key ``listing(host, hid)`` and
+      run, which must fix everything ``keys`` reads: the digraph id for
+      subacts (``_by_digraph``), the translation maps for congruences
+      (``_by_translations``).
+    - The verdicts come from the ``Env``'s table for this corpus, these
+      predicates and the part builder of this module named ``parts``, all
+      looked up on each run (``Env.verdicts``), so claims that name the
+      same three share their verdicts.  The host's are decided once per
+      host, on its first instance, which is exact for any predicate.
+    - The builder named ``parts`` builds an instance's parts from the
+      pair, as ``parts(host, pair, key)``, and their verdicts are decided
+      once per (digraph id, key).  This is
       exact because the key fixes each part's digraph pair, hence its
       Green structure, and its kind and size: the predicates must decide
       from these, as every predicate of the claims does.
-    - ``check(key, whole, part, v)`` then makes the instance's checks from
-      the two verdicts (``_verdicts``) and returns their number, so
+    - ``check(host, key, whole, part, v)`` then makes the instance's checks
+      from the two verdicts (``_verdicts``) and returns their number, so
       instances and violations come in corpus order.
-    - The verdicts are kept for this run only (the subact claims share
-      theirs: ``_over_subacts``).
     """
     def checker(env: Env) -> ClaimOutcome:
-        v, listed, decided = _Tally(), {}, {}
+        build = globals()[parts]
+        whole, part = env.verdicts(hosts, preds, build)
+        v, listed = _Tally(), {}
         pairs, hids = env.digraph_ids(hosts)
-        for host, hid in zip(getattr(env, hosts)(), hids):
+        for i, (host, hid) in enumerate(zip(getattr(env, hosts)(), hids)):
             pair = pairs[hid]
             by = listing(host, hid)
             if by not in listed:
                 listed[by] = keys(host, pair)
-            whole = None
+            known = part.setdefault(hid, {})
             for key in listed[by]:
-                if whole is None:
-                    whole = _verdicts(preds, (host,))
-                if (hid, key) not in decided:
-                    decided[hid, key] = _verdicts(preds, parts(host, pair, key))
-                v.instances += check(key, whole, decided[hid, key], v)
+                if whole[i] is None:
+                    whole[i] = _verdicts(preds, (host,))
+                if key not in known:
+                    known[key] = _verdicts(preds, build(host, pair, key))
+                v.instances += check(host, key, whole[i], known[key], v)
         return v.outcome(smoke, notes)
     return checker
 
 
-def _over_subacts(check: Callable, keys: Optional[Callable] = None, smoke: bool = False,
-                  notes: str = "") -> Callable[[Env], ClaimOutcome]:
-    """The checker of a claim over the subacts of the biact hosts, host by
-    host, as ``_over_hosts`` makes it, but from the verdicts that P4.4 and
-    P5.1 share on one ``Env`` (``Env.subact_verdicts``: the predicates of
-    ``_SUBACT`` on the host and on each subact's sub and Rees quotient).
-
-    - The subacts of a digraph id are listed once per ``Env``
-      (``Env.subact_masks``); ``keys(host, masks)`` turns them into the
-      claim's instance keys, in order, once per digraph id and run (the
-      masks themselves when ``keys`` is None).
-    - ``check(key, whole, part, v)`` makes an instance's checks from the
-      host's verdict bits and its parts' and returns their number.
-    """
-    def checker(env: Env) -> ClaimOutcome:
-        v, listed, table = _Tally(), {}, env.subact_verdicts()
-        pairs, hids = env.digraph_ids("biacts")
-        for i, (host, hid) in enumerate(zip(env.biacts(), hids)):
-            masks = env.subact_masks(hid)
-            if hid not in listed:
-                listed[hid] = masks if keys is None else keys(host, masks)
-            whole = table.host(i, host)
-            for key, part in zip(listed[hid], table.parts(hid, host, pairs[hid], masks)):
-                v.instances += check(key, whole, part, v)
-        return v.outcome(smoke, notes)
-    return checker
+def _by_digraph(host, hid: int) -> int:
+    """The listing key of subacts: the digraph id, which fixes all that
+    ``_subact_keys`` reads."""
+    return hid
 
 
-class _SubactVerdicts:
-    """The verdicts of ``_SUBACT`` that P4.4 and P5.1 share on one ``Env``
-    under one binding of the predicates, packed into bits by ``_verdicts``:
-    each biact host's, by its place in the corpus, and for each digraph id
-    its subacts', in ``Env.subact_masks`` order, each the bits that the
-    sub and the Rees quotient both hold.  Each is decided on first use, a
-    digraph id's from the first host that has it."""
-
-    __slots__ = ("_hosts", "_parts")
-
-    def __init__(self, n_hosts: int):
-        self._hosts: list[Optional[int]] = [None] * n_hosts
-        self._parts: dict[int, bytes] = {}
-
-    def host(self, i: int, host: FiniteBiact) -> int:
-        """The bits of ``host``, the ``i``-th biact host."""
-        if self._hosts[i] is None:
-            self._hosts[i] = _verdicts(_SUBACT, (host,))
-        return self._hosts[i]
-
-    def parts(self, hid: int, host: FiniteBiact, pair: Digraphs,
-              masks: Iterable[int]) -> bytes:
-        """The bits of the parts of each subact ``masks`` of the digraph id
-        ``hid``, built from ``pair``, the pair of ``host``."""
-        if hid not in self._parts:
-            self._parts[hid] = bytes([_verdicts(_SUBACT, _subact_parts(host, pair, mask))
-                                      for mask in masks])
-        return self._parts[hid]
+def _closed_masks(host: FiniteBiact, pair: Digraphs) -> list[int]:
+    """The subacts of ``host``, whose pair is ``pair``, as member bitmasks."""
+    return _subact_keys(pair)
 
 
 def _by_translations(host, hid: int) -> tuple:
@@ -683,11 +636,11 @@ def _subact_parts(host: FiniteBiact, pair: Digraphs, mask: int) -> tuple:
 
 _MINIMAL = (("minimal_condition", KINDS),)
 # the predicates of P4.4 and P5.1, whose verdicts on the biact hosts and on
-# their subacts' parts the two claims share (``Env.subact_verdicts``)
+# their subacts' parts the two claims share (``Env.verdicts``)
 _SUBACT = _MINIMAL + (("stable", (None,)), ("left_stable", (None,)))
 
 
-def _p4_4(mask: int, whole: int, part: int, v: _Tally) -> int:
+def _p4_4(host: FiniteBiact, mask: int, whole: int, part: int, v: _Tally) -> int:
     """A biact has a minimal condition iff a subact and its Rees quotient
     do."""
     for k in KINDS:
@@ -989,19 +942,21 @@ def _r3_14_3(group: tuple[FiniteSemigroup, FiniteSemigroup, FiniteBiact], v: _Ta
 
 
 def _congruence_keys(host, pair: Digraphs) -> list[tuple[int, ...]]:
-    """The blocks of each single-pair congruence of ``host``."""
-    return [rho.blocks for rho in single_pair_congruences(host)]
+    """The blocks of each single-pair congruence of ``host``, interned
+    (``core._shared``), as they key the verdict table: the default config's
+    2,289 (digraph id, blocks) keys of P4.1 hold 222 distinct blocks."""
+    return [_shared(rho.blocks) for rho in single_pair_congruences(host)]
 
 
 def _quotient_part(host, pair: Digraphs, blocks: tuple[int, ...]) -> tuple:
-    """The quotient by ``blocks``: a biact's built from the host's digraph
-    pair, a semigroup's from its table."""
-    if isinstance(host, FiniteSemigroup):
-        return (quotient(host, Congruence(blocks, host.size, host))[0],)
+    """The quotient by ``blocks``, built from the host's digraph pair.  A
+    semigroup's is its quotient as its own biact, whose Green data are its
+    semigroup quotient's (L4.2): a block [e] steps to the blocks [s e] in
+    both."""
     return (_block_quotient(host, blocks, pair),)
 
 
-def _p4_1(blocks: tuple[int, ...], whole: int, part: int, v: _Tally) -> int:
+def _p4_1(host, blocks: tuple[int, ...], whole: int, part: int, v: _Tally) -> int:
     """Minimal conditions pass to the quotient by a congruence: P4.1 for
     biact hosts, C4.3 for semigroup hosts."""
     for k in KINDS:
@@ -1261,28 +1216,21 @@ def check_S5_0(env: Env) -> ClaimOutcome:
     return v.outcome()
 
 
-def _p5_1_keys(host: FiniteBiact, masks: Iterable[int]) -> list[tuple[int, int]]:
-    """The subacts ``masks`` of a host, each with the number of host
-    J-classes that straddle it."""
-    j_classes = green_structure(host).relation("J").classes
-    return [(mask, sum(0 < sum(mask >> y & 1 for y in cls) < len(cls) for cls in j_classes))
-            for mask in masks]
-
-
 # P5.1's two stability checks: the verdict bit each compares and the
 # payload of its violation
 _P5_1 = ((_bit(_SUBACT, "stable"), {}), (_bit(_SUBACT, "left_stable"), {"failure": "left form"}))
 
 
-def _p5_1(key: tuple[int, int], whole: int, part: int, v: _Tally) -> int:
+def _p5_1(host: FiniteBiact, mask: int, whole: int, part: int, v: _Tally) -> int:
     """A biact is stable iff a subact and its Rees quotient are (also in
-    the left form), and no J-class straddles a subact."""
-    mask, straddles = key
+    the left form), and no J-class of the host straddles a subact."""
     for bit, failure in _P5_1:
         if (whole ^ part) & bit:
             v.add({"subact": frozenset(_bits(mask)), **failure})
-    for _ in range(straddles):
-        v.add({"subact": frozenset(_bits(mask)), "failure": "J-class straddles subact"})
+    for cls in green_structure(host).relation("J").classes:
+        # a one-element class cannot straddle, and most classes have one
+        if len(cls) > 1 and 0 < sum(mask >> y & 1 for y in cls) < len(cls):
+            v.add({"subact": frozenset(_bits(mask)), "failure": "J-class straddles subact"})
     return 1
 
 
@@ -1447,17 +1395,18 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "finite-exhaustive", "must-hold", check_R3_14_3),
     Claim("P4.1", "minimal conditions pass to biact quotients",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _MINIMAL, _by_translations, _congruence_keys, _quotient_part,
-                      _p4_1, smoke=True)),
+          _over_hosts("biacts", _MINIMAL, _by_translations, _congruence_keys,
+                      "_quotient_part", _p4_1, smoke=True)),
     Claim("L4.2", "semigroup quotients agree with regular-biact quotients",
           "finite-exhaustive", "must-hold", _over("congruences", _l4_2)),
     Claim("C4.3", "minimal conditions pass to semigroup quotients",
           "finite-exhaustive", "must-hold",
           _over_hosts("semigroups", _MINIMAL, _by_translations, _congruence_keys,
-                      _quotient_part, _p4_1, smoke=True)),
+                      "_quotient_part", _p4_1, smoke=True)),
     Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_subacts(_p4_4, smoke=True)),
+          _over_hosts("biacts", _SUBACT, _by_digraph, _closed_masks, "_subact_parts",
+                      _p4_4, smoke=True)),
     Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups",
@@ -1499,8 +1448,8 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "symbolic-witness", "counterexample-expected", check_S5_0),
     Claim("P5.1", "a biact is stable iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_subacts(_p5_1, _p5_1_keys, smoke=True,
-                        notes="the straddle check is contentful")),
+          _over_hosts("biacts", _SUBACT, _by_digraph, _closed_masks, "_subact_parts",
+                      _p5_1, smoke=True, notes="the straddle check is contentful")),
     Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups", _split("stable", "rel", ("sub", "rel_rees"), "sub", (None,)),

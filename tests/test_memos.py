@@ -1,11 +1,11 @@
 """The engine's bounded memos (``core._Memo``) and the dict-free Green
 structure.
 
-Four memos share one type: the tuple intern ``core._shared``, the preorder
-and pair memos of ``green`` (which also count their hits) and the rewrite
-steps of ``symbolic.oracle_below``.  Each is a plain dict under a
-module-constant bound that evicts its oldest key first; these tests hold
-each to its bound, its eviction order and its uncached function.
+Three memos share one type: the tuple intern ``core._shared`` and the
+preorder and pair memos of ``green`` (which also count their hits).  Each
+is a plain dict under a module-constant bound that evicts its oldest key
+first; these tests hold each to its bound, its eviction order and its
+uncached function.
 """
 
 import gc
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from greenstone import core, green, props, symbolic as sym
+from greenstone import core, green, props
 from greenstone.verify import SuiteConfig, run_suite
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -39,9 +39,6 @@ MEMOS = {
     "green._preorder_cached": (green._preorder_cached, _digraphs4),
     "green._green_structure_cached": (green._green_structure_cached,
                                       lambda: ((left, _EMPTY4) for left in _digraphs4())),
-    "symbolic._oracle_steps": (sym._oracle_steps,
-                               lambda: ((k, sym.pair_to_word((i % 60, i // 60)))
-                                        for i in itertools.count() for k in "LRJ")),
 }
 
 
@@ -76,7 +73,6 @@ class TestBounds:
         assert core._shared.maxsize == core.SHARED_TUPLES == 8192
         assert green._preorder_cached.maxsize == 3 * 4096
         assert green._green_structure_cached.maxsize == 4096
-        assert sym._oracle_steps.maxsize == 4096
 
     def test_hits_and_misses_are_counted(self, cleared):
         key = (1, "memo-count")
@@ -121,7 +117,6 @@ class TestValues:
         assert all(value == key for key, value in core._shared.items())
         assert all(value == green._preorder_data(len(key), key)
                    for key, value in green._preorder_cached.items())
-        assert all(value == sym._steps(key) for key, value in sym._oracle_steps.items())
         structures = list(green._green_structure_cached.items())
         # an uncached build: the preorder data computed afresh
         monkeypatch.setattr(green, "_preorder_cached",

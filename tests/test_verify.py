@@ -816,15 +816,33 @@ class TestSharedPartTable:
         monkeypatch.setattr(ver, "stable", lambda x: calls.append(x) or real(x))
         assert _outcomes(env, ("P4.4", "P5.1")) == before
         pairs, _ = env.digraph_ids("biacts")
-        subacts = sum(len(env.subact_masks(hid)) for hid in range(len(pairs)))
+        subacts = sum(len(ver._subact_keys(pair)) for pair in pairs)
         assert len(calls) == len(env.biacts()) + 2 * subacts
+
+    def test_a_wrapped_predicate_decides_each_quotient_once(self, monkeypatch):
+        """P4.1 on one Env: after an unwrapped run, a wrapped
+        ``minimal_condition`` gives the same outcome, called once per kind on
+        each host with a congruence and on each (digraph id, blocks)."""
+        env = ver.Env(TINY)
+        before = ver.REGISTRY["P4.1"].checker(env)
+        calls, real = [], ver.minimal_condition
+        monkeypatch.setattr(ver, "minimal_condition",
+                            lambda x, k: calls.append(x) or real(x, k))
+        assert ver.REGISTRY["P4.1"].checker(env) == before
+        assert ver.REGISTRY["P4.1"].checker(env) == before
+        pairs, hids = env.digraph_ids("biacts")
+        hosts = [b for b in env.biacts() if b.size > 1]
+        quotients = {(hid, rho.blocks) for b, hid in zip(env.biacts(), hids)
+                     for rho in ver.single_pair_congruences(b)}
+        assert len(calls) == len(ver.KINDS) * (len(hosts) + len(quotients))
 
 
 # ---------------------------------------------------------------------------
-# the host-level pass: the parts of P4.4, P5.1 and P4.1, and the products of
-# R3.14(3), are built from digraphs, and none of them should need a table
+# the host-level pass: the parts of P4.4, P5.1, P4.1 and C4.3, and the
+# products of R3.14(3), are built from digraphs, and none of them should
+# need a table
 
-HOT_CLAIMS = ("P4.4", "P5.1", "P4.1", "R3.14(3)")
+HOT_CLAIMS = ("P4.4", "P5.1", "P4.1", "C4.3", "R3.14(3)")
 
 
 class TestHostPass:
