@@ -9,15 +9,17 @@ Action tables are dense: ``left_action[s][a]`` and ``right_action[a][t]``.
 Carrier ids are their own namespace, disjoint from the semigroup ids.
 
 Trust boundary: ``validate_biact`` is the entry point for raw action
-tables (file load, the random samplers' one-sided recipes, hand-built
-actions) and checks ranges and all three axioms.  The other constructors
-check only their own preconditions -- ideal, subsemigroup, subact,
-homomorphism -- because their output satisfies the axioms by
-construction.  Those that read no host biact (regular, relative,
-pullback) build through the unchecked ``_trusted_biact``, and so does
-the exhaustive census (``enumeration.all_biacts``), whose candidates
-pass the left-axiom scan ``_left_axiom_violation`` (on S, and on the
-opposite of T for the right actions) and a compatibility check first.
+tables (file load, hand-built actions) and checks ranges and all three
+axioms.  The other constructors check only their own preconditions --
+ideal, subsemigroup, subact, homomorphism -- because their output
+satisfies the axioms by construction.  Those that read no host biact
+(regular, relative, pullback) build through the unchecked
+``_trusted_biact``, and so do the exhaustive census
+(``enumeration.all_biacts``), whose candidates pass the left-axiom scan
+``_left_axiom_violation`` (on S, and on the opposite of T for the right
+actions) and a compatibility check first, and the random sampler's
+one-sided recipes (``enumeration.random_biact``: the maps of a
+transformation semigroup on one side, the identity action on the other).
 A differential test re-validates their output over the small census and
 the random corpus.  The semigroup side mirrors this with
 ``core.validate_table`` and ``core._trusted_table``.  A semigroup is

@@ -31,10 +31,10 @@ had as frozen data classes: equality and hashing over the same fields, the
 same repr, and assignment refused with the same message.  Every file
 command loads these four modules, and the standard library's data-class
 module would bring ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it,
-plus the generated methods of nine classes.  On a shared 2-vCPU host (Python 3.11) that made
-``import greenstone.props`` about 20 ms slower and ``analyze`` on an
-order-133 transformation semigroup about 34 ms slower, per launch
-(medians of 30 alternating launches).  ``verify`` and ``symbolic`` keep
+plus the generated methods of each class.  On a shared 2-vCPU host
+(Python 3.11) that made ``import greenstone.props`` about 20 ms slower
+and ``analyze`` on an order-133 transformation semigroup about 34 ms
+slower, per launch (medians of 30 alternating launches).  ``verify`` and ``symbolic`` keep
 that module: they load only under ``verify``, ``probe``, ``catalog`` and
 ``construct usta/usa``, and the benchmark's tracer rebuilds
 ``verify.Claim`` records with its ``replace``.
@@ -158,9 +158,6 @@ class FiniteSemigroup(_Frozen):
             if all(self.table[e][x] == x == self.table[x][e] for x in range(self.order)):
                 return e
         return None
-
-    def has_identity(self) -> bool:
-        return self.identity() is not None
 
     def generator_ids(self) -> Optional[tuple[int, ...]]:
         gens = self.provenance.get("generator_ids")
@@ -628,18 +625,6 @@ def _closure(x, fns: Sequence, pairs: Iterable[tuple[int, int]]) -> Congruence:
             if dsu.union(fa, fb):
                 work.append((fa, fb))
     return Congruence(blocks=dsu.blocks(), size=n, over=x)
-
-
-def congruence_from_blocks(x, block_of: Sequence[int]) -> Congruence:
-    """Wrap an explicit partition, verifying compatibility."""
-    n = x.size
-    if len(block_of) != n:
-        raise IncompatiblePartition(("size", len(block_of), n))
-    blocks = _normalize_blocks(block_of)
-    witness = congruence_violation(x, blocks)
-    if witness is not None:
-        raise IncompatiblePartition(witness)
-    return Congruence(blocks=blocks, size=n, over=x)
 
 
 def congruence_violation(x, blocks: Sequence[int]) -> Optional[tuple]:

@@ -28,8 +28,7 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 from .biact import Digraphs, FiniteBiact, _left_axiom_violation, _trusted_biact, digraphs, \
-    product_biact, regular_biact, relative_biact, biact_rees_quotient, subact_closure, \
-    validate_biact
+    product_biact, regular_biact, relative_biact, biact_rees_quotient, subact_closure
 from .core import (
     FiniteSemigroup,
     _default_labels,
@@ -322,7 +321,8 @@ def random_biact(seed) -> FiniteBiact:
     else:
         # a transformation semigroup acting on the carrier, the other side
         # acting as the identity: on the right (recipe 3), or on the left
-        # through its opposite (recipe 4)
+        # through its opposite (recipe 4).  Both actions hold by
+        # construction, the maps composing as their semigroup's product.
         m = rng.randrange(2, _MAX_CARRIER + 1)
         while True:
             try:
@@ -334,12 +334,13 @@ def random_biact(seed) -> FiniteBiact:
         maps = t.provenance["maps"]
         idle = pick_semigroup(_MAX_SEMIGROUP)
         fixed = [tuple(range(m))] * idle.order    # the identity action's rows
+        labels = _default_labels(m, "a")
         if recipe == 3:    # the maps act on the right: they are the columns
-            biact = validate_biact(idle, t, fixed, list(zip(*maps)),
-                                   provenance={"kind": "biact", "recipe": "right-transformation"})
+            biact = _trusted_biact(idle, t, fixed, list(zip(*maps)), labels,
+                                   {"kind": "biact", "recipe": "right-transformation"})
         else:              # their opposite acts on the left: they are the rows
-            biact = validate_biact(opposite(t), idle, maps, list(zip(*fixed)),
-                                   provenance={"kind": "biact", "recipe": "left-transformation"})
+            biact = _trusted_biact(opposite(t), idle, maps, list(zip(*fixed)), labels,
+                                   {"kind": "biact", "recipe": "left-transformation"})
 
     # optionally quotient, keeping validity by construction
     twist = rng.randrange(3)

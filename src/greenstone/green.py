@@ -68,10 +68,12 @@ full, and counts its hits and misses for ``cache_info()``):
   build.  The preorder data are frozen and hold only tuples, so
   structures share them safely.
 
-A structure holds no dict: its five relations sit in one tuple slot (L, R
-and J as their preorder data, H and D as ``_Partition``s), read through
-``GreenStructure.relation``, and the answers ``props`` keeps per structure
-sit in two more slots.
+A structure stores what the build hands it and nothing more: the size,
+the tuple of its five relations (L, R and J as their preorder data, H and
+D as ``_Partition``s) and the two stability flags.  Equality, hashing,
+repr and copies run over those fields, and ``GreenStructure.relation``
+reads one relation.  It holds no dict; the answers ``props`` keeps per
+structure sit in two more slots.
 
 Equal tuples are one object.  Each tuple a build keeps passes through
 ``core._shared``, a bounded intern that hands back the first-seen equal
@@ -250,32 +252,25 @@ def _kahn(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 class GreenStructure(_Frozen):
-    """The Green data of one digraph pair.  Slotted, and it holds no dict:
-    its relations sit in one slot, the tuple ``_relations`` in
-    ``RELATIONS`` order (L, R and J as their preorder data, H and D as
-    partitions), and ``relation(k)`` reads one; a loop over one relation
-    reads it once and asks it directly (``_PreorderData.le``).  The
-    constructor's ``data``, ``class_of`` and ``classes`` fields are read
-    back as dicts built on each read, for equality, repr, copies and
-    callers outside the engine; no engine path reads them.  Two more slots
-    (``_KEPT``) keep the answers ``props`` decides once per structure: None
-    until decided, outside equality, hashing, repr and copies, so a new
-    structure starts without them."""
-    _fields = ("size", "data", "class_of", "classes", "left_stable", "right_stable")
+    """The Green data of one digraph pair, stored as the build hands it:
+    the size, ``relations`` and the two stability flags.  ``relations``
+    holds the five relations in ``RELATIONS`` order: L, R and J as their
+    preorder data, which also hold the class posets, and H and D as
+    partitions.  Equality, hashing, repr and copies run over these four
+    fields.  ``relation(k)`` reads one relation; a loop over one relation
+    reads it once and asks it directly (``_PreorderData.le``).  Slotted,
+    so a structure holds no dict.  Two more slots (``_KEPT``) keep the
+    answers ``props`` decides once per structure: None until decided,
+    outside equality, hashing, repr and copies, so a new structure starts
+    without them."""
+    _fields = ("size", "relations", "left_stable", "right_stable")
     _KEPT = ("_relation_forms", "_stable_char")
-    __slots__ = ("size", "_relations", "left_stable", "right_stable") + _KEPT
+    __slots__ = _fields + _KEPT
 
-    def __init__(self, size: int, data: dict, class_of: dict, classes: dict,
+    def __init__(self, size: int, relations: tuple[_Partition, ...],
                  left_stable: bool, right_stable: bool):
         _set(self, "size", size)
-        # data: K in {L,R,J} -> _PreorderData; class_of: K in {L,R,J,H,D} ->
-        # tuple elem -> class id; classes: K -> tuple of sorted member tuples.
-        # L, R and J keep their classes once, in their preorder data.
-        for k in PREORDERS:
-            if (class_of[k], classes[k]) != (data[k].class_of, data[k].classes):
-                raise ValueError(f"the {k} classes differ from the {k} preorder data")
-        _set(self, "_relations", tuple([data[k] for k in PREORDERS]
-                                       + [_Partition(class_of[k], classes[k]) for k in "HD"]))
+        _set(self, "relations", relations)
         # no one-step left edge leaves an L-class inside its J-class; dually
         # for right edges and R-classes
         _set(self, "left_stable", left_stable)
@@ -283,21 +278,17 @@ class GreenStructure(_Frozen):
         for name in self._KEPT:
             _set(self, name, None)
 
-    data = property(lambda self: dict(zip(PREORDERS, self._relations)))
-    class_of = property(lambda self: {k: r.class_of for k, r in zip(RELATIONS, self._relations)})
-    classes = property(lambda self: {k: r.classes for k, r in zip(RELATIONS, self._relations)})
-
     def relation(self, k: str) -> _Partition:
         """The classes of K in {L, R, J, H, D}: for L, R and J its preorder
         data, which also hold the class poset."""
         try:
-            return self._relations[_RELATION[k]]
+            return self.relations[_RELATION[k]]
         except KeyError:
             raise _not_a_relation(k) from None
 
     def _preorder(self, k: str) -> _PreorderData:
         try:
-            return self._relations[_PREORDER[k]]
+            return self.relations[_PREORDER[k]]
         except KeyError:
             raise _not_a_preorder(k) from None
 
@@ -307,7 +298,7 @@ class GreenStructure(_Frozen):
 
     def same(self, a: int, b: int, k: str) -> bool:
         try:
-            of = self._relations[_RELATION[k]].class_of
+            of = self.relations[_RELATION[k]].class_of
         except KeyError:
             raise _not_a_relation(k) from None
         return of[a] == of[b]
@@ -369,7 +360,7 @@ class GreenStructure(_Frozen):
         return out
 
 
-# each relation's index into ``GreenStructure._relations``
+# each relation's index into ``GreenStructure.relations``
 _RELATION = {k: i for i, k in enumerate(RELATIONS)}
 _PREORDER = {k: _RELATION[k] for k in PREORDERS}
 
@@ -410,26 +401,21 @@ def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
     root = [dsu.find(lcls) for lcls in range(nl)]
     d_class_of = _shared(_normalize_blocks([root[lcls] for lcls in ldat.class_of]))
 
-    class_of = {
-        "L": ldat.class_of, "R": rdat.class_of, "J": jdat.class_of,
-        "H": h_class_of, "D": d_class_of,
-    }
-    classes = {"L": ldat.classes, "R": rdat.classes, "J": jdat.classes,
-               "H": _members(size, h_class_of), "D": _members(size, d_class_of)}
-    gs = GreenStructure(size=size,
-                        data={"L": ldat, "R": rdat, "J": jdat},
-                        class_of=class_of, classes=classes,
-                        left_stable=_stable(left, jdat.class_of, ldat.class_of),
-                        right_stable=_stable(right, jdat.class_of, rdat.class_of))
+    h_classes = _members(size, h_class_of)
+    d_classes = _members(size, d_class_of)
+    gs = GreenStructure(size, (ldat, rdat, jdat, _Partition(h_class_of, h_classes),
+                               _Partition(d_class_of, d_classes)),
+                        _stable(left, jdat.class_of, ldat.class_of),
+                        _stable(right, jdat.class_of, rdat.class_of))
     # every (R, L) cell of a D-class is nonempty iff its H-classes, the
     # nonempty cells in it, number its R-classes times its L-classes
-    nd = len(classes["D"])
+    nd = len(d_classes)
     rows, cols, full = [0] * nd, [0] * nd, [0] * nd
     for cls in rdat.classes:
         rows[d_class_of[cls[0]]] += 1
     for cls in ldat.classes:
         cols[d_class_of[cls[0]]] += 1
-    for cls in classes["H"]:
+    for cls in h_classes:
         full[d_class_of[cls[0]]] += 1
     for dcls in range(nd):
         if full[dcls] != rows[dcls] * cols[dcls]:

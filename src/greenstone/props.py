@@ -412,22 +412,3 @@ def retract(s: FiniteSemigroup, sub_members: Iterable[int],
                                    witness={str(k): v for k, v in sorted(theta.items())})
     return PredicateResult(False, method="exhaustive map search")
 
-
-def replay_stability_witness(x: Structure, witness: dict) -> bool:
-    """Re-verify a stability violation through the public le oracle.
-
-    The witness names its side by its keys: ``sa`` for a left witness
-    (from ``left_stable``), ``at`` for a right one (from ``right_stable``);
-    the ``side`` key that ``stable`` adds is not needed.
-    """
-    if "sa" in witness:
-        moved, klass = witness["sa"], "L"
-    elif "at" in witness:
-        moved, klass = witness["at"], "R"
-    else:
-        raise ValueError(f"not a stability witness (no 'sa' or 'at'): {witness!r}")
-    base = witness["a"]
-    gs = green_structure(x)
-    j_related = gs.le(moved, base, "J") and gs.le(base, moved, "J")
-    k_related = gs.le(moved, base, klass) and gs.le(base, moved, klass)
-    return j_related and not k_related

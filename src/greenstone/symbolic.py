@@ -136,13 +136,6 @@ def bicyclic_left_witness(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, 
     return (y[0], x[0] + y[1] - x[1])
 
 
-def bicyclic_right_witness(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """A t with x * t = y, which exists exactly when y <=_R x."""
-    if y[0] < x[0]:
-        raise ValueError(f"{y} is not an R-multiple of {x}")
-    return (x[1] + y[0] - x[0], y[1])
-
-
 def bicyclic_two_sided_witness(x: tuple[int, int], y: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
     """A pair (s, t) with s * x * t = y; always solvable (the monoid is simple)."""
     s = (y[0], x[0])
@@ -566,24 +559,12 @@ class IntegersOverNatRees(SymbolicBiact):
     def sample(self, rng):
         return ZERO_CLASS if rng.random() < 0.1 else -rng.randrange(0, 100)
 
-    def longest_strict_descent(self, seed: int) -> int:
-        """Number of strict steps in the longest descending chain from seed,
-        found by exhaustive stepping over the finitely many elements below."""
-        if seed > 0 or seed == ZERO_CLASS:
-            raise ValueError("seed must be a nonpositive integer")
-        elements = [seed + i for i in range(-seed + 1)] + [ZERO_CLASS]
-        best = {ZERO_CLASS: 0}
-        for x in sorted((e for e in elements if e != ZERO_CLASS), reverse=True):
-            below = [y for y in elements
-                     if self.le("J", y, x) and not self.le("J", x, y)]
-            best[x] = 1 + max(best[y] for y in below) if below else 0
-        return best[seed]
-
     def longest_strict_descents(self, depth: int) -> list[int]:
-        """``longest_strict_descent(-k)`` for k = 0..depth, in one exhaustive
-        pass over the window [-depth, 0] plus the zero class.  An element's
-        longest descent reads only the elements strictly below it, and
-        those are the same in every seed's window that holds it."""
+        """The number of strict steps in the longest descending chain from
+        -k, for k = 0..depth, in one exhaustive pass over the window
+        [-depth, 0] plus the zero class.  An element's longest descent
+        reads only the elements strictly below it, and those are the same
+        in every seed's window that holds it."""
         if depth < 0:
             raise ValueError("depth must be a nonnegative integer")
         elements = list(range(-depth, 1)) + [ZERO_CLASS]

@@ -401,17 +401,8 @@ def nonempty_subsets(n: int) -> Iterable[frozenset[int]]:
     return (frozenset(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r))
 
 
-def ideals_of(s: FiniteSemigroup) -> list[frozenset[int]]:
-    return [m for m in nonempty_subsets(s.order) if is_role(s, m, "ideal")]
-
-
 def subsemigroups_of(s: FiniteSemigroup) -> list[frozenset[int]]:
     return [m for m in nonempty_subsets(s.order) if is_role(s, m, "subsemigroup")]
-
-
-def subacts_of(a: FiniteBiact) -> list[frozenset[int]]:
-    """The nonempty subacts, in ``nonempty_subsets`` order."""
-    return [frozenset(_bits(m)) for m in _subact_keys(digraphs(a))]
 
 
 def _subact_keys(pair: Digraphs) -> list[int]:

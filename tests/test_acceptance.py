@@ -116,8 +116,7 @@ def test_criterion_07_integers_over_naturals():
         assert chain(0) == -100 and chain(100) == 0
         for k in ("L", "R", "J"):
             assert sym.verify_chain(biact, chain, k, 100).ok
-        for k in range(0, 101):
-            assert quot.longest_strict_descent(-k) == k + 1
+        assert quot.longest_strict_descents(100) == list(range(1, 102))
 
 
 def test_criterion_08_ideal_without_m_j():

@@ -16,6 +16,8 @@ from greenstone.errors import (
 )
 from greenstone.green import green_structure
 
+from helpers import congruence, ideals_of
+
 Z2 = [[0, 1], [1, 0]]
 
 
@@ -67,7 +69,7 @@ class TestValidation:
                 gs = green_structure(s)
                 gb = green_structure(ba.regular_biact(s))
                 for k in ("L", "R", "J", "H", "D"):
-                    assert gs.class_of[k] == gb.class_of[k]
+                    assert gs.relation(k).class_of == gb.relation(k).class_of
 
 
 class TestDerivedBiacts:
@@ -96,7 +98,6 @@ class TestDerivedBiacts:
     def test_ideal_biact_is_the_reindexing_loop(self):
         # the loop ideal_biact had of its own, kept as an oracle for the
         # restriction of S, read as its own biact, through Subact
-        from greenstone.verify import ideals_of
 
         def loop(s, ideal):
             mem = sorted(set(ideal))
@@ -207,7 +208,7 @@ class TestReesQuotients:
         members = frozenset({ids[(0, 0)], ids[(1, 1)]})
         rees = ba.biact_rees_quotient(b, members)
         blocks = [0 if x in members else x + 1 for x in range(b.size)]
-        rho = core.congruence_from_blocks(b, blocks)
+        rho = congruence(b, blocks)
         collapsed, _ = core.quotient(b, rho)
         assert biact_isomorphic(rees, collapsed)
 

@@ -10,6 +10,8 @@ import pytest
 from greenstone import cli, core, formats
 from greenstone.biact import product_biact, regular_biact
 
+from helpers import replace
+
 
 @pytest.fixture()
 def t2_file(tmp_path):
@@ -88,13 +90,6 @@ ANALYZE_PINS = {
 
 OUT = "{out}"           # replaced by a directory under tmp_path
 TRIV_FILE = "{triv}"    # replaced by the trivial semigroup's file
-
-
-def _replace(obj, **changes):
-    """``obj`` rebuilt through its constructor from its fields
-    (``_fields``), with ``changes``: ``dataclasses.replace`` for the
-    engine's value classes."""
-    return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
 
 
 def run(capsys, *argv):
@@ -288,7 +283,7 @@ class TestCommands:
                                                 triv_files, tmp_path):
         # a biact whose file reloads as a different biact is refused
         def dump_relabelled(obj, path):
-            formats.dump(_replace(obj, labels=tuple(reversed(obj.labels))), path)
+            formats.dump(replace(obj, labels=tuple(reversed(obj.labels))), path)
 
         monkeypatch.setattr(cli, "dump", dump_relabelled)
         code, _, err = run(capsys, "construct", "product", "--s", str(t2_file),

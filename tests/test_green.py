@@ -10,6 +10,8 @@ from greenstone import core, green
 from greenstone.enumeration import all_semigroups, random_biact_corpus, semigroup_pool
 from greenstone.errors import BadEntry, InvariantViolation, UnknownClass
 
+from helpers import ideals_of
+
 LEFT_ZERO2 = [[0, 0], [1, 1]]
 Z2 = [[0, 1], [1, 0]]
 
@@ -69,8 +71,8 @@ class TestEggbox:
         s = t2()
         ids = t2_ids()
         gs = green.green_structure(s)
-        top = gs.class_of["D"][ids[(0, 1)]]
-        bottom = gs.class_of["D"][ids[(0, 0)]]
+        top = gs.relation("D").class_of[ids[(0, 1)]]
+        bottom = gs.relation("D").class_of[ids[(0, 0)]]
         top_grid = gs.eggbox(top)
         assert len(top_grid) == 1 and len(top_grid[0]) == 1
         assert set(top_grid[0][0]) == {ids[(0, 1)], ids[(1, 0)]}
@@ -138,7 +140,7 @@ class TestUnknownIds:
     def test_class_members_out_of_range(self, k):
         gs = green.green_structure(t2())
         n = gs.num_classes(k)
-        assert gs.class_members(k, n - 1) == gs.classes[k][n - 1]
+        assert gs.class_members(k, n - 1) == gs.relation(k).classes[n - 1]
         for bad in (-1, n):
             with pytest.raises(UnknownClass):
                 gs.class_members(k, bad)
@@ -243,7 +245,7 @@ class TestSoundness:
         full = green.green_structure(s)
         gen = green.green_structure(s, use_generators=True)
         for k in ("L", "R", "J", "H", "D"):
-            assert full.class_of[k] == gen.class_of[k]
+            assert full.relation(k).class_of == gen.relation(k).class_of
 
     def test_generator_mode_requires_a_record(self):
         with pytest.raises(ValueError):
@@ -253,8 +255,6 @@ class TestSoundness:
 def cache_corpus():
     """The order-<=3 pool with its ideal biacts and Rees quotients, a
     seeded random biact corpus, and T3."""
-    from greenstone.verify import ideals_of
-
     out = []
     for s in semigroup_pool():
         if s.order > 3:
@@ -381,7 +381,7 @@ class TestPreorderMemo:
         for left, right, gs in builds:
             both = tuple(tuple(sorted({*ls, *rs})) for ls, rs in zip(left, right))
             for k, succ in zip("LRJ", (left, right, both)):
-                assert gs.data[k] == real_data(len(succ), succ), (k, succ)
+                assert gs.relation(k) == real_data(len(succ), succ), (k, succ)
                 seen.add(succ)
         assert len(runs) == len(set(runs)) == len(seen)
         assert set(runs) == seen
@@ -397,8 +397,8 @@ class TestPreorderMemo:
         green._preorder_cached.cache_clear()
         gs_one, gs_both = green.green_structure(one_side), green.green_structure(both)
         assert gs_one is not gs_both
-        assert gs_one.data["L"] is gs_both.data["L"]
-        assert gs_one.data["R"] != gs_both.data["R"]
+        assert gs_one.relation("L") is gs_both.relation("L")
+        assert gs_one.relation("R") != gs_both.relation("R")
 
 
 def _old_build(size, left, right):
@@ -416,17 +416,14 @@ def _old_build(size, left, right):
         for x in cls[1:]:
             dsu.union(cls[0], x)
     d_class_of = dsu.blocks()
-    classes = {"L": ldat.classes, "R": rdat.classes, "J": jdat.classes,
-               "H": green._members(size, h_class_of), "D": green._members(size, d_class_of)}
+    hdat = green._Partition(h_class_of, green._members(size, h_class_of))
+    ddat = green._Partition(d_class_of, green._members(size, d_class_of))
     gs = green.GreenStructure(
-        size=size, data={"L": ldat, "R": rdat, "J": jdat},
-        class_of={"L": ldat.class_of, "R": rdat.class_of, "J": jdat.class_of,
-                  "H": h_class_of, "D": d_class_of},
-        classes=classes,
+        size=size, relations=(ldat, rdat, jdat, hdat, ddat),
         left_stable=green._stable(left, jdat.class_of, ldat.class_of),
         right_stable=green._stable(right, jdat.class_of, rdat.class_of))
-    count = {k: Counter(d_class_of[cls[0]] for cls in classes[k]) for k in "RLH"}
-    for dcls in range(len(classes["D"])):
+    count = {k: Counter(d_class_of[cls[0]] for cls in gs.relation(k).classes) for k in "RLH"}
+    for dcls in range(len(ddat.classes)):
         if count["H"][dcls] != count["R"][dcls] * count["L"][dcls]:
             gs.eggbox(dcls)
     return gs
@@ -507,7 +504,7 @@ class TestSharedTuples:
         kept = []
         for (left, right), gs in builds.items():
             kept.extend(left + right)                                     # successors
-            kept.extend(m for k in green.RELATIONS for m in gs.classes[k])  # members
+            kept.extend(m for k in green.RELATIONS for m in gs.relation(k).classes)  # members
             kept.extend(e for k in green.PREORDERS for e in gs.covers(k))   # cover pairs
         first: dict = {}
         strays = [t for t in kept if first.setdefault(t, t) is not t]
@@ -559,13 +556,13 @@ class TestCopies:
         s = t3()
         gs = green.green_structure(s)
         props.stable_char(s)                      # a structure with a memo
-        ideal = next(c for c in gs.classes["J"] if core.is_role(s, c, "ideal"))
+        ideal = next(c for c in gs.relation("J").classes if core.is_role(s, c, "ideal"))
         biact = ba.validate_biact(core.validate_table(2, Z2), core.validate_table(1, [[0]]),
                                   [[0, 1], [1, 0]], [[0], [1]])
         values = [s, core.classify_subset(s, ideal, "ideal"),
                   core.congruence_closure(s, [(0, 1)]), biact,
                   ba.subact_closure(ba.regular_biact(t2()), [0]).sub,
-                  ba.subact_closure(biact, [0]), gs.data["J"], gs, green.green_index(s, ideal),
+                  ba.subact_closure(biact, [0]), gs.relation("J"), gs, green.green_index(s, ideal),
                   props.stable(s), props.retract(s, ideal)]
         assert len({type(x) for x in values}) == 9
         for x in values:
@@ -842,10 +839,10 @@ class TestGreenIndex:
             for members in subsemigroups_of(s):
                 rel = green.green_structure(relative_biact(s, members))
                 for k in ("L", "R", "J", "H", "D"):
-                    for cls in rel.classes[k]:
+                    for cls in rel.relation(k).classes:
                         inside = {x in members for x in cls}
                         assert len(inside) == 1
-                        ambient_ids = {ambient.class_of[k][x] for x in cls}
+                        ambient_ids = {ambient.relation(k).class_of[x] for x in cls}
                         assert len(ambient_ids) == 1
 
 

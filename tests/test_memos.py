@@ -158,16 +158,9 @@ class TestDictFreeStructure:
             rel = gs.relation(k)
             assert not hasattr(rel, "__dict__") and _dicts(rel) == []
 
-    def test_the_dict_fields_read_back_the_relations(self):
+    def test_relation_reads_the_stored_tuple(self):
         gs = green.green_structure(core.validate_table(2, [[0, 0], [1, 1]]))
-        assert gs.data == {k: gs.relation(k) for k in green.PREORDERS}
-        assert gs.class_of == {k: gs.relation(k).class_of for k in green.RELATIONS}
-        assert gs.classes == {k: gs.relation(k).classes for k in green.RELATIONS}
+        assert len(gs.relations) == 5
+        assert all(gs.relation(k) is r for k, r in zip(green.RELATIONS, gs.relations))
         with pytest.raises(ValueError, match="Green relations are L, R, J, H, D"):
             gs.relation("X")
-
-    def test_classes_that_differ_from_the_preorder_data_are_refused(self):
-        gs = green.green_structure(core.validate_table(2, [[0, 0], [1, 1]]))
-        with pytest.raises(ValueError, match="the J classes differ"):
-            green.GreenStructure(gs.size, gs.data, {**gs.class_of, "J": (0, 1)}, gs.classes,
-                                 gs.left_stable, gs.right_stable)

@@ -14,6 +14,8 @@ from greenstone.enumeration import (
 )
 from greenstone.errors import InvariantViolation, NotASubsemigroup
 
+from helpers import ideals_of, replace, subacts_of
+
 Z2 = [[0, 1], [1, 0]]
 # all products hit 0 except 3*2 = 1: makes {0,1,2} a non-L-preserving subsemigroup
 NON_PRESERVING = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
@@ -30,11 +32,24 @@ def t2_ids():
     return {m: i for i, m in enumerate(maps)}
 
 
-def _replace(obj, **changes):
-    """``obj`` rebuilt through its constructor from its fields
-    (``_fields``), with ``changes``: ``dataclasses.replace`` for the
-    engine's value classes."""
-    return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
+def replay_stability_witness(x, witness: dict) -> bool:
+    """Re-verify a stability violation through the Green preorders.
+
+    The witness names its side by its keys: ``sa`` for a left witness
+    (from ``left_stable``), ``at`` for a right one (from ``right_stable``);
+    the ``side`` key that ``stable`` adds is not needed.
+    """
+    if "sa" in witness:
+        moved, klass = witness["sa"], "L"
+    elif "at" in witness:
+        moved, klass = witness["at"], "R"
+    else:
+        raise ValueError(f"not a stability witness (no 'sa' or 'at'): {witness!r}")
+    base = witness["a"]
+    gs = green.green_structure(x)
+    j_related = gs.le(moved, base, "J") and gs.le(base, moved, "J")
+    k_related = gs.le(moved, base, klass) and gs.le(base, moved, klass)
+    return j_related and not k_related
 
 
 def _kept(gs):
@@ -64,7 +79,7 @@ class TestStability:
 
     def test_witness_replay_rejects_fabrications(self):
         b = regular_biact(t2())
-        assert not props.replay_stability_witness(b, {"s": 0, "a": 0, "sa": 0})
+        assert not replay_stability_witness(b, {"s": 0, "a": 0, "sa": 0})
 
     def test_witness_replay_reads_the_side_from_the_keys(self):
         # in T2 the two constants are J- and R-related but not L-related;
@@ -77,14 +92,14 @@ class TestStability:
                                          (core.opposite(t2()), False, True)):
             for side, witness, want in (("left", left, want_left),
                                         ("right", right, want_right)):
-                assert props.replay_stability_witness(x, witness) is want
-                assert props.replay_stability_witness(
+                assert replay_stability_witness(x, witness) is want
+                assert replay_stability_witness(
                     x, {"side": side, **witness}) is want
 
     def test_witness_replay_refuses_a_malformed_witness(self):
         for witness in ({"a": 0}, {"side": "left", "s": 0, "a": 0}):
             with pytest.raises(ValueError, match="not a stability witness"):
-                props.replay_stability_witness(t2(), witness)
+                replay_stability_witness(t2(), witness)
 
     def test_stored_verdicts_match_the_action_scans(self):
         for x in _oracle_corpus() + _census_derived():
@@ -95,7 +110,7 @@ class TestStability:
     def test_a_false_verdict_needs_a_witness(self, monkeypatch, side):
         # a structure claiming instability where no action step shows it
         s = t2()
-        bad = _replace(green.green_structure(s), **{f"{side}_stable": False})
+        bad = replace(green.green_structure(s), **{f"{side}_stable": False})
         monkeypatch.setattr(props, "green_structure", lambda x: bad)
         with pytest.raises(InvariantViolation, match=side):
             getattr(props, f"{side}_stable")(s)
@@ -127,7 +142,6 @@ def _scan_right_stable(x):
 
 def _census_derived():
     """Every subact and Rees quotient of the exhaustive biact census."""
-    from greenstone.verify import subacts_of
 
     pool = [s for n in (1, 2) for s in all_semigroups(n)]
     out = []
@@ -161,9 +175,7 @@ class TestMinimalCondition:
         classes = ((0,), (1,), (2,))
         data = green._PreorderData((0, 1, 2), classes, (7, 6, 6), covers,
                                    *green._kahn(3, covers))
-        gs = green.GreenStructure(3, dict.fromkeys("LRJ", data),
-                                  dict.fromkeys("LRJHD", data.class_of),
-                                  dict.fromkeys("LRJHD", classes),
+        gs = green.GreenStructure(3, (data,) * 3 + (green._Partition(data.class_of, classes),) * 2,
                                   left_stable=True, right_stable=True)
         monkeypatch.setattr(props, "green_structure", lambda x: gs)
         res = props.minimal_condition(None, "L")
@@ -198,7 +210,6 @@ def _kahn_verdict(gs, k):
 def _oracle_corpus():
     """The order-<=3 pool with its ideal biacts and Rees quotients, a
     seeded random biact corpus, T3 and its regular biact."""
-    from greenstone.verify import ideals_of
 
     out = []
     for s in semigroup_pool():
@@ -417,6 +428,6 @@ class TestGreenMemo:
         gs = green.green_structure(s)
         forms, char = props.left_stable_forms(s), props.stable_char(s)
         assert _kept(gs) == (forms[1:], char)
-        copy = _replace(gs)
+        copy = replace(gs)
         assert _kept(copy) == (None, None) and copy == gs
         assert props._relation_forms(copy) == forms[1:] and props._stable_char(copy) == char

@@ -28,12 +28,9 @@ from greenstone.enumeration import (
     random_biact_corpus,
     semigroup_pool,
 )
-from greenstone.verify import (
-    ideals_of,
-    single_pair_congruences,
-    subacts_of,
-    subsemigroups_of,
-)
+from greenstone.verify import single_pair_congruences, subsemigroups_of
+
+from helpers import ideals_of, subacts_of
 
 POOL = [s for s in semigroup_pool() if s.order <= 3]
 
@@ -139,6 +136,18 @@ class TestTrustedConstructors:
                 sub, carrier = core.subsemigroup(b.right, members)
                 assert_valid(ba.pullback_biact(
                     b, (b.left, range(b.left.order)), (sub, carrier)))
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_random_corpus_revalidates(self, seed):
+        # the one-sided transformation recipes build unchecked too: every
+        # biact of the corpus comes back unchanged from ``validate_biact``
+        recipes = set()
+        for b in random_biact_corpus(1000, seed):
+            assert_valid(b)
+            if "recipe" in b.provenance:
+                recipes.add(b.provenance["recipe"])
+                assert b.labels == tuple(f"a{i}" for i in range(b.size))
+        assert recipes == {"right-transformation", "left-transformation"}
 
 
 class TestTrustedCensus:
@@ -375,7 +384,7 @@ class TestMemoisedOrbitScan:
         gs = green.green_structure(x)
         seen = set()
         for letter, k, maps in side_maps(x):
-            partitions = [gs.class_of[k]]
+            partitions = [gs.relation(k).class_of]
             if rng is not None:
                 partitions += [[rng.randrange(blocks) for _ in range(x.size)]
                                for blocks in (2, 3, 5)]

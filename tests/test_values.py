@@ -74,9 +74,7 @@ class _PreorderData:
 @dataclass(frozen=True)
 class GreenStructure:
     size: int
-    data: dict
-    class_of: dict
-    classes: dict
+    relations: tuple
     left_stable: bool
     right_stable: bool
 
@@ -128,7 +126,8 @@ def samples() -> list:
     s = t3()
     other = core.validate_table(2, [[0, 1], [1, 0]])
     relabelled = core.FiniteSemigroup(s.order, s.table, tuple(f"x{i}" for i in range(s.order)))
-    ideal = next(c for c in green.green_structure(s).classes["J"] if core.is_role(s, c, "ideal"))
+    ideal = next(c for c in green.green_structure(s).relation("J").classes
+                 if core.is_role(s, c, "ideal"))
     biact = ba.validate_biact(other, core.validate_table(1, [[0]]), [[0, 1], [1, 0]], [[0], [1]])
     filled = derived()
     filled.left_action
@@ -147,7 +146,7 @@ def samples() -> list:
         filled, ba.regular_biact(s),
         ba.subact_closure(biact, [0]), ba.Subact(biact, frozenset({0, 1})),
         ba.subact_closure(ba.regular_biact(s), [5]),
-        gs.data["L"], gs.data["R"], fresh.data["L"],
+        gs.relation("L"), gs.relation("R"), fresh.relation("L"),
         gs, fresh, green.green_structure(other),
         green.green_index(s, ideal), green.green_index(s, range(s.order)),
         props.stable(s), props.minimal_condition(s, "L"), witnessed,
@@ -243,3 +242,9 @@ class TestAgainstTwins:
         assert gs._stable_char is not None
         assert all(getattr(fresh, name) is None for name in green.GreenStructure._KEPT)
         assert gs == fresh and repr(gs) == repr(fresh)
+
+    def test_equal_structures_hash_equal(self):
+        s = t3()
+        gs, fresh = green.green_structure(s), green._build(s.order, *ba.digraphs(s))
+        assert gs is not fresh and gs == fresh and hash(gs) == hash(fresh)
+        assert len({gs, fresh, green.green_structure(core.validate_table(1, [[0]]))}) == 2

@@ -18,6 +18,8 @@ from greenstone.symbolic import (
     example_4_8,
 )
 
+from helpers import ideals_of, replace, subacts_of
+
 # every numbered statement must stay in the registry; removing one is a
 # build failure, not a silent narrowing of the suite
 REQUIRED_CLAIMS = [
@@ -81,13 +83,6 @@ GOLDEN = {
     "T5.4": "4b662217a342320e9151af746eb2627c63f1530193efd7084238b2b66a33a67f",
     "T5.7": "0368a63a6c13382c448371f564f6f52353373781c4375bbb28c80455a68f79ed",
 }
-
-
-def _replace(obj, **changes):
-    """``obj`` rebuilt through its constructor from its fields
-    (``_fields``), with ``changes``: ``dataclasses.replace`` for the
-    engine's value classes."""
-    return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
 
 
 class TestRegistry:
@@ -156,13 +151,13 @@ class TestSubstructureEnumeration:
     def test_ideals_of_z4(self):
         from greenstone import core
         z4 = core.validate_table(4, [[(i + j) % 4 for j in range(4)] for i in range(4)])
-        assert ver.ideals_of(z4) == [frozenset(range(4))]
+        assert ideals_of(z4) == [frozenset(range(4))]
 
     def test_subacts_are_closed(self):
         from greenstone.biact import is_subact, regular_biact
         from greenstone import core
         b = regular_biact(core.generate_from_transformations(2, [(1, 0), (0, 0)]))
-        for members in ver.subacts_of(b):
+        for members in subacts_of(b):
             assert is_subact(b, members) is None
 
 
@@ -216,7 +211,7 @@ class TestCorpora:
             return [m for m in ver.nonempty_subsets(s.order) if is_role(s, m, "bi-ideal")]
 
         for corpus, members_of in ((env.subsemigroups(), ver.subsemigroups_of),
-                                   (env.ideals(), ver.ideals_of),
+                                   (env.ideals(), ideals_of),
                                    (env.bi_ideals(), bi_ideals_of)):
             assert ([(x.host, x.members) for x in corpus]
                     == [(s, m) for s in env.semigroups() for m in members_of(s)])
@@ -238,7 +233,7 @@ class TestCorpora:
     def test_biact_corpora(self):
         env = ver.Env(ver.SuiteConfig())
         subacts = [(x.host, x.members) for x in _subacts(env)]
-        assert subacts == [(b, m) for b in env.biacts() for m in ver.subacts_of(b)]
+        assert subacts == [(b, m) for b in env.biacts() for m in subacts_of(b)]
         assert len(subacts) == 7331
         assert ([(rho.over, rho.blocks) for rho in _biact_congruences(env)]
                 == [(b, rho.blocks) for b in env.biacts()
@@ -448,7 +443,7 @@ _T4_16_NOTES = ("the reverse direction genuinely fails for the two-sided "
 def _subacts(env):
     """Every subact of every biact, one ``Subact`` each: the per-instance
     corpus of the P4.4 and P5.1 oracles (the claims run host by host)."""
-    return (Subact(b, m) for b in env.biacts() for m in ver.subacts_of(b))
+    return (Subact(b, m) for b in env.biacts() for m in subacts_of(b))
 
 
 def _biact_congruences(env):
@@ -610,7 +605,7 @@ def _p5_1(x, v):
     for holds, failure in ((ver.stable, {}), (ver.left_stable, {"failure": "left form"})):
         if bool(holds(x.host)) != all(holds(part) for part in (x.sub, x.rees)):
             v.add({"subact": x.members, **failure})
-    for cls in ver.green_structure(x.host).classes["J"]:
+    for cls in ver.green_structure(x.host).relation("J").classes:
         if len({y in x.members for y in cls}) != 1:
             v.add({"subact": x.members, "failure": "J-class straddles subact"})
 
@@ -670,9 +665,7 @@ def _plant_green(monkeypatch):
         gs = real_gs(x)
         if not _green_plant(gs):
             return gs
-        return _replace(gs, data={**gs.data, "J": gs.data["L"]},
-                        class_of={**gs.class_of, "J": gs.class_of["L"]},
-                        classes={**gs.classes, "J": gs.classes["L"]})
+        return replace(gs, relations=(*gs.relations[:2], gs.relation("L"), *gs.relations[3:]))
 
     monkeypatch.setattr(ver, "green_structure", green_structure)
     monkeypatch.setattr(ver, "minimal_condition",
@@ -740,7 +733,7 @@ class TestSharedVerdicts:
         from greenstone.biact import is_subact
 
         for b in envs["default"].biacts():
-            assert ver.subacts_of(b) == [m for m in ver.nonempty_subsets(b.size)
+            assert subacts_of(b) == [m for m in ver.nonempty_subsets(b.size)
                                          if is_subact(b, m) is None]
 
     @pytest.mark.slow
@@ -874,9 +867,7 @@ class TestHostPass:
         def green_structure(x):
             gs = real(x)
             whole = _PreorderData((0,) * gs.size, (tuple(range(gs.size)),), (1,), (), 0, 1)
-            return _replace(gs, data={**gs.data, "J": whole},
-                            class_of={**gs.class_of, "J": whole.class_of},
-                            classes={**gs.classes, "J": whole.classes})
+            return replace(gs, relations=(*gs.relations[:2], whole, *gs.relations[3:]))
 
         monkeypatch.setattr(ver, "green_structure", green_structure)
         outcome = ver.REGISTRY["P5.1"].checker(envs["tiny"])
