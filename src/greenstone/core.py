@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque, namedtuple
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadEntry,
@@ -74,7 +74,6 @@ from .errors import (
     NotAnIdeal,
     NotASubsemigroup,
     RoleViolation,
-    SearchCapExceeded,
     SizeLimitExceeded,
 )
 
@@ -555,8 +554,9 @@ class Congruence(_Frozen):
         return max(self.blocks) + 1 if self.blocks else 0
 
 
-def _normalize_blocks(block_of: Sequence[int]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
+def _normalize_blocks(block_of: Sequence[Hashable]) -> tuple[int, ...]:
+    """Each value as its first-seen number: equal values, equal numbers."""
+    seen: dict = {}
     out = []
     for b in block_of:
         if b not in seen:
@@ -757,56 +757,3 @@ def is_homomorphism(f: Sequence[int], src: FiniteSemigroup, dst: FiniteSemigroup
             if f[src.table[a][b]] != dst.table[f[a]][f[b]]:
                 return (a, b)
     return None
-
-
-def find_isomorphism(s: FiniteSemigroup, t: FiniteSemigroup,
-                     max_order: int = 8) -> Optional[tuple[int, ...]]:
-    """Search for an isomorphism s -> t by permutation backtracking.
-
-    Intended for small cross-checks only (order <= max_order).
-    """
-    if s.order != t.order:
-        return None
-    n = s.order
-    if n > max_order:
-        raise SearchCapExceeded(f"isomorphism search limited to order {max_order}, got {n}")
-
-    def profile(sem: FiniteSemigroup, a: int) -> tuple:
-        row = sem.table[a]
-        col = tuple(sem.table[x][a] for x in range(n))
-        return (row[a] == a, len(set(row)), len(set(col)))
-
-    sp = [profile(s, a) for a in range(n)]
-    tp = [profile(t, a) for a in range(n)]
-    candidates = [[b for b in range(n) if tp[b] == sp[a]] for a in range(n)]
-
-    img: list[int] = [-1] * n
-    used = [False] * n
-
-    def extend(a: int) -> bool:
-        if a == n:
-            # partial checks skip pairs whose product had no image yet
-            return all(t.table[img[x]][img[y]] == img[s.table[x][y]]
-                       for x in range(n) for y in range(n))
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            img[a] = b
-            used[b] = True
-            ok = True
-            for x in range(a + 1):
-                p = s.table[x][a]
-                q = s.table[a][x]
-                if p <= a and t.table[img[x]][b] != img[p]:
-                    ok = False
-                if ok and q <= a and t.table[b][img[x]] != img[q]:
-                    ok = False
-                if not ok:
-                    break
-            if ok and extend(a + 1):
-                return True
-            used[b] = False
-            img[a] = -1
-        return False
-
-    return tuple(img) if extend(0) else None

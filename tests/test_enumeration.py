@@ -9,6 +9,8 @@ import pytest
 from greenstone import core, enumeration as en
 from greenstone.errors import CapExceeded
 
+from helpers import find_isomorphism
+
 
 # Test-local oracles: the census as it was before the orderly search, a
 # labelled backtracking search with a full triple scan at every node,
@@ -187,7 +189,7 @@ class TestSemigroupCensus:
         rng = random.Random(2)
         for _ in range(20):
             a, b = rng.sample(census, 2)
-            assert core.find_isomorphism(a, b) is None
+            assert find_isomorphism(a, b) is None
 
 
 class TestBiactCensus:
@@ -325,7 +327,7 @@ class TestSamplers:
         for b in c1:
             assert b.left.order <= 4 and b.right.order <= 4 and b.size <= 6
 
-    def test_pool_digraphs_are_frozen_once_per_pool_semigroup(self, monkeypatch):
+    def test_pool_digraphs_are_frozen_once_per_pool_semigroup(self, cold_engine, monkeypatch):
         # the product draws take each pool semigroup's digraphs from one
         # frozen pair, not from a fresh ``_edges`` call per draw
         from collections import Counter
@@ -335,7 +337,6 @@ class TestSamplers:
         calls = []
         real = ba._edges
         monkeypatch.setattr(ba, "_edges", lambda x, *gens: calls.append(x) or real(x, *gens))
-        en._pool_digraphs.cache_clear()
         pool = {id(s) for s in en.semigroup_pool()}
         corpus = en.random_biact_corpus(1000, 0)
         counts = Counter(id(x) for x in calls if id(x) in pool)

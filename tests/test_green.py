@@ -352,41 +352,21 @@ class TestObjectSlot:
 
 
 class TestPreorderMemo:
-    def test_memo_matches_uncached_runs_over_the_seed0_suite(self, monkeypatch):
+    def test_memo_matches_uncached_runs_over_the_seed0_suite(self, seed0_run):
         # every build of the suite takes its L, R and J data from the memo;
         # each must equal an uncached run on its digraph, and the memo must
         # run once per distinct digraph
-        from greenstone.verify import SuiteConfig, run_suite
-
-        real_build, real_data = green._build, green._preorder_data
-        builds, runs = [], []
-
-        def build(size, left, right):
-            gs = real_build(size, left, right)
-            builds.append((left, right, gs))
-            return gs
-
-        def data(n, succ):
-            runs.append(succ)
-            return real_data(n, succ)
-
-        for cache in (green._green_structure_cached, green._preorder_cached):
-            cache.cache_clear()
-        monkeypatch.setattr(green, "_build", build)
-        monkeypatch.setattr(green, "_preorder_data", data)
-        assert run_suite("all", SuiteConfig(seed=0)).all_passed
-        monkeypatch.undo()
-        assert len(builds) > 1000
-        seen = set()
-        for left, right, gs in builds:
+        assert seed0_run.report.all_passed and len(seed0_run.builds) > 1000
+        runs, seen = seed0_run.runs, set()
+        for _, left, right, gs in seed0_run.builds:
             both = tuple(tuple(sorted({*ls, *rs})) for ls, rs in zip(left, right))
             for k, succ in zip("LRJ", (left, right, both)):
-                assert gs.relation(k) == real_data(len(succ), succ), (k, succ)
+                assert gs.relation(k) == green._preorder_data(len(succ), succ), (k, succ)
                 seen.add(succ)
         assert len(runs) == len(set(runs)) == len(seen)
         assert set(runs) == seen
 
-    def test_structures_share_the_data_of_a_common_side(self):
+    def test_structures_share_the_data_of_a_common_side(self, cold_engine):
         # Z2 acting on itself on the left, with a trivial right action, and
         # Z2 as its own regular biact: equal left digraphs, different right
         group = core.validate_table(2, Z2)
@@ -394,7 +374,6 @@ class TestPreorderMemo:
         one_side = ba.validate_biact(group, trivial, [[0, 1], [1, 0]], [[0], [1]],
                                      labels=["memo-a0", "memo-a1"])
         both = ba.regular_biact(group)
-        green._preorder_cached.cache_clear()
         gs_one, gs_both = green.green_structure(one_side), green.green_structure(both)
         assert gs_one is not gs_both
         assert gs_one.relation("L") is gs_both.relation("L")
@@ -454,55 +433,21 @@ class TestLeanBuild:
             outcomes.add(type(got))
         assert outcomes == {green.GreenStructure, str}
 
-    def test_every_build_of_the_seed0_suite(self, monkeypatch):
-        from greenstone.verify import SuiteConfig, run_suite
-
-        real, builds = green._build, []
-
-        def build(size, left, right):
-            gs = real(size, left, right)
-            builds.append((size, left, right, gs))
-            return gs
-
-        for cache in (green._green_structure_cached, green._preorder_cached):
-            cache.cache_clear()
-        monkeypatch.setattr(green, "_build", build)
-        assert run_suite("all", SuiteConfig(seed=0)).all_passed
-        monkeypatch.undo()
-        assert len(builds) > 1000
-        for size, left, right, gs in builds:
+    def test_every_build_of_the_seed0_suite(self, seed0_run):
+        assert seed0_run.report.all_passed and len(seed0_run.builds) > 1000
+        for size, left, right, gs in seed0_run.builds:
             assert gs == _old_build(size, left, right), (left, right)
-
-
-def _suite_builds(monkeypatch):
-    """The seed-0 suite's report and its Green builds, keyed by digraph pair,
-    run with both Green caches and the tuple intern cleared first."""
-    from greenstone.verify import SuiteConfig, run_suite
-
-    real, builds = green._build, {}
-
-    def build(size, left, right):
-        gs = builds[left, right] = real(size, left, right)
-        return gs
-
-    for cache in (green._green_structure_cached, green._preorder_cached, core._shared):
-        cache.cache_clear()
-    monkeypatch.setattr(green, "_build", build)
-    report = run_suite("all", SuiteConfig(seed=0))
-    monkeypatch.undo()
-    assert report.all_passed
-    return report, builds
 
 
 class TestSharedTuples:
     """Equal tuples that the Green engine and the digraph derivations keep
     are one object (``core._shared``); values never change."""
 
-    def test_equal_tuples_are_one_object_over_the_seed0_suite(self, monkeypatch):
-        _, builds = _suite_builds(monkeypatch)
-        assert len(builds) > 1000
+    def test_equal_tuples_are_one_object_over_the_seed0_suite(self, seed0_run):
+        # the recorded run started from a reset engine, the intern empty
+        assert seed0_run.report.all_passed and len(seed0_run.builds) > 1000
         kept = []
-        for (left, right), gs in builds.items():
+        for _, left, right, gs in seed0_run.builds:
             kept.extend(left + right)                                     # successors
             kept.extend(m for k in green.RELATIONS for m in gs.relation(k).classes)  # members
             kept.extend(e for k in green.PREORDERS for e in gs.covers(k))   # cover pairs
@@ -510,20 +455,29 @@ class TestSharedTuples:
         strays = [t for t in kept if first.setdefault(t, t) is not t]
         assert strays == []
 
-    def test_the_identity_in_place_of_the_intern_builds_equal_structures(self, monkeypatch):
+    def test_the_identity_in_place_of_the_intern_builds_equal_structures(
+            self, seed0_run, cold_engine, monkeypatch):
+        from greenstone.verify import SuiteConfig, run_suite
+
+        real, plain = green._build, {}
+
+        def build(size, left, right):
+            gs = plain[left, right] = real(size, left, right)
+            return gs
+
         for module in (green, ba):
             monkeypatch.setattr(module, "_shared", lambda t: t)
-        plain_report, plain = _suite_builds(monkeypatch)   # undoes the patch
-        report, shared = _suite_builds(monkeypatch)
-        assert report.to_json_text() == plain_report.to_json_text()
-        # objects that kept a structure from the first run build nothing
-        # in the second, so its pairs are some of the first run's
-        assert len(shared) > 1000 and shared.keys() <= plain.keys()
+        monkeypatch.setattr(green, "_build", build)
+        plain_report = run_suite("all", SuiteConfig(seed=0))
+        monkeypatch.undo()
+        assert plain_report.to_json_text() == seed0_run.report.to_json_text()
+        # both runs start from a reset engine, so they build the same pairs
+        shared = {(left, right): gs for _, left, right, gs in seed0_run.builds}
+        assert len(shared) > 1000 and shared.keys() == plain.keys()
         for pair, gs in shared.items():
             assert gs == plain[pair], pair
 
-    def test_the_intern_is_bounded(self):
-        core._shared.cache_clear()
+    def test_the_intern_is_bounded(self, cold_engine):
         first = (1, 2, 3)
         assert core._shared(first) is first
         assert core._shared(tuple([1, 2, 3])) is first
@@ -532,7 +486,6 @@ class TestSharedTuples:
             assert core._shared(fresh) == fresh
             assert core._shared.cache_info().currsize <= core.SHARED_TUPLES
         assert core._shared.cache_info().currsize == core.SHARED_TUPLES
-        core._shared.cache_clear()
 
 
 class TestCopies:
@@ -709,15 +662,9 @@ class TestOnePassKernel:
         assert got == want, succ
         assert (got.unconsumed, got.height) == (want.unconsumed, want.height)
 
-    def test_every_digraph_of_the_seed0_suite(self):
-        from greenstone.verify import SuiteConfig, run_suite
-
-        for cache in (green._green_structure_cached, green._preorder_cached):
-            cache.cache_clear()
-        assert run_suite("all", SuiteConfig(seed=0)).all_passed
-        digraphs = list(green._preorder_cached)
-        assert len(digraphs) > 1000
-        for succ in digraphs:
+    def test_every_digraph_of_the_seed0_suite(self, seed0_run):
+        assert seed0_run.report.all_passed and len(seed0_run.runs) > 1000
+        for succ in seed0_run.runs:
             self._same(succ)
 
     def test_the_t4_pair(self):

@@ -6,21 +6,22 @@ preorder and pair memos of ``green`` (which also count their hits).  Each
 is a plain dict under a module-constant bound that evicts its oldest key
 first; these tests hold each to its bound, its eviction order and its
 uncached function.
+
+The bound and eviction tests run on a cold engine (``cold_engine``).  The
+value tests read the memos and builds of the session's one recorded seed-0
+suite run (``seed0_run``), which starts from a reset engine, so they run
+in the same process as every other test.  ``TestReset`` holds
+``reset_engine`` to every cache of the engine and to a fresh sampler pool.
 """
 
 import gc
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from greenstone import core, green, props
-from greenstone.verify import SuiteConfig, run_suite
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import reset_engine
 
 _EMPTY4 = ((), (), (), ())
 
@@ -42,20 +43,9 @@ MEMOS = {
 }
 
 
-@pytest.fixture
-def cleared():
-    """Every memo empty before and after the test."""
-    memos = [memo for memo, _ in MEMOS.values()]
-    for memo in memos:
-        memo.cache_clear()
-    yield
-    for memo in memos:
-        memo.cache_clear()
-
-
 class TestBounds:
     @pytest.mark.parametrize("name", MEMOS)
-    def test_bound_and_oldest_first_eviction(self, name, cleared):
+    def test_bound_and_oldest_first_eviction(self, name, cold_engine):
         memo, keys = MEMOS[name]
         bound = memo.maxsize
         asked = list(itertools.islice(keys(), bound + 100))
@@ -74,7 +64,7 @@ class TestBounds:
         assert green._preorder_cached.maxsize == 3 * 4096
         assert green._green_structure_cached.maxsize == 4096
 
-    def test_hits_and_misses_are_counted(self, cleared):
+    def test_hits_and_misses_are_counted(self, cold_engine):
         key = (1, "memo-count")
         assert core._shared(key) is key
         assert core._shared((1, "memo-count")) is key
@@ -92,7 +82,7 @@ class TestBounds:
 
 class TestEviction:
     @pytest.mark.parametrize("name", MEMOS)
-    def test_the_order_deque_follows_the_dict(self, name, cleared):
+    def test_the_order_deque_follows_the_dict(self, name, cold_engine):
         """An evicting insert pops the oldest key off ``_order`` instead of
         walking the dict to its first key: the two stay in step through
         several rounds of evictions and a clear."""
@@ -110,35 +100,45 @@ class TestEviction:
 
 
 class TestValues:
-    def test_values_equal_the_uncached_functions_on_seed0(self, cleared, monkeypatch):
-        assert run_suite("all", SuiteConfig(seed=0)).all_passed
-        for name, (memo, _) in MEMOS.items():
-            assert len(memo) > 100, name
-        assert all(value == key for key, value in core._shared.items())
+    def test_values_equal_the_uncached_functions_on_seed0(self, seed0_run, monkeypatch):
+        assert seed0_run.report.all_passed
+        memos = seed0_run.memos
+        for name in MEMOS:
+            assert len(memos[name]) > 100, name
+        assert all(value == key for key, value in memos["core._shared"].items())
         assert all(value == green._preorder_data(len(key), key)
-                   for key, value in green._preorder_cached.items())
-        structures = list(green._green_structure_cached.items())
+                   for key, value in memos["green._preorder_cached"].items())
         # an uncached build: the preorder data computed afresh
         monkeypatch.setattr(green, "_preorder_cached",
                             lambda succ: green._preorder_data(len(succ), succ))
-        for (left, right), gs in structures:
+        for (left, right), gs in memos["green._green_structure_cached"].items():
             assert gs == green._build(len(left), left, right), (left, right)
 
-    def test_green_misses_are_the_builds_of_the_seed0_suite(self):
-        # in a process of its own, so no object arrives with a structure
-        # that an earlier test left in its slot
-        script = (
-            "from greenstone import green\n"
-            "from greenstone.verify import SuiteConfig, run_suite\n"
-            "builds, real = [], green._build\n"
-            "green._build = lambda *a: builds.append(a) or real(*a)\n"
-            "runs, data = [], green._preorder_data\n"
-            "green._preorder_data = lambda *a: runs.append(a) or data(*a)\n"
-            "assert run_suite('all', SuiteConfig(seed=0)).all_passed\n"
-            "print(len(builds), green._green_structure_cached.cache_info().misses, len(runs))\n")
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": str(_SRC)}).stdout
-        assert out.split() == ["2366", "2366", "2338"]
+    def test_green_misses_are_the_builds_of_the_seed0_suite(self, seed0_run):
+        # from a reset engine, so no object arrives with a structure that
+        # an earlier test left in its slot
+        assert (len(seed0_run.builds), seed0_run.misses, len(seed0_run.runs)) == (2366, 2366, 2338)
+
+
+class TestReset:
+    def test_every_engine_cache_is_reached(self):
+        from greenstone import enumeration as en
+
+        en.semigroup_pool()
+        core._shared((1, "reset"))
+        caches = [core._shared, green._preorder_cached, green._green_structure_cached,
+                  en._valid_left_actions, en._valid_right_actions, en.semigroup_pool,
+                  en._pool_digraphs]
+        reached = {id(cache) for cache in reset_engine()}
+        assert all(id(cache) in reached for cache in caches)
+        assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+    def test_the_pool_is_built_afresh(self):
+        from greenstone import enumeration as en
+
+        green.green_structure(en.semigroup_pool()[0])
+        reset_engine()
+        assert all(green._SLOT not in vars(s) for s in en.semigroup_pool())
 
 
 def _dicts(obj):

@@ -393,19 +393,17 @@ class TestSharedResults:
 
 class TestGreenMemo:
     """Forms 2-8 of ``left_stable_forms`` and ``stable_char`` are decided once
-    per Green structure.  The test clears the Green caches and the hosts'
-    structures first, so it cannot pass on what other tests left there."""
+    per Green structure.  The test runs on a reset engine (``cold_engine``),
+    so its hosts are built afresh and it cannot pass on what other tests
+    left in the caches or in the objects' slots."""
 
-    def test_kept_answers_match_fresh_ones_over_the_default_corpus(self, monkeypatch):
+    def test_kept_answers_match_fresh_ones_over_the_default_corpus(self, cold_engine,
+                                                                   monkeypatch):
         from greenstone import biact as ba
         from greenstone.verify import Env, SuiteConfig
 
         env = Env(SuiteConfig())
         hosts = env.semigroups() + env.biacts()
-        for cache in (green._green_structure_cached, green._preorder_cached):
-            cache.cache_clear()
-        for x in hosts:
-            vars(x).pop(green._SLOT, None)
         evaluated, real = [], props._relation_masks
         monkeypatch.setattr(props, "_relation_masks",
                             lambda gs, n: evaluated.append(gs) or real(gs, n))
