@@ -41,13 +41,15 @@ that module: they load only under ``verify``, ``probe``, ``catalog`` and
 
 Memos.  The engine's value-keyed memos are one type, ``_Memo``: a plain
 dict under a bound, which evicts its oldest key first and counts its
-misses for ``cache_info()``.  There are three, each bounded by a module
-constant: the tuple intern ``_shared`` here (``SHARED_TUPLES``) and the
-preorder and Green-structure memos of ``green`` (3 x 4,096 and 4,096).  A
-hit is a dict lookup in C.  Counting hits takes a Python ``__call__``,
-which the two ``green`` memos pay (``_CountedMemo``: 27,000 calls in the
-seed-0 claim suite, and the benchmark reads their hit rate), and the
-intern does not: it took about 300,000 calls there, with the rewrite steps
+misses for ``cache_info()``.  Each has a fixed bound: the tuple intern
+``_shared`` here (``SHARED_TUPLES``), and in ``green`` the preorder and
+Green-structure memos (3 x 4,096 and 4,096) and the three memos of a
+build's parts (class posets, H and D per partition pair, class members;
+see ``green``).  A hit is a dict lookup in C.  Counting hits takes a
+Python ``__call__``, which the preorder and Green-structure memos pay
+(``_CountedMemo``: 27,000 calls in the seed-0 claim suite, and the
+benchmark reads their hit rate), and the intern and the part memos do
+not: it took about 300,000 calls there, with the rewrite steps
 of the bicyclic oracle, once a memo too, and a Python call on each made
 the claim suite's launches about 10% slower in CPU time (medians of 12
 alternating launches per side, shared 2-vCPU host).  A

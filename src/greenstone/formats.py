@@ -96,6 +96,9 @@ def load(path: Union[str, Path]) -> Union[FiniteSemigroup, FiniteBiact]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", offset=exc.pos) from exc
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise ParseError(f"{path}: JSON nested too deeply to decode") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
     if data.get("kind") == "biact":

@@ -31,8 +31,8 @@ builds each class's reach mask (the classes at or below it) as the
 union of its members' successors' masks, with no per-class successor
 sets.
 
-Each class poset is traversed once, when it is built: Kahn's pass over
-its covers records how many classes it leaves unconsumed (0 exactly when
+Each class poset is traversed once, when it is first built (see the
+memos below): Kahn's pass over its covers records how many classes it leaves unconsumed (0 exactly when
 the condensation is acyclic, which decides the minimal conditions M_L,
 M_R and M_J on finite input; ``props.minimal_condition`` reads it) and
 the height, the number of classes on the longest cover chain.
@@ -64,9 +64,32 @@ full, and counts its hits and misses for ``cache_info()``):
   one digraph, is the one caller of ``_preorder_data``: a build takes its
   L and R data from it, and its J data keyed on the union of the two
   digraphs, so pairs that agree on one side decide that side's preorder
-  once.  H, D, the stability verdicts and the egg-box check are made per
-  build.  The preorder data are frozen and hold only tuples, so
+  once.  The preorder data are frozen and hold only tuples, so
   structures share them safely.
+
+Below them, three memos hold the parts of a build that depend only on
+values ``core._shared`` interns (so equal keys are one object and compare
+by identity), each a ``core._Memo`` that counts no hits, its bound a
+module constant:
+
+- the partition-pair memo (``_meet_and_join_cached``, ``PARTITION_PAIRS``
+  = 4,096 pairs), keyed on ``(L class_of, R class_of)``: H, D and the
+  egg-box check depend on the two partitions alone, so a build takes both
+  ``_Partition``s from it and checks a pair once.  A refused pair raises
+  and is not kept, so every build of it is refused with the same message
+  (``_grid``, which ``GreenStructure.eggbox`` also calls, names the first
+  empty cell);
+- the poset memo (``_poset_cached``, ``CLASS_POSETS`` = 3 x 4,096), keyed
+  on a preorder's ``reach`` tuple: the covers, Kahn's unconsumed count and
+  the height depend on the reach masks alone.  ``_preorder_data`` still
+  runs Tarjan once per distinct digraph;
+- the members memo (``_members_cached``, ``MEMBER_LISTS`` = 5 x 4,096),
+  keyed on one ``class_of`` tuple: the sorted members of each class.
+
+The stability verdicts are made per build.  The seed-3 claim suite makes
+2,409 builds over 269 distinct (L, R) pairs, 2,319 preorder runs over 749
+distinct reach tuples, and meets 176 distinct partitions; the suite at
+max-order 4 (16,468 builds) fills the three to 633, 1,535 and 499 keys.
 
 A structure stores what the build hands it and nothing more: the size,
 the tuple of its five relations (L, R and J as their preorder data, H and
@@ -84,8 +107,8 @@ tuples of the J union (a union equal to the left or the right digraph is
 handed over as that digraph).  ``biact`` passes every successor tuple of
 a digraph pair through it too.  The intern holds at most
 ``core.SHARED_TUPLES`` (8,192) distinct tuples and drops the oldest kept
-first; the seed-0 claim suite meets 2,013 and the suite at max-order 4
-5,178, so neither drops any.  Values, class ids and outputs are
+first; the seed-0 claim suite meets 2,136 and the suite at max-order 4
+5,304, so neither drops any.  Values, class ids and outputs are
 unchanged.  The seed-0 suite keeps 2,366 structures, and sharing their
 tuples takes its peak RSS from about 28 to 24 MB.
 
@@ -107,12 +130,18 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .biact import (_PAIR, Digraph, Digraphs, FiniteBiact, _edges, biact_rees_quotient,
                     digraphs, relative_biact)  # ``digraphs`` is re-exported
-from .core import (FiniteSemigroup, _CountedMemo, _DSU, _Frozen, _is_int, _normalize_blocks,
-                   _set, _shared)
+from .core import (FiniteSemigroup, _CountedMemo, _DSU, _Frozen, _is_int, _Memo,
+                   _normalize_blocks, _set, _shared)
 from .errors import BadEntry, InvariantViolation, UnknownClass
 
 PREORDERS = ("L", "R", "J")
 RELATIONS = ("L", "R", "J", "H", "D")
+
+# the bounds of the memos of a build's parts, in keys: at most three class
+# posets, one (L, R) partition pair and five partitions per kept structure
+CLASS_POSETS = 3 * 4096
+PARTITION_PAIRS = 4096
+MEMBER_LISTS = 5 * 4096
 
 
 class _Partition(_Frozen):
@@ -188,7 +217,6 @@ def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
                     low[work[-1][0]] = low[v]
     # classes are numbered by least member, for reproducible output
     class_of = _shared(_normalize_blocks(comp_of))
-    classes = _members(n, class_of)
 
     # a class reaches itself and whatever its members' successors reach; in
     # Tarjan's order every other class a successor lies in is done already
@@ -200,7 +228,13 @@ def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
             for y in succ[x]:
                 mask |= reach[class_of[y]]
         reach[c] = mask
+    reach = _shared(tuple(reach))
+    return _PreorderData(class_of, _members_cached(class_of), reach, *_poset_cached(reach))
 
+
+def _poset(reach: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """The class poset of the reach masks ``reach``: its covers, and the
+    classes Kahn's pass over them leaves unconsumed and the height."""
     # the covers of c: the classes strictly below c and strictly below no
     # other class strictly below c, listed in (upper, lower) order
     strict = [mask & ~(1 << c) for c, mask in enumerate(reach)]
@@ -210,9 +244,7 @@ def _preorder_data(n: int, succ: Sequence[Sequence[int]]) -> _PreorderData:
         for e in _bits(strict[c]):
             below |= strict[e]
         covers.extend((c, d) for d in _bits(strict[c] & ~below))
-    unconsumed, height = _kahn(len(reach), covers)
-    return _PreorderData(class_of, classes, _shared(tuple(reach)),
-                         _shared(tuple(map(_shared, covers))), unconsumed, height)
+    return (_shared(tuple(map(_shared, covers))), *_kahn(len(reach), covers))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -327,24 +359,8 @@ class GreenStructure(_Frozen):
         are L-classes (each sorted by class id)."""
         if not (0 <= d_class < self.num_classes("D")):
             raise UnknownClass(f"D-class {d_class} does not exist")
-        members = self.relation("D").classes[d_class]
-        r_of, l_of = self.relation("R").class_of, self.relation("L").class_of
-        rows = sorted({r_of[x] for x in members})
-        cols = sorted({l_of[x] for x in members})
-        cell: dict[tuple[int, int], list[int]] = {}
-        for x in members:
-            cell.setdefault((r_of[x], l_of[x]), []).append(x)
-        grid = []
-        for r in rows:
-            line = []
-            for c in cols:
-                xs = tuple(sorted(cell.get((r, c), ())))
-                if not xs:
-                    raise InvariantViolation(
-                        f"empty egg-box cell (R{r}, L{c}) inside D-class {d_class}")
-                line.append(xs)
-            grid.append(line)
-        return grid
+        return _grid(self.relation("D").classes[d_class], d_class,
+                     self.relation("L").class_of, self.relation("R").class_of)
 
     def to_json(self) -> dict:
         out: dict = {"size": self.size}
@@ -373,9 +389,85 @@ def _not_a_relation(k: str) -> ValueError:
     return ValueError(f"Green relations are L, R, J, H, D; got {k!r}")
 
 
+def _grid(members: Sequence[int], d_class: int, l_of: Sequence[int],
+          r_of: Sequence[int]) -> list[list[tuple[int, ...]]]:
+    """The D-class ``d_class``, whose elements are ``members``, as a grid of
+    H-classes: rows are R-classes, columns are L-classes (each sorted by
+    class id).  An empty cell raises ``InvariantViolation`` naming it."""
+    rows = sorted({r_of[x] for x in members})
+    cols = sorted({l_of[x] for x in members})
+    cell: dict[tuple[int, int], list[int]] = {}
+    for x in members:
+        cell.setdefault((r_of[x], l_of[x]), []).append(x)
+    grid = []
+    for r in rows:
+        line = []
+        for c in cols:
+            xs = tuple(sorted(cell.get((r, c), ())))
+            if not xs:
+                raise InvariantViolation(
+                    f"empty egg-box cell (R{r}, L{c}) inside D-class {d_class}")
+            line.append(xs)
+        grid.append(line)
+    return grid
+
+
+def _meet_and_join(lr: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[_Partition, _Partition]:
+    """H and D of the L- and R-partitions ``lr``, egg-box checked."""
+    l_of, r_of = lr
+    # H = L meet R: an element's H-class is its (L-class, R-class) cell,
+    # numbered on first sight, i.e. by least member
+    cells: dict[tuple[int, int], int] = {}
+    h_class_of = _shared(tuple([cells.setdefault(cell, len(cells))
+                                for cell in zip(l_of, r_of)]))
+
+    # D = join of L and R: the L-classes and R-classes (ids nl, nl + 1, ...)
+    # joined once per nonempty cell; the egg-box check below certifies that
+    # the join coincides with both compositions L o R and R o L.
+    l_classes, r_classes = _members_cached(l_of), _members_cached(r_of)
+    nl = len(l_classes)
+    dsu = _DSU(nl + len(r_classes))
+    for lcls, rcls in cells:
+        dsu.union(lcls, nl + rcls)
+    root = [dsu.find(lcls) for lcls in range(nl)]
+    d_class_of = _shared(_normalize_blocks([root[lcls] for lcls in l_of]))
+    h_classes = _members_cached(h_class_of)
+    d_classes = _members_cached(d_class_of)
+
+    # every (R, L) cell of a D-class is nonempty iff its H-classes, the
+    # nonempty cells in it, number its R-classes times its L-classes
+    nd = len(d_classes)
+    rows, cols, full = [0] * nd, [0] * nd, [0] * nd
+    for cls in r_classes:
+        rows[d_class_of[cls[0]]] += 1
+    for cls in l_classes:
+        cols[d_class_of[cls[0]]] += 1
+    for cls in h_classes:
+        full[d_class_of[cls[0]]] += 1
+    for dcls in range(nd):
+        if full[dcls] != rows[dcls] * cols[dcls]:
+            _grid(d_classes[dcls], dcls, l_of, r_of)  # raises, naming the first empty cell
+    return _Partition(h_class_of, h_classes), _Partition(d_class_of, d_classes)
+
+
+def _members(class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The sorted members of each class of the partition ``class_of``."""
+    out: list[list[int]] = [[] for _ in range(max(class_of, default=-1) + 1)]
+    for x, c in enumerate(class_of):
+        out[c].append(x)
+    return _shared(tuple([_shared(tuple(c)) for c in out]))
+
+
 # keyed on one frozen digraph: the one caller of ``_preorder_data``; three
 # digraphs per kept structure
 _preorder_cached = _CountedMemo(lambda succ: _preorder_data(len(succ), succ), 3 * 4096)
+# keyed on a preorder's interned reach tuple: the one caller of ``_poset``
+_poset_cached = _Memo(_poset, CLASS_POSETS)
+# keyed on the interned (L, R) ``class_of`` pair: the one caller of
+# ``_meet_and_join``; a refused pair raises and is not kept
+_meet_and_join_cached = _Memo(_meet_and_join, PARTITION_PAIRS)
+# keyed on an interned ``class_of`` tuple: the one caller of ``_members``
+_members_cached = _Memo(_members, MEMBER_LISTS)
 
 
 def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
@@ -384,43 +476,10 @@ def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
     union = tuple(ls if ls == rs else _shared(tuple(sorted({*ls, *rs})))
                   for ls, rs in zip(left, right))
     jdat = _preorder_cached(left if union == left else right if union == right else union)
-
-    # H = L meet R: an element's H-class is its (L-class, R-class) cell,
-    # numbered on first sight, i.e. by least member
-    cells: dict[tuple[int, int], int] = {}
-    h_class_of = _shared(tuple([cells.setdefault(lr, len(cells))
-                                for lr in zip(ldat.class_of, rdat.class_of)]))
-
-    # D = join of L and R: the L-classes and R-classes (ids nl, nl + 1, ...)
-    # joined once per nonempty cell; the egg-box check below certifies that
-    # the join coincides with both compositions L o R and R o L.
-    nl = len(ldat.classes)
-    dsu = _DSU(nl + len(rdat.classes))
-    for lcls, rcls in cells:
-        dsu.union(lcls, nl + rcls)
-    root = [dsu.find(lcls) for lcls in range(nl)]
-    d_class_of = _shared(_normalize_blocks([root[lcls] for lcls in ldat.class_of]))
-
-    h_classes = _members(size, h_class_of)
-    d_classes = _members(size, d_class_of)
-    gs = GreenStructure(size, (ldat, rdat, jdat, _Partition(h_class_of, h_classes),
-                               _Partition(d_class_of, d_classes)),
-                        _stable(left, jdat.class_of, ldat.class_of),
-                        _stable(right, jdat.class_of, rdat.class_of))
-    # every (R, L) cell of a D-class is nonempty iff its H-classes, the
-    # nonempty cells in it, number its R-classes times its L-classes
-    nd = len(d_classes)
-    rows, cols, full = [0] * nd, [0] * nd, [0] * nd
-    for cls in rdat.classes:
-        rows[d_class_of[cls[0]]] += 1
-    for cls in ldat.classes:
-        cols[d_class_of[cls[0]]] += 1
-    for cls in h_classes:
-        full[d_class_of[cls[0]]] += 1
-    for dcls in range(nd):
-        if full[dcls] != rows[dcls] * cols[dcls]:
-            gs.eggbox(dcls)  # raises InvariantViolation naming the first empty cell
-    return gs
+    hdat, ddat = _meet_and_join_cached((ldat.class_of, rdat.class_of))
+    return GreenStructure(size, (ldat, rdat, jdat, hdat, ddat),
+                          _stable(left, jdat.class_of, ldat.class_of),
+                          _stable(right, jdat.class_of, rdat.class_of))
 
 
 def _stable(succ: Sequence[Sequence[int]], j_of: Sequence[int],
@@ -428,14 +487,6 @@ def _stable(succ: Sequence[Sequence[int]], j_of: Sequence[int],
     """No edge e -> f of the one-step digraph has e J f but not e K f."""
     return not any(j_of[f] == j_of[e] and k_of[f] != k_of[e]
                    for e, fs in enumerate(succ) for f in fs)
-
-
-def _members(size: int, class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    k = max(class_of) + 1 if size else 0
-    out: list[list[int]] = [[] for _ in range(k)]
-    for x in range(size):
-        out[class_of[x]].append(x)
-    return _shared(tuple([_shared(tuple(c)) for c in out]))
 
 
 # keyed on the (left, right) digraph pair: the one caller of ``_build``

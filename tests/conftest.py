@@ -1,6 +1,6 @@
 """Engine state for the tests.
 
-The engine keeps process-wide caches: the tuple intern, the two Green
+The engine keeps process-wide caches: the tuple intern, the five Green
 memos and the ``enumeration`` pools and action tables.  ``reset_engine``
 empties all of them, ``cold_engine`` runs a test between two resets, and
 ``seed0_run`` runs the seed-0 claim suite once per session from a reset
@@ -41,8 +41,8 @@ def cold_engine():
 def seed0_run():
     """The seed-0 claim suite, run once from a reset engine: its report,
     every Green build as (size, left, right, structure), the digraph of
-    every preorder run, the three memos as they stood at the end, and the
-    pair memo's misses."""
+    every preorder run, the six value-keyed memos as they stood at the end,
+    and the pair memo's misses."""
     from greenstone import core, green
     from greenstone.verify import SuiteConfig, run_suite
 
@@ -65,7 +65,10 @@ def seed0_run():
         report = run_suite("all", SuiteConfig(seed=0))
     memos = {"core._shared": core._shared,
              "green._preorder_cached": green._preorder_cached,
-             "green._green_structure_cached": green._green_structure_cached}
+             "green._green_structure_cached": green._green_structure_cached,
+             "green._poset_cached": green._poset_cached,
+             "green._meet_and_join_cached": green._meet_and_join_cached,
+             "green._members_cached": green._members_cached}
     return SimpleNamespace(
         report=report, builds=builds, runs=runs,
         memos={name: dict(memo) for name, memo in memos.items()},

@@ -68,6 +68,16 @@ class TestErrors:
         with pytest.raises(ParseError):
             formats.load(path)
 
+    def test_deep_nesting_is_a_parse_error_naming_the_path(self, tmp_path, capsys):
+        from greenstone import cli
+
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ParseError, match="deep.json: JSON nested too deeply"):
+            formats.load(path)
+        assert cli.main(["analyze", str(path)]) == 2
+        assert f"{path}: JSON nested too deeply to decode" in capsys.readouterr().err
+
     def test_undecodable_bytes_name_the_path(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b'{"kind": \xff\xfe}')

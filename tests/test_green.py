@@ -354,14 +354,14 @@ class TestObjectSlot:
 class TestPreorderMemo:
     def test_memo_matches_uncached_runs_over_the_seed0_suite(self, seed0_run):
         # every build of the suite takes its L, R and J data from the memo;
-        # each must equal an uncached run on its digraph, and the memo must
-        # run once per distinct digraph
+        # each must equal the oracle's data for its digraph, and the memo
+        # must run once per distinct digraph
         assert seed0_run.report.all_passed and len(seed0_run.builds) > 1000
         runs, seen = seed0_run.runs, set()
         for _, left, right, gs in seed0_run.builds:
             both = tuple(tuple(sorted({*ls, *rs})) for ls, rs in zip(left, right))
             for k, succ in zip("LRJ", (left, right, both)):
-                assert gs.relation(k) == green._preorder_data(len(succ), succ), (k, succ)
+                assert gs.relation(k) == _old_preorder(len(succ), succ), (k, succ)
                 seen.add(succ)
         assert len(runs) == len(set(runs)) == len(seen)
         assert set(runs) == seen
@@ -380,23 +380,70 @@ class TestPreorderMemo:
         assert gs_one.relation("R") != gs_both.relation("R")
 
 
+def _old_members(class_of):
+    """Test-local class members: each class's elements in order."""
+    classes = [[] for _ in set(class_of)]
+    for x, c in enumerate(class_of):
+        classes[c].append(x)
+    return tuple(map(tuple, classes))
+
+
+def _old_preorder(n, succ):
+    """Test-local preorder data, computed with no engine code: each
+    element's down-set by a search, classes by mutual reachability numbered
+    by least member, c covering d when d is strictly below c and below no
+    class strictly between, and the poset peeled layer by layer from its
+    maximal classes (the layers are the height; what no layer takes is
+    unconsumed)."""
+    down = []
+    for a in range(n):
+        seen, todo = {a}, [a]
+        while todo:
+            for y in succ[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        down.append(seen)
+    ids, class_of = {}, []
+    for a in range(n):
+        mutual = frozenset(b for b in down[a] if a in down[b])
+        class_of.append(ids.setdefault(mutual, len(ids)))
+    classes = _old_members(class_of)
+    k = len(classes)
+    reach = tuple(sum(1 << c for c in {class_of[y] for y in down[cls[0]]}) for cls in classes)
+    strict = [reach[c] & ~(1 << c) for c in range(k)]
+    above = [sum(1 << e for e in range(k) if strict[e] >> d & 1) for d in range(k)]
+    covers = tuple((c, d) for c in range(k) for d in range(k)
+                   if strict[c] >> d & 1 and not strict[c] & above[d])
+    uppers = [[c for c, d in covers if d == e] for e in range(k)]
+    left, height = set(range(k)), 0
+    while True:
+        tops = {c for c in left if not any(u in left for u in uppers[c])}
+        if not tops:
+            break
+        left -= tops
+        height += 1
+    return green._PreorderData(tuple(class_of), classes, reach, covers, len(left), height)
+
+
 def _old_build(size, left, right):
     """Test-local copy of ``green._build`` before it numbered H by cell and
-    joined D over class ids: H by normalizing the (L, R) pairs, D by a
-    union-find over elements, the egg-box count by ``Counter``s, and the
-    preorder data computed afresh."""
-    ldat = green._preorder_data(size, left)
-    rdat = green._preorder_data(size, right)
-    jdat = green._preorder_data(size, tuple(tuple(sorted({*ls, *rs}))
-                                            for ls, rs in zip(left, right)))
+    joined D over class ids, with no memo and no engine code but the grid
+    check: the preorder data by ``_old_preorder``, H by normalizing the
+    (L, R) pairs, D by a union-find over elements, the members by
+    ``_old_members`` and the egg-box count by ``Counter``s."""
+    ldat = _old_preorder(size, left)
+    rdat = _old_preorder(size, right)
+    jdat = _old_preorder(size, tuple(tuple(sorted({*ls, *rs}))
+                                     for ls, rs in zip(left, right)))
     h_class_of = core._normalize_blocks(list(zip(ldat.class_of, rdat.class_of)))
     dsu = core._DSU(size)
     for cls in ldat.classes + rdat.classes:
         for x in cls[1:]:
             dsu.union(cls[0], x)
     d_class_of = dsu.blocks()
-    hdat = green._Partition(h_class_of, green._members(size, h_class_of))
-    ddat = green._Partition(d_class_of, green._members(size, d_class_of))
+    hdat = green._Partition(h_class_of, _old_members(h_class_of))
+    ddat = green._Partition(d_class_of, _old_members(d_class_of))
     gs = green.GreenStructure(
         size=size, relations=(ldat, rdat, jdat, hdat, ddat),
         left_stable=green._stable(left, jdat.class_of, ldat.class_of),
@@ -437,6 +484,40 @@ class TestLeanBuild:
         assert seed0_run.report.all_passed and len(seed0_run.builds) > 1000
         for size, left, right, gs in seed0_run.builds:
             assert gs == _old_build(size, left, right), (left, right)
+
+
+class TestPartMemos:
+    """A build takes H and D from a memo per (L, R) partition pair, the
+    class posets from one per reach tuple and the class members from one
+    per partition (``green._meet_and_join_cached``, ``_poset_cached``,
+    ``_members_cached``)."""
+
+    # L-classes {0, 1}, {2} and R-classes {0}, {1, 2} in one D-class, whose
+    # cell (R0, L1) is empty
+    REFUSED = (3, ((1,), (0,), ()), ((), (2,), (1,)))
+
+    def test_a_refused_pair_is_refused_again_and_never_kept(self, cold_engine):
+        size, left, right = self.REFUSED
+        message = _first_empty_cell(size, left, right)
+        assert message == "empty egg-box cell (R0, L1) inside D-class 0"
+        for attempt in (1, 2):
+            with pytest.raises(InvariantViolation) as exc:
+                green._build(size, left, right)
+            assert str(exc.value) == message
+            assert len(green._meet_and_join_cached) == 0
+            assert green._meet_and_join_cached.cache_info().misses == attempt
+
+    def test_structures_with_equal_partitions_share_h_and_d(self, cold_engine):
+        # two left digraphs with the same classes (a 2-cycle, then a
+        # 2-cycle with a loop), the same right digraph
+        right = ((), ())
+        one = green._build(2, ((1,), (0,)), right)
+        other = green._build(2, ((0, 1), (0,)), right)
+        assert one.relation("L") is not other.relation("L")
+        assert one.relation("L").classes is other.relation("L").classes
+        for k in "HD":
+            assert one.relation(k) is other.relation(k)
+        assert green._meet_and_join_cached.cache_info().misses == 1
 
 
 class TestSharedTuples:
@@ -622,7 +703,7 @@ def _sccs_preorder_data(n, succ):
         for x in comp:
             comp_of[x] = i
     class_of = core._normalize_blocks(comp_of)
-    classes = green._members(n, class_of)
+    classes = _old_members(class_of)
     k = len(comps)
     succ_cls = [set() for _ in range(k)]
     for a in range(n):

@@ -1,10 +1,11 @@
 """The engine's bounded memos (``core._Memo``) and the dict-free Green
 structure.
 
-Three memos share one type: the tuple intern ``core._shared`` and the
-preorder and pair memos of ``green`` (which also count their hits).  Each
-is a plain dict under a module-constant bound that evicts its oldest key
-first; these tests hold each to its bound, its eviction order and its
+Six memos share one type: the tuple intern ``core._shared``, the
+preorder and pair memos of ``green`` (which also count their hits) and the
+three memos of a build's parts (class posets, H and D, class members).
+Each is a plain dict under a module-constant bound that evicts its oldest
+key first; these tests hold each to its bound, its eviction order and its
 uncached function.
 
 The bound and eviction tests run on a cold engine (``cold_engine``).  The
@@ -32,14 +33,33 @@ def _digraphs4():
     return itertools.product(subsets, repeat=4)
 
 
+def _partitions(n):
+    """The partitions of ``0..n-1`` as ``class_of`` tuples, classes
+    numbered by least member (restricted growth strings): Bell(n) of them."""
+    def grow(prefix, top):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for c in range(top + 2):
+            yield from grow(prefix + (c,), max(top, c))
+    return grow((), -1)
+
+
 # memo -> distinct keys in a fixed order, as many as wanted.  Each pair
 # (left, no right edges) builds: the R-classes are single elements, so
-# every egg-box cell of a D-class (an L-class) is filled.
+# every egg-box cell of a D-class (an L-class) is filled; so is every
+# (L, R) partition pair whose R-classes are single elements.  Any tuple of
+# masks over its own positions is a reach tuple to ``_poset``.
 MEMOS = {
     "core._shared": (core._shared, lambda: ((i, "memo-bound") for i in itertools.count())),
     "green._preorder_cached": (green._preorder_cached, _digraphs4),
     "green._green_structure_cached": (green._green_structure_cached,
                                       lambda: ((left, _EMPTY4) for left in _digraphs4())),
+    "green._poset_cached": (green._poset_cached,
+                            lambda: itertools.product(range(16), repeat=4)),
+    "green._meet_and_join_cached": (green._meet_and_join_cached,
+                                    lambda: ((of, tuple(range(9))) for of in _partitions(9))),
+    "green._members_cached": (green._members_cached, lambda: _partitions(9)),
 }
 
 
@@ -63,6 +83,9 @@ class TestBounds:
         assert core._shared.maxsize == core.SHARED_TUPLES == 8192
         assert green._preorder_cached.maxsize == 3 * 4096
         assert green._green_structure_cached.maxsize == 4096
+        assert green._poset_cached.maxsize == green.CLASS_POSETS == 3 * 4096
+        assert green._meet_and_join_cached.maxsize == green.PARTITION_PAIRS == 4096
+        assert green._members_cached.maxsize == green.MEMBER_LISTS == 5 * 4096
 
     def test_hits_and_misses_are_counted(self, cold_engine):
         key = (1, "memo-count")
@@ -106,6 +129,13 @@ class TestValues:
         for name in MEMOS:
             assert len(memos[name]) > 100, name
         assert all(value == key for key, value in memos["core._shared"].items())
+        # every part computed afresh: each memo of a build's parts in place
+        # of its uncached function
+        for name, fn in (("_poset_cached", green._poset),
+                         ("_meet_and_join_cached", green._meet_and_join),
+                         ("_members_cached", green._members)):
+            monkeypatch.setattr(green, name, fn)
+            assert all(value == fn(key) for key, value in memos["green." + name].items()), name
         assert all(value == green._preorder_data(len(key), key)
                    for key, value in memos["green._preorder_cached"].items())
         # an uncached build: the preorder data computed afresh
@@ -127,6 +157,7 @@ class TestReset:
         en.semigroup_pool()
         core._shared((1, "reset"))
         caches = [core._shared, green._preorder_cached, green._green_structure_cached,
+                  green._poset_cached, green._meet_and_join_cached, green._members_cached,
                   en._valid_left_actions, en._valid_right_actions, en.semigroup_pool,
                   en._pool_digraphs]
         reached = {id(cache) for cache in reset_engine()}
