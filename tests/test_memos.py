@@ -130,10 +130,10 @@ class TestValues:
             assert len(memos[name]) > 100, name
         assert all(value == key for key, value in memos["core._shared"].items())
         # every part computed afresh: each memo of a build's parts in place
-        # of its uncached function
-        for name, fn in (("_poset_cached", green._poset),
-                         ("_meet_and_join_cached", green._meet_and_join),
-                         ("_members_cached", green._members)):
+        # of its uncached function, the members first, which H and D read
+        for name, fn in (("_members_cached", green._members),
+                         ("_poset_cached", green._poset),
+                         ("_meet_and_join_cached", green._meet_and_join)):
             monkeypatch.setattr(green, name, fn)
             assert all(value == fn(key) for key, value in memos["green." + name].items()), name
         assert all(value == green._preorder_data(len(key), key)
