@@ -180,8 +180,9 @@ def _edges(x: Union[FiniteSemigroup, FiniteBiact],
 
 def digraphs(x: Union[FiniteSemigroup, FiniteBiact]) -> Digraphs:
     """The one-step left and right digraphs over every acting element: the
-    pair that determines the Green structure of ``x``.  Nothing is stored
-    on ``x``; a caller that needs the pair again keeps it."""
+    pair that determines the Green structure of ``x``, computed afresh on
+    each call.  Nothing is stored on ``x``: its Green structure keeps the
+    pair it was built from (``green_structure(x).pair``)."""
     return _edges(x)
 
 

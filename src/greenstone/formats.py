@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from .errors import BadEntry, ParseError
+from .errors import BadEntry, ParseError, ValidationError
 
 # the engine modules load on the first load or dump, so a command that
 # never reads or writes a file does not load them
@@ -86,7 +86,10 @@ def biact_from_dict(data: dict) -> FiniteBiact:
 
 
 def load(path: Union[str, Path]) -> Union[FiniteSemigroup, FiniteBiact]:
-    """Parse a semigroup or biact file, dispatching on its "kind"."""
+    """Parse a semigroup or biact file, dispatching on its "kind".  Every
+    refusal names the file: a ``ValidationError`` raised while the decoded
+    document is parsed and validated keeps its class and attributes, and
+    its message gains the prefix ``<path>: ``."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -101,9 +104,13 @@ def load(path: Union[str, Path]) -> Union[FiniteSemigroup, FiniteBiact]:
         raise ParseError(f"{path}: JSON nested too deeply to decode") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
-    if data.get("kind") == "biact":
-        return biact_from_dict(data)
-    return semigroup_from_dict(data)
+    try:
+        if data.get("kind") == "biact":
+            return biact_from_dict(data)
+        return semigroup_from_dict(data)
+    except ValidationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def dump(obj: Union[FiniteSemigroup, FiniteBiact], path: Union[str, Path]) -> None:

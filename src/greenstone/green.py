@@ -119,9 +119,11 @@ A part derived from a host (a subact, a Rees quotient, a biact quotient,
 a product; see ``biact``) arrives with its own pair, derived from the
 host's, so nothing is frozen for it: its first lookup takes that pair
 straight to the cache and drops it, and its action tables stay unbuilt
-unless something else reads them.  The claim suite freezes each corpus
-host's pair once per run and fills the host's slot from it
-(``_fill_slot``, ``verify.Env``).
+unless something else reads them.  A structure keeps the pair it was
+built from (``GreenStructure.pair``), so an object's pair, once frozen,
+is read back as ``green_structure(x).pair``; the claim suite reads each
+corpus host's pair there.  While the pair memo keeps a structure, every
+object with an equal pair reads that one structure's pair tuple.
 """
 
 from __future__ import annotations
@@ -285,28 +287,32 @@ def _kahn(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 class GreenStructure(_Frozen):
     """The Green data of one digraph pair, stored as the build hands it:
-    the size, ``relations`` and the two stability flags.  ``relations``
+    the size, ``relations``, the two stability flags and ``pair``, the
+    (left, right) one-step digraph pair it was built from.  ``relations``
     holds the five relations in ``RELATIONS`` order: L, R and J as their
     preorder data, which also hold the class posets, and H and D as
-    partitions.  Equality, hashing, repr and copies run over these four
-    fields.  ``relation(k)`` reads one relation; a loop over one relation
-    reads it once and asks it directly (``_PreorderData.le``).  Slotted,
-    so a structure holds no dict.  Two more slots (``_KEPT``) keep the
-    answers ``props`` decides once per structure: None until decided,
-    outside equality, hashing, repr and copies, so a new structure starts
-    without them."""
-    _fields = ("size", "relations", "left_stable", "right_stable")
+    partitions.  Equality, hashing and repr run over the first four
+    fields, which ``pair`` determines (``_hidden``); copies and pickles
+    carry all five.  ``relation(k)`` reads one relation; a loop over one
+    relation reads it once and asks it directly (``_PreorderData.le``).
+    Slotted, so a structure holds no dict.  Two more slots (``_KEPT``)
+    keep the answers ``props`` decides once per structure: None until
+    decided, outside equality, hashing, repr and copies, so a new
+    structure starts without them."""
+    _fields = ("size", "relations", "left_stable", "right_stable", "pair")
+    _hidden = ("pair",)
     _KEPT = ("_relation_forms", "_stable_char")
     __slots__ = _fields + _KEPT
 
     def __init__(self, size: int, relations: tuple[_Partition, ...],
-                 left_stable: bool, right_stable: bool):
+                 left_stable: bool, right_stable: bool, pair: Digraphs):
         _set(self, "size", size)
         _set(self, "relations", relations)
         # no one-step left edge leaves an L-class inside its J-class; dually
         # for right edges and R-classes
         _set(self, "left_stable", left_stable)
         _set(self, "right_stable", right_stable)
+        _set(self, "pair", pair)
         for name in self._KEPT:
             _set(self, name, None)
 
@@ -479,7 +485,7 @@ def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
     hdat, ddat = _meet_and_join_cached((ldat.class_of, rdat.class_of))
     return GreenStructure(size, (ldat, rdat, jdat, hdat, ddat),
                           _stable(left, jdat.class_of, ldat.class_of),
-                          _stable(right, jdat.class_of, rdat.class_of))
+                          _stable(right, jdat.class_of, rdat.class_of), (left, right))
 
 
 def _stable(succ: Sequence[Sequence[int]], j_of: Sequence[int],
@@ -516,18 +522,6 @@ def green_structure(x: Union[FiniteSemigroup, FiniteBiact],
     if gs is None:
         gs = slots[_SLOT] = _green_structure_cached(slots.pop(_PAIR, None) or _edges(x))
     return gs
-
-
-def _fill_slot(x: Union[FiniteSemigroup, FiniteBiact], pair: Digraphs) -> None:
-    """Write the slot of ``x`` from ``pair``, its one-step digraph pair as
-    the caller froze it, unless ``x`` already holds a structure; a derived
-    part's own pair is dropped, as its first lookup would drop it.  No key
-    is handed over and deleted: a deletion would leave every object a dict
-    of its own, where the objects of one class otherwise share their keys."""
-    slots = x.__dict__
-    if _SLOT not in slots:
-        slots.pop(_PAIR, None)
-        slots[_SLOT] = _green_structure_cached(pair)
 
 
 def le(x, a: int, b: int, k: str) -> bool:

@@ -10,8 +10,8 @@ Every registered claim is a checkable property with an execution scope:
 
 Most claims transfer a condition between a structure and its
 substructures, so they quantify over one corpus that ``Env`` owns: the
-semigroups or biacts themselves (the host corpora, whose digraph pairs
-are frozen once, when they are built), the subsemigroups, ideals,
+semigroups or biacts themselves (the host corpora, each host's digraph
+pair read off its Green structure), the subsemigroups, ideals,
 bi-ideals and single-pair congruences of the semigroups (built once per
 ``Env``), or the fixed pool of small biacts whose parts the finite gluing
 claims glue.  The subacts and single-pair congruences of the biacts are
@@ -28,8 +28,8 @@ of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 The host-level pass.  P4.4, P5.1 (subacts, their ``sub`` and Rees
 quotient) and P4.1, C4.3 (single-pair congruences, their quotient) are
 decided host by host, by one pass (``_over_hosts``).  Each host's
-one-step digraph pair is frozen once per ``Env``, when its corpus is
-built, and interned as a digraph id.  A host's instances are listed once
+one-step digraph pair is read off its Green structure, once per
+``Env``, and numbered as a digraph id.  A host's instances are listed once
 per listing key and run, which fixes all that the listing reads: a
 host's subacts depend on its pair only, so they are listed once per
 digraph id; its single-pair congruences depend on its size and its set
@@ -84,12 +84,10 @@ from . import __version__ as _version
 from .biact import (
     Digraphs,
     FiniteBiact,
-    _PAIR,
     _block_quotient,
     _collapse,
     _restrict,
     biact_rees_quotient,
-    digraphs,
     product_biact,
     regular_biact,
     relative_biact,
@@ -116,7 +114,7 @@ from .enumeration import (
     semigroup_pool,
 )
 from .errors import InvalidSuiteConfig, UnknownClaim
-from .green import GreenStructure, _bits, _fill_slot, green_index, green_structure
+from .green import GreenStructure, _bits, green_index, green_structure
 from .props import (
     group_bound,
     k_preserving,
@@ -211,11 +209,14 @@ class Claim:
 @dataclass(eq=False)
 class Substructure:
     """A semigroup with one of its subsemigroups, ideals or bi-ideals.  The
-    derived objects are built on first use and kept.  ``pair`` is the
-    host's digraph pair, when the caller holds it (``Env`` does)."""
+    derived objects are built on first use and kept."""
     host: FiniteSemigroup
     members: frozenset[int]
-    pair: Optional[Digraphs] = None
+
+    @property
+    def pair(self) -> Digraphs:
+        """The host's one-step digraph pair, as its Green structure keeps it."""
+        return green_structure(self.host).pair
 
     @cached_property
     def rel(self) -> FiniteBiact:
@@ -259,15 +260,6 @@ def _kept(build: Callable[["Env"], object]) -> Callable[["Env"], object]:
     return corpus
 
 
-def _hosts(build: Callable[["Env"], list]) -> Callable[["Env"], list]:
-    """A kept corpus (``_kept``) of hosts, whose one-step digraph pairs are
-    frozen when it is built (``Env._freeze``)."""
-    @wraps(build)
-    def hosts(env: "Env") -> list:
-        return env._freeze(build(env))
-    return _kept(hosts)
-
-
 class Env:
     """Shared corpora for the claim checkers, and the verdicts of the
     host-level pass.
@@ -278,21 +270,20 @@ class Env:
     by megabytes.  What the host pass decides on them is kept instead, as
     bits (``verdicts``), keyed by the predicate functions and the part
     builder bound when they were decided, so a planted or traced function
-    decides afresh.
+    decides afresh.  A host's one-step digraph pair is not kept here: its
+    Green structure keeps it (``green_structure(x).pair``).
     """
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._kept: dict[str, object] = {}
-        self._interned: dict[Digraphs, Digraphs] = {}
-        self._pairs: dict[int, Digraphs] = {}      # id(host) -> its interned pair
         self._digraph_ids: dict[str, tuple[list[Digraphs], list[int]]] = {}
         self._verdicts: dict[tuple, tuple[list, dict]] = {}
 
     def rng(self, key: str) -> random.Random:
         return random.Random(f"{self.config.seed}:{key}")
 
-    @_hosts
+    @_kept
     def semigroups(self) -> list[FiniteSemigroup]:
         """Exhaustive census up to max_order plus the named order-4 pool."""
         out = []
@@ -301,14 +292,14 @@ class Env:
         out.extend(s for s in semigroup_pool() if s.order > self.config.max_order)
         return out
 
-    @_hosts
+    @_kept
     def biacts_exhaustive(self) -> list[FiniteBiact]:
         pool = [s for n in range(1, self.config.exh_semigroup + 1)
                 for s in all_semigroups(n)]
         return [b for s, t in itertools.product(pool, pool)
                 for m in range(1, self.config.exh_carrier + 1) for b in all_biacts(s, t, m)]
 
-    @_hosts
+    @_kept
     def biacts_random(self) -> list[FiniteBiact]:
         return random_biact_corpus(self.config.random_biacts, self.config.seed)
 
@@ -324,8 +315,7 @@ class Env:
     @_kept
     def subsemigroups(self) -> list[Substructure]:
         """Every subsemigroup of every semigroup, host by host."""
-        return [Substructure(s, m, self._pairs[id(s)])
-                for s in self.semigroups() for m in subsemigroups_of(s)]
+        return [Substructure(s, m) for s in self.semigroups() for m in subsemigroups_of(s)]
 
     @_kept
     def ideals(self) -> list[Substructure]:
@@ -353,28 +343,14 @@ class Env:
         return [a for s, t in itertools.product(pool, pool)
                 for m in (1, 2) for a in all_biacts(s, t, m)]
 
-    def _freeze(self, hosts: list) -> list:
-        """Freeze each host's one-step digraph pair, once per ``Env``, and
-        intern it, so that equal pairs share one tuple.  A derived host (a
-        random corpus part, ``biact._derived``) carries its pair, which is
-        taken as it is, not recomputed from its tables, which would fill
-        them.  The host's Green slot is filled from the pair at once
-        (``green._fill_slot``), unless the host already holds a structure:
-        the pool semigroups are shared across ``Env``s."""
-        for x in hosts:
-            pair = vars(x).get(_PAIR) or digraphs(x)
-            pair = self._pairs[id(x)] = self._interned.setdefault(pair, pair)
-            _fill_slot(x, pair)
-        return hosts
-
     def digraph_ids(self, hosts: str) -> tuple[list[Digraphs], list[int]]:
         """The distinct one-step digraph pairs of the host corpus named
         ``hosts``, in first-seen order, and each host's digraph id, its
-        index into them: read off the pairs frozen with the corpus, on the
-        first call per corpus."""
+        index into them: read off the hosts' Green structures
+        (``GreenStructure.pair``), on the first call per corpus."""
         if hosts not in self._digraph_ids:
             ids: dict[Digraphs, int] = {}
-            hids = [ids.setdefault(self._pairs[id(x)], len(ids))
+            hids = [ids.setdefault(green_structure(x).pair, len(ids))
                     for x in getattr(self, hosts)()]
             self._digraph_ids[hosts] = (list(ids), hids)
         return self._digraph_ids[hosts]
@@ -512,9 +488,10 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
     (name, kinds) pairs, on each host of the Env corpus named ``hosts``
     and on the derived parts of its instances, host by host.
 
-    - Each host's one-step digraph pair is frozen once per ``Env`` and
-      interned as a digraph id (``Env.digraph_ids``), so the claims over
-      one corpus share it.
+    - Each host's one-step digraph pair is the one its Green structure
+      keeps, frozen on the host's first lookup, and is numbered as a
+      digraph id once per ``Env`` (``Env.digraph_ids``), so the claims
+      over one corpus share the numbering.
     - ``keys(host, pair)`` lists the host's instances as hashable keys, in
       order.  It is called once per listing key ``listing(host, hid)`` and
       run, which must fix everything ``keys`` reads: the digraph id for

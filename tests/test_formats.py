@@ -4,7 +4,8 @@ import pytest
 
 from greenstone import core, formats
 from greenstone.biact import product_biact, regular_biact
-from greenstone.errors import ParseError
+from greenstone.errors import (ActionAxiomViolation, BadEntry, NonAssociative, ParseError,
+                               SizeLimitExceeded)
 
 
 def t2():
@@ -77,6 +78,34 @@ class TestErrors:
             formats.load(path)
         assert cli.main(["analyze", str(path)]) == 2
         assert f"{path}: JSON nested too deeply to decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, error, attr", [
+        ({"kind": "table", "order": 2, "table": [[0, 5], [1, 1]]}, BadEntry, None),
+        ({"kind": "table", "order": 2}, ParseError, "offset"),
+        ({"kind": "table", "order": 2, "table": [[1, 1], [0, 0]]}, NonAssociative, "triple"),
+        ({"kind": "transformations", "degree": 7,
+          "generators": [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6], [0, 0, 2, 3, 4, 5, 6]]},
+         SizeLimitExceeded, "cap"),
+        ({"kind": "biact", "size": 2, "left_action": [[1, 0], [1, 0]],
+          "right_action": [[0], [1]], "left": {"kind": "table", "order": 2,
+                                               "table": [[0, 1], [1, 0]]},
+          "right": {"kind": "table", "order": 1, "table": [[0]]}},
+         ActionAxiomViolation, "triple"),
+    ])
+    def test_a_refusal_after_decoding_names_the_path_once(self, tmp_path, capsys,
+                                                          doc, error, attr):
+        from greenstone import cli
+
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error) as exc:
+            formats.load(path)
+        message = str(exc.value)
+        assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+        if attr is not None:
+            assert hasattr(exc.value, attr)
+        assert cli.main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
     def test_undecodable_bytes_name_the_path(self, tmp_path):
         path = tmp_path / "binary.json"

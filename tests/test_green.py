@@ -10,7 +10,7 @@ from greenstone import core, green
 from greenstone.enumeration import all_semigroups, random_biact_corpus, semigroup_pool
 from greenstone.errors import BadEntry, InvariantViolation, UnknownClass
 
-from helpers import ideals_of
+from helpers import ideals_of, replace
 
 LEFT_ZERO2 = [[0, 0], [1, 1]]
 Z2 = [[0, 1], [1, 0]]
@@ -447,7 +447,7 @@ def _old_build(size, left, right):
     gs = green.GreenStructure(
         size=size, relations=(ldat, rdat, jdat, hdat, ddat),
         left_stable=green._stable(left, jdat.class_of, ldat.class_of),
-        right_stable=green._stable(right, jdat.class_of, rdat.class_of))
+        right_stable=green._stable(right, jdat.class_of, rdat.class_of), pair=(left, right))
     count = {k: Counter(d_class_of[cls[0]] for cls in gs.relation(k).classes) for k in "RLH"}
     for dcls in range(len(ddat.classes)):
         if count["H"][dcls] != count["R"][dcls] * count["L"][dcls]:
@@ -603,6 +603,39 @@ class TestCopies:
             for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
                 assert type(twin) is type(x) and twin == x
         assert all(getattr(copy.copy(gs), name) is None for name in green.GreenStructure._KEPT)
+
+
+class TestStructurePair:
+    """A structure keeps the one-step digraph pair it was built from."""
+
+    @staticmethod
+    def _parts(b):
+        """The sub and Rees quotient of a subact of the biact ``b`` and a
+        block quotient of ``b``, each built from the pair of ``b``."""
+        closed = ba.subact_closure(b, [b.size - 1])
+        rho = core.congruence_closure(b, [(0, b.size - 1)])
+        return [closed.sub, closed.rees, core.quotient(b, rho)[0]]
+
+    def test_every_seed0_host_and_its_parts(self):
+        from greenstone.verify import Env, SuiteConfig
+
+        env = Env(SuiteConfig(seed=0))
+        semigroups = env.semigroups()
+        hosts = semigroups + env.biacts()
+        parts = [p for b in env.biacts() + list(map(ba.regular_biact, semigroups))
+                 for p in self._parts(b)]
+        parts += [ba.product_biact(s, t) for s, t in itertools.product(semigroups[:8], repeat=2)]
+        assert all(ba._PAIR in vars(p) for p in parts)
+        for x in hosts + parts:
+            # the structure first: a part's carried pair, before its tables fill
+            gs = green.green_structure(x)
+            assert gs.pair == ba.digraphs(x), x
+        gs = green.green_structure(hosts[-1])
+        for twin in (copy.copy(gs), copy.deepcopy(gs), pickle.loads(pickle.dumps(gs))):
+            assert twin == gs and twin.pair == gs.pair
+        other = replace(gs, pair=None)
+        assert other == gs and hash(other) == hash(gs) and repr(other) == repr(gs)
+        assert "pair" not in repr(gs)
 
 
 class TestStabilityVerdict:

@@ -176,7 +176,7 @@ class TestMinimalCondition:
         data = green._PreorderData((0, 1, 2), classes, (7, 6, 6), covers,
                                    *green._kahn(3, covers))
         gs = green.GreenStructure(3, (data,) * 3 + (green._Partition(data.class_of, classes),) * 2,
-                                  left_stable=True, right_stable=True)
+                                  left_stable=True, right_stable=True, pair=None)
         monkeypatch.setattr(props, "green_structure", lambda x: gs)
         res = props.minimal_condition(None, "L")
         assert res.to_json() == _kahn_verdict(gs, "L")

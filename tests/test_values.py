@@ -77,6 +77,7 @@ class GreenStructure:
     relations: tuple
     left_stable: bool
     right_stable: bool
+    pair: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -256,83 +256,81 @@ class TestCorpora:
                 for p in itertools.combinations(range(x.size), 2)]
 
     @staticmethod
-    def _carried(monkeypatch) -> tuple[list, list]:
-        """The hosts that reach ``Env._freeze`` carrying their own digraph
-        pair (the derived parts of the random corpus), and those of them
-        whose tables are still unbuilt there, recorded as each corpus is
-        frozen."""
-        from greenstone import biact as ba
-
-        carried, pending, real = [], [], ver.Env._freeze
-
-        def freeze(env, hosts):
-            carried.extend(x for x in hosts if ba._PAIR in vars(x))
-            pending.extend(x for x in hosts if ba._FILL in vars(x))
-            return real(env, hosts)
-
-        monkeypatch.setattr(ver.Env, "_freeze", freeze)
-        return carried, pending
-
-    def test_host_digraphs_are_read_once_per_env(self, monkeypatch):
-        """No host's pair is computed twice: ``digraphs`` runs once on each
-        host, in corpus order, except on a host that carries its pair,
-        which is taken as it is and leaves the host's tables unbuilt."""
-        from greenstone import biact as ba
-
-        calls = []
-        real = ver.digraphs
-        monkeypatch.setattr(ver, "digraphs", lambda x: calls.append(x) or real(x))
-        carried, pending = self._carried(monkeypatch)
-        env = ver.Env(TINY)
-        hosts = env.biacts() + env.semigroups()
-        assert pending and all(ba._FILL in vars(x) for x in pending)
-        for cid in ("P4.1", "P4.4", "P5.1", "C4.3"):
-            assert ver.REGISTRY[cid].checker(env).ok
-        kept = {id(x) for x in carried}
-        assert list(map(id, calls)) == [id(x) for x in hosts if id(x) not in kept]
-        pairs, ids = env.digraph_ids("biacts")
-        assert env.digraph_ids("biacts") == (pairs, ids)
-        assert len(calls) + len(carried) == len(hosts)
-        assert [pairs[i] for i in ids] == [real(b) for b in env.biacts()]
-        # distinct pairs, numbered in first-seen order
-        assert list(dict.fromkeys(ids)) == list(range(len(pairs))) == list(range(len(set(pairs))))
-
-
-    def test_each_host_pair_is_computed_once_over_all_claims(self, monkeypatch):
-        """Over all claims on one Env, no host's digraph pair is computed
-        twice: once when its corpus is built, and not at all for a host
-        that carries it; the host's Green lookups and the parts of its
-        ideals take the frozen pair.  Counted are the two paths that
-        compute a host's pair, ``digraphs`` and the Green lookup's
-        ``_edges``.  The pool semigroups are shared across Envs and may
-        already hold a structure; they are read once either way."""
-        from collections import Counter
-
+    def _edges_reads(monkeypatch) -> list:
+        """Each object whose one-step digraph pair is computed from its
+        tables from now on, in call order: a call of ``biact._edges``, the
+        one function that computes it, through ``digraphs`` or a Green
+        lookup."""
         from greenstone import biact as ba
         from greenstone import green
 
-        reads = []
-        real_digraphs, real_edges = ba.digraphs, green._edges
-
-        def digraphs(x):
-            reads.append(x)
-            return real_digraphs(x)
+        reads, real = [], ba._edges
 
         def edges(x, *generators):
             reads.append(x)
-            return real_edges(x, *generators)
+            return real(x, *generators)
 
-        for module in (ba, ver):
-            monkeypatch.setattr(module, "digraphs", digraphs)
-        monkeypatch.setattr(green, "_edges", edges)
-        carried, _ = self._carried(monkeypatch)
+        for module in (ba, green):
+            monkeypatch.setattr(module, "_edges", edges)
+        return reads
+
+    @staticmethod
+    def _carried(hosts: list) -> tuple[set, list]:
+        """The ids of the hosts that carry their own digraph pair (the
+        derived parts of the random corpus), and those of them whose tables
+        are still unbuilt."""
+        from greenstone import biact as ba
+
+        carried = {id(x) for x in hosts if ba._PAIR in vars(x)}
+        pending = [x for x in hosts if ba._FILL in vars(x)]
+        assert carried and pending and {id(x) for x in pending} <= carried
+        return carried, pending
+
+    def test_host_digraphs_are_read_once_per_env(self, monkeypatch, cold_engine):
+        """No host's pair is computed twice: ``_edges`` runs once on each
+        host, in corpus order, when the digraph ids read the hosts' Green
+        structures, except on a host that carries its pair, which is taken
+        as it is and leaves the host's tables unbuilt.  The engine starts
+        cold, so no pool semigroup holds a structure from another Env."""
+        from greenstone import biact as ba
+
         env = ver.Env(TINY)
+        hosts = env.biacts() + env.semigroups()
+        carried, pending = self._carried(hosts)
+        reads = self._edges_reads(monkeypatch)
+        pairs, ids = env.digraph_ids("biacts")
+        env.digraph_ids("semigroups")
+        once = [id(x) for x in hosts if id(x) not in carried]
+        assert list(map(id, reads)) == once
+        assert all(ba._FILL in vars(x) for x in pending)
+        assert not any(ba._PAIR in vars(x) for x in hosts)
+        for cid in ("P4.1", "P4.4", "P5.1", "C4.3"):
+            assert ver.REGISTRY[cid].checker(env).ok
+        kept = set(map(id, hosts))
+        assert [id(x) for x in reads if id(x) in kept] == once
+        assert env.digraph_ids("biacts") == (pairs, ids)
+        monkeypatch.undo()
+        assert [pairs[i] for i in ids] == [ba.digraphs(b) for b in env.biacts()]
+        # distinct pairs, numbered in first-seen order
+        assert list(dict.fromkeys(ids)) == list(range(len(pairs))) == list(range(len(set(pairs))))
+
+    def test_each_host_pair_is_computed_once_over_all_claims(self, monkeypatch, cold_engine):
+        """Over all claims on one Env, no host's digraph pair is computed
+        twice: once, on the host's first Green lookup, and not at all for a
+        host that carries it; the digraph ids and the parts of its ideals
+        and subacts read the pair its structure keeps.  The engine starts
+        cold, so no pool semigroup holds a structure from another Env."""
+        from collections import Counter
+
+        from greenstone import biact as ba
+
+        env = ver.Env(TINY)
+        hosts = env.semigroups() + env.biacts()
+        carried, _ = self._carried(hosts)
+        reads = self._edges_reads(monkeypatch)
         for cid in sorted(ver.REGISTRY):
             assert ver.REGISTRY[cid].checker(env).ok, cid
-        hosts = env.semigroups() + env.biacts()
         count = Counter(map(id, reads))
-        assert carried
-        carried = {id(x) for x in carried}
         assert [count[id(x)] for x in hosts] == [int(id(x) not in carried) for x in hosts]
         assert not any(ba._PAIR in vars(x) for x in hosts)
 
@@ -889,11 +887,11 @@ class TestListingKeys:
         hosts = [ver.regular_biact(lz3), ver.regular_biact(core.opposite(lz3))]
 
         class Mirrors(ver.Env):
-            @ver._hosts
+            @ver._kept
             def biacts_exhaustive(self):
                 return list(hosts)
 
-            @ver._hosts
+            @ver._kept
             def biacts_random(self):
                 return []
 
