@@ -319,7 +319,10 @@ class TestCorpora:
         twice: once, on the host's first Green lookup, and not at all for a
         host that carries it; the digraph ids and the parts of its ideals
         and subacts read the pair its structure keeps.  The engine starts
-        cold, so no pool semigroup holds a structure from another Env."""
+        cold, so no pool semigroup holds a structure from another Env.
+        Counted from when the corpora are built: the random corpus's
+        sampler keeps its own pairs of the pool semigroups
+        (``enumeration._pool_digraphs``)."""
         from collections import Counter
 
         from greenstone import biact as ba
