@@ -28,23 +28,27 @@ as a ``FiniteBiact``, and ``ideal_biact`` is the restriction of S, read
 as its own biact, to the ideal (``Subact(s, ideal).sub``); an ideal is
 exactly a subact of S, so the subact check is the ideal check.
 
-Parts from digraphs.  This module owns the one-step digraph pair
-(``digraphs``), the input that fixes a Green structure.  Every part
-derived from a host -- a subact, a Rees quotient, a biact quotient, a
-product -- is built by ``_derived`` from a pair derived from the host's:
-the pair the caller holds, or else ``digraphs(host)``.  ``green`` takes
-the part's structure from that pair, and its action tables are filled on
-first read.  Such a part is an ordinary ``FiniteBiact``: equality,
-hashing and repr read the tables, and so fill them.  The derived pairs
-are exact: a subact is closed under both actions, so the sub's steps are
-the host's restricted to the members; a host step from a non-member into
-the subact becomes a step into the Rees quotient's sink, which steps
-only to itself; a quotient block's steps are the blocks of its least
-member's steps, by compatibility; and in S x T a left step moves the S
-coordinate only, a right step the T coordinate.  Every successor tuple of
-a pair, a host's (``_edges``) or a derived one, passes through the tuple
-intern ``core._shared``, so equal successor sets of any hosts and parts
-are one object (see ``green``).
+Parts from digraphs.  This module owns the one-step digraph pair, the
+input that fixes a Green structure, and ``digraphs(x)`` is the one way to
+read it.  One holder keeps an object's pair at a time: the object itself,
+in its ``_PAIR`` slot, until ``green`` builds its structure, and the
+structure (``GreenStructure.pair``) from then on; ``green_structure``
+pops the slot as it builds.  Every part derived from a host -- a subact,
+a Rees quotient, a biact quotient, a product -- is built by ``_derived``
+from a pair derived from ``digraphs(host)``, and carries it in its slot.
+``green`` takes the part's structure from that pair, and its action
+tables are filled on first read.  Such a part is an ordinary
+``FiniteBiact``: equality, hashing and repr read the tables, and so fill
+them; copies and pickles are rebuilt from the tables and carry no pair.
+The derived pairs are exact: a subact is closed under both actions, so
+the sub's steps are the host's restricted to the members; a host step
+from a non-member into the subact becomes a step into the Rees
+quotient's sink, which steps only to itself; a quotient block's steps
+are the blocks of its least member's steps, by compatibility; and in
+S x T a left step moves the S coordinate only, a right step the T
+coordinate.  Every successor tuple of a pair, a host's (``_edges``) or a
+derived one, passes through the tuple intern ``core._shared``, so equal
+successor sets of any hosts and parts are one object (see ``green``).
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class FiniteBiact(_Frozen):
 class Subact(_Frozen):
     """A subset of the carrier closed under both actions.  The derived
     biacts are built on first use and kept, both from the host's digraph
-    pair, computed once.  The closure is checked once, on the first
+    pair (``digraphs``).  The closure is checked once, on the first
     derived build: a member outside the carrier raises ``BadEntry``, a
     missing image ``NotASubact``."""
     _fields = ("host", "members")
@@ -136,28 +140,23 @@ class Subact(_Frozen):
         return self.members
 
     @cached_property
-    def _pair(self) -> Digraphs:
-        """The host's digraph pair, shared by ``sub`` and ``rees``."""
-        return digraphs(self.host)
-
-    @cached_property
     def sub(self) -> FiniteBiact:
         """The subact reindexed as a biact in its own right."""
-        return _restrict(self.host, sorted(self._closed), self._pair)
+        return _restrict(self.host, sorted(self._closed))
 
     @cached_property
     def rees(self) -> FiniteBiact:
         """The Rees quotient of the host by the subact."""
-        return _collapse(self.host, self._closed, self._pair)
+        return _collapse(self.host, self._closed)
 
 
 Digraph = tuple[tuple[int, ...], ...]    # element -> sorted one-step successors
 Digraphs = tuple[Digraph, Digraph]       # the left and the right one
 
 _TABLES = ("left_action", "right_action")
-# the instance-dict keys of a part's pending table fill, and of its digraph
-# pair until ``green`` reads it
-_FILL, _PAIR = "_fill", "_digraphs"
+# the instance-dict keys of a part's pending table fill, of an object's
+# digraph pair until ``green`` builds its structure, and of that structure
+_FILL, _PAIR, _SLOT = "_fill", "_digraphs", "_green_structure"
 
 
 def _edges(x: Union[FiniteSemigroup, FiniteBiact],
@@ -180,10 +179,16 @@ def _edges(x: Union[FiniteSemigroup, FiniteBiact],
 
 def digraphs(x: Union[FiniteSemigroup, FiniteBiact]) -> Digraphs:
     """The one-step left and right digraphs over every acting element: the
-    pair that determines the Green structure of ``x``, computed afresh on
-    each call.  Nothing is stored on ``x``: its Green structure keeps the
-    pair it was built from (``green_structure(x).pair``)."""
-    return _edges(x)
+    pair that determines the Green structure of ``x``.  Once ``green`` has
+    built that structure, the pair it keeps; until then the pair ``x``
+    carries, frozen into its slot (``_edges``) on the first call."""
+    slots = x.__dict__
+    gs = slots.get(_SLOT)
+    if gs is not None:
+        return gs.pair
+    if _PAIR not in slots:
+        slots[_PAIR] = _edges(x)
+    return slots[_PAIR]
 
 
 def _derived(s: FiniteSemigroup, t: FiniteSemigroup, size: int,
@@ -198,11 +203,9 @@ def _derived(s: FiniteSemigroup, t: FiniteSemigroup, size: int,
     return x
 
 
-def _restrict(b: FiniteBiact, mem: Sequence[int],
-              pair: Optional[Digraphs] = None) -> FiniteBiact:
+def _restrict(b: FiniteBiact, mem: Sequence[int]) -> FiniteBiact:
     """The sorted members ``mem``, already known to be closed under both
-    actions, as a biact of their own; ``pair`` is the host's digraph pair,
-    when the caller holds it."""
+    actions, as a biact of their own."""
     idx = {x: i for i, x in enumerate(mem)}
 
     def fill():
@@ -211,7 +214,7 @@ def _restrict(b: FiniteBiact, mem: Sequence[int],
 
     get = idx.__getitem__
     pair = tuple(tuple([_shared(tuple(map(get, side[x]))) for x in mem])
-                 for side in pair or digraphs(b))
+                 for side in digraphs(b))
     return _derived(b.left, b.right, len(mem), fill, (b.labels[x] for x in mem),
                     {"kind": "subact"}, pair)
 
@@ -363,10 +366,8 @@ def biact_rees_quotient(a: FiniteBiact, sub: Iterable[int]) -> FiniteBiact:
     return _collapse(a, mem)
 
 
-def _collapse(a: FiniteBiact, mem: frozenset[int],
-              pair: Optional[Digraphs] = None) -> FiniteBiact:
-    """The Rees quotient of ``a`` by ``mem``, already known to be closed;
-    ``pair`` is the host's digraph pair, when the caller holds it."""
+def _collapse(a: FiniteBiact, mem: frozenset[int]) -> FiniteBiact:
+    """The Rees quotient of ``a`` by ``mem``, already known to be closed."""
     keep = [x for x in range(a.size) if x not in mem]
     idx = {x: i for i, x in enumerate(keep)}
     zero = len(keep)
@@ -382,18 +383,16 @@ def _collapse(a: FiniteBiact, mem: frozenset[int],
         return _shared(out if len(out) == len(succ) else out + (zero,))
 
     pair = tuple(tuple([merged(side[x]) for x in keep]) + (_shared((zero,)),)
-                 for side in pair or digraphs(a))
+                 for side in digraphs(a))
     return _derived(a.left, a.right, zero + 1, fill,
                     tuple(a.labels[x] for x in keep) + ("0",),
                     {"kind": "rees-quotient", "collapsed": tuple(sorted(mem))}, pair)
 
 
-def _block_quotient(x: FiniteBiact, blocks: Sequence[int],
-                    pair: Optional[Digraphs] = None) -> FiniteBiact:
+def _block_quotient(x: FiniteBiact, blocks: Sequence[int]) -> FiniteBiact:
     """The quotient of ``x`` by ``blocks``, already known to be a
-    congruence (dense block ids, numbered by least member); ``pair`` is
-    the host's digraph pair, when the caller holds it.  Each block acts
-    through its least member."""
+    congruence (dense block ids, numbered by least member).  Each block
+    acts through its least member."""
     k = max(blocks) + 1
     reps = [0] * k
     for e in range(len(blocks) - 1, -1, -1):
@@ -404,7 +403,7 @@ def _block_quotient(x: FiniteBiact, blocks: Sequence[int],
                 [[blocks[x.right_action[r][t]] for t in range(x.right.order)] for r in reps])
 
     pair = tuple(tuple([_shared(tuple(sorted({blocks[y] for y in side[r]}))) for r in reps])
-                 for side in pair or digraphs(x))
+                 for side in digraphs(x))
     return _derived(x.left, x.right, k, fill, ("{" + x.labels[r] + "}" for r in reps),
                     {"kind": "quotient"}, pair)
 
@@ -415,14 +414,12 @@ def relative_rees(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact
     return biact_rees_quotient(relative_biact(s, members), members)
 
 
-def product_biact(s: FiniteSemigroup, t: FiniteSemigroup,
-                  digraphs: Optional[Digraphs] = None) -> FiniteBiact:
+def product_biact(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteBiact:
     """Carrier S x T with s(a,b) = (sa,b) and (a,b)t = (a,bt).
 
     Pair (a, b) is interned as a * |T| + b.  A carrier above the closure
-    cap is refused before any table is built.  ``digraphs``, when the
-    caller holds them, are the left digraph of S and the right digraph of
-    T (``_edges``).
+    cap is refused before any table is built.  The product's digraphs are
+    built from the left digraph of S and the right digraph of T.
     """
     ns, nt = s.order, t.order
     if ns * nt > DEFAULT_CLOSURE_CAP:
@@ -434,7 +431,7 @@ def product_biact(s: FiniteSemigroup, t: FiniteSemigroup,
                 [[a * nt + t.table[b][y] for y in range(nt)]
                  for a in range(ns) for b in range(nt)])
 
-    s_left, t_right = digraphs or (_edges(s)[0], _edges(t)[1])
+    s_left, t_right = digraphs(s)[0], digraphs(t)[1]
     pair = (tuple([_shared(tuple([y * nt + b for y in s_left[a]]))
                    for a in range(ns) for b in range(nt)]),
             tuple([_shared(tuple([a * nt + y for y in t_right[b]]))

@@ -497,8 +497,8 @@ def classify_subset(s: FiniteSemigroup, members: Iterable[int], role: str) -> Su
         raise ValueError(f"unknown role {role!r}; expected one of {_ROLES}")
     mem = frozenset(members)
     for a in mem:
-        if not (0 <= a < s.order):
-            raise BadEntry(f"member {a} outside the semigroup")
+        if not (_is_int(a) and 0 <= a < s.order):
+            raise BadEntry(f"member {a!r} outside the semigroup")
     t = s.table
     if role == "subsemigroup":
         for a in mem:
@@ -727,13 +727,14 @@ def subsemigroup(s: FiniteSemigroup, members: Iterable[int]) -> tuple[FiniteSemi
     Returns (semigroup, carrier) where carrier[i] is the parent id of the
     i-th element.
     """
-    mem = sorted(set(members))
+    mem = frozenset(members)
     if not mem:
         raise NotASubsemigroup("a subsemigroup must be nonempty")
     try:
         classify_subset(s, mem, "subsemigroup")
     except RoleViolation as exc:
         raise NotASubsemigroup(f"not closed under products: witness {exc.witness}") from exc
+    mem = sorted(mem)   # checked to be element ids, so they sort
     idx = {a: i for i, a in enumerate(mem)}
     k = len(mem)
     table = [[idx[s.table[a][b]] for b in mem] for a in mem]
@@ -752,8 +753,8 @@ def is_homomorphism(f: Sequence[int], src: FiniteSemigroup, dst: FiniteSemigroup
     if len(f) != src.order:
         raise BadEntry("map length must equal the source order")
     for x in f:
-        if not (0 <= x < dst.order):
-            raise BadEntry(f"image {x} outside the target semigroup")
+        if not (_is_int(x) and 0 <= x < dst.order):
+            raise BadEntry(f"image {x!r} outside the target semigroup")
     for a in range(src.order):
         for b in range(src.order):
             if f[src.table[a][b]] != dst.table[f[a]][f[b]]:

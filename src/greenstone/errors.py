@@ -106,10 +106,6 @@ class CapExceeded(GreenstoneError):
     """An enumeration request exceeds its hard cap."""
 
 
-class SearchCapExceeded(GreenstoneError):
-    """An exhaustive search was abandoned at its cap."""
-
-
 class DecisionUnavailable(GreenstoneError):
     """The object carries no decision procedure for the requested relation."""
 

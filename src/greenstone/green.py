@@ -112,25 +112,24 @@ first; the seed-0 claim suite meets 2,136 and the suite at max-order 4
 unchanged.  The seed-0 suite keeps 2,366 structures, and sharing their
 tuples takes its peak RSS from about 28 to 24 MB.
 
-``biact.digraphs`` hands out the pair without storing it, for callers
-that key their own memos on it.
-
-A part derived from a host (a subact, a Rees quotient, a biact quotient,
-a product; see ``biact``) arrives with its own pair, derived from the
-host's, so nothing is frozen for it: its first lookup takes that pair
-straight to the cache and drops it, and its action tables stay unbuilt
-unless something else reads them.  A structure keeps the pair it was
-built from (``GreenStructure.pair``), so an object's pair, once frozen,
-is read back as ``green_structure(x).pair``; the claim suite reads each
-corpus host's pair there.  While the pair memo keeps a structure, every
-object with an equal pair reads that one structure's pair tuple.
+The pair has one holder at a time, and ``biact.digraphs(x)`` is the one
+way to read it: the object carries it in its ``_PAIR`` slot until its
+structure is built, and the structure keeps it (``GreenStructure.pair``,
+the pair memo's own key) from then on.  A lookup pops the slot, or
+freezes the pair (``_edges``) when the object carries none, and
+``digraphs`` then reads the structure's.  A part derived from a host (a
+subact, a Rees quotient, a biact quotient, a product; see ``biact``)
+arrives with its own pair, derived from ``digraphs(host)``, so nothing
+is frozen for it, and its action tables stay unbuilt unless something
+else reads them.  While the pair memo keeps a structure, every object
+with an equal pair reads that one structure's pair tuple.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, Union
 
-from .biact import (_PAIR, Digraph, Digraphs, FiniteBiact, _edges, biact_rees_quotient,
+from .biact import (_PAIR, _SLOT, Digraphs, FiniteBiact, _edges, biact_rees_quotient,
                     digraphs, relative_biact)  # ``digraphs`` is re-exported
 from .core import (FiniteSemigroup, _CountedMemo, _DSU, _Frozen, _is_int, _Memo,
                    _normalize_blocks, _set, _shared)
@@ -476,16 +475,19 @@ _meet_and_join_cached = _Memo(_meet_and_join, PARTITION_PAIRS)
 _members_cached = _Memo(_members, MEMBER_LISTS)
 
 
-def _build(size: int, left: Digraph, right: Digraph) -> GreenStructure:
+def _build(pair: Digraphs) -> GreenStructure:
+    """The structure of the (left, right) digraph pair ``pair``, which it
+    keeps as its ``pair`` field: the pair memo's own key."""
+    left, right = pair
     ldat = _preorder_cached(left)
     rdat = _preorder_cached(right)
     union = tuple(ls if ls == rs else _shared(tuple(sorted({*ls, *rs})))
                   for ls, rs in zip(left, right))
     jdat = _preorder_cached(left if union == left else right if union == right else union)
     hdat, ddat = _meet_and_join_cached((ldat.class_of, rdat.class_of))
-    return GreenStructure(size, (ldat, rdat, jdat, hdat, ddat),
+    return GreenStructure(len(left), (ldat, rdat, jdat, hdat, ddat),
                           _stable(left, jdat.class_of, ldat.class_of),
-                          _stable(right, jdat.class_of, rdat.class_of), (left, right))
+                          _stable(right, jdat.class_of, rdat.class_of), pair)
 
 
 def _stable(succ: Sequence[Sequence[int]], j_of: Sequence[int],
@@ -495,11 +497,9 @@ def _stable(succ: Sequence[Sequence[int]], j_of: Sequence[int],
                    for e, fs in enumerate(succ) for f in fs)
 
 
-# keyed on the (left, right) digraph pair: the one caller of ``_build``
-_green_structure_cached = _CountedMemo(lambda pair: _build(len(pair[0]), *pair), 4096)
-
-
-_SLOT = "_green_structure"    # the instance-dict key of an object's structure
+# keyed on the (left, right) digraph pair: the one caller of ``_build``,
+# looked up on each call so that a wrapper installed later sees every build
+_green_structure_cached = _CountedMemo(lambda pair: _build(pair), 4096)
 
 
 def green_structure(x: Union[FiniteSemigroup, FiniteBiact],

@@ -10,11 +10,10 @@ Every registered claim is a checkable property with an execution scope:
 
 Most claims transfer a condition between a structure and its
 substructures, so they quantify over one corpus that ``Env`` owns: the
-semigroups or biacts themselves (the host corpora, each host's digraph
-pair read off its Green structure), the subsemigroups, ideals,
-bi-ideals and single-pair congruences of the semigroups (built once per
-``Env``), or the fixed pool of small biacts whose parts the finite gluing
-claims glue.  The subacts and single-pair congruences of the biacts are
+semigroups or biacts themselves (the host corpora), the subsemigroups,
+ideals, bi-ideals and single-pair congruences of the semigroups (built
+once per ``Env``), or the fixed pool of small biacts whose parts the
+finite gluing claims glue.  The subacts and single-pair congruences of the biacts are
 not a corpus: the claims over them run host by host (below).  Such a
 claim is a per-instance check ``check(instance, tally)`` plus a registry
 row naming its corpus; ``_over`` owns the loop, the instance count and
@@ -27,9 +26,10 @@ of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 
 The host-level pass.  P4.4, P5.1 (subacts, their ``sub`` and Rees
 quotient) and P4.1, C4.3 (single-pair congruences, their quotient) are
-decided host by host, by one pass (``_over_hosts``).  Each host's
-one-step digraph pair is read off its Green structure, once per
-``Env``, and numbered as a digraph id.  A host's instances are listed once
+decided host by host, by one pass (``_over_hosts``).  Each host is
+numbered by its one-step digraph pair as a digraph id, once per
+``Env``; the pair is read off the host's Green structure, which holds
+it from then on (see ``biact``).  A host's instances are listed once
 per listing key and run, which fixes all that the listing reads: a
 host's subacts depend on its pair only, so they are listed once per
 digraph id; its single-pair congruences depend on its size and its set
@@ -54,9 +54,11 @@ violations are then replayed in corpus order.  P4.4 and P5.1 name the
 same corpus, predicates and builder, so they share one table: whichever
 runs first builds each subact's parts once and the other builds none.
 A verdict is read back only under the functions that decided it, so a
-planted or traced predicate or builder decides afresh.  R3.14(3) checks
-each (left digraph of S, right digraph of T) group of pairs once, on a
-product built from those two digraphs.
+planted or traced predicate or builder decides afresh.  Every part is
+built from its host's pair, which the builder reads itself; no caller
+passes a pair in.  R3.14(3) checks each (left digraph of S, right
+digraph of T) group of pairs once, on a product built from those two
+digraphs.
 
 Must-hold claims must produce zero violations; counterexample-expected
 claims must produce a verified witness.  Claims whose finite runs cannot
@@ -88,6 +90,7 @@ from .biact import (
     _collapse,
     _restrict,
     biact_rees_quotient,
+    digraphs,
     product_biact,
     regular_biact,
     relative_biact,
@@ -213,11 +216,6 @@ class Substructure:
     host: FiniteSemigroup
     members: frozenset[int]
 
-    @property
-    def pair(self) -> Digraphs:
-        """The host's one-step digraph pair, as its Green structure keeps it."""
-        return green_structure(self.host).pair
-
     @cached_property
     def rel(self) -> FiniteBiact:
         """The host as a biact over the subsemigroup."""
@@ -239,7 +237,7 @@ class Substructure:
         """An ideal as a biact over the host: the restriction of the host,
         read as its own biact, to the ideal, a subact of it.  Read on
         ideals only (``Env.ideals``), which are closed by construction."""
-        return _restrict(self.host, sorted(self.members), self.pair)
+        return _restrict(self.host, sorted(self.members))
 
     @cached_property
     def rees(self) -> FiniteSemigroup:
@@ -270,14 +268,14 @@ class Env:
     by megabytes.  What the host pass decides on them is kept instead, as
     bits (``verdicts``), keyed by the predicate functions and the part
     builder bound when they were decided, so a planted or traced function
-    decides afresh.  A host's one-step digraph pair is not kept here: its
-    Green structure keeps it (``green_structure(x).pair``).
+    decides afresh.  A host's one-step digraph pair is not kept here: the
+    host or its Green structure holds it (``digraphs``).
     """
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._kept: dict[str, object] = {}
-        self._digraph_ids: dict[str, tuple[list[Digraphs], list[int]]] = {}
+        self._digraph_ids: dict[str, list[int]] = {}
         self._verdicts: dict[tuple, tuple[list, dict]] = {}
 
     def rng(self, key: str) -> random.Random:
@@ -343,16 +341,19 @@ class Env:
         return [a for s, t in itertools.product(pool, pool)
                 for m in (1, 2) for a in all_biacts(s, t, m)]
 
-    def digraph_ids(self, hosts: str) -> tuple[list[Digraphs], list[int]]:
-        """The distinct one-step digraph pairs of the host corpus named
-        ``hosts``, in first-seen order, and each host's digraph id, its
-        index into them: read off the hosts' Green structures
-        (``GreenStructure.pair``), on the first call per corpus."""
+    def digraph_ids(self, hosts: str) -> list[int]:
+        """Each host's digraph id in the host corpus named ``hosts``: the
+        index of its one-step digraph pair among the corpus's distinct
+        pairs in first-seen order, on the first call per corpus.  The pair
+        is read off the host's Green structure, built here, so that no
+        host carries a pair of its own once its id is known: reading
+        ``digraphs``, which leaves each pair on its host until the host's
+        structure is built, raised the max RSS of the suite at max-order 4
+        by about 0.3 MB (Python 3.11, 2-vCPU x86_64 host)."""
         if hosts not in self._digraph_ids:
             ids: dict[Digraphs, int] = {}
-            hids = [ids.setdefault(green_structure(x).pair, len(ids))
-                    for x in getattr(self, hosts)()]
-            self._digraph_ids[hosts] = (list(ids), hids)
+            self._digraph_ids[hosts] = [ids.setdefault(green_structure(x).pair, len(ids))
+                                        for x in getattr(self, hosts)()]
         return self._digraph_ids[hosts]
 
     def verdicts(self, hosts: str, preds: tuple, parts: Callable) -> tuple[list, dict]:
@@ -381,12 +382,12 @@ def subsemigroups_of(s: FiniteSemigroup) -> list[frozenset[int]]:
     return [m for m in nonempty_subsets(s.order) if is_role(s, m, "subsemigroup")]
 
 
-def _subact_keys(pair: Digraphs) -> list[int]:
-    """The nonempty subacts of a biact whose one-step digraph pair is
-    ``pair``, as member bitmasks, in ``nonempty_subsets`` order: a subset
-    is closed under both actions iff it holds the left and right one-step
-    successors of each of its members."""
-    succ = [sum(1 << y for y in {*ls, *rs}) for ls, rs in zip(*pair)]
+def _subact_keys(host) -> list[int]:
+    """The nonempty subacts of ``host``, as member bitmasks, in
+    ``nonempty_subsets`` order: a subset is closed under both actions iff
+    it holds the left and right one-step successors (``digraphs``) of each
+    of its members."""
+    succ = [sum(1 << y for y in {*ls, *rs}) for ls, rs in zip(*digraphs(host))]
     out = []
     for r in range(1, len(succ) + 1):
         for c in itertools.combinations(range(len(succ)), r):
@@ -488,11 +489,10 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
     (name, kinds) pairs, on each host of the Env corpus named ``hosts``
     and on the derived parts of its instances, host by host.
 
-    - Each host's one-step digraph pair is the one its Green structure
-      keeps, frozen on the host's first lookup, and is numbered as a
-      digraph id once per ``Env`` (``Env.digraph_ids``), so the claims
-      over one corpus share the numbering.
-    - ``keys(host, pair)`` lists the host's instances as hashable keys, in
+    - Each host's one-step digraph pair, read off its Green structure, is
+      numbered as a digraph id once per ``Env`` (``Env.digraph_ids``), so
+      the claims over one corpus share the numbering.
+    - ``keys(host)`` lists the host's instances as hashable keys, in
       order.  It is called once per listing key ``listing(host, hid)`` and
       run, which must fix everything ``keys`` reads: the digraph id for
       subacts (``_by_digraph``), the translation maps for congruences
@@ -503,9 +503,8 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
       same three share their verdicts.  The host's are decided once per
       host, on its first instance, which is exact for any predicate.
     - The builder named ``parts`` builds an instance's parts from the
-      pair, as ``parts(host, pair, key)``, and their verdicts are decided
-      once per (digraph id, key).  This is
-      exact because the key fixes each part's digraph pair, hence its
+      host's pair, as ``parts(host, key)``, and their verdicts are decided
+      once per (digraph id, key).  This is exact because the key fixes each part's digraph pair, hence its
       Green structure, and its kind and size: the predicates must decide
       from these, as every predicate of the claims does.
     - ``check(host, key, whole, part, v)`` then makes the instance's checks
@@ -516,18 +515,16 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
         build = globals()[parts]
         whole, part = env.verdicts(hosts, preds, build)
         v, listed = _Tally(), {}
-        pairs, hids = env.digraph_ids(hosts)
-        for i, (host, hid) in enumerate(zip(getattr(env, hosts)(), hids)):
-            pair = pairs[hid]
+        for i, (host, hid) in enumerate(zip(getattr(env, hosts)(), env.digraph_ids(hosts))):
             by = listing(host, hid)
             if by not in listed:
-                listed[by] = keys(host, pair)
+                listed[by] = keys(host)
             known = part.setdefault(hid, {})
             for key in listed[by]:
                 if whole[i] is None:
                     whole[i] = _verdicts(preds, (host,))
                 if key not in known:
-                    known[key] = _verdicts(preds, build(host, pair, key))
+                    known[key] = _verdicts(preds, build(host, key))
                 v.instances += check(host, key, whole[i], known[key], v)
         return v.outcome(smoke, notes)
     return checker
@@ -537,11 +534,6 @@ def _by_digraph(host, hid: int) -> int:
     """The listing key of subacts: the digraph id, which fixes all that
     ``_subact_keys`` reads."""
     return hid
-
-
-def _closed_masks(host: FiniteBiact, pair: Digraphs) -> list[int]:
-    """The subacts of ``host``, whose pair is ``pair``, as member bitmasks."""
-    return _subact_keys(pair)
 
 
 def _by_translations(host, hid: int) -> tuple:
@@ -595,11 +587,11 @@ def _holds(pred: str, x, k: Optional[str]) -> bool:
     return bool(holds(x) if k is None else holds(x, k))
 
 
-def _subact_parts(host: FiniteBiact, pair: Digraphs, mask: int) -> tuple:
+def _subact_parts(host: FiniteBiact, mask: int) -> tuple:
     """The sub and the Rees quotient of the subact ``mask`` of ``host``,
     built from the host's digraph pair."""
     members = list(_bits(mask))
-    return (_restrict(host, members, pair), _collapse(host, frozenset(members), pair))
+    return (_restrict(host, members), _collapse(host, frozenset(members)))
 
 
 _MINIMAL = (("minimal_condition", KINDS),)
@@ -868,15 +860,14 @@ def check_R3_14_3(env: Env) -> ClaimOutcome:
     digraph of T) group, on a product built from those two digraphs, and
     each pair replays its group's checks and violations in pair order."""
     sems = env.semigroups()
-    distinct, hids = env.digraph_ids("semigroups")
-    pairs = [distinct[h] for h in hids]
+    pairs = [green_structure(s).pair for s in sems]
     lefts = _normalize_blocks([p[0] for p in pairs])
     rights = _normalize_blocks([p[1] for p in pairs])
     v, groups = _Tally(), {}
     for (i, s), (j, t) in itertools.product(enumerate(sems), repeat=2):
         group = (lefts[i], rights[j])
         if group not in groups:
-            prod = product_biact(s, t, (pairs[i][0], pairs[j][1]))
+            prod = product_biact(s, t)
             groups[group] = _Tally().over([(s, t, prod)], _r3_14_3)
         v.merge(groups[group])
     return v.outcome()
@@ -903,19 +894,19 @@ def _r3_14_3(group: tuple[FiniteSemigroup, FiniteSemigroup, FiniteBiact], v: _Ta
 # section 4 claims
 
 
-def _congruence_keys(host, pair: Digraphs) -> list[tuple[int, ...]]:
+def _congruence_keys(host) -> list[tuple[int, ...]]:
     """The blocks of each single-pair congruence of ``host``, interned
     (``core._shared``), as they key the verdict table: the default config's
     2,289 (digraph id, blocks) keys of P4.1 hold 222 distinct blocks."""
     return [_shared(rho.blocks) for rho in single_pair_congruences(host)]
 
 
-def _quotient_part(host, pair: Digraphs, blocks: tuple[int, ...]) -> tuple:
+def _quotient_part(host, blocks: tuple[int, ...]) -> tuple:
     """The quotient by ``blocks``, built from the host's digraph pair.  A
     semigroup's is its quotient as its own biact, whose Green data are its
     semigroup quotient's (L4.2): a block [e] steps to the blocks [s e] in
     both."""
-    return (_block_quotient(host, blocks, pair),)
+    return (_block_quotient(host, blocks),)
 
 
 def _p4_1(host, blocks: tuple[int, ...], whole: int, part: int, v: _Tally) -> int:
@@ -1247,7 +1238,7 @@ def _l5_8(x: Substructure, v: _Tally) -> int:
     """Rees quotients of semigroups and of their regular biacts agree, as
     preorders and hence as stability verdicts."""
     sq = x.rees
-    bq = _collapse(x.host, x.members, x.pair)   # an ideal is closed by construction
+    bq = _collapse(x.host, x.members)   # an ideal is closed by construction
     # both collapse to the same carrier: survivors in order, then 0
     made = _same_preorders(sq, bq, v)
     if bool(stable(sq)) != bool(stable(bq)):
@@ -1368,7 +1359,7 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
                       "_quotient_part", _p4_1, smoke=True)),
     Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _SUBACT, _by_digraph, _closed_masks, "_subact_parts",
+          _over_hosts("biacts", _SUBACT, _by_digraph, _subact_keys, "_subact_parts",
                       _p4_4, smoke=True)),
     Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
@@ -1411,7 +1402,7 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "symbolic-witness", "counterexample-expected", check_S5_0),
     Claim("P5.1", "a biact is stable iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _SUBACT, _by_digraph, _closed_masks, "_subact_parts",
+          _over_hosts("biacts", _SUBACT, _by_digraph, _subact_keys, "_subact_parts",
                       _p5_1, smoke=True, notes="the straddle check is contentful")),
     Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",

@@ -1,8 +1,10 @@
 """Engine state for the tests.
 
-The engine keeps process-wide caches: the tuple intern, the five Green
-memos and the ``enumeration`` pools and action tables.  ``reset_engine``
-empties all of them, ``cold_engine`` runs a test between two resets, and
+The engine keeps nine process-wide caches: the tuple intern, the five
+Green memos, and in ``enumeration`` the semigroup pool and the two action
+tables.  An object's digraph pair and Green structure are kept on the
+object (``biact.digraphs``), not in a cache.  ``reset_engine`` empties
+all nine, ``cold_engine`` runs a test between two resets, and
 ``seed0_run`` runs the seed-0 claim suite once per session from a reset
 engine, recording what the whole-suite oracle tests inspect.
 """
@@ -49,9 +51,9 @@ def seed0_run():
     real_build, real_data = green._build, green._preorder_data
     builds, runs = [], []
 
-    def build(size, left, right):
-        gs = real_build(size, left, right)
-        builds.append((size, left, right, gs))
+    def build(pair):
+        gs = real_build(pair)
+        builds.append((len(pair[0]), *pair, gs))
         return gs
 
     def data(n, succ):

@@ -1,9 +1,11 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from greenstone import biact as ba
-from greenstone import core
+from greenstone import core, green
 from greenstone.enumeration import all_semigroups, semigroup_pool
 from greenstone.errors import (
     ActionAxiomViolation,
@@ -282,6 +284,63 @@ class TestPartsFromTheHost:
             again = ba.validate_biact(part.left, part.right, part.left_action,
                                       part.right_action, part.labels, part.provenance)
             assert again == part and ba._FILL not in vars(part)
+
+
+class TestOnePairHolder:
+    """An object's digraph pair has one holder at a time: the object, in
+    its ``_PAIR`` slot, until its Green structure is built, and the
+    structure from then on; ``digraphs`` reads it from whichever holds it,
+    and every derived constructor reads its host's pair there."""
+
+    @staticmethod
+    def _edges_calls(monkeypatch):
+        calls = []
+        for module in (ba, green):
+            real = module._edges
+            monkeypatch.setattr(module, "_edges", lambda x, *gens, real=real:
+                                calls.append(x) or real(x, *gens))
+        return calls
+
+    def test_parts_of_analysed_hosts_freeze_no_pair(self, monkeypatch):
+        s, t = t2(), core.validate_table(2, Z2)
+        host = ba.regular_biact(s)
+        ids = t2_ids()
+        members = ba.subact_closure(host, [ids[(0, 0)]]).members
+        rho = core.congruence_closure(host, [(ids[(0, 0)], ids[(1, 1)])])
+        hosts = (s, t, host)
+        for x in hosts:
+            green_structure(x)
+        calls = self._edges_calls(monkeypatch)
+        sub = ba.Subact(host, members)
+        parts = [sub.sub, sub.rees, ba.biact_rees_quotient(host, members),
+                 core.quotient(host, rho)[0], ba.product_biact(s, t)]
+        for x in hosts:
+            assert ba.digraphs(x) is green_structure(x).pair and ba._PAIR not in vars(x)
+        for part in parts:
+            pair = ba.digraphs(part)
+            assert vars(part)[ba._PAIR] is pair and green_structure(part).pair == pair
+        assert calls == []
+
+    def test_an_unanalysed_host_carries_its_pair_until_its_structure_is_built(
+            self, monkeypatch, cold_engine):
+        s = t2()
+        host = ba.regular_biact(s)
+        calls = self._edges_calls(monkeypatch)
+        pair = ba.digraphs(host)
+        assert calls == [host] and vars(host)[ba._PAIR] is pair
+        sub = ba.subact_closure(host, [0])
+        parts = [sub.sub, sub.rees, ba.product_biact(s, s)]
+        assert ba.digraphs(host) is pair and calls == [host, s]
+        # copies and pickles are rebuilt from the fields, without the pair,
+        # and the pair takes no part in equality
+        for twin in (copy.copy(host), copy.deepcopy(host), pickle.loads(pickle.dumps(host))):
+            assert ba._PAIR not in vars(twin)
+            assert twin == host and hash(twin) == hash(host) and repr(twin) == repr(host)
+        # the cold pair memo builds from this pair, which the structure keeps
+        gs = green_structure(host)
+        assert ba._PAIR not in vars(host) and gs.pair is pair and ba.digraphs(host) is pair
+        assert all(green_structure(p).size == p.size for p in parts)
+        assert calls == [host, s]
 
 
 def _two_loop_closure(a, seed):

@@ -263,6 +263,21 @@ class TestClassifySubset:
             s = core.validate_table(len(table), table)
             core.classify_subset(s, range(s.order), "bi-ideal")
 
+    def test_members_that_are_not_element_ids_are_refused_by_name(self):
+        # a bool equals 0 or 1 and a float hashes as an integer, yet neither
+        # is an element id; a string compares with no id
+        s = core.validate_table(4, Z4)
+        for members, shown in (([True], "True"), ([1.0], "1.0"), (["a"], "'a'"),
+                               (["a", 1], "'a'")):
+            refusal = re.escape(f"member {shown} outside the semigroup")
+            for call in (lambda: core.classify_subset(s, members, "bi-ideal"),
+                         lambda: core.is_role(s, members, "ideal"),
+                         lambda: core.subsemigroup(s, members),
+                         lambda: core.rees_quotient(s, members)):
+                with pytest.raises(BadEntry, match=refusal):
+                    call()
+        assert core.is_role(s, [0], "subsemigroup")
+
     def test_role_containments(self):
         # every ideal is a one-sided ideal and a bi-ideal, across the census
         from greenstone.enumeration import all_semigroups
@@ -589,6 +604,13 @@ class TestSubsemigroupAndMisc:
         s = core.validate_table(4, Z4)
         with pytest.raises(NotASubsemigroup):
             core.subsemigroup(s, {1})
+
+    def test_homomorphism_images_must_be_element_ids(self):
+        s = core.validate_table(4, Z4)
+        for image, shown in ((True, "True"), (2.0, "2.0"), ("a", "'a'")):
+            with pytest.raises(BadEntry, match=re.escape(f"image {shown} outside")):
+                core.is_homomorphism([0, 1, image, 3], s, s)
+        assert core.is_homomorphism([0, 1, 2, 3], s, s) is None
 
     def test_opposite_of_left_zero_is_right_zero(self):
         s = core.validate_table(2, LEFT_ZERO2)

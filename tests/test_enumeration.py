@@ -328,8 +328,9 @@ class TestSamplers:
             assert b.left.order <= 4 and b.right.order <= 4 and b.size <= 6
 
     def test_pool_digraphs_are_frozen_once_per_pool_semigroup(self, cold_engine, monkeypatch):
-        # the product draws take each pool semigroup's digraphs from one
-        # frozen pair, not from a fresh ``_edges`` call per draw
+        # the product draws read each pool semigroup's digraphs from the
+        # pair it carries once frozen (``digraphs``), not from a fresh
+        # ``_edges`` call per draw
         from collections import Counter
 
         from greenstone import biact as ba

@@ -102,7 +102,7 @@ class TestEggbox:
             left, right = (tuple(tuple(sorted(rng.sample(range(n), rng.randrange(0, min(n, 2) + 1))))
                                  for _ in range(n)) for _ in range(2))
             try:
-                green._build(n, left, right)
+                green._build((left, right))
                 got = None
             except InvariantViolation as exc:
                 got = str(exc)
@@ -274,13 +274,13 @@ class TestGreenCache:
         # object with the same digraphs; it must equal an uncached build
         for x in cache_corpus():
             green._preorder_cached.cache_clear()   # the oracle computes afresh
-            fresh = green._build(x.size, *green._edges(x))
+            fresh = green._build(green._edges(x))
             assert green.green_structure(x).to_json() == fresh.to_json()
 
     def test_generator_mode_matches_a_fresh_build(self):
         s = t3()
         green._preorder_cached.cache_clear()
-        fresh = green._build(s.size, *green._edges(s, s.generator_ids()))
+        fresh = green._build(green._edges(s, s.generator_ids()))
         got = green.green_structure(s, use_generators=True)
         assert got.to_json() == fresh.to_json()
         assert got is green.green_structure(s, use_generators=True)
@@ -455,9 +455,9 @@ def _old_build(size, left, right):
     return gs
 
 
-def _built_or_refused(build, size, left, right):
+def _built_or_refused(build, *args):
     try:
-        return build(size, left, right)
+        return build(*args)
     except InvariantViolation as exc:
         return str(exc)
 
@@ -475,7 +475,7 @@ class TestLeanBuild:
             n = rng.randrange(1, 8)
             left, right = (tuple(tuple(sorted(rng.sample(range(n), rng.randrange(min(n, 3) + 1))))
                                  for _ in range(n)) for _ in range(2))
-            got = _built_or_refused(green._build, n, left, right)
+            got = _built_or_refused(green._build, (left, right))
             assert got == _built_or_refused(_old_build, n, left, right), (left, right)
             outcomes.add(type(got))
         assert outcomes == {green.GreenStructure, str}
@@ -502,7 +502,7 @@ class TestPartMemos:
         assert message == "empty egg-box cell (R0, L1) inside D-class 0"
         for attempt in (1, 2):
             with pytest.raises(InvariantViolation) as exc:
-                green._build(size, left, right)
+                green._build((left, right))
             assert str(exc.value) == message
             assert len(green._meet_and_join_cached) == 0
             assert green._meet_and_join_cached.cache_info().misses == attempt
@@ -511,8 +511,8 @@ class TestPartMemos:
         # two left digraphs with the same classes (a 2-cycle, then a
         # 2-cycle with a loop), the same right digraph
         right = ((), ())
-        one = green._build(2, ((1,), (0,)), right)
-        other = green._build(2, ((0, 1), (0,)), right)
+        one = green._build((((1,), (0,)), right))
+        other = green._build((((0, 1), (0,)), right))
         assert one.relation("L") is not other.relation("L")
         assert one.relation("L").classes is other.relation("L").classes
         for k in "HD":
@@ -542,8 +542,8 @@ class TestSharedTuples:
 
         real, plain = green._build, {}
 
-        def build(size, left, right):
-            gs = plain[left, right] = real(size, left, right)
+        def build(pair):
+            gs = plain[pair] = real(pair)
             return gs
 
         for module in (green, ba):
@@ -629,7 +629,7 @@ class TestStructurePair:
         for x in hosts + parts:
             # the structure first: a part's carried pair, before its tables fill
             gs = green.green_structure(x)
-            assert gs.pair == ba.digraphs(x), x
+            assert gs.pair == ba._edges(x), x
         gs = green.green_structure(hosts[-1])
         for twin in (copy.copy(gs), copy.deepcopy(gs), pickle.loads(pickle.dumps(gs))):
             assert twin == gs and twin.pair == gs.pair
@@ -674,7 +674,7 @@ class TestStabilityVerdict:
     def test_a_cross_edge_is_unstable(self):
         # 0 -> 1 on the left and 1 -> 0 on the right: one J-class, but two
         # L-classes and two R-classes
-        gs = green._build(2, ((1,), ()), ((), (0,)))
+        gs = green._build((((1,), ()), ((), (0,))))
         assert gs.num_classes("J") == 1
         assert (gs.left_stable, gs.right_stable) == (False, False)
 

@@ -142,7 +142,7 @@ class TestValues:
         monkeypatch.setattr(green, "_preorder_cached",
                             lambda succ: green._preorder_data(len(succ), succ))
         for (left, right), gs in memos["green._green_structure_cached"].items():
-            assert gs == green._build(len(left), left, right), (left, right)
+            assert gs == green._build((left, right)), (left, right)
 
     def test_green_misses_are_the_builds_of_the_seed0_suite(self, seed0_run):
         # from a reset engine, so no object arrives with a structure that
@@ -158,10 +158,11 @@ class TestReset:
         core._shared((1, "reset"))
         caches = [core._shared, green._preorder_cached, green._green_structure_cached,
                   green._poset_cached, green._meet_and_join_cached, green._members_cached,
-                  en._valid_left_actions, en._valid_right_actions, en.semigroup_pool,
-                  en._pool_digraphs]
+                  en._valid_left_actions, en._valid_right_actions, en.semigroup_pool]
+        # nine caches and no other: an object's digraph pair is kept on the
+        # object or its Green structure (``biact.digraphs``), not in a cache
         reached = {id(cache) for cache in reset_engine()}
-        assert all(id(cache) in reached for cache in caches)
+        assert reached == {id(cache) for cache in caches} and len(caches) == 9
         assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
 
     def test_the_pool_is_built_afresh(self):

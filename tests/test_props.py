@@ -252,7 +252,7 @@ class TestRelationForms:
             left, right = (tuple(tuple(sorted(rng.sample(range(n), rng.randrange(0, min(n, 2) + 1))))
                                  for _ in range(n)) for _ in range(2))
             try:
-                gs = green._build(n, left, right)
+                gs = green._build((left, right))
             except InvariantViolation:
                 continue
             monkeypatch.setattr(props, "green_structure", lambda x, gs=gs: gs)
@@ -416,7 +416,7 @@ class TestGreenMemo:
         for cache in (green._green_structure_cached, green._preorder_cached):
             cache.cache_clear()
         for x, (forms, char) in zip(hosts, kept):
-            fresh = green._build(x.size, *ba.digraphs(x))
+            fresh = green._build(ba._edges(x))
             assert _kept(fresh) == (None, None)
             assert forms == (bool(props.left_stable(x)),) + props._relation_forms(fresh)
             assert char == props._stable_char(fresh)

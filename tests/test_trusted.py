@@ -426,30 +426,28 @@ class TestMemoisedOrbitScan:
 
 
 # ---------------------------------------------------------------------------
-# parts built from their host's digraphs: the claims build subacts, Rees
-# quotients, biact quotients and products without tables, from a digraph
-# pair derived from the host's; here each such part is compared with the
-# same part built with tables, and its Green structure with ``_build`` over
-# the tables
+# parts built from their host's digraphs: subacts, Rees quotients, biact
+# quotients and products are built without tables, from a digraph pair
+# derived from the host's (``digraphs``); here each such part is compared
+# with the same part once its tables are filled, and its Green structure
+# with ``_build`` over those tables
 
 
 def lazy_and_eager_parts(b: ba.FiniteBiact):
     """Each subact, Rees quotient (also by the empty subact) and single-pair
-    congruence quotient of ``b``, built from the host's digraph pair and
-    built with tables."""
-    pair = green.digraphs(b)
+    congruence quotient of ``b``, twice: by the constructor that checks
+    nothing and by the public one."""
     for members in subacts_of(b) + [frozenset()]:
         if members:
-            yield ba._restrict(b, sorted(members), pair), ba.Subact(b, members).sub
-        yield ba._collapse(b, members, pair), ba.biact_rees_quotient(b, members)
+            yield ba._restrict(b, sorted(members)), ba.Subact(b, members).sub
+        yield ba._collapse(b, members), ba.biact_rees_quotient(b, members)
     for rho in single_pair_congruences(b):
-        yield ba._block_quotient(b, rho.blocks, pair), core.quotient(b, rho)[0]
+        yield ba._block_quotient(b, rho.blocks), core.quotient(b, rho)[0]
 
 
 def lazy_and_eager_products(pool):
     for s, t in itertools.product(pool, repeat=2):
-        factors = (green.digraphs(s)[0], green.digraphs(t)[1])
-        yield ba.product_biact(s, t, factors), ba.product_biact(s, t)
+        yield ba.product_biact(s, t), ba.product_biact(s, t)
 
 
 def assert_same_part(lazy: ba.FiniteBiact, eager: ba.FiniteBiact, built: dict) -> None:
@@ -463,7 +461,7 @@ def assert_same_part(lazy: ba.FiniteBiact, eager: ba.FiniteBiact, built: dict) -
     assert not {"left_action", "right_action", ba._PAIR} & set(vars(lazy))
     if pair not in built:
         green._preorder_cached.cache_clear()   # the oracle computes afresh
-        built[pair] = green._build(eager.size, *green._edges(eager))
+        built[pair] = green._build(green._edges(eager))
     want = built[pair]
     assert gs.to_json() == want.to_json()
     assert (gs.left_stable, gs.right_stable) == (want.left_stable, want.right_stable)
@@ -505,7 +503,7 @@ class TestPartsFromDigraphs:
 
     def test_tables_are_filled_on_first_read_only(self):
         s = POOL[-1]
-        lazy = ba.product_biact(s, s, (green.digraphs(s)[0], green.digraphs(s)[1]))
+        lazy = ba.product_biact(s, s)
         fill = vars(lazy)[ba._FILL]
         calls = []
         vars(lazy)[ba._FILL] = lambda: calls.append(1) or fill()
@@ -521,7 +519,7 @@ class TestPartsFromDigraphs:
         s = POOL[-1]
         eager = ba.product_biact(s, s)
         for copy_of in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
-            lazy = ba.product_biact(s, s, (green.digraphs(s)[0], green.digraphs(s)[1]))
+            lazy = ba.product_biact(s, s)
             twin = copy_of(lazy)
             assert not {ba._FILL, ba._PAIR} & set(vars(twin))
             assert twin == eager and twin.left_action == eager.left_action

@@ -133,7 +133,7 @@ def samples() -> list:
     filled = derived()
     filled.left_action
     gs = green.green_structure(s)
-    fresh = green._build(s.order, *ba.digraphs(s))
+    fresh = green._build(ba._edges(s))
     props.left_stable_forms(s)          # gs now holds a memo, fresh none
     witnessed = props.retract(other, {0}, cap=1)
     return [
@@ -238,7 +238,7 @@ class TestAgainstTwins:
     def test_a_structure_keeps_its_memo_outside_its_value(self):
         s = t3()
         gs = green.green_structure(s)
-        fresh = green._build(s.order, *ba.digraphs(s))
+        fresh = green._build(ba._edges(s))
         props.stable_char(s)
         assert gs._stable_char is not None
         assert all(getattr(fresh, name) is None for name in green.GreenStructure._KEPT)
@@ -246,6 +246,6 @@ class TestAgainstTwins:
 
     def test_equal_structures_hash_equal(self):
         s = t3()
-        gs, fresh = green.green_structure(s), green._build(s.order, *ba.digraphs(s))
+        gs, fresh = green.green_structure(s), green._build(ba._edges(s))
         assert gs is not fresh and gs == fresh and hash(gs) == hash(fresh)
         assert len({gs, fresh, green.green_structure(core.validate_table(1, [[0]]))}) == 2

@@ -290,39 +290,43 @@ class TestCorpora:
         """No host's pair is computed twice: ``_edges`` runs once on each
         host, in corpus order, when the digraph ids read the hosts' Green
         structures, except on a host that carries its pair, which is taken
-        as it is and leaves the host's tables unbuilt.  The engine starts
-        cold, so no pool semigroup holds a structure from another Env."""
+        as it is and leaves the host's tables unbuilt.  From then on each
+        host's structure holds its pair, and the host carries none.  The
+        engine starts cold, so no pool semigroup holds a structure from
+        another Env."""
         from greenstone import biact as ba
 
         env = ver.Env(TINY)
         hosts = env.biacts() + env.semigroups()
         carried, pending = self._carried(hosts)
         reads = self._edges_reads(monkeypatch)
-        pairs, ids = env.digraph_ids("biacts")
+        ids = env.digraph_ids("biacts")
         env.digraph_ids("semigroups")
         once = [id(x) for x in hosts if id(x) not in carried]
         assert list(map(id, reads)) == once
         assert all(ba._FILL in vars(x) for x in pending)
-        assert not any(ba._PAIR in vars(x) for x in hosts)
+        assert all(ba._SLOT in vars(x) and ba._PAIR not in vars(x) for x in hosts)
         for cid in ("P4.1", "P4.4", "P5.1", "C4.3"):
             assert ver.REGISTRY[cid].checker(env).ok
         kept = set(map(id, hosts))
         assert [id(x) for x in reads if id(x) in kept] == once
-        assert env.digraph_ids("biacts") == (pairs, ids)
+        assert env.digraph_ids("biacts") is ids
+        assert not any(ba._PAIR in vars(x) for x in hosts)
         monkeypatch.undo()
-        assert [pairs[i] for i in ids] == [ba.digraphs(b) for b in env.biacts()]
         # distinct pairs, numbered in first-seen order
-        assert list(dict.fromkeys(ids)) == list(range(len(pairs))) == list(range(len(set(pairs))))
+        pairs = [ba.digraphs(b) for b in env.biacts()]
+        distinct = list(dict.fromkeys(pairs))
+        assert ids == [distinct.index(pair) for pair in pairs] and len(distinct) > 1
 
     def test_each_host_pair_is_computed_once_over_all_claims(self, monkeypatch, cold_engine):
         """Over all claims on one Env, no host's digraph pair is computed
-        twice: once, on the host's first Green lookup, and not at all for a
-        host that carries it; the digraph ids and the parts of its ideals
-        and subacts read the pair its structure keeps.  The engine starts
-        cold, so no pool semigroup holds a structure from another Env.
-        Counted from when the corpora are built: the random corpus's
-        sampler keeps its own pairs of the pool semigroups
-        (``enumeration._pool_digraphs``)."""
+        twice: once, on the host's first read, and not at all for a host
+        that carries it; the digraph ids, the parts of its ideals and
+        subacts and its Green structure all read that pair (``digraphs``).
+        The engine starts cold, so no pool semigroup holds a structure
+        from another Env.  Counted from when the corpora are built: the
+        random corpus's products read the pairs of the pool semigroups
+        they take, which those then carry."""
         from collections import Counter
 
         from greenstone import biact as ba
@@ -782,19 +786,20 @@ class TestSharedPartTable:
     @pytest.mark.parametrize("config", ["tiny", "default"])
     def test_each_subact_is_built_once_across_both_claims(self, config, monkeypatch):
         env = ver.Env(TINY if config == "tiny" else ver.SuiteConfig())
-        pairs, _ = env.digraph_ids("biacts")
-        ids = {pair: hid for hid, pair in enumerate(pairs)}
+        hids = env.digraph_ids("biacts")
+        ids = {id(b): hid for b, hid in zip(env.biacts(), hids)}
         built, real = [], ver._subact_parts
 
-        def subact_parts(host, pair, mask):
-            built.append((ids[pair], mask))
-            return real(host, pair, mask)
+        def subact_parts(host, mask):
+            built.append((ids[id(host)], mask))
+            return real(host, mask)
 
         monkeypatch.setattr(ver, "_subact_parts", subact_parts)
         outcomes = [ver.REGISTRY[cid].checker(env) for cid in ("P4.4", "P5.1", "P4.4")]
         assert len(built) == len(set(built))
-        assert set(built) == {(hid, mask) for hid, pair in enumerate(pairs)
-                              for mask in ver._subact_keys(pair)}
+        # one host per digraph id: the id fixes the subacts
+        assert set(built) == {(hid, mask) for hid, b in dict(zip(hids, env.biacts())).items()
+                              for mask in ver._subact_keys(b)}
         monkeypatch.undo()
         assert outcomes[0] == outcomes[2] == SHARED_ORACLES["P4.4"](env)
         assert outcomes[1] == SHARED_ORACLES["P5.1"](env)
@@ -809,8 +814,8 @@ class TestSharedPartTable:
         calls, real = [], ver.stable
         monkeypatch.setattr(ver, "stable", lambda x: calls.append(x) or real(x))
         assert _outcomes(env, ("P4.4", "P5.1")) == before
-        pairs, _ = env.digraph_ids("biacts")
-        subacts = sum(len(ver._subact_keys(pair)) for pair in pairs)
+        one_per_id = dict(zip(env.digraph_ids("biacts"), env.biacts())).values()
+        subacts = sum(len(ver._subact_keys(b)) for b in one_per_id)
         assert len(calls) == len(env.biacts()) + 2 * subacts
 
     def test_a_wrapped_predicate_decides_each_quotient_once(self, monkeypatch):
@@ -824,7 +829,7 @@ class TestSharedPartTable:
                             lambda x, k: calls.append(x) or real(x, k))
         assert ver.REGISTRY["P4.1"].checker(env) == before
         assert ver.REGISTRY["P4.1"].checker(env) == before
-        pairs, hids = env.digraph_ids("biacts")
+        hids = env.digraph_ids("biacts")
         hosts = [b for b in env.biacts() if b.size > 1]
         quotients = {(hid, rho.blocks) for b, hid in zip(env.biacts(), hids)
                      for rho in ver.single_pair_congruences(b)}
@@ -902,7 +907,7 @@ class TestListingKeys:
 
     def test_mirror_biacts_share_one_listing(self, monkeypatch):
         env, hosts = self._mirrors()
-        assert env.digraph_ids("biacts")[1] == [0, 1]
+        assert env.digraph_ids("biacts") == [0, 1]
         assert ver._by_translations(hosts[0], 0) == ver._by_translations(hosts[1], 1)
         listed, real = [], ver.single_pair_congruences
         monkeypatch.setattr(ver, "single_pair_congruences",
