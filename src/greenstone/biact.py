@@ -10,43 +10,54 @@ Carrier ids are their own namespace, disjoint from the semigroup ids.
 
 Trust boundary: ``validate_biact`` is the entry point for raw action
 tables (file load, hand-built actions) and checks ranges and all three
-axioms.  The other constructors check only their own preconditions --
-ideal, subsemigroup, subact, homomorphism -- because their output
-satisfies the axioms by construction.  Those that read no host biact
-(regular, relative, pullback) build through the unchecked
+axioms (``action_axiom_violation``): the left axiom by the left-axiom
+scan ``_left_axiom_violation`` on S, the right one by the same scan on
+the opposite of T over the columns of the right action, and the mixed
+one by ``_mixed_violation``.  The other constructors check only their own
+preconditions -- ideal, subsemigroup, subact, homomorphism -- because
+their output satisfies the axioms by construction.  Those that read no
+host biact (regular, relative, pullback) build through the unchecked
 ``_trusted_biact``, and so do the exhaustive census
-(``enumeration.all_biacts``), whose candidates pass the left-axiom scan
-``_left_axiom_violation`` (on S, and on the opposite of T for the right
-actions) and a compatibility check first, and the random sampler's
-one-sided recipes (``enumeration.random_biact``: the maps of a
-transformation semigroup on one side, the identity action on the other).
-A differential test re-validates their output over the small census and
-the random corpus.  The semigroup side mirrors this with
-``core.validate_table`` and ``core._trusted_table``.  A semigroup is
-already its own regular biact (see ``core``); ``regular_biact`` builds it
-as a ``FiniteBiact``, and ``ideal_biact`` is the restriction of S, read
-as its own biact, to the ideal (``Subact(s, ideal).sub``); an ideal is
-exactly a subact of S, so the subact check is the ideal check.
+(``enumeration.all_biacts``), whose candidates pass the same three scans
+first, and the random sampler's one-sided recipes
+(``enumeration.random_biact``: the maps of a transformation semigroup on
+one side, the identity action on the other).  A differential test
+re-validates their output over the small census and the random
+corpus.  The semigroup side mirrors this with ``core.validate_table`` and
+``core._trusted_table``.  A semigroup is already its own regular biact
+(see ``core``); ``regular_biact`` builds it as a ``FiniteBiact``, and
+``ideal_biact`` is the restriction of S, read as its own biact, to the
+ideal (``Subact(s, ideal).sub``); an ideal is exactly a subact of S, so
+the subact check is the ideal check.
 
 Parts from digraphs.  This module owns the one-step digraph pair, the
-input that fixes a Green structure, and ``digraphs(x)`` is the one way to
-read it.  One holder keeps an object's pair at a time: the object itself,
-in its ``_PAIR`` slot, until ``green`` builds its structure, and the
-structure (``GreenStructure.pair``) from then on; ``green_structure``
-pops the slot as it builds.  Every part derived from a host -- a subact,
-a Rees quotient, a biact quotient, a product -- is built by ``_derived``
-from a pair derived from ``digraphs(host)``, and carries it in its slot.
-``green`` takes the part's structure from that pair, and its action
-tables are filled on first read.  Such a part is an ordinary
-``FiniteBiact``: equality, hashing and repr read the tables, and so fill
-them; copies and pickles are rebuilt from the tables and carry no pair.
-The derived pairs are exact: a subact is closed under both actions, so
-the sub's steps are the host's restricted to the members; a host step
-from a non-member into the subact becomes a step into the Rees
-quotient's sink, which steps only to itself; a quotient block's steps
-are the blocks of its least member's steps, by compatibility; and in
-S x T a left step moves the S coordinate only, a right step the T
-coordinate.  Every successor tuple of a pair, a host's (``_edges``) or a
+input that fixes a Green structure, and ``digraphs(x)`` is the one way
+to read it.  One holder keeps an object's pair at a time: the object
+itself, in its ``_PAIR`` slot, until ``green`` builds its structure, and
+the structure (``GreenStructure.pair``) from then on;
+``green_structure`` pops the slot as it builds.  Every part derived from
+a host -- a subact, a Rees quotient, a biact quotient, a product -- is
+built by ``_derived`` from a pair derived from ``digraphs(host)``, and
+carries it in its slot.  ``green`` takes the part's structure from that
+pair, and its action tables are filled on first read.  A subact, a Rees
+quotient and a block quotient are one construction, ``_induced(host,
+domain, relabel, sink, ...)``: part element i acts as host element
+``domain[i]``, a host element y reads as ``relabel[y]``, and ``sink``
+adds one last element that every action fixes; the pair and the tables
+are both read this way.  The three wrappers only choose the inputs:
+``_restrict`` the members, relabelled by their index; ``_collapse`` the
+non-members, with every member sent to the sink; ``_block_quotient`` the
+least member of each block, relabelled by block id.  Such a part is an
+ordinary ``FiniteBiact``: equality, hashing and repr read the tables,
+and so fill them; copies and pickles are rebuilt from the tables and
+carry no pair.  The derived pairs are exact: a subact is closed under
+both actions, so the sub's steps are the host's restricted to the
+members; a host step from a non-member into the subact becomes a step
+into the Rees quotient's sink, which steps only to itself; a quotient
+block's steps are the blocks of its least member's steps, by
+compatibility; and in S x T a left step moves the S coordinate only, a
+right step the T coordinate.  Every successor tuple of a pair, a host's
+(``_edges``, each side's successors read from that side's maps) or a
 derived one, passes through the tuple intern ``core._shared``, so equal
 successor sets of any hosts and parts are one object (see ``green``).
 """
@@ -62,12 +73,14 @@ from .core import (
     _Frozen,
     _frozen,
     _grid,
-    _is_int,
+    _first_exit,
     _labels,
+    _members,
     _set,
     _shared,
     _translations,
     is_homomorphism,
+    opposite,
     subsemigroup,
 )
 from .errors import (
@@ -163,18 +176,21 @@ def _edges(x: Union[FiniteSemigroup, FiniteBiact],
            generators: Optional[Sequence[int]] = None) -> Digraphs:
     """The frozen one-step left and right digraphs, over every acting
     element or only over ``generators``.  A semigroup is read as its own
-    biact.  Over every element, the left successors of e are column e of
-    the left action and the right successors are row e of the right one."""
-    la, ra = x.left_action, x.right_action
-    if generators is None:
-        left = tuple([_shared(tuple(sorted(set(col)))) for col in zip(*la)])
-        right = tuple([_shared(tuple(sorted(set(row)))) for row in ra])
-    else:
-        left = tuple([_shared(tuple(sorted({la[s][e] for s in generators})))
-                      for e in range(x.size)])
-        right = tuple([_shared(tuple(sorted({ra[e][t] for t in generators})))
-                       for e in range(x.size)])
-    return left, right
+    biact.  The successors of e on a side are its images under that side's
+    maps: column e of the left action's rows, row e of the right action
+    (the images under its columns), each restricted to the generators'
+    maps when they are given.  The right action is read by rows, not
+    transposed into its maps and back."""
+    left, right = x.left_action, x.right_action
+    if generators is not None:
+        left = [left[s] for s in generators]
+        right = [[row[t] for t in generators] for row in right]
+    return _successors(zip(*left)), _successors(right)
+
+
+def _successors(steps: Iterable[Iterable[int]]) -> Digraph:
+    """One side's digraph from each element's images, sorted and deduplicated."""
+    return tuple([_shared(tuple(sorted(set(images)))) for images in steps])
 
 
 def digraphs(x: Union[FiniteSemigroup, FiniteBiact]) -> Digraphs:
@@ -207,36 +223,55 @@ def _restrict(b: FiniteBiact, mem: Sequence[int]) -> FiniteBiact:
     """The sorted members ``mem``, already known to be closed under both
     actions, as a biact of their own."""
     idx = {x: i for i, x in enumerate(mem)}
+    return _induced(b, mem, idx, False, (b.labels[x] for x in mem), {"kind": "subact"})
+
+
+def _induced(host: Union[FiniteSemigroup, FiniteBiact], domain: Sequence[int],
+             relabel, sink: bool, labels: Iterable[str], provenance: Mapping) -> FiniteBiact:
+    """The part of ``host`` whose element i acts as host element
+    ``domain[i]`` and whose element ids are the host's read through
+    ``relabel`` (``relabel[y]`` for host element y), with, when ``sink``
+    is set, one last element that every action fixes: a subact, a Rees
+    quotient or a block quotient.  Its digraph pair is derived from the
+    host's, element i stepping to the relabelled host steps of
+    ``domain[i]``, and its action tables, read the same way, are filled
+    on first read (``_derived``)."""
+    n = len(domain)
 
     def fill():
-        return ([[idx[b.left_action[s][x]] for x in mem] for s in range(b.left.order)],
-                [[idx[b.right_action[x][t]] for t in range(b.right.order)] for x in mem])
+        left = [[relabel[row[x]] for x in domain] for row in host.left_action]
+        right = [[relabel[y] for y in host.right_action[x]] for x in domain]
+        if sink:
+            for row in left:
+                row.append(n)
+            right.append([n] * host.right.order)
+        return left, right
 
-    get = idx.__getitem__
-    pair = tuple(tuple([_shared(tuple(map(get, side[x]))) for x in mem])
-                 for side in digraphs(b))
-    return _derived(b.left, b.right, len(mem), fill, (b.labels[x] for x in mem),
-                    {"kind": "subact"}, pair)
+    get, pair = relabel.__getitem__, []
+    for side in digraphs(host):
+        steps = [_shared(tuple(sorted(set(map(get, side[x]))))) for x in domain]
+        if sink:
+            steps.append(_shared((n,)))
+        pair.append(tuple(steps))
+    return _derived(host.left, host.right, n + sink, fill, labels, provenance, tuple(pair))
 
 
 def action_axiom_violation(s: FiniteSemigroup, t: FiniteSemigroup,
                            left: Sequence[Sequence[int]],
                            right: Sequence[Sequence[int]]) -> Optional[tuple[str, tuple]]:
-    """First violated axiom as (name, witness triple), or None."""
+    """First violated axiom as (name, witness triple), or None.  The right
+    action is checked as a left action of the opposite of ``t`` on its
+    columns (as the census enumerates it), so the right triple
+    ``(a, t1, t2)`` reported is the first the opposite's scan meets."""
     bad = _left_axiom_violation(s, left, len(right))
     if bad is not None:
         return ("left", bad)
-    for a in range(len(right)):
-        for t1 in range(t.order):
-            for t2 in range(t.order):
-                if right[right[a][t1]][t2] != right[a][t.table[t1][t2]]:
-                    return ("right", (a, t1, t2))
-    for s1 in range(s.order):
-        for a in range(len(right)):
-            for t1 in range(t.order):
-                if right[left[s1][a]][t1] != left[s1][right[a][t1]]:
-                    return ("mixed", (s1, a, t1))
-    return None
+    bad = _left_axiom_violation(opposite(t), list(zip(*right)), len(right))
+    if bad is not None:
+        t2, t1, a = bad      # (a t1) t2 != a (t1 t2)
+        return ("right", (a, t1, t2))
+    bad = _mixed_violation(left, right)
+    return None if bad is None else ("mixed", bad)
 
 
 def _left_axiom_violation(s: FiniteSemigroup, left: Sequence[Sequence[int]],
@@ -248,6 +283,17 @@ def _left_axiom_violation(s: FiniteSemigroup, left: Sequence[Sequence[int]],
             for a in range(m):
                 if left[s1][left[s2][a]] != left[s.table[s1][s2]][a]:
                     return (s1, s2, a)
+    return None
+
+
+def _mixed_violation(left: Sequence[Sequence[int]],
+                     right: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """The first (s1, a, t1) with (s1 a)t1 != s1(a t1), or None."""
+    for s1, row in enumerate(left):
+        for a, images in enumerate(right):
+            for t1, at in enumerate(images):
+                if right[row[a]][t1] != row[at]:
+                    return (s1, a, t1)
     return None
 
 
@@ -297,7 +343,7 @@ def regular_biact(s: FiniteSemigroup) -> FiniteBiact:
 def ideal_biact(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteBiact:
     """An ideal of S as an S-biact under multiplication: S is its own
     biact, and the ideal is a subact of it."""
-    mem = frozenset(ideal)
+    mem = _members(ideal, s.order, "member {!r} outside carrier")
     if not mem:
         raise NotAnIdeal("an ideal biact needs a nonempty ideal")
     try:
@@ -317,28 +363,18 @@ def relative_biact(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiac
 def is_subact(a: FiniteBiact, members: Iterable[int]) -> Optional[tuple]:
     """A witness that members is not closed under both actions, or None.
     A member that is not an element id of ``a`` raises ``BadEntry``."""
-    mem = set(members)
-    for x in mem:
-        if not (_is_int(x) and 0 <= x < a.size):
-            raise BadEntry(f"member {x!r} outside carrier")
-    for s in range(a.left.order):
-        for x in mem:
-            if a.left_action[s][x] not in mem:
-                return ("left", s, x, a.left_action[s][x])
-    for x in mem:
-        for t in range(a.right.order):
-            if a.right_action[x][t] not in mem:
-                return ("right", x, t, a.right_action[x][t])
-    return None
+    mem = _members(members, a.size, "member {!r} outside carrier")
+    bad = _first_exit(a.left_action, range(a.left.order), mem, mem)
+    if bad is not None:
+        return ("left",) + bad
+    bad = _first_exit(a.right_action, mem, range(a.right.order), mem)
+    return None if bad is None else ("right",) + bad
 
 
 def subact_closure(a: FiniteBiact, seed: Iterable[int]) -> Subact:
     """Smallest subact containing ``seed`` (possibly empty).  A seed
     element outside the carrier raises ``BadEntry``."""
-    members = set(seed)
-    for x in members:
-        if not (_is_int(x) and 0 <= x < a.size):
-            raise BadEntry(f"seed element {x!r} outside carrier")
+    members = set(_members(seed, a.size, "seed element {!r} outside carrier"))
     maps = _translations(a)
     frontier = list(members)
     while frontier:
@@ -359,7 +395,7 @@ def biact_rees_quotient(a: FiniteBiact, sub: Iterable[int]) -> FiniteBiact:
     The empty subact is permitted: the quotient is then A with a fresh
     absorbing zero; claim suites quarantine that case.
     """
-    mem = frozenset(sub)
+    mem = _members(sub, a.size, "member {!r} outside carrier")
     witness = is_subact(a, mem)
     if witness is not None:
         raise NotASubact(witness)
@@ -369,48 +405,25 @@ def biact_rees_quotient(a: FiniteBiact, sub: Iterable[int]) -> FiniteBiact:
 def _collapse(a: FiniteBiact, mem: frozenset[int]) -> FiniteBiact:
     """The Rees quotient of ``a`` by ``mem``, already known to be closed."""
     keep = [x for x in range(a.size) if x not in mem]
-    idx = {x: i for i, x in enumerate(keep)}
-    zero = len(keep)
-
-    def fill():
-        to = [idx.get(y, zero) for y in range(a.size)]    # a member goes to the sink
-        return ([[to[row[x]] for x in keep] + [zero] for row in a.left_action],
-                [[to[y] for y in a.right_action[x]] for x in keep] + [[zero] * a.right.order])
-
-    def merged(succ: tuple[int, ...]) -> tuple[int, ...]:
-        # idx keeps the order and the sink is last, so the result is sorted
-        out = tuple([idx[y] for y in succ if y in idx])
-        return _shared(out if len(out) == len(succ) else out + (zero,))
-
-    pair = tuple(tuple([merged(side[x]) for x in keep]) + (_shared((zero,)),)
-                 for side in digraphs(a))
-    return _derived(a.left, a.right, zero + 1, fill,
-                    tuple(a.labels[x] for x in keep) + ("0",),
-                    {"kind": "rees-quotient", "collapsed": tuple(sorted(mem))}, pair)
+    to = [len(keep)] * a.size       # a member goes to the sink
+    for i, x in enumerate(keep):
+        to[x] = i
+    return _induced(a, keep, to, True, [a.labels[x] for x in keep] + ["0"],
+                    {"kind": "rees-quotient", "collapsed": tuple(sorted(mem))})
 
 
 def _block_quotient(x: FiniteBiact, blocks: Sequence[int]) -> FiniteBiact:
     """The quotient of ``x`` by ``blocks``, already known to be a
     congruence (dense block ids, numbered by least member).  Each block
     acts through its least member."""
-    k = max(blocks) + 1
-    reps = [0] * k
-    for e in range(len(blocks) - 1, -1, -1):
-        reps[blocks[e]] = e
-
-    def fill():
-        return ([[blocks[x.left_action[s][r]] for r in reps] for s in range(x.left.order)],
-                [[blocks[x.right_action[r][t]] for t in range(x.right.order)] for r in reps])
-
-    pair = tuple(tuple([_shared(tuple(sorted({blocks[y] for y in side[r]}))) for r in reps])
-                 for side in digraphs(x))
-    return _derived(x.left, x.right, k, fill, ("{" + x.labels[r] + "}" for r in reps),
-                    {"kind": "quotient"}, pair)
+    reps = [blocks.index(b) for b in range(max(blocks) + 1)]     # least members
+    return _induced(x, reps, blocks, False, ("{" + x.labels[r] + "}" for r in reps),
+                    {"kind": "quotient"})
 
 
 def relative_rees(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact:
     """Rees quotient of the relative biact of S over T by the copy of T."""
-    members = frozenset(sub_members)
+    members = list(sub_members)     # hashed only once checked, by subsemigroup
     return biact_rees_quotient(relative_biact(s, members), members)
 
 

@@ -21,6 +21,13 @@ candidates, the public API).  The derived constructors here check only
 their own preconditions (closure, ideal, congruence, degree) and build
 through the unchecked ``_trusted_table``: their output is associative by
 construction.  A differential test re-validates it over the small census.
+A subset of elements, here or in ``biact``, is read by one reader,
+``_members``, which lists it once and refuses a member that is not an
+element id, by name, before anything hashes it.  Each closure condition
+on a subset is one scan, ``_first_exit``, over a table read with the
+given elements outermost: the left action with the acting elements
+outermost, the right one with the members outermost.  It serves the
+roles of ``classify_subset`` and both sides of ``biact.is_subact``.
 
 Value classes.  The engine's ten record classes (``FiniteSemigroup``,
 ``SubsetRole`` and ``Congruence`` here, ``FiniteBiact`` and ``Subact`` in
@@ -64,7 +71,7 @@ front of its entry table: 3.4 and 5.6 us per evicting insert at 4,096 and
 from __future__ import annotations
 
 import operator
-from collections import deque, namedtuple
+from collections import abc, deque, namedtuple
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -495,37 +502,55 @@ def classify_subset(s: FiniteSemigroup, members: Iterable[int], role: str) -> Su
     """
     if role not in _ROLES:
         raise ValueError(f"unknown role {role!r}; expected one of {_ROLES}")
-    mem = frozenset(members)
-    for a in mem:
-        if not (_is_int(a) and 0 <= a < s.order):
-            raise BadEntry(f"member {a!r} outside the semigroup")
-    t = s.table
+    mem = _members(members, s.order, "member {!r} outside the semigroup")
+    t, whole, bad = s.table, range(s.order), None
     if role == "subsemigroup":
-        for a in mem:
-            for b in mem:
-                if t[a][b] not in mem:
-                    raise RoleViolation(role, (a, b, t[a][b]))
+        bad = _first_exit(t, mem, mem, mem)
     if role in ("left-ideal", "ideal"):
-        for x in range(s.order):
-            for a in mem:
-                if t[x][a] not in mem:
-                    raise RoleViolation(role, (x, a, t[x][a]))
-    if role in ("right-ideal", "ideal"):
-        for a in mem:
-            for x in range(s.order):
-                if t[a][x] not in mem:
-                    raise RoleViolation(role, (a, x, t[a][x]))
+        bad = _first_exit(t, whole, mem, mem)
+    if bad is None and role in ("right-ideal", "ideal"):
+        bad = _first_exit(t, mem, whole, mem)
+    if bad is not None:
+        raise RoleViolation(role, bad)
     if role == "bi-ideal":
         # B S^1 B subset of B; the u = 1 case is plain closure under products.
         for a in mem:
             for b in mem:
                 if t[a][b] not in mem:
                     raise RoleViolation(role, (a, b, t[a][b]))
-                for u in range(s.order):
+                for u in whole:
                     p = t[t[a][u]][b]
                     if p not in mem:
                         raise RoleViolation(role, (a, u, b, p))
     return SubsetRole(host=s, members=mem, role=role)
+
+
+def _members(members: Iterable, n: int, refusal: str) -> frozenset[int]:
+    """``members`` as a set, once each is checked to be an element id in
+    ``[0, n)``: they are listed first, so a member that is not (a list, a
+    bool, a string) is refused with ``BadEntry`` naming it
+    (``refusal.format(member)``) before anything hashes it."""
+    listed = members if isinstance(members, (set, frozenset)) else list(members)
+    for x in listed:
+        if not (_is_int(x) and 0 <= x < n):
+            raise BadEntry(refusal.format(x))
+    return frozenset(listed)
+
+
+def _first_exit(grid: Sequence[Sequence[int]], outer: Iterable[int], inner: Iterable[int],
+                mem: frozenset[int]) -> Optional[tuple[int, int, int]]:
+    """The first ``(i, j, grid[i][j])`` outside ``mem``, with i in ``outer``
+    outermost and j in ``inner``, or None: the one-sided closure scan.  On
+    the left, ``grid`` is the left action read with the acting elements
+    outermost, giving ``(s, a, sa)``; on the right, the right action read
+    with the members outermost, giving ``(a, t, at)``; for products, the
+    table read over members on both sides."""
+    for i in outer:
+        row = grid[i]
+        for j in inner:
+            if row[j] not in mem:
+                return (i, j, row[j])
+    return None
 
 
 def is_role(s: FiniteSemigroup, members: Iterable[int], role: str) -> bool:
@@ -669,9 +694,7 @@ def quotient(x, rho: Congruence):
     if not isinstance(x, FiniteSemigroup):
         return _block_quotient(x, blocks), blocks
     k = rho.num_blocks
-    reps = [0] * k
-    for e in range(n - 1, -1, -1):
-        reps[blocks[e]] = e
+    reps = [blocks.index(b) for b in range(k)]     # the least member of each block
     table = [[blocks[x.table[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
     labels = tuple("{" + x.labels[reps[i]] + "}" for i in range(k))
     prov = {"kind": "quotient", "base": x.provenance.get("kind", "table")}
@@ -684,12 +707,10 @@ def rees_quotient(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
     An empty ideal is permitted and yields the semigroup with a fresh
     zero adjoined; claim suites quarantine that edge case.
     """
-    mem = frozenset(ideal)
-    if mem:
-        try:
-            classify_subset(s, mem, "ideal")
-        except RoleViolation as exc:
-            raise NotAnIdeal(f"not an ideal: witness {exc.witness}") from exc
+    try:
+        mem = classify_subset(s, ideal, "ideal").members
+    except RoleViolation as exc:
+        raise NotAnIdeal(f"not an ideal: witness {exc.witness}") from exc
     keep = [a for a in range(s.order) if a not in mem]
     idx = {a: i for i, a in enumerate(keep)}
     zero = len(keep)
@@ -727,13 +748,12 @@ def subsemigroup(s: FiniteSemigroup, members: Iterable[int]) -> tuple[FiniteSemi
     Returns (semigroup, carrier) where carrier[i] is the parent id of the
     i-th element.
     """
-    mem = frozenset(members)
-    if not mem:
-        raise NotASubsemigroup("a subsemigroup must be nonempty")
     try:
-        classify_subset(s, mem, "subsemigroup")
+        mem = classify_subset(s, members, "subsemigroup").members
     except RoleViolation as exc:
         raise NotASubsemigroup(f"not closed under products: witness {exc.witness}") from exc
+    if not mem:
+        raise NotASubsemigroup("a subsemigroup must be nonempty")
     mem = sorted(mem)   # checked to be element ids, so they sort
     idx = {a: i for i, a in enumerate(mem)}
     k = len(mem)
@@ -750,6 +770,8 @@ def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
 
 def is_homomorphism(f: Sequence[int], src: FiniteSemigroup, dst: FiniteSemigroup) -> Optional[tuple[int, int]]:
     """Return a violating pair, or None when f is a homomorphism."""
+    if not isinstance(f, abc.Sequence):
+        raise BadEntry(f"map {f!r} is not a sequence of images")
     if len(f) != src.order:
         raise BadEntry("map length must equal the source order")
     for x in f:

@@ -6,7 +6,9 @@ over all relabelings.  Anti-isomorphism is deliberately NOT quotiented
 out, because the downstream conditions are chirally sensitive (a left
 minimal condition is not a right one).  The right actions of T are
 enumerated as the left actions of its opposite, read by columns, so one
-axiom filter (``biact._left_axiom_violation``) serves both sides.
+axiom filter (``biact._left_axiom_violation``) serves both sides, and a
+pair of actions is kept only if the mixed-axiom check that validation
+runs (``biact._mixed_violation``) finds no violation.
 
 Both censuses are orderly searches: a candidate is kept only if no
 relabeling makes it lex-smaller, so each class is yielded once, at its
@@ -27,8 +29,8 @@ import itertools
 import random
 from typing import Iterable, Iterator, Sequence
 
-from .biact import FiniteBiact, _left_axiom_violation, _trusted_biact, product_biact, \
-    regular_biact, relative_biact, biact_rees_quotient, subact_closure
+from .biact import FiniteBiact, _left_axiom_violation, _mixed_violation, _trusted_biact, \
+    product_biact, regular_biact, relative_biact, biact_rees_quotient, subact_closure
 from .core import (
     FiniteSemigroup,
     _default_labels,
@@ -208,7 +210,8 @@ def all_biacts(s: FiniteSemigroup, t: FiniteSemigroup, m: int) -> list[FiniteBia
     A compatible (left, right) pair is kept only if no carrier relabeling
     makes it lex-smaller, so each class appears once, as its least pair.
     Both actions passed their axiom scans and the pair its compatibility
-    check, so the biact is built without re-validation.
+    check (``_mixed_violation``), so the biact is built without
+    re-validation.
     """
     if s.order > BIACT_EXHAUSTIVE_SEMIGROUP_CAP or t.order > BIACT_EXHAUSTIVE_SEMIGROUP_CAP:
         raise CapExceeded(
@@ -233,10 +236,7 @@ def all_biacts(s: FiniteSemigroup, t: FiniteSemigroup, m: int) -> list[FiniteBia
             continue
         fixing = [(perm, inv) for perm, inv, c in verdicts if c == 0]
         for right in rights:
-            compatible = all(
-                right[left[s1][a]][t1] == left[s1][right[a][t1]]
-                for s1 in range(s.order) for a in range(m) for t1 in range(t.order))
-            if not compatible or any(
+            if _mixed_violation(left, right) is not None or any(
                     _compare_rows((tuple(perm[x] for x in right[a]) for a in inv), right) < 0
                     for perm, inv in fixing):
                 continue

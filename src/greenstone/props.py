@@ -21,13 +21,16 @@ The minimal-condition and stability verdicts are computed where the
 class posets are built: ``green`` runs Kahn's pass and the stability test
 on the one-step digraphs once per Green structure, and every object
 sharing that structure reads them.  ``left_stable``/``right_stable`` scan
-the actions only on a failed verdict, to name the first witness, and a
-failed verdict with no witness raises ``InvariantViolation``.  The
-relative predicates (K-preservation, regularity, retracts) genuinely vary.
+only on a failed verdict, to name the first witness, and a failed verdict
+with no witness raises ``InvariantViolation``.  The relative predicates
+(K-preservation, regularity, retracts) genuinely vary.
 
-The periodicity predicates are one orbit scan, ``_periodic``, over the
-maps of a side: the left maps a -> sa are the rows of ``left_action``,
-the right maps a -> at are the columns of ``right_action``.  It decides
+The one-sided scans read the maps of a side: the left maps a -> sa are
+the rows of ``left_action``, the right maps a -> at are the columns of
+``right_action``.  The stability witness is one scan, ``_unstable``,
+which names the first step g a, map by map, that is J- but not L-related
+(R-related) to a.  The periodicity predicates are one orbit scan,
+``_periodic``, over the same maps.  It decides
 which nodes of each map's functional graph reach a related pair once for
 all start points, instead of walking an orbit from each start point.
 
@@ -111,38 +114,38 @@ def left_stable(x: Structure) -> PredicateResult:
     """sa J a implies sa L a, for all s in S and carrier elements a.
 
     The verdict is the one the Green build decided on the left digraph;
-    the action is scanned only when it fails, to name the first witness.
+    the left maps are scanned only when it fails, to name the first
+    witness (``_unstable``).
     """
     gs = green_structure(x)
     if gs.left_stable:
         return _DEFINITION
-    act = x.left_action
-    for s in range(x.left.order):
-        for e in range(x.size):
-            sa = act[s][e]
-            if gs.same(sa, e, "J") and not gs.same(sa, e, "L"):
-                return PredicateResult(False, method="definition",
-                                       witness={"s": s, "a": e, "sa": sa})
-    raise _no_witness("left")
+    return _unstable(x.left_action, gs, "L", ("s", "a", "sa"))
 
 
 def right_stable(x: Structure) -> PredicateResult:
+    """at J a implies at R a, for all t in T and carrier elements a; the
+    dual of ``left_stable``, scanning the right maps."""
     gs = green_structure(x)
     if gs.right_stable:
         return _DEFINITION
-    act = x.right_action
-    for e in range(x.size):
-        for t in range(x.right.order):
-            at = act[e][t]
-            if gs.same(at, e, "J") and not gs.same(at, e, "R"):
+    return _unstable(zip(*x.right_action), gs, "R", ("t", "a", "at"))
+
+
+def _unstable(maps, gs: GreenStructure, k: str, keys: tuple[str, str, str]) -> PredicateResult:
+    """The stability witness scan over one side's maps, ``maps[g][a]``
+    being g acting on a, as in ``_periodic``: the first (g, a, g a), map
+    by map, with g a J a but not g a K a, as the witness under ``keys``.
+    The Green build said the side is unstable, so finding none is an
+    engine bug (``InvariantViolation``)."""
+    for g, row in enumerate(maps):
+        for e, ge in enumerate(row):
+            if gs.same(ge, e, "J") and not gs.same(ge, e, k):
                 return PredicateResult(False, method="definition",
-                                       witness={"a": e, "t": t, "at": at})
-    raise _no_witness("right")
-
-
-def _no_witness(side: str) -> InvariantViolation:
-    return InvariantViolation(f"the Green structure says the {side} action is "
-                              "unstable, but no action step witnesses it")
+                                       witness=dict(zip(keys, (g, e, ge))))
+    side = "left" if k == "L" else "right"
+    raise InvariantViolation(f"the Green structure says the {side} action is "
+                             "unstable, but no action step witnesses it")
 
 
 def stable(x: Structure) -> PredicateResult:

@@ -1,12 +1,14 @@
 import copy
 import itertools
 import pickle
+import random
+import re
 
 import pytest
 
 from greenstone import biact as ba
 from greenstone import core, green
-from greenstone.enumeration import all_semigroups, semigroup_pool
+from greenstone.enumeration import all_semigroups, random_biact_corpus, semigroup_pool
 from greenstone.errors import (
     ActionAxiomViolation,
     BadEntry,
@@ -65,6 +67,41 @@ class TestValidation:
             ba.validate_biact(z2, z2, left, right)
         assert exc.value.axiom == "right"
 
+    def test_axiom_refusals_replay_and_match_the_three_loops(self):
+        # the right axiom is checked as the opposite's left axiom on the
+        # columns, so its triple is the first in the opposite's order: a
+        # real violation, and the three loops' triple whenever it is the
+        # only one; the left and mixed triples are the loops' own
+        pool = [s for s in semigroup_pool() if s.order <= 3]
+        rng = random.Random(32)
+        kinds, single, moved = {}, 0, 0
+        for _ in range(6000):
+            s, t = rng.choice(pool), rng.choice(pool)
+            m = rng.randrange(1, 4)
+            left = [[rng.randrange(m) for _ in range(m)] for _ in range(s.order)]
+            if rng.random() < 0.5:      # the identity action: the left axiom holds
+                left = [list(range(m))] * s.order
+            right = [[rng.randrange(m) for _ in range(t.order)] for _ in range(m)]
+            got = ba.action_axiom_violation(s, t, left, right)
+            want = _axiom_loops(s, t, left, right)
+            kinds[got and got[0]] = kinds.get(got and got[0], 0) + 1
+            if got is None or got[0] != "right":
+                assert got == want
+                continue
+            assert want[0] == "right"
+            a, t1, t2 = got[1]
+            assert right[right[a][t1]][t2] != right[a][t.table[t1][t2]]
+            bad = [(a, t1, t2) for a in range(m) for t1 in range(t.order)
+                   for t2 in range(t.order)
+                   if right[right[a][t1]][t2] != right[a][t.table[t1][t2]]]
+            if len(bad) == 1:
+                assert got == want
+                single += 1
+            moved += got != want
+        assert all(kinds.get(k) for k in (None, "left", "right", "mixed")), kinds
+        # with several violating triples the first found may differ
+        assert single > 50 and moved > 0, (single, moved)
+
     def test_regular_green_matches_semigroup_green(self):
         for n in (1, 2, 3):
             for s in all_semigroups(n):
@@ -72,6 +109,42 @@ class TestValidation:
                 gb = green_structure(ba.regular_biact(s))
                 for k in ("L", "R", "J", "H", "D"):
                     assert gs.relation(k).class_of == gb.relation(k).class_of
+
+
+def _axiom_loops(s, t, left, right):
+    """The axiom check as three hand-written loops, before the right axiom
+    was read through the opposite: an oracle for the left and mixed
+    triples, and for the right one when it is the only one."""
+    for s1 in range(s.order):
+        for s2 in range(s.order):
+            for a in range(len(right)):
+                if left[s1][left[s2][a]] != left[s.table[s1][s2]][a]:
+                    return ("left", (s1, s2, a))
+    for a in range(len(right)):
+        for t1 in range(t.order):
+            for t2 in range(t.order):
+                if right[right[a][t1]][t2] != right[a][t.table[t1][t2]]:
+                    return ("right", (a, t1, t2))
+    for s1 in range(s.order):
+        for a in range(len(right)):
+            for t1 in range(t.order):
+                if right[left[s1][a]][t1] != left[s1][right[a][t1]]:
+                    return ("mixed", (s1, a, t1))
+    return None
+
+
+def _subact_loops(a, mem):
+    """The two closure loops ``is_subact`` ran before it shared the
+    one-sided scan: an oracle for its witnesses."""
+    for s in range(a.left.order):
+        for x in mem:
+            if a.left_action[s][x] not in mem:
+                return ("left", s, x, a.left_action[s][x])
+    for x in mem:
+        for t in range(a.right.order):
+            if a.right_action[x][t] not in mem:
+                return ("right", x, t, a.right_action[x][t])
+    return None
 
 
 class TestDerivedBiacts:
@@ -177,6 +250,36 @@ class TestReesQuotients:
             with pytest.raises(BadEntry, match=f"member {shown} outside carrier"):
                 ba.is_subact(b, members)
         assert ba.is_subact(b, {0, 1}) is None
+
+    def test_is_subact_witnesses_match_the_closure_loops(self):
+        hosts = [ba.regular_biact(s) for n in (1, 2, 3) for s in all_semigroups(n)]
+        hosts += random_biact_corpus(150, "one-sided-scan")
+        rng = random.Random(32)
+        seen = set()
+        for b in hosts:
+            for _ in range(12):
+                members = rng.sample(range(b.size), rng.randrange(b.size + 1))
+                got = ba.is_subact(b, members)
+                assert got == _subact_loops(b, frozenset(members)), (b, members)
+                seen.add(got and got[0])
+        assert seen == {None, "left", "right"}
+
+    def test_unhashable_members_are_refused_by_name(self):
+        # a list member is named before anything hashes it; a generator of
+        # element ids is still read
+        s = core.validate_table(2, Z2)
+        b = ba.regular_biact(s)
+        for call, refusal in (
+                (lambda m: ba.is_subact(b, m), "member [1] outside carrier"),
+                (lambda m: ba.biact_rees_quotient(b, m), "member [1] outside carrier"),
+                (lambda m: ba.ideal_biact(s, m), "member [1] outside carrier"),
+                (lambda m: ba.relative_rees(s, m), "member [1] outside the semigroup"),
+                (lambda m: ba.subact_closure(b, m), "seed element [1] outside carrier")):
+            with pytest.raises(BadEntry, match=re.escape(refusal)):
+                call([0, [1]])
+        assert ba.is_subact(b, (x for x in (0, 1))) is None
+        assert ba.subact_closure(b, iter([0])).members == {0, 1}
+        assert ba.ideal_biact(s, iter([0, 1])).size == 2
 
     def test_subact_is_checked_once_for_both_parts(self, monkeypatch):
         calls = []

@@ -278,6 +278,43 @@ class TestClassifySubset:
                     call()
         assert core.is_role(s, [0], "subsemigroup")
 
+    def test_unhashable_members_are_refused_by_name(self):
+        # a list member is named before anything hashes it; a generator of
+        # element ids is still read
+        s = core.validate_table(4, Z4)
+        refusal = re.escape("member [1] outside the semigroup")
+        for call in (lambda m: core.classify_subset(s, m, "ideal"),
+                     lambda m: core.subsemigroup(s, m),
+                     lambda m: core.rees_quotient(s, m)):
+            with pytest.raises(BadEntry, match=refusal):
+                call([0, [1]])
+        assert core.classify_subset(s, (x for x in (0, 2)), "subsemigroup").members == {0, 2}
+        assert core.subsemigroup(s, iter([0, 2]))[1] == (0, 2)
+
+    @pytest.mark.parametrize("role", core._ROLES)
+    def test_witnesses_match_the_per_role_loops(self, role):
+        # the one-sided closure scan gives the witness the role's own loop
+        # gave, over every subset of the census and random subsets of T3
+        from greenstone.enumeration import all_semigroups
+        hosts = [(s, range(1 << s.order)) for n in (1, 2, 3, 4) for s in all_semigroups(n)]
+        t3 = core.generate_from_transformations(3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)])
+        rng = random.Random(32)
+        hosts.append((t3, [rng.getrandbits(t3.order) for _ in range(300)]))
+        checked = refused = 0
+        for s, masks in hosts:
+            for mask in masks:
+                members = [x for x in range(s.order) if mask >> x & 1]
+                want = _role_witness(s, frozenset(members), role)
+                try:
+                    core.classify_subset(s, members, role)
+                    got = None
+                except RoleViolation as exc:
+                    got = exc.witness
+                    refused += 1
+                assert got == want, (s.table, members)
+                checked += 1
+        assert refused and refused < checked
+
     def test_role_containments(self):
         # every ideal is a one-sided ideal and a bi-ideal, across the census
         from greenstone.enumeration import all_semigroups
@@ -291,6 +328,37 @@ class TestClassifySubset:
                 for one_sided in ("left-ideal", "right-ideal"):
                     if core.is_role(s, members, one_sided):
                         assert core.is_role(s, members, "bi-ideal")
+
+
+def _role_witness(s, mem, role):
+    """The closure loops ``classify_subset`` ran role by role before they
+    shared one scan: an oracle for its witnesses."""
+    t = s.table
+    if role == "subsemigroup":
+        for a in mem:
+            for b in mem:
+                if t[a][b] not in mem:
+                    return (a, b, t[a][b])
+    if role in ("left-ideal", "ideal"):
+        for x in range(s.order):
+            for a in mem:
+                if t[x][a] not in mem:
+                    return (x, a, t[x][a])
+    if role in ("right-ideal", "ideal"):
+        for a in mem:
+            for x in range(s.order):
+                if t[a][x] not in mem:
+                    return (a, x, t[a][x])
+    if role == "bi-ideal":
+        for a in mem:
+            for b in mem:
+                if t[a][b] not in mem:
+                    return (a, b, t[a][b])
+                for u in range(s.order):
+                    p = t[t[a][u]][b]
+                    if p not in mem:
+                        return (a, u, b, p)
+    return None
 
 
 class TestCongruence:
@@ -611,6 +679,13 @@ class TestSubsemigroupAndMisc:
             with pytest.raises(BadEntry, match=re.escape(f"image {shown} outside")):
                 core.is_homomorphism([0, 1, image, 3], s, s)
         assert core.is_homomorphism([0, 1, 2, 3], s, s) is None
+
+    def test_homomorphism_map_must_be_a_sequence(self):
+        s = core.validate_table(4, Z4)
+        for f in (5, None, {0, 1, 2, 3}):
+            with pytest.raises(BadEntry, match=re.escape(f"map {f!r} is not a sequence")):
+                core.is_homomorphism(f, s, s)
+        assert core.is_homomorphism(range(4), s, s) is None
 
     def test_opposite_of_left_zero_is_right_zero(self):
         s = core.validate_table(2, LEFT_ZERO2)

@@ -106,6 +106,35 @@ class TestStability:
             assert props.left_stable(x).to_json() == _scan_left_stable(x).to_json()
             assert props.right_stable(x).to_json() == _scan_right_stable(x).to_json()
 
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_a_planted_instability_names_the_first_step_map_by_map(self, monkeypatch,
+                                                                   discrete):
+        # with J one class, every step out of an L-class (R-class) witnesses
+        # left (right) instability; the scan reads one map at a time, the
+        # rows of the left action and the columns of the right one.  With L
+        # and R also planted discrete, every moving step is a witness, and on
+        # some census semigroups the first right one, map by map, is not the
+        # first in row order
+        reordered = 0
+        for x in [t2(), core.opposite(t2())] + all_semigroups(3):
+            planted = _one_j_class(green.green_structure(x), discrete)
+            monkeypatch.setattr(props, "green_structure", lambda y: planted)
+            right_maps = list(zip(*x.right_action))
+            for name, maps, k, keys in (("left", x.left_action, "L", ("s", "a", "sa")),
+                                        ("right", right_maps, "R", ("t", "a", "at"))):
+                step = _first_step(maps, planted, k)
+                predicate = getattr(props, f"{name}_stable")
+                if step is None:
+                    with pytest.raises(InvariantViolation, match=name):
+                        predicate(x)
+                    continue
+                assert predicate(x).to_json() == {
+                    "value": False, "method": "definition", "witness": dict(zip(keys, step))}
+            row_major = next(((t, e, et) for e, row in enumerate(x.right_action)
+                              for t, et in enumerate(row) if not planted.same(et, e, "R")), None)
+            reordered += row_major != _first_step(right_maps, planted, "R")
+        assert bool(reordered) is discrete
+
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_a_false_verdict_needs_a_witness(self, monkeypatch, side):
         # a structure claiming instability where no action step shows it
@@ -114,6 +143,30 @@ class TestStability:
         monkeypatch.setattr(props, "green_structure", lambda x: bad)
         with pytest.raises(InvariantViolation, match=side):
             getattr(props, f"{side}_stable")(s)
+
+
+def _one_j_class(gs, discrete=False):
+    """``gs`` with its J relation planted as one class, L and R too as
+    one class per element if ``discrete``, and both sides said to be
+    unstable."""
+    relations = list(gs.relations)
+    n = gs.size
+    planted = {"J": ((0,) * n, (tuple(range(n)),))}
+    if discrete:
+        planted["L"] = planted["R"] = (tuple(range(n)), tuple((e,) for e in range(n)))
+    for k, (class_of, classes) in planted.items():
+        i = green.RELATIONS.index(k)
+        relations[i] = replace(relations[i], class_of=class_of, classes=classes)
+    return replace(gs, relations=tuple(relations), left_stable=False, right_stable=False)
+
+
+def _first_step(maps, gs, k):
+    """The first (g, a, g a), map by map, with g a outside the K-class of a."""
+    for g, row in enumerate(maps):
+        for e, ge in enumerate(row):
+            if not gs.same(ge, e, k):
+                return (g, e, ge)
+    return None
 
 
 def _scan_left_stable(x):
