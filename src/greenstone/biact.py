@@ -227,7 +227,8 @@ def _restrict(b: FiniteBiact, mem: Sequence[int]) -> FiniteBiact:
 
 
 def _induced(host: Union[FiniteSemigroup, FiniteBiact], domain: Sequence[int],
-             relabel, sink: bool, labels: Iterable[str], provenance: Mapping) -> FiniteBiact:
+             relabel: Union[Sequence[int], Mapping[int, int]], sink: bool,
+             labels: Iterable[str], provenance: Mapping) -> FiniteBiact:
     """The part of ``host`` whose element i acts as host element
     ``domain[i]`` and whose element ids are the host's read through
     ``relabel`` (``relabel[y]`` for host element y), with, when ``sink``
@@ -253,7 +254,8 @@ def _induced(host: Union[FiniteSemigroup, FiniteBiact], domain: Sequence[int],
         if sink:
             steps.append(_shared((n,)))
         pair.append(tuple(steps))
-    return _derived(host.left, host.right, n + sink, fill, labels, provenance, tuple(pair))
+    return _derived(host.left, host.right, n + 1 if sink else n, fill, labels, provenance,
+                    tuple(pair))
 
 
 def action_axiom_violation(s: FiniteSemigroup, t: FiniteSemigroup,

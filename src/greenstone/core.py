@@ -527,9 +527,10 @@ def classify_subset(s: FiniteSemigroup, members: Iterable[int], role: str) -> Su
 
 def _members(members: Iterable, n: int, refusal: str) -> frozenset[int]:
     """``members`` as a set, once each is checked to be an element id in
-    ``[0, n)``: they are listed first, so a member that is not (a list, a
-    bool, a string) is refused with ``BadEntry`` naming it
-    (``refusal.format(member)``) before anything hashes it."""
+    ``[0, n)``.  They are listed first, so the first member that is not
+    one, even an unhashable one such as a list, is refused with
+    ``BadEntry(refusal.format(member))`` before anything hashes it.  A
+    set holds only hashable members and is read as it is."""
     listed = members if isinstance(members, (set, frozenset)) else list(members)
     for x in listed:
         if not (_is_int(x) and 0 <= x < n):

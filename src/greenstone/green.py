@@ -42,7 +42,7 @@ a side is unstable exactly when some one-step edge e -> f has e J f but
 not e L f (dually R).  A chain of steps from e that stays in the J-class
 of e stays in its L-class step by step, so the edges suffice, over all
 acting elements or over generators alike.  ``props.left_stable`` and
-``props.right_stable`` read the verdicts and scan the actions only to
+``props.right_stable`` read the verdicts and scan the side's maps only to
 name a witness.
 
 The structure depends on nothing but the one-step digraphs.  Each object
