@@ -185,12 +185,8 @@ def _edges(x: Union[FiniteSemigroup, FiniteBiact],
     if generators is not None:
         left = [left[s] for s in generators]
         right = [[row[t] for t in generators] for row in right]
-    return _successors(zip(*left)), _successors(right)
-
-
-def _successors(steps: Iterable[Iterable[int]]) -> Digraph:
-    """One side's digraph from each element's images, sorted and deduplicated."""
-    return tuple([_shared(tuple(sorted(set(images)))) for images in steps])
+    return tuple(tuple([_shared(tuple(sorted(set(images)))) for images in side])
+                 for side in (zip(*left), right))
 
 
 def digraphs(x: Union[FiniteSemigroup, FiniteBiact]) -> Digraphs:
