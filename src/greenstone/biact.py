@@ -421,7 +421,7 @@ def _block_quotient(x: FiniteBiact, blocks: Sequence[int]) -> FiniteBiact:
 
 def relative_rees(s: FiniteSemigroup, sub_members: Iterable[int]) -> FiniteBiact:
     """Rees quotient of the relative biact of S over T by the copy of T."""
-    members = list(sub_members)     # hashed only once checked, by subsemigroup
+    members = _members(sub_members, s.order, "member {!r} outside the semigroup")
     return biact_rees_quotient(relative_biact(s, members), members)
 
 
@@ -457,18 +457,18 @@ def pullback_biact(a: FiniteBiact,
     """Restrict the actions along homomorphisms into the acting semigroups.
 
     ``h_left = (S', f)`` with f : S' -> S; dually for the right side.  The
-    carrier is unchanged.  Both maps are checked to be homomorphisms, and
+    carrier is unchanged.  Each side, left first, is checked to be a
+    (semigroup, map) pair, refused by name, and its map a homomorphism;
     actions restricted along homomorphisms satisfy the axioms, so the
     result is built without re-checking them.
     """
-    s2, f = h_left
-    t2, g = h_right
-    bad = is_homomorphism(f, s2, a.left)
-    if bad is not None:
-        raise NotAHomomorphism(bad)
-    bad = is_homomorphism(g, t2, a.right)
-    if bad is not None:
-        raise NotAHomomorphism(bad)
+    for name, h, acting in (("h_left", h_left, a.left), ("h_right", h_right, a.right)):
+        if not (isinstance(h, (tuple, list)) and len(h) == 2):
+            raise BadEntry(f"{name} {h!r} is not a (semigroup, map) pair")
+        bad = is_homomorphism(h[1], h[0], acting)
+        if bad is not None:
+            raise NotAHomomorphism(bad)
+    (s2, f), (t2, g) = h_left, h_right
     left = [a.left_action[f[s]] for s in range(s2.order)]
     right = [tuple(a.right_action[x][g[t]] for t in range(t2.order))
              for x in range(a.size)]

@@ -530,7 +530,10 @@ def _members(members: Iterable, n: int, refusal: str) -> frozenset[int]:
     ``[0, n)``.  They are listed first, so the first member that is not
     one, even an unhashable one such as a list, is refused with
     ``BadEntry(refusal.format(member))`` before anything hashes it.  A
-    set holds only hashable members and is read as it is."""
+    set holds only hashable members and is read as it is; an argument
+    that is not iterable at all is refused by name."""
+    if not isinstance(members, abc.Iterable):
+        raise BadEntry(f"members {members!r} are not an iterable of element ids")
     listed = members if isinstance(members, (set, frozenset)) else list(members)
     for x in listed:
         if not (_is_int(x) and 0 <= x < n):
@@ -634,6 +637,8 @@ def congruence_closure(x, pairs: Iterable[tuple[int, int]]) -> Congruence:
 def _closure(x, fns: Sequence, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """``congruence_closure`` over the translations ``fns`` of ``x``, for a
     caller that closes many sets of pairs on one ``x``."""
+    if not isinstance(pairs, abc.Iterable):
+        raise BadEntry(f"congruence pairs {pairs!r} are not an iterable of pairs")
     n = x.size
     dsu = _DSU(n)
     work: list[tuple[int, int]] = []

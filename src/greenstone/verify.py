@@ -25,40 +25,40 @@ Claims with a symbolic part, or over pairs of semigroups, are functions
 of the ``Env``; a symbolic chain is replayed by ``_Tally.chain``.
 
 The host-level pass.  P4.4, P5.1 (subacts, their ``sub`` and Rees
-quotient) and P4.1, C4.3 (single-pair congruences, their quotient) are
-decided host by host, by one pass (``_over_hosts``).  Each host is
+quotient) and P4.1 (single-pair congruences, their quotient) are decided
+biact host by biact host, by one pass (``_over_hosts``).  Each host is
 numbered by its one-step digraph pair as a digraph id, once per
 ``Env``; the pair is read off the host's Green structure, which holds
 it from then on (see ``biact``).  A host's instances are listed once
-per listing key and run, which fixes all that the listing reads: a
-host's subacts depend on its pair only, so they are listed once per
-digraph id; its single-pair congruences depend on its size and its set
-of translation maps only, so they are listed once per such key, which
-hosts with different digraphs can share (a biact and its mirror image,
-whose left and right maps trade places).  The verdicts live in one table
-on the ``Env`` per host corpus, binding of the predicates and binding of
-the part builder (``Env.verdicts``).  The host's verdicts are decided
-once per host, which is exact for any predicate.  The parts' verdicts
-are decided once per (digraph id, key), for every kind at once, on parts
-built from the host's pair without action tables (see ``biact``).  That
-replay is exact because the key fixes each part's digraph pair: a subact
-is closed under both actions, so the sub's steps are the host's
+per listing key, its set of translation maps (``_listing_key``), which
+fixes all that either listing reads: a host's single-pair congruences
+are the least congruences compatible with every map, and its subacts
+are the subsets that hold the union of each member's left and right
+successors, which are its images under the maps.  Hosts with different
+digraphs can share the key (a biact and its mirror image, whose left
+and right maps trade places).  The verdicts live in one table on the
+``Env`` per binding of the predicates and binding of the part builder
+(``Env.verdicts``).  The host's verdicts are decided once per host,
+which is exact for any predicate.  The parts' verdicts are decided once
+per (digraph id, key), for every kind at once, on parts built from the
+host's pair without action tables (see ``biact``).  That replay is exact
+because the digraph id and the key fix each part's digraph pair: a
+subact is closed under both actions, so the sub's steps are the host's
 restricted to the members and the Rees quotient's merge them into one
 sink, and compatibility makes a quotient block's steps the blocks of its
-least member's steps.  A semigroup host is read as its own biact, whose
-quotient has its semigroup quotient's steps.  The pair fixes the Green
-structure, and the key fixes the part's kind and size, so a predicate
-that decides from these, as every predicate of these claims does, gives
-the same verdict on each part with that key.  The instances and
-violations are then replayed in corpus order.  P4.4 and P5.1 name the
-same corpus, predicates and builder, so they share one table: whichever
-runs first builds each subact's parts once and the other builds none.
-A verdict is read back only under the functions that decided it, so a
-planted or traced predicate or builder decides afresh.  Every part is
-built from its host's pair, which the builder reads itself; no caller
-passes a pair in.  R3.14(3) checks each (left digraph of S, right
-digraph of T) group of pairs once, on a product built from those two
-digraphs.
+least member's steps.  The pair fixes the Green structure, and the key
+fixes the part's kind and size, so a predicate that decides from these,
+as every predicate of these claims does, gives the same verdict on each
+part with that key.  The instances and violations are then replayed in
+corpus order.  P4.4 and P5.1 name the same predicates and builder, so
+they share one table: whichever runs first builds each subact's parts
+once and the other builds none.  A verdict is read back only under the
+functions that decided it, so a planted or traced predicate or builder
+decides afresh.  Every part is built from its host's pair, which the
+builder reads itself; no caller passes a pair in.  C4.3, the semigroup
+side of P4.1, is a plain claim over the congruence corpus that L4.2
+reads.  R3.14(3) checks each (left digraph of S, right digraph of T)
+group of pairs once, on a product built from those two digraphs.
 
 Must-hold claims must produce zero violations; counterexample-expected
 claims must produce a verified witness.  Claims whose finite runs cannot
@@ -89,7 +89,6 @@ from .biact import (
     _block_quotient,
     _collapse,
     _restrict,
-    biact_rees_quotient,
     digraphs,
     product_biact,
     regular_biact,
@@ -229,8 +228,10 @@ class Substructure:
 
     @cached_property
     def rel_rees(self) -> FiniteBiact:
-        """The relative Rees quotient: ``rel`` with the subsemigroup collapsed."""
-        return biact_rees_quotient(self.rel, self.members)
+        """The relative Rees quotient: ``rel`` with the subsemigroup
+        collapsed.  The subsemigroup is closed under its own actions in
+        ``rel`` by construction, so it is not checked again."""
+        return _collapse(self.rel, self.members)
 
     @cached_property
     def ideal_biact(self) -> FiniteBiact:
@@ -246,10 +247,10 @@ class Substructure:
 
 
 def _kept(build: Callable[["Env"], object]) -> Callable[["Env"], object]:
-    """A corpus method that builds its corpus on the first call per ``Env``
-    and returns the same object on every later call.  The result is a plain
-    function, so a wrapper installed on ``Env`` later (a tracer) sees every
-    call."""
+    """A corpus method (or ``digraph_ids``) that builds its result on the
+    first call per ``Env`` and returns the same object on every later call.
+    The result is a plain function, so a wrapper installed on ``Env`` later
+    (a tracer) sees every call."""
     @wraps(build)
     def corpus(env: "Env"):
         if build.__name__ not in env._kept:
@@ -268,14 +269,15 @@ class Env:
     by megabytes.  What the host pass decides on them is kept instead, as
     bits (``verdicts``), keyed by the predicate functions and the part
     builder bound when they were decided, so a planted or traced function
-    decides afresh.  A host's one-step digraph pair is not kept here: the
-    host or its Green structure holds it (``digraphs``).
+    decides afresh.  The host pass reads the biact corpus alone, so its
+    digraph ids and verdict tables name no corpus.  A host's one-step
+    digraph pair is not kept here: the host or its Green structure holds
+    it (``digraphs``).
     """
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._kept: dict[str, object] = {}
-        self._digraph_ids: dict[str, list[int]] = {}
         self._verdicts: dict[tuple, tuple[list, dict]] = {}
 
     def rng(self, key: str) -> random.Random:
@@ -341,33 +343,28 @@ class Env:
         return [a for s, t in itertools.product(pool, pool)
                 for m in (1, 2) for a in all_biacts(s, t, m)]
 
-    def digraph_ids(self, hosts: str) -> list[int]:
-        """Each host's digraph id in the host corpus named ``hosts``: the
-        index of its one-step digraph pair among the corpus's distinct
-        pairs in first-seen order, on the first call per corpus.  The pair
-        is read off the host's Green structure, built here, so that no
-        host carries a pair of its own once its id is known: reading
+    @_kept
+    def digraph_ids(self) -> list[int]:
+        """Each biact host's digraph id: the index of its one-step digraph
+        pair among the corpus's distinct pairs in first-seen order.  The
+        pair is read off the host's Green structure, built here, so that
+        no host carries a pair of its own once its id is known: reading
         ``digraphs``, which leaves each pair on its host until the host's
         structure is built, raised the max RSS of the suite at max-order 4
         by about 0.3 MB (Python 3.11, 2-vCPU x86_64 host)."""
-        if hosts not in self._digraph_ids:
-            ids: dict[Digraphs, int] = {}
-            self._digraph_ids[hosts] = [ids.setdefault(green_structure(x).pair, len(ids))
-                                        for x in getattr(self, hosts)()]
-        return self._digraph_ids[hosts]
+        ids: dict[Digraphs, int] = {}
+        return [ids.setdefault(green_structure(x).pair, len(ids)) for x in self.biacts()]
 
-    def verdicts(self, hosts: str, preds: tuple, parts: Callable) -> tuple[list, dict]:
-        """The verdict table of the host pass over the host corpus named
-        ``hosts``, the predicates ``preds`` as this module binds them now
-        and the part builder ``parts``, made on the first call per binding:
-        each host's verdict bits by its place in the corpus, and each
-        part's by digraph id and then instance key, both filled on first
-        use.  Keyed by id first, the table keeps no (id, key) tuple per
-        part, which more than halves its memory at seed 7100."""
-        table = (hosts, preds, tuple(globals()[pred] for pred, _ in preds), parts)
-        if table not in self._verdicts:
-            self._verdicts[table] = ([None] * len(getattr(self, hosts)()), {})
-        return self._verdicts[table]
+    def verdicts(self, preds: tuple, parts: Callable) -> tuple[list, dict]:
+        """The verdict table of the host pass for the predicates ``preds``
+        as this module binds them now and the part builder ``parts``, made
+        on the first call per binding: each biact host's verdict bits by
+        its place in the corpus, and each part's by digraph id and then
+        instance key, both filled on first use.  Keyed by id first, the
+        table keeps no (id, key) tuple per part, which more than halves its
+        memory at seed 7100."""
+        table = (preds, tuple(globals()[pred] for pred, _ in preds), parts)
+        return self._verdicts.setdefault(table, ([None] * len(self.biacts()), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -482,41 +479,39 @@ def _over(corpus: str, check, smoke: bool = False,
     return checker
 
 
-def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
-                parts: str, check: Callable, smoke: bool = False,
-                notes: str = "") -> Callable[[Env], ClaimOutcome]:
+def _over_hosts(preds: tuple, keys: Callable, parts: str, check: Callable,
+                smoke: bool = False, notes: str = "") -> Callable[[Env], ClaimOutcome]:
     """The checker of a claim that compares the predicates ``preds``, as
-    (name, kinds) pairs, on each host of the Env corpus named ``hosts``
-    and on the derived parts of its instances, host by host.
+    (name, kinds) pairs, on each biact host and on the derived parts of
+    its instances, host by host.
 
     - Each host's one-step digraph pair, read off its Green structure, is
       numbered as a digraph id once per ``Env`` (``Env.digraph_ids``), so
-      the claims over one corpus share the numbering.
+      the claims share the numbering.
     - ``keys(host)`` lists the host's instances as hashable keys, in
-      order.  It is called once per listing key ``listing(host, hid)`` and
-      run, which must fix everything ``keys`` reads: the digraph id for
-      subacts (``_by_digraph``), the translation maps for congruences
-      (``_by_translations``).
-    - The verdicts come from the ``Env``'s table for this corpus, these
-      predicates and the part builder of this module named ``parts``, all
-      looked up on each run (``Env.verdicts``), so claims that name the
-      same three share their verdicts.  The host's are decided once per
-      host, on its first instance, which is exact for any predicate.
+      order.  It is called once per listing key (``_listing_key``) and
+      run, which must fix everything ``keys`` reads.
+    - The verdicts come from the ``Env``'s table for these predicates and
+      the part builder of this module named ``parts``, both looked up on
+      each run (``Env.verdicts``), so claims that name the same two share
+      their verdicts.  The host's are decided once per host, on its first
+      instance, which is exact for any predicate.
     - The builder named ``parts`` builds an instance's parts from the
       host's pair, as ``parts(host, key)``, and their verdicts are decided
-      once per (digraph id, key).  This is exact because the key fixes each part's digraph pair, hence its
-      Green structure, and its kind and size: the predicates must decide
-      from these, as every predicate of the claims does.
+      once per (digraph id, key).  This is exact because the two fix each
+      part's digraph pair, hence its Green structure, and its kind and
+      size: the predicates must decide from these, as every predicate of
+      the claims does.
     - ``check(host, key, whole, part, v)`` then makes the instance's checks
       from the two verdicts (``_verdicts``) and returns their number, so
       instances and violations come in corpus order.
     """
     def checker(env: Env) -> ClaimOutcome:
         build = globals()[parts]
-        whole, part = env.verdicts(hosts, preds, build)
+        whole, part = env.verdicts(preds, build)
         v, listed = _Tally(), {}
-        for i, (host, hid) in enumerate(zip(getattr(env, hosts)(), env.digraph_ids(hosts))):
-            by = listing(host, hid)
+        for i, (host, hid) in enumerate(zip(env.biacts(), env.digraph_ids())):
+            by = _listing_key(host)
             if by not in listed:
                 listed[by] = keys(host)
             known = part.setdefault(hid, {})
@@ -530,28 +525,25 @@ def _over_hosts(hosts: str, preds: tuple, listing: Callable, keys: Callable,
     return checker
 
 
-def _by_digraph(host, hid: int) -> int:
-    """The listing key of subacts: the digraph id, which fixes all that
-    ``_subact_keys`` reads."""
-    return hid
-
-
-def _by_translations(host, hid: int) -> tuple:
-    """The listing key of single-pair congruences: the size and the set of
-    translation maps, all that ``core._closure`` reads (in any order: the
-    closure is the least congruence, whatever the order of its unions)."""
-    return host.size, frozenset(_translations(host))
+def _listing_key(host) -> frozenset:
+    """The listing key of the host pass: the set of the host's translation
+    maps, in any order and whichever side each acts on.  It fixes the
+    single-pair congruences, since ``core._closure`` gives the least
+    congruence compatible with every map, whatever the order of its
+    unions, and the subacts, since ``_subact_keys`` reads only the union
+    of each element's left and right successors, its images under the
+    maps.  Each map's length is the host's size."""
+    return frozenset(_translations(host))
 
 
 _BIT = {None: 1, "L": 1, "R": 2, "J": 4}   # a kind's bit in ``_verdicts``
 
 
-def _verdicts(preds: tuple, xs: Iterable) -> int:
+def _verdicts(preds: tuple, xs: tuple) -> int:
     """For each (name, kinds) of ``preds``, whether the predicate holds on
     every object of ``xs``, as one bit per kind (``_BIT``; None, for a
     predicate asked without a kind, is bit 1), the i-th predicate's bits
     shifted by 3i (``_bit``)."""
-    xs = tuple(xs)
     return sum(_BIT[k] << 3 * i for i, (pred, kinds) in enumerate(preds)
                for k in kinds if all(_holds(pred, x, k) for x in xs))
 
@@ -598,15 +590,18 @@ _MINIMAL = (("minimal_condition", KINDS),)
 # the predicates of P4.4 and P5.1, whose verdicts on the biact hosts and on
 # their subacts' parts the two claims share (``Env.verdicts``)
 _SUBACT = _MINIMAL + (("stable", (None,)), ("left_stable", (None,)))
+# P4.4's checks, one per kind: the verdict bit each compares, read by the
+# predicate's name, and the payload of its violation
+_P4_4 = tuple((_bit(_SUBACT, "minimal_condition", k), {"k": k}) for k in KINDS)
 
 
 def _p4_4(host: FiniteBiact, mask: int, whole: int, part: int, v: _Tally) -> int:
     """A biact has a minimal condition iff a subact and its Rees quotient
     do."""
-    for k in KINDS:
-        if (whole ^ part) & _BIT[k]:
-            v.add({"subact": frozenset(_bits(mask)), "k": k})
-    return len(KINDS)
+    for bit, failure in _P4_4:
+        if (whole ^ part) & bit:
+            v.add({"subact": frozenset(_bits(mask)), **failure})
+    return len(_P4_4)
 
 
 def _same_preorders(p, q, v: _Tally) -> int:
@@ -901,19 +896,32 @@ def _congruence_keys(host) -> list[tuple[int, ...]]:
     return [_shared(rho.blocks) for rho in single_pair_congruences(host)]
 
 
-def _quotient_part(host, blocks: tuple[int, ...]) -> tuple:
-    """The quotient by ``blocks``, built from the host's digraph pair.  A
-    semigroup's is its quotient as its own biact, whose Green data are its
-    semigroup quotient's (L4.2): a block [e] steps to the blocks [s e] in
-    both."""
+def _quotient_part(host: FiniteBiact, blocks: tuple[int, ...]) -> tuple:
+    """The quotient of a biact host by ``blocks``, built from the host's
+    digraph pair."""
     return (_block_quotient(host, blocks),)
 
 
-def _p4_1(host, blocks: tuple[int, ...], whole: int, part: int, v: _Tally) -> int:
-    """Minimal conditions pass to the quotient by a congruence: P4.1 for
-    biact hosts, C4.3 for semigroup hosts."""
+# P4.1's checks, one per kind: the verdict bit each compares and the
+# payload of its violation
+_P4_1 = tuple((_bit(_MINIMAL, "minimal_condition", k), {"k": k}) for k in KINDS)
+
+
+def _p4_1(host: FiniteBiact, blocks: tuple[int, ...], whole: int, part: int,
+          v: _Tally) -> int:
+    """Minimal conditions pass to the quotient of a biact by a congruence."""
+    for bit, failure in _P4_1:
+        if whole & ~part & bit:
+            v.add(failure)
+    return len(_P4_1)
+
+
+def _c4_3(rho: Congruence, v: _Tally) -> int:
+    """Minimal conditions pass to the quotient of a semigroup by a
+    congruence."""
+    quot, _ = quotient(rho.over, rho)
     for k in KINDS:
-        if whole & ~part & _BIT[k]:
+        if bool(minimal_condition(rho.over, k)) and not minimal_condition(quot, k):
             v.add({"k": k})
     return len(KINDS)
 
@@ -1349,18 +1357,15 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "finite-exhaustive", "must-hold", check_R3_14_3),
     Claim("P4.1", "minimal conditions pass to biact quotients",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _MINIMAL, _by_translations, _congruence_keys,
-                      "_quotient_part", _p4_1, smoke=True)),
+          _over_hosts(_MINIMAL, _congruence_keys, "_quotient_part", _p4_1, smoke=True)),
     Claim("L4.2", "semigroup quotients agree with regular-biact quotients",
           "finite-exhaustive", "must-hold", _over("congruences", _l4_2)),
     Claim("C4.3", "minimal conditions pass to semigroup quotients",
           "finite-exhaustive", "must-hold",
-          _over_hosts("semigroups", _MINIMAL, _by_translations, _congruence_keys,
-                      "_quotient_part", _p4_1, smoke=True)),
+          _over("congruences", _c4_3, smoke=True)),
     Claim("P4.4", "a biact is minimal iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _SUBACT, _by_digraph, _subact_keys, "_subact_parts",
-                      _p4_4, smoke=True)),
+          _over_hosts(_SUBACT, _subact_keys, "_subact_parts", _p4_4, smoke=True)),
     Claim("P4.5", "relative minimality splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups",
@@ -1402,8 +1407,8 @@ REGISTRY: dict[str, Claim] = {c.id: c for c in [
           "symbolic-witness", "counterexample-expected", check_S5_0),
     Claim("P5.1", "a biact is stable iff a subact and its quotient are",
           "finite-exhaustive", "must-hold",
-          _over_hosts("biacts", _SUBACT, _by_digraph, _subact_keys, "_subact_parts",
-                      _p5_1, smoke=True, notes="the straddle check is contentful")),
+          _over_hosts(_SUBACT, _subact_keys, "_subact_parts", _p5_1, smoke=True,
+                      notes="the straddle check is contentful")),
     Claim("P5.2", "relative stability splits into the subsemigroup and quotient",
           "finite-exhaustive", "must-hold",
           _over("subsemigroups", _split("stable", "rel", ("sub", "rel_rees"), "sub", (None,)),

@@ -279,6 +279,17 @@ class TestReesQuotients:
                 call([0, [1]])
         assert ba.is_subact(b, (x for x in (0, 1))) is None
         assert ba.subact_closure(b, iter([0])).members == {0, 1}
+
+    def test_a_subset_that_is_not_iterable_is_refused_by_name(self):
+        s = core.validate_table(2, [[0, 0], [1, 1]])
+        b = ba.regular_biact(s)
+        refusal = re.escape("members 5 are not an iterable of element ids")
+        for call in (lambda m: ba.is_subact(b, m), lambda m: ba.subact_closure(b, m),
+                     lambda m: ba.biact_rees_quotient(b, m), lambda m: ba.ideal_biact(s, m),
+                     lambda m: ba.relative_rees(s, m)):
+            with pytest.raises(BadEntry, match=refusal):
+                call(5)
+        assert ba.relative_rees(s, iter([0])).size == 2
         assert ba.ideal_biact(s, iter([0, 1])).size == 2
 
     def test_subact_is_checked_once_for_both_parts(self, monkeypatch):
@@ -497,3 +508,14 @@ class TestPullback:
         b = ba.regular_biact(z2)
         with pytest.raises(NotAHomomorphism):
             ba.pullback_biact(b, (z2, [1, 0]), (z2, [0, 1]))
+
+    def test_a_side_that_is_not_a_pair_is_refused_by_name(self):
+        lz2 = core.validate_table(2, [[0, 0], [1, 1]])
+        b = ba.regular_biact(lz2)
+        ident = (lz2, [0, 1])
+        for left, right, name, bad in ((5, 5, "h_left", 5), (ident, 5, "h_right", 5),
+                                       (ident, (lz2,), "h_right", (lz2,)),
+                                       ([lz2, [0, 1], 0], ident, "h_left", [lz2, [0, 1], 0])):
+            with pytest.raises(BadEntry, match=re.escape(f"{name} {bad!r} is not a")):
+                ba.pullback_biact(b, left, right)
+        assert ba.pullback_biact(b, [lz2, [0, 1]], ident) == b

@@ -291,6 +291,15 @@ class TestClassifySubset:
         assert core.classify_subset(s, (x for x in (0, 2)), "subsemigroup").members == {0, 2}
         assert core.subsemigroup(s, iter([0, 2]))[1] == (0, 2)
 
+    def test_a_subset_that_is_not_iterable_is_refused_by_name(self):
+        s = core.validate_table(2, LEFT_ZERO2)
+        refusal = re.escape("members 5 are not an iterable of element ids")
+        for call in (lambda m: core.classify_subset(s, m, "ideal"),
+                     lambda m: core.subsemigroup(s, m),
+                     lambda m: core.rees_quotient(s, m)):
+            with pytest.raises(BadEntry, match=refusal):
+                call(5)
+
     @pytest.mark.parametrize("role", core._ROLES)
     def test_witnesses_match_the_per_role_loops(self, role):
         # the one-sided closure scan gives the witness the role's own loop
@@ -376,6 +385,12 @@ class TestCongruence:
         s = core.validate_table(2, LEFT_ZERO2)
         rho = core.congruence_closure(s, [(0, 1)])
         assert rho.num_blocks == 1
+
+    def test_pairs_that_are_not_iterable_are_refused_by_name(self):
+        s = core.validate_table(2, LEFT_ZERO2)
+        for x in (s, regular_biact(s)):
+            with pytest.raises(BadEntry, match=re.escape("congruence pairs 5 are not an iterable")):
+                core.congruence_closure(x, 5)
 
     def test_incompatible_partition_rejected(self):
         s = core.validate_table(4, Z4)

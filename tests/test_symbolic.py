@@ -188,6 +188,27 @@ class TestBicyclic:
                 assert b.mul(x, bicyclic_right_witness(x, y)) == y
 
 
+# one planted entry for each refusal of the catalog gate that the two
+# tests below do not reach: the refusal's message after the entry's name,
+# the entry, the sheet values planted and the attributes replaced
+GATE_PLANTS = {
+    "l_periodic without left_stable": (sym.NullSemigroup, {"left_stable": False}, {}),
+    "M_L+M_R disagrees with stable+M_J": (sym.NullSemigroup, {"stable": False}, {}),
+    "simple without M_J": (sym.NatPlus, {"simple": True}, {}),
+    "bisimple without simple": (sym.NatPlus, {"bisimple": True}, {}),
+    # M_L, M_R and M_J all false, so the sum is still stable+M_J
+    "J-trivial without stability": (sym.NatPlus, {"stable": False}, {}),
+    "group-bound disagrees with periodicity": (sym.NatPlus, {"group_bound": True}, {}),
+    "L-chain fails (step 1 is not strict)":
+        (sym.NatPlus, {}, {"chain": lambda k: lambda i: 1}),
+    # the identity moves nothing, so sa L a
+    "left instability witness fails":
+        (sym.Bicyclic, {}, {"left_instability": ((0, 0), (0, 0))}),
+    # distinct nonzero elements of a null semigroup are not J-related
+    "simplicity fails at": (sym.NullSemigroup, {"simple": True}, {}),
+}
+
+
 class TestCatalog:
     def test_builds_and_contains_the_core_entries(self):
         entries = sym.catalog()
@@ -228,6 +249,19 @@ class TestCatalog:
         entry.chain = lambda k: None
         with pytest.raises(InvariantViolation):
             sym.check_sheet_network({"broken": entry})
+
+    @pytest.mark.parametrize("refusal", sorted(GATE_PLANTS))
+    def test_gate_refuses_each_planted_entry_by_name(self, refusal):
+        make, values, attrs = GATE_PLANTS[refusal]
+        entry = make()
+        sym.check_sheet_network({"planted": entry})     # sound before planting
+        for key, value in values.items():
+            entry.sheet[key] = sym.PropertyClaim(value, "structural", "wrong on purpose")
+        for name, value in attrs.items():
+            setattr(entry, name, value)
+        with pytest.raises(InvariantViolation) as refused:
+            sym.check_sheet_network({"planted": entry})
+        assert str(refused.value).startswith(f"planted: {refusal}")
 
     def test_decision_unavailable(self):
         class Bare(sym.SymbolicSemigroup):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from greenstone import verify as ver
-from greenstone.biact import FiniteBiact, Subact
+from greenstone.biact import FiniteBiact, Subact, biact_rees_quotient
 from greenstone.core import is_role
 from greenstone.enumeration import SEMIGROUP_ORDER_CAP
 from greenstone.errors import InvalidSuiteConfig, UnknownClaim
@@ -230,6 +230,23 @@ class TestCorpora:
         assert all(any(x is y for y in env.subsemigroups()) for x in env.bi_ideals())
         assert env.catalog() is env.catalog()
 
+    def test_relative_rees_quotients_are_not_checked_again(self, monkeypatch):
+        """``rel_rees`` collapses the subsemigroup, closed by construction,
+        without asking ``is_subact``, and equals the checked quotient, in
+        its tables, labels and provenance."""
+        from greenstone import biact as ba
+
+        env = ver.Env(ver.SuiteConfig())
+        asked, real = [], ba.is_subact
+        monkeypatch.setattr(ba, "is_subact", lambda a, m: asked.append(m) or real(a, m))
+        quotients = [x.rel_rees for x in env.subsemigroups()]
+        assert asked == []
+        monkeypatch.undo()
+        for x, q in zip(env.subsemigroups(), quotients):
+            checked = biact_rees_quotient(x.rel, x.members)
+            assert (q, q.provenance) == (checked, checked.provenance)
+            assert (q.left_action, q.right_action) == (checked.left_action, checked.right_action)
+
     def test_biact_corpora(self):
         env = ver.Env(ver.SuiteConfig())
         subacts = [(x.host, x.members) for x in _subacts(env)]
@@ -287,30 +304,29 @@ class TestCorpora:
         return carried, pending
 
     def test_host_digraphs_are_read_once_per_env(self, monkeypatch, cold_engine):
-        """No host's pair is computed twice: ``_edges`` runs once on each
-        host, in corpus order, when the digraph ids read the hosts' Green
-        structures, except on a host that carries its pair, which is taken
-        as it is and leaves the host's tables unbuilt.  From then on each
-        host's structure holds its pair, and the host carries none.  The
-        engine starts cold, so no pool semigroup holds a structure from
+        """No biact host's pair is computed twice: ``_edges`` runs once on
+        each host, in corpus order, when the digraph ids read the hosts'
+        Green structures, except on a host that carries its pair, which is
+        taken as it is and leaves the host's tables unbuilt.  From then on
+        each host's structure holds its pair, and the host carries none.
+        The engine starts cold, so no pool semigroup holds a structure from
         another Env."""
         from greenstone import biact as ba
 
         env = ver.Env(TINY)
-        hosts = env.biacts() + env.semigroups()
+        hosts = env.biacts()
         carried, pending = self._carried(hosts)
         reads = self._edges_reads(monkeypatch)
-        ids = env.digraph_ids("biacts")
-        env.digraph_ids("semigroups")
+        ids = env.digraph_ids()
         once = [id(x) for x in hosts if id(x) not in carried]
         assert list(map(id, reads)) == once
         assert all(ba._FILL in vars(x) for x in pending)
         assert all(ba._SLOT in vars(x) and ba._PAIR not in vars(x) for x in hosts)
-        for cid in ("P4.1", "P4.4", "P5.1", "C4.3"):
+        for cid in ("P4.1", "P4.4", "P5.1"):
             assert ver.REGISTRY[cid].checker(env).ok
         kept = set(map(id, hosts))
         assert [id(x) for x in reads if id(x) in kept] == once
-        assert env.digraph_ids("biacts") is ids
+        assert env.digraph_ids() is ids
         assert not any(ba._PAIR in vars(x) for x in hosts)
         monkeypatch.undo()
         # distinct pairs, numbered in first-seen order
@@ -430,7 +446,7 @@ def _l4_2(rho, v):
 
 def _l5_8(x, v):
     sq = x.rees
-    bq = ver.biact_rees_quotient(x.host, x.members)
+    bq = biact_rees_quotient(x.host, x.members)
     gss, gsb = ver.green_structure(sq), ver.green_structure(bq)
     for k in ver.KINDS:
         for a in range(sq.order):
@@ -786,7 +802,7 @@ class TestSharedPartTable:
     @pytest.mark.parametrize("config", ["tiny", "default"])
     def test_each_subact_is_built_once_across_both_claims(self, config, monkeypatch):
         env = ver.Env(TINY if config == "tiny" else ver.SuiteConfig())
-        hids = env.digraph_ids("biacts")
+        hids = env.digraph_ids()
         ids = {id(b): hid for b, hid in zip(env.biacts(), hids)}
         built, real = [], ver._subact_parts
 
@@ -814,7 +830,7 @@ class TestSharedPartTable:
         calls, real = [], ver.stable
         monkeypatch.setattr(ver, "stable", lambda x: calls.append(x) or real(x))
         assert _outcomes(env, ("P4.4", "P5.1")) == before
-        one_per_id = dict(zip(env.digraph_ids("biacts"), env.biacts())).values()
+        one_per_id = dict(zip(env.digraph_ids(), env.biacts())).values()
         subacts = sum(len(ver._subact_keys(b)) for b in one_per_id)
         assert len(calls) == len(env.biacts()) + 2 * subacts
 
@@ -829,7 +845,7 @@ class TestSharedPartTable:
                             lambda x, k: calls.append(x) or real(x, k))
         assert ver.REGISTRY["P4.1"].checker(env) == before
         assert ver.REGISTRY["P4.1"].checker(env) == before
-        hids = env.digraph_ids("biacts")
+        hids = env.digraph_ids()
         hosts = [b for b in env.biacts() if b.size > 1]
         quotients = {(hid, rho.blocks) for b, hid in zip(env.biacts(), hids)
                      for rho in ver.single_pair_congruences(b)}
@@ -837,11 +853,11 @@ class TestSharedPartTable:
 
 
 # ---------------------------------------------------------------------------
-# the host-level pass: the parts of P4.4, P5.1, P4.1 and C4.3, and the
-# products of R3.14(3), are built from digraphs, and none of them should
-# need a table
+# the host-level pass: the parts of P4.4, P5.1 and P4.1, and the products of
+# R3.14(3), are built from digraphs, and none of them should need a table
+# (C4.3 builds semigroup quotients, which are tables)
 
-HOT_CLAIMS = ("P4.4", "P5.1", "P4.1", "C4.3", "R3.14(3)")
+HOT_CLAIMS = ("P4.4", "P5.1", "P4.1", "R3.14(3)")
 
 
 class TestHostPass:
@@ -882,17 +898,24 @@ class TestHostPass:
 
 
 class TestListingKeys:
-    """P4.1 lists a host's congruences once per (size, translation set), a
-    key that hosts with different digraphs can share."""
+    """The host pass lists a host's congruences (P4.1) and subacts (P4.4,
+    P5.1) once per set of translation maps, a key that hosts with
+    different digraphs can share; the parts stay keyed by digraph id."""
+
+    # the left-zero semigroup of order 3, whose regular biact has one
+    # subact, and a semigroup (x y = 0 unless y = 2, x 2 = x) whose regular
+    # biact has three, its ideals
+    LEFT_ZERO3 = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+    THREE_IDEALS = [[0, 0, 0], [0, 0, 1], [0, 0, 2]]
 
     @staticmethod
-    def _mirrors():
+    def _mirrors(rows):
         from greenstone import core
 
-        # the left-zero semigroup and its opposite: the regular biacts' left
-        # and right translations trade places
-        lz3 = core.validate_table(3, [[i] * 3 for i in range(3)])
-        hosts = [ver.regular_biact(lz3), ver.regular_biact(core.opposite(lz3))]
+        # a semigroup and its opposite: the regular biacts' left and right
+        # translations trade places
+        s = core.validate_table(3, rows)
+        hosts = [ver.regular_biact(s), ver.regular_biact(core.opposite(s))]
 
         class Mirrors(ver.Env):
             @ver._kept
@@ -906,9 +929,9 @@ class TestListingKeys:
         return Mirrors(TINY), hosts
 
     def test_mirror_biacts_share_one_listing(self, monkeypatch):
-        env, hosts = self._mirrors()
-        assert env.digraph_ids("biacts") == [0, 1]
-        assert ver._by_translations(hosts[0], 0) == ver._by_translations(hosts[1], 1)
+        env, hosts = self._mirrors(self.LEFT_ZERO3)
+        assert env.digraph_ids() == [0, 1]
+        assert ver._listing_key(hosts[0]) == ver._listing_key(hosts[1])
         listed, real = [], ver.single_pair_congruences
         monkeypatch.setattr(ver, "single_pair_congruences",
                             lambda x: listed.append(x) or real(x))
@@ -918,11 +941,48 @@ class TestListingKeys:
         monkeypatch.undo()
         assert outcome == SHARED_ORACLES["P4.1"](env) and outcome.ok
 
+    def test_mirror_biacts_share_one_subact_listing(self, monkeypatch):
+        env, hosts = self._mirrors(self.THREE_IDEALS)
+        # ``_subact_keys`` reads the host's pair once, through ``digraphs``
+        listed, real = [], ver.digraphs
+        monkeypatch.setattr(ver, "digraphs", lambda x: listed.append(x) or real(x))
+        built, real_parts = [], ver._subact_parts
+        monkeypatch.setattr(ver, "_subact_parts",
+                            lambda x, mask: built.append(x) or real_parts(x, mask))
+        outcome = ver.REGISTRY["P4.4"].checker(env)
+        assert listed == hosts[:1]
+        # each host's parts are its own: they are keyed by digraph id
+        subacts = len(ver._subact_keys(hosts[0]))
+        assert subacts > 1 and [sum(x is h for x in built) for h in hosts] == [subacts] * 2
+        monkeypatch.undo()
+        assert outcome == SHARED_ORACLES["P4.4"](env) and outcome.ok
+
     def test_mirror_biacts_under_the_green_data_plant(self, monkeypatch):
-        env, _ = self._mirrors()
+        env, _ = self._mirrors(self.LEFT_ZERO3)
         _plant_green(monkeypatch)
         outcome = ver.REGISTRY["P4.1"].checker(env)
         assert outcome == SHARED_ORACLES["P4.1"](env) and not outcome.ok
+
+    @pytest.mark.parametrize("cid", ["P4.4", "P5.1"])
+    def test_mirror_subacts_under_the_green_data_plant(self, cid, monkeypatch):
+        env, _ = self._mirrors(self.THREE_IDEALS)
+        _plant_green(monkeypatch)
+        outcome = ver.REGISTRY[cid].checker(env)
+        assert outcome == SHARED_ORACLES[cid](env) and not outcome.ok
+
+    def test_the_key_fixes_both_listings(self, envs):
+        """Biact hosts with one set of translation maps have the same
+        subacts and the same single-pair congruences, and at the default
+        config the key merges hosts with different digraph ids."""
+        env = envs["default"]
+        seen, merged = {}, set()
+        for b, hid in zip(env.biacts(), env.digraph_ids()):
+            listing = (ver._subact_keys(b),
+                       [rho.blocks for rho in ver.single_pair_congruences(b)])
+            first = seen.setdefault(ver._listing_key(b), (hid, listing))
+            assert first[1] == listing
+            merged |= {ver._listing_key(b)} if first[0] != hid else set()
+        assert merged and len(seen) < len(set(env.digraph_ids()))
 
 
 # the claims digest of ``verify --suite all --seed N`` for the benchmark's
