@@ -132,7 +132,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .biact import (_PAIR, _SLOT, Digraphs, FiniteBiact, _edges, biact_rees_quotient,
                     digraphs, relative_biact)  # ``digraphs`` is re-exported
 from .core import (FiniteSemigroup, _CountedMemo, _DSU, _Frozen, _is_int, _Memo,
-                   _normalize_blocks, _set, _shared)
+                   _members as _subset, _normalize_blocks, _set, _shared)
 from .errors import BadEntry, InvariantViolation, UnknownClass
 
 PREORDERS = ("L", "R", "J")
@@ -565,9 +565,10 @@ def green_index(s: FiniteSemigroup, sub_members: Iterable[int]) -> GreenIndexRes
     """One more than the number of relative H-classes lying outside T.
 
     Every relative class lies wholly inside or wholly outside T; a
-    violation would be an engine bug and raises.
+    violation would be an engine bug and raises.  A subset that is not an
+    iterable of element ids is refused by name (``BadEntry``).
     """
-    members = frozenset(sub_members)
+    members = _subset(sub_members, s.order, "member {!r} outside the semigroup")
     rel = relative_biact(s, members)
     gs = green_structure(rel)
     inside, outside = [], []

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 from collections import Counter
 
 import pytest
@@ -866,6 +867,14 @@ class TestGreenIndex:
         # the index is also the H-census of the relative Rees quotient
         assert result.quotient_l_classes == 3
         assert result.quotient_r_classes == 2
+
+    def test_a_subset_that_is_not_a_set_of_ids_is_refused_by_name(self):
+        s = core.validate_table(2, Z2)
+        for members, refusal in ((5, "members 5 are not an iterable of element ids"),
+                                 ([0, [1]], "member [1] outside the semigroup")):
+            with pytest.raises(BadEntry, match=re.escape(refusal)):
+                green.green_index(s, members)
+        assert green.green_index(s, iter([0])).index == 2
 
     def test_relative_classes_never_straddle(self):
         # exercised across the order-3 census with every subsemigroup
