@@ -279,6 +279,7 @@ class TestReesQuotients:
                 call([0, [1]])
         assert ba.is_subact(b, (x for x in (0, 1))) is None
         assert ba.subact_closure(b, iter([0])).members == {0, 1}
+        assert ba.ideal_biact(s, iter([0, 1])).size == 2
 
     def test_a_subset_that_is_not_iterable_is_refused_by_name(self):
         s = core.validate_table(2, [[0, 0], [1, 1]])
@@ -290,7 +291,6 @@ class TestReesQuotients:
             with pytest.raises(BadEntry, match=refusal):
                 call(5)
         assert ba.relative_rees(s, iter([0])).size == 2
-        assert ba.ideal_biact(s, iter([0, 1])).size == 2
 
     def test_subact_is_checked_once_for_both_parts(self, monkeypatch):
         calls = []
